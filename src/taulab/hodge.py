@@ -346,7 +346,9 @@ def hurwitz_to_hodge(g, n, max_k=None):
     if max_k is None:
         max_k = g
     dim = 3 * g - 3 + n
-    assert dim >= 0, "unstable (g, n)"
+    if g < 0 or n < 1 or dim < 0:
+        raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
+                         "and 3g - 3 + n >= 0" % (g, n))
     B = dim + 1
     axes = list(range(1, B + 1))
 

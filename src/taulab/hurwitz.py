@@ -22,8 +22,11 @@ Routes:
   * character sums: for one-part numbers the class-algebra formula
     collapses onto hook diagrams, h = (1/(d prod b_i)) sum over hooks of
     chi(hook at the d-cycle) f^m chi(hook at profile); for the simple kind
-    the character sum counts possibly-disconnected covers and connected
-    values are extracted from the logarithm of the disconnected series;
+    the character sum counts possibly-disconnected covers, and a single
+    connected value is the logarithm taken only on the monomials
+    beta^k p_mu dividing the query's beta^m p_nu (mu a sub-multiset of nu).
+    The logarithm of the whole disconnected series (h_simple_series) stays
+    as the series builder and as the oracle at small caps;
   * closed hook series (one-part only): coefficient extraction from
     sum_{a,b} (-1)^b s_{hook(a,b)} e^{f beta}.
 """
@@ -33,11 +36,12 @@ from __future__ import annotations
 import json
 import os
 import threading
-from itertools import permutations
+import warnings
+from itertools import permutations, product
 from math import factorial
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
-                         hook, cut_and_join_eigenvalue)
+                         zee, hook, cut_and_join_eigenvalue)
 from .symfunc import character, dimension, schur_poly
 from .series import Series, Rat, FAMILY_P
 
@@ -51,10 +55,15 @@ class HurwitzQuery:
     __slots__ = ("kind", "genus", "profile")
 
     def __init__(self, kind, genus, profile):
-        assert kind in (ONEPART, SIMPLE)
+        if kind not in (ONEPART, SIMPLE):
+            raise ValueError("unknown kind %r" % (kind,))
         profile = tuple(int(b) for b in profile)
-        assert genus >= 0 and len(profile) >= 1
-        assert all(b >= 1 for b in profile)
+        if genus < 0:
+            raise ValueError("genus must be >= 0, got %d" % genus)
+        if not profile:
+            raise ValueError("the profile needs at least one part")
+        if min(profile) < 1:
+            raise ValueError("profile parts must be >= 1, got %r" % (profile,))
         self.kind = kind
         self.genus = genus
         self.profile = profile
@@ -225,7 +234,7 @@ def _onepart_character_sum(nu, m):
 
 
 def hurwitz_frobenius(q):
-    """Character-sum route; one-part directly, simple via the series log."""
+    """Character-sum route; one-part directly, simple via the lattice log."""
     d, m = q.degree, q.branch_points
     if m < 0:
         return Rat(0)
@@ -235,22 +244,71 @@ def hurwitz_frobenius(q):
         for b in q.profile:
             prod_b *= b
         return _onepart_character_sum(nu, m) / (d * prod_b)
-    series = _h_simple_covering(d, m)
-    coeff = series.coeff(aux=m, vm=nu.multiplicities())
-    return coeff * factorial(m) * aut_order(nu)
+    return _lattice_log_coefficient(nu, m) * factorial(m) * aut_order(nu)
 
 
-_covering_caps = [0, 0]
+def _lattice_log_coefficient(nu, m):
+    """Coefficient of beta^m p_nu in log Z, Z = sum (dim/d!) e^{beta f} s_lambda.
 
+    That coefficient only sees the monomials beta^k p_s with s a
+    sub-multiset of nu and k <= m, a divisor-closed set, so the log is taken
+    exactly in the quotient ring they span.  Sub-multisets are exponent
+    vectors against the multiplicities of nu, visited in lexicographic
+    order, which lists every sub-multiset before the ones containing it.
 
-def _h_simple_covering(d, m):
-    """A cached connected series whose caps cover (d, m); grows monotonically
-    so a scan of queries triggers at most a few builds."""
-    W = max(_covering_caps[0], ((d + 3) // 4) * 4)
-    M = max(_covering_caps[1], ((m + 3) // 4) * 4)
-    _covering_caps[0] = W
-    _covering_caps[1] = M
-    return h_simple_series(W, M)
+    Z_{k,s} = sum over lambda of |s| of dim(lambda) chi_lambda(s) f^k
+    / (|s|! z_s k!).  The number of parts l is a derivation, so DZ = Z DH
+    gives l(s) H_{k,s} = l(s) Z_{k,s} - sum l(t) H_{k',t} Z_{k-k',s-t}
+    over nonempty proper t of s.  With e(s) = |s| - l(s), Z_{k,s} vanishes
+    below k = e(s) (k transpositions leave at least |s| - k cycles) and e
+    is additive, so beta^k p_s can reach beta^m p_nu only when
+    k <= m - e(nu) + e(s); nothing above that cap is computed.
+    """
+    values = sorted(nu.multiplicities().items(), reverse=True)
+    lattice = list(product(*[range(c + 1) for _, c in values]))
+    top = lattice[-1]
+    nu_excess = nu.size - len(nu)
+    per_size = {}
+    Z = {}
+    H = {}
+    for s in lattice:
+        parts = tuple(b for (b, _), e in zip(values, s) for _ in range(e))
+        if not parts:
+            Z[s] = {0: Rat(1)}
+            continue
+        size = sum(parts)
+        kcap = m - nu_excess + size - len(parts)
+        if size not in per_size:
+            per_size[size] = [(la, dimension(la), int(2 * cut_and_join_eigenvalue(la)))
+                              for la in partitions_of(size)]
+        mu = Partition(parts)
+        sums = [0] * (kcap + 1)
+        for la, dim, f2 in per_size[size]:
+            c = dim * character(la, mu)
+            for k in range(kcap + 1):
+                if not c:
+                    break
+                sums[k] += c
+                c *= f2
+        scale = factorial(size) * zee(mu)
+        Z[s] = {k: Rat(v, scale * 2 ** k * factorial(k))
+                for k, v in enumerate(sums) if v}
+        # the log, one lattice point at a time
+        n = len(parts)
+        acc = {k: n * z for k, z in Z[s].items()}
+        for t in product(*[range(e + 1) for e in s]):
+            ht = H.get(t)  # None for the empty t and for s itself
+            if not ht:
+                continue
+            nt = sum(t)
+            zu = Z[tuple(a - b for a, b in zip(s, t))]
+            for k1, h in ht.items():
+                for k2, z in zu.items():
+                    k = k1 + k2
+                    if k <= kcap:
+                        acc[k] = acc.get(k, 0) - nt * h * z
+        H[s] = {k: v / n for k, v in acc.items() if v}
+    return H[top].get(m, Rat(0))
 
 
 # -- generating series ---------------------------------------------------------
@@ -507,15 +565,23 @@ def cache_lookup(q):
     if not path or not os.path.exists(path):
         return None
     key = list(q.key())
+    want = [key[0], key[1], list(key[2])]
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            if row.get("query") == [key[0], key[1], list(key[2])]:
+            # a malformed or half-written line is skipped: the cache is advisory
+            try:
+                row = json.loads(line)
+                if row.get("query") != want:
+                    continue
                 num, den = row["value"].split("/")
                 return Rat(int(num), int(den))
+            except (ValueError, KeyError, TypeError, AttributeError,
+                    ZeroDivisionError) as exc:
+                warnings.warn("%s:%d: skipping malformed cache line (%s)"
+                              % (path, lineno, exc))
     return None
 
 

@@ -23,8 +23,10 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(int(x) for x in parts)
-        assert all(x > 0 for x in parts), parts
-        assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)), parts
+        # weakly decreasing with a positive last part: one pass, no sort
+        if parts and (parts[-1] < 1 or any(a < b for a, b in zip(parts, parts[1:]))):
+            raise ValueError("partition parts must be positive and weakly "
+                             "decreasing, got %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, *a):

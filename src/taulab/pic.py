@@ -139,6 +139,8 @@ _bracket_lock = threading.Lock()
 def bracket(indices):
     """<tau_{d_1} ... tau_{d_n}> for a multiset of nonnegative indices."""
     key = tuple(sorted(indices))
+    if key and key[0] < 0:
+        raise ValueError("bracket indices must be >= 0, got %r" % (key,))
     got = _bracket_cache.get(key)
     if got is not None:
         return got

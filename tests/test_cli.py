@@ -143,3 +143,42 @@ def test_clean_error_for_invalid_method_combination(capsys):
                  "--profile", "3", "--method", "closed"])
     err = capsys.readouterr().err
     assert code == 2 and "one-part" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "hurwitz --kind onepart --genus -1 --profile 3",
+    "hurwitz --kind simple --genus 0 --profile 0",
+    "hurwitz --kind simple --genus 0 --profile ,",
+    "hurwitz --kind simple --genus 0 --profile 3 --method closed",
+    "hurwitz --kind simple --genus 0 --profile 6 --method brute",
+    "hodge --genus 0 --indices 0",
+    "hodge --genus -1 --indices 0,0,0,0,0,0",
+    "schur --mu 0",
+    "char --mu 2,1 --lambda 3,0",
+    "bracket --indices -1",
+    "bracket --indices 2,-1",
+])
+def test_malformed_input_exits_2(argv, capsys):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_verify_kdv_default_regions_nonempty(capsys):
+    code, out = run_cli("verify", "kdv", capsys=capsys)
+    assert code == 0 and out.endswith("PASS")
+    checks = out.splitlines()[:-1]
+    assert len(checks) == 8
+    for line in checks:
+        weight = int(line.rsplit("<=", 1)[1].rstrip(")"))
+        assert weight >= 2, line
+
+
+def test_verify_kdv_empty_region_names_check(capsys):
+    code = main(["verify", "kdv", "--cap-weight", "8"])
+    err = capsys.readouterr().err
+    assert code == 2 and "F03 z^0" in err and "empty region" in err

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
@@ -212,3 +213,95 @@ def test_pde_route_matches_elsv_solve():
     # a couple of named primitives for the record
     assert solver.solved[(0, (4,))] == F(1, 1152)
     assert solver.solved[(1, (0,))] == F(1, 24)
+
+
+def _bernoulli(n):
+    """B_n with B_1 = -1/2, from sum_{j<=n} C(n+1, j) B_j = 0."""
+    bs = [F(1)]
+    for m in range(1, n + 1):
+        bs.append(-sum(comb(m + 1, j) * bs[j] for j in range(m)) / (m + 1))
+    return bs[n]
+
+
+def _lambda_g_top(g):
+    """<tau_{2g-2} lambda_g> = (2^{2g-1} - 1)|B_{2g}| / (2^{2g-1} (2g)!)
+    (Faber-Pandharipande)."""
+    return (2 ** (2 * g - 1) - 1) * abs(_bernoulli(2 * g)) / (2 ** (2 * g - 1)
+                                                              * factorial(2 * g))
+
+
+def _multinomial(ds):
+    out = factorial(sum(ds))
+    for d in ds:
+        out //= factorial(d)
+    return out
+
+
+def test_lambda_g_formula_values():
+    assert [_lambda_g_top(g) for g in (1, 2, 3)] == [F(1, 24), F(7, 5760),
+                                                      F(31, 967680)]
+
+
+def test_elsv_solve_genus3_one_point():
+    # <tau_7> is Witten's 1/82944 and <tau_4 lambda_3> the lambda_g formula;
+    # the middle values are pinned by the one-point series test below
+    assert hurwitz_to_hodge(3, 1) == {
+        (0, (7,)): F(1, 82944), (1, (6,)): F(7, 138240),
+        (2, (5,)): F(41, 580608), (3, (4,)): F(31, 967680),
+    }
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_lambda_g_theorem(g, n):
+    # <prod tau_{d_i} lambda_g> = C(2g-3+n; d) <tau_{2g-2} lambda_g>
+    # (Getzler-Pandharipande), on every lambda_g entry of the table
+    table = hurwitz_to_hodge(g, n)
+    top = {key: v for key, v in table.items() if key[0] == g}
+    assert top
+    for (_, ds), v in top.items():
+        assert sum(ds) == 2 * g - 3 + n
+        assert v == _multinomial(ds) * _lambda_g_top(g), ds
+
+
+def _one_point_hodge_series(gmax):
+    """(t/2 / sin(t/2))^{K+1} = A exp(K log A) as {(g, i): coeff of t^{2g} K^i}.
+
+    Faber-Pandharipande: that coefficient is <tau_{2g-2+i} lambda_{g-i}>."""
+    def mul(a, b):
+        return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(gmax + 1)]
+
+    # sin(t/2)/(t/2) in powers of x = t^2, and its inverse A
+    s = [F((-1) ** j, factorial(2 * j + 1) * 4 ** j) for j in range(gmax + 1)]
+    A = [F(1)] + [F(0)] * gmax
+    for j in range(1, gmax + 1):
+        A[j] = -sum(s[i] * A[j - i] for i in range(1, j + 1))
+    # log A = sum_{r >= 1} (-1)^{r+1} (A - 1)^r / r
+    log_a = [F(0)] * (gmax + 1)
+    power = [F(1)] + [F(0)] * gmax
+    for r in range(1, gmax + 1):
+        power = mul(power, [F(0)] + A[1:])
+        log_a = [x + F((-1) ** (r + 1), r) * y for x, y in zip(log_a, power)]
+    out = {}
+    term = A  # A (log A)^i / i!
+    for i in range(gmax + 1):
+        for g in range(gmax + 1):
+            out[(g, i)] = term[g]
+        term = [c / (i + 1) for c in mul(term, log_a)]
+    return out
+
+
+def test_one_point_tables_match_hodge_series():
+    coeffs = _one_point_hodge_series(3)
+    assert coeffs[(1, 0)] == F(1, 24) and coeffs[(2, 2)] == F(1, 1152)
+    for g in (1, 2, 3):
+        table = hurwitz_to_hodge(g, 1)
+        assert len(table) == g + 1
+        for (k, (d,)), v in table.items():
+            assert d == 3 * g - 2 - k
+            assert v == coeffs[(g, g - k)], (g, k)
+
+
+@pytest.mark.parametrize("g, n", [(0, 1), (0, 2), (-1, 5), (1, 0)])
+def test_unstable_hodge_shape_rejected(g, n):
+    with pytest.raises(ValueError):
+        hurwitz_to_hodge(g, n)

@@ -1,6 +1,11 @@
+import json
+import warnings
 from fractions import Fraction as F
+from math import factorial
 
-from taulab.partitions import partitions_of
+import pytest
+
+from taulab.partitions import partitions_of, aut_order
 from taulab.series import Series, FAMILY_P
 from taulab.hierarchy import cut_and_join, kp_residual
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
@@ -8,7 +13,7 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             h_onepart_series, h_simple_series,
                             h_unst_onepart, h_unst_simple,
                             disconnected_simple_series, hook_series, lp,
-                            polynomiality_check)
+                            polynomiality_check, cache_lookup)
 
 
 def q1(g, *b):
@@ -170,3 +175,63 @@ def test_polynomiality_genus2_one_part():
 def test_onepart_g0_map_b_times_h_constant():
     for b in range(1, 9):
         assert hurwitz_frobenius(q1(0, b)) * b == 1
+
+
+def test_lattice_log_matches_full_series_log():
+    # the oracle: every coefficient of the logarithm of the whole series,
+    # zero ones included, mapped through m! |Aut(nu)|
+    W, M = 8, 8
+    H = h_simple_series(W, M)
+    checked = 0
+    for d in range(1, W + 1):
+        for nu in partitions_of(d):
+            n = len(nu)
+            for m in range(M + 1):
+                coeff = H.coeff(m, nu.multiplicities())
+                twice_g = m - d - n + 2
+                if twice_g < 0 or twice_g % 2:
+                    assert coeff == 0, (m, nu)
+                    continue
+                got = hurwitz_frobenius(qs(twice_g // 2, *nu.parts))
+                assert got == coeff * factorial(m) * aut_order(nu), (m, nu)
+                checked += 1
+    assert checked == 76
+
+
+def test_simple_genus0_hurwitz_formula():
+    # Hurwitz: h_{0;nu} = m! d^{n-3} prod b^b/b!, m = d + n - 2
+    for d in range(1, 13):
+        for nu in partitions_of(d):
+            n = len(nu)
+            want = F(factorial(d + n - 2)) * F(d) ** (n - 3)
+            for b in nu.parts:
+                want *= F(b ** b, factorial(b))
+            assert hurwitz_frobenius(qs(0, *nu.parts)) == want, nu
+
+
+def test_simple_value_independent_of_profile_order():
+    assert hurwitz_frobenius(qs(1, 1, 3, 2)) == hurwitz_frobenius(qs(1, 3, 2, 1))
+
+
+@pytest.mark.parametrize("kind, genus, profile", [
+    (SIMPLE, -1, (3,)),
+    (ONEPART, 0, ()),
+    (SIMPLE, 0, (2, 0)),
+    (SIMPLE, 0, (-1,)),
+    ("double", 0, (2,)),
+])
+def test_query_rejects_bad_input(kind, genus, profile):
+    with pytest.raises(ValueError):
+        HurwitzQuery(kind, genus, profile)
+
+
+def test_cache_lookup_skips_truncated_line(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    good = {"query": ["onepart", 1, [2]], "value": "1/2"}
+    cache.write_text(json.dumps(good) + "\n" + '{"query": ["onepart", 1, [3]], "val')
+    monkeypatch.setenv("TAU_LAB_CACHE", str(cache))
+    assert cache_lookup(q1(1, 2)) == F(1, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache_lookup(q1(1, 3)) is None
+    assert len(caught) == 1 and "cache.jsonl:2" in str(caught[0].message)
