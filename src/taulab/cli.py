@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .partitions import Partition
+from .partitions import Partition, partitions_of, partitions_upto
 from .symfunc import character, schur_poly
 from .series import Series, Rat
 from . import hurwitz as hw
@@ -73,6 +73,8 @@ def cmd_bracket_table(args):
 
 
 def cmd_hodge(args):
+    if args.k < 0:
+        raise ValueError("--k must be >= 0, got %d" % args.k)
     ds = _parse_ints(args.indices)
     table = hodge.hurwitz_to_hodge(args.genus, len(ds))
     key = (args.k, tuple(sorted(ds)))
@@ -144,20 +146,26 @@ def _verify_hirota(args):
     return res.is_zero(), "max weight checked: %d" % res.cap_weight
 
 
+def _region(args, items):
+    """The diagrams a suite checks; an empty region is a usage error."""
+    if not items:
+        raise ValueError("verify %s: --max-size %d checks an empty region; "
+                         "raise --max-size" % (args.suite, args.max_size))
+    return items
+
+
 def _verify_corner(args):
-    from .partitions import partitions_upto
-    bad = [mu for mu in partitions_upto(args.max_size)
-           if mu.size and not hierarchy.corner_descent_check(mu)]
+    mus = _region(args, [mu for mu in partitions_upto(args.max_size) if mu.size])
+    bad = [mu for mu in mus if not hierarchy.corner_descent_check(mu)]
     return not bad, "checked all diagrams with at most %d boxes" % args.max_size
 
 
 def _verify_char_identity(args):
-    from .partitions import partitions_of
-    for d in range(1, args.max_size + 1):
-        for mu in partitions_of(d):
-            for la in partitions_of(d - 1):
-                if not hierarchy.character_identity_check(mu, la):
-                    return False, "failed at %r, %r" % (mu, la)
+    pairs = _region(args, [(mu, la) for d in range(1, args.max_size + 1)
+                           for mu in partitions_of(d) for la in partitions_of(d - 1)])
+    for mu, la in pairs:
+        if not hierarchy.character_identity_check(mu, la):
+            return False, "failed at %r, %r" % (mu, la)
     return True, "checked all diagrams with at most %d boxes" % args.max_size
 
 
@@ -175,6 +183,9 @@ def _verify_descent(args):
 
 
 def _verify_ck(args):
+    if args.kmax < 1:
+        raise ValueError("verify ck: --kmax %d checks an empty region; "
+                         "need --kmax >= 1" % args.kmax)
     rep = hodge.ck_report(args.kmax)
     lines = []
     ok = True
@@ -225,8 +236,7 @@ def _verify_u_tau(args):
 
 
 def _verify_weight_flow(args):
-    from .partitions import partitions_upto
-    bad = [mu for mu in partitions_upto(args.max_size)
+    bad = [mu for mu in _region(args, partitions_upto(args.max_size))
            if not hierarchy.weight_flow_equivalence_check(mu)]
     return not bad, "checked all diagrams with at most %d boxes" % args.max_size
 

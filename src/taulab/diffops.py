@@ -45,10 +45,6 @@ class DPoly:
         self.terms = {k: v for k, v in clean.items() if v}
 
     @classmethod
-    def one(cls):
-        return cls({(): Rat(1)})
-
-    @classmethod
     def d(cls, i):
         return cls({(i,): Rat(1)})
 
@@ -91,13 +87,6 @@ class DPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def weight(self):
-        """Max total weight of a monomial (weight(d_i) = i)."""
-        return max((sum(m) for m in self.terms), default=0)
-
-    def constant(self):
-        return self.terms.get((), Rat(0))
 
     def apply(self, series):
         out = Series.zero(series.family, series.cap_weight, series.cap_aux)
@@ -276,9 +265,6 @@ class TOp:
                     key = (tuple(sorted(newt)), tuple(sorted(newd)))
                     out[key] = out.get(key, Rat(0)) + coeff
         return TOp(out)
-
-    def commutator(self, other, index_cap=None):
-        return self.compose(other, index_cap) - other.compose(self, index_cap)
 
     def apply(self, series):
         """Apply to a series, coefficient-wise.

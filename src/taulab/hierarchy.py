@@ -13,35 +13,32 @@ works out to the single operator D_{(j,i)}.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
-from .series import Series, Rat, FAMILY_P
+from .series import Series, Rat, FAMILY_P, _cached
 from .diffops import DPoly, BForm
-
-_dmu_cache = {}
-_dmu_lock = threading.Lock()
 
 
 def d_mu(mu):
-    got = _dmu_cache.get(mu.parts)
-    if got is not None:
-        return got
-    terms = {}
-    for la in partitions_of(mu.size):
-        c = character(mu, la)
-        if c:
-            terms[la.parts] = Rat(c, aut_order(la))
-    out = DPoly(terms)
-    with _dmu_lock:
-        _dmu_cache[mu.parts] = out
-    return out
+    def build():
+        terms = {}
+        for la in partitions_of(mu.size):
+            c = character(mu, la)
+            if c:
+                terms[la.parts] = Rat(c, aut_order(la))
+        return DPoly(terms)
+    return _cached(("d_mu", mu.parts), build)
+
+
+def _check_ij(i, j):
+    if not 2 <= i <= j:
+        raise ValueError("need 2 <= i <= j, got i = %d, j = %d" % (i, j))
 
 
 def hirota_form(i, j):
-    assert 2 <= i <= j
+    _check_ij(i, j)
     return BForm([
         (1, d_mu(Partition(())), d_mu(Partition((j, i)))),
         (-1, d_mu(Partition((i - 1,))), d_mu(Partition((j, 1)))),
@@ -55,7 +52,7 @@ def hirota_residual(i, j, tau):
 
 def lkp_op(i, j):
     """Linear part of KP_{i,j}; equals D_{(j,i)}."""
-    assert 2 <= i <= j
+    _check_ij(i, j)
     return d_mu(Partition((j, i)))
 
 
@@ -201,10 +198,6 @@ def cut_and_join(s):
 # -- corner calculus -----------------------------------------------------------
 
 
-def s_operator(dp):
-    return dp.s_action()
-
-
 def corner_descent_check(mu):
     """S D_mu == sum over corners (i, mu_i) of (mu_i - i) D_{mu - box_i}."""
     lhs = d_mu(mu).s_action()
@@ -245,11 +238,6 @@ def hirota_descent_check(i, j):
         if i - 2:
             rhs = rhs + hirota_form(i - 1, i).scale(i - 2)
     return lhs.equals(rhs)
-
-
-def descent_combination(i, j):
-    """The bilinear form (S (x) 1 + 1 (x) S) Hir_{i,j}, for inspection."""
-    return hirota_form(i, j).s_tensor()
 
 
 def simplified_hirota_23():

@@ -6,11 +6,12 @@ Conventions pinned here (each enforced by tests against displayed values):
 * a(d, d+k) are the expansion constants of the alternating sum of
   1/(1 - b psi): psi^d + sum_k a_{d,d+k} psi^{d+k}; they are integers.
 
-* The change of variables sends p_b to
+* The change of variables is the u-picture of the one in ``pic`` (same
+  engine, same image class and staircase): p_b goes to
   sum_{d >= b-1} u^{-(3b + 2d + 1)} (-1)^{d-b+1}/((d-b+1)! b^{b-1}) t_d
   with u^3 = beta and z = u^2.  On the stable simple series every retained
-  u exponent is even and nonnegative; the z^k slice carries the weight-k
-  lambda-class data.
+  u exponent is even and nonnegative; the z^k slice (u^{2k}) carries the
+  weight-k lambda-class data.
 
 * The regrouping operator is L = 1 + z L_1 + z^2 L_2 + ... with first-order
   parts sum_n a_{n,n+k} t_n d/dt_{n+k} (index-lowering).  The transformed
@@ -21,26 +22,14 @@ Conventions pinned here (each enforced by tests against displayed values):
 
 from __future__ import annotations
 
-import threading
 from itertools import product
 from math import comb, factorial
 
-from .series import Series, Rat, FAMILY_P, FAMILY_TQ
+from .series import Series, Rat, _cached
 from .diffops import TOp, ZOp
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
-                      h_unst_simple, _lagrange_fit_1d)
-
-_cache = {}
-_cache_lock = threading.Lock()
-
-
-def _cached(key, build):
-    got = _cache.get(key)
-    if got is None:
-        got = build()
-        with _cache_lock:
-            _cache[key] = got
-    return got
+                      h_unst_simple, _tensor_fit, _tensor_eval)
+from .pic import _change_variables, _monomials_up_to_weight
 
 
 # -- expansion constants --------------------------------------------------------
@@ -66,81 +55,13 @@ def elsv_chvar_coeff(b, d):
     return Rat((-1) ** (d - b + 1), factorial(d - b + 1) * b ** (b - 1))
 
 
-class LaurentU:
-    """Transform image {(u_exponent, t_monomial): coeff}; exact where
-    u + 5 sum(d) + 4 n <= 3 * aux_cap(input) and weight <= w_cap."""
-
-    __slots__ = ("terms", "w_cap", "m_cap")
-
-    def __init__(self, terms, w_cap, m_cap):
-        self.terms = {k: v for k, v in terms.items() if v}
-        self.w_cap = w_cap
-        self.m_cap = m_cap
-
-    def min_u(self):
-        return min((j for j, _ in self.terms), default=0)
-
-    def z_slice(self, k):
-        """The u^{2k} slice as a t-series; weight range depends on k."""
-        terms = {}
-        wmax = 0
-        for (u, vm), c in self.terms.items():
-            if u == 2 * k:
-                terms[(0, vm)] = c
-        w = self._slice_weight_cap(2 * k)
-        return Series(FAMILY_TQ, w, 0, terms)
-
-    def _slice_weight_cap(self, u):
-        # largest W such that every monomial of weight <= W is exact:
-        # worst case all-t_0 monomial (sum d = 0, n = W)
-        w = self.w_cap
-        while w > 0 and not self._mono_region_ok(u, w):
-            w -= 1
-        return w
-
-    def _mono_region_ok(self, u, w):
-        # check the staircase bound over monomial shapes of weight w:
-        # 5 sum(d) + 4 n with sum (d+1) e = w; maximum at n as small as
-        # possible (single t_{w-1}: 5(w-1) + 4) vs all-t_0 (4w)
-        worst = max(5 * (w - 1) + 4, 4 * w)
-        return u + worst <= 3 * self.m_cap
+def _u_exp(b, d):
+    return -(3 * b + 2 * d + 1)
 
 
 def transform_p_to_tu(series, w_cap=None):
     """Exact transform of a family-P series into the (u, t) Laurent picture."""
-    assert series.family == FAMILY_P
-    w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
-    m_cap = series.cap_aux
-    out = {}
-    for (m, vm), c in series.terms.items():
-        bs = []
-        for b, e in vm:
-            bs.extend([b] * e)
-        base_u = 3 * m
-
-        def assign(idx, budget, coeff, uexp, mono):
-            if idx == len(bs):
-                sum_d = sum(d * e for d, e in mono.items())
-                n = sum(mono.values())
-                if uexp + 5 * sum_d + 4 * n > 3 * m_cap:
-                    return
-                key = (uexp, tuple(sorted(mono.items())))
-                out[key] = out.get(key, Rat(0)) + coeff
-                return
-            b = bs[idx]
-            d = b - 1
-            while (d + 1) <= budget:
-                cc = elsv_chvar_coeff(b, d)
-                mono[d] = mono.get(d, 0) + 1
-                assign(idx + 1, budget - (d + 1), coeff * cc,
-                       uexp - (3 * b + 2 * d + 1), mono)
-                mono[d] -= 1
-                if not mono[d]:
-                    del mono[d]
-                d += 1
-
-        assign(0, w_eff, c, base_u, {})
-    return LaurentU(out, w_eff, m_cap)
+    return _change_variables(series, w_cap, elsv_chvar_coeff, _u_exp, 3)
 
 
 def chvar_elsv(series, w_cap=None):
@@ -156,21 +77,8 @@ def derivative_transform_elsv(b):
     """d/dp_b as sum over d < b of coeff u^{3b+2d+1} d/dt_d;
     returns [(d, u_exponent, coeff)]."""
     assert b >= 1
-    return [(d, 3 * b + 2 * d + 1, Rat(b ** (b - 1), factorial(b - 1 - d)))
+    return [(d, -_u_exp(b, d), Rat(b ** (b - 1), factorial(b - 1 - d)))
             for d in range(b)]
-
-
-def derivative_inverse_check(nmax):
-    """The derivative transform is the exact inverse of the change of
-    variables: sum_d D[b][d] C[d][b'] = delta_{b b'} (u powers cancel)."""
-    for b in range(1, nmax + 1):
-        for bp in range(1, nmax + 1):
-            acc = Rat(0)
-            for d, _, coeff in derivative_transform_elsv(b):
-                acc += coeff * elsv_chvar_coeff(bp, d)
-            if acc != (1 if b == bp else 0):
-                return False
-    return True
 
 
 # -- stable simple series and moduli generating functions -------------------------
@@ -194,7 +102,8 @@ def transformed_stable(W, M, w_cap):
 
 
 def f_moduli(k, W, M=None):
-    """F^{(k)} extracted from the transformed stable series via
+    """F^{(k)} extracted from the z^k = u^{2k} slices of the transformed
+    stable series via
     F^0 = slice_0, F^1 = L_1 F^0 - slice_1, F^2 = slice_2 - L_2 F^0 + L_1 F^1."""
     assert 0 <= k <= 2
     if M is None:
@@ -204,14 +113,14 @@ def f_moduli(k, W, M=None):
         img = transformed_stable(W, M, W)
         index_cap = W
         if k == 0:
-            return img.z_slice(0)
+            return img.slice(0)
         f0 = f_moduli(0, W, M)
         l1 = build_L_grade(1, index_cap)
         if k == 1:
-            return l1.apply(f0) - img.z_slice(1)
+            return l1.apply(f0) - img.slice(2)
         f1 = f_moduli(1, W, M)
         l2 = build_L_grade(2, index_cap)
-        return img.z_slice(2) - l2.apply(f0) + l1.apply(f1)
+        return img.slice(4) - l2.apply(f0) + l1.apply(f1)
     return _cached(("F", k, W, M), build)
 
 
@@ -250,11 +159,6 @@ def build_L_grade(k, index_cap):
                 terms[key] = terms.get(key, Rat(0)) + coeff
         return TOp(terms)
     return _cached(("L", k, index_cap), build)
-
-
-def build_L(zmax, index_cap):
-    return ZOp({0: TOp.single((), (), 1),
-                **{k: build_L_grade(k, index_cap) for k in range(1, zmax + 1)}})
 
 
 def solve_l(zmax, index_cap):
@@ -350,26 +254,7 @@ def hurwitz_to_hodge(g, n, max_k=None):
         raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
                          "and 3g - 3 + n >= 0" % (g, n))
     B = dim + 1
-    axes = list(range(1, B + 1))
-
-    def fit_rec(prefix, depth):
-        if depth == n:
-            return {(): elsv_scaled_value(g, tuple(prefix))}
-        per_x = []
-        for x in axes:
-            per_x.append((Rat(x), fit_rec(prefix + [x], depth + 1)))
-        keys = set()
-        for _, sub in per_x:
-            keys.update(sub)
-        out = {}
-        for key in keys:
-            pts = [(x, sub.get(key, Rat(0))) for x, sub in per_x]
-            for e, c in enumerate(_lagrange_fit_1d(pts)):
-                if c:
-                    out[(e,) + key] = c
-        return out
-
-    coeffs = fit_rec([], 0)
+    coeffs = _tensor_fit([range(1, B + 1)] * n, lambda bs: elsv_scaled_value(g, bs))
     table = {}
     for exps, c in coeffs.items():
         k = dim - sum(exps)
@@ -383,13 +268,7 @@ def hurwitz_to_hodge(g, n, max_k=None):
         table[key] = value
     # held-out validation
     probe = tuple([B + 1] * n)
-    predicted = Rat(0)
-    for exps, c in coeffs.items():
-        term = c
-        for x, e in zip(probe, exps):
-            term *= Rat(x) ** e
-        predicted += term
-    if predicted != elsv_scaled_value(g, probe):
+    if _tensor_eval(coeffs, probe) != elsv_scaled_value(g, probe):
         raise ValueError("held-out grid point failed")
     if max_k < g:
         table = {key: v for key, v in table.items() if key[0] <= max_k}
@@ -501,31 +380,35 @@ def conjugated_equation(i, j, k, index_cap=12):
                         terms[dm] = terms.get(dm, Rat(0)) + c
                     grades[zz] = terms
                 qhats[eta] = grades
-        out = {}
-
-        def distribute(etas, idx, zleft, factors, coeff):
-            if idx == len(etas):
-                if zleft == 0:
-                    key = tuple(sorted(factors))
-                    out[key] = out.get(key, Rat(0)) + coeff
-                return
-            eta = etas[idx]
-            grades = qhats[eta]
-            for zz, terms in grades.items():
-                if zz > zleft:
-                    continue
-                for slice_k in range(zleft - zz + 1):
-                    sign = Rat((-1) ** slice_k)
-                    for dm, c in terms.items():
-                        distribute(etas, idx + 1, zleft - zz - slice_k,
-                                   factors + [(slice_k, dm)], coeff * c * sign)
-
-        for (z0, etas), c in eq.items():
-            if z0 > k:
-                continue
-            distribute(etas, 0, k - z0, [], c)
-        return {key: v for key, v in out.items() if v}
+        return _distribute(eq, qhats, k)
     return _cached(("conj", i, j, k, index_cap), build)
+
+
+def _distribute(eq, qhats, k):
+    """z^k coefficient of an equation {(z0, etas): coeff} whose derivative
+    d^eta has the z-graded image qhats[eta] = {z: {eta': coeff}}, expanded
+    over the bold series sum (-z)^s F^{(s)}: {multiset of (s, eta'): coeff}."""
+    out = {}
+
+    def rec(etas, idx, zleft, factors, coeff):
+        if idx == len(etas):
+            if zleft == 0:
+                key = tuple(sorted(factors))
+                out[key] = out.get(key, Rat(0)) + coeff
+            return
+        for zz, terms in qhats[etas[idx]].items():
+            if zz > zleft:
+                continue
+            for slice_k in range(zleft - zz + 1):
+                sign = Rat((-1) ** slice_k)
+                for dm, c in terms.items():
+                    rec(etas, idx + 1, zleft - zz - slice_k,
+                        factors + [(slice_k, dm)], coeff * c * sign)
+
+    for (z0, etas), c in eq.items():
+        if z0 <= k:
+            rec(etas, 0, k - z0, [], c)
+    return {key: v for key, v in out.items() if v}
 
 
 def eval_moduli_poly(eq, fs):
@@ -609,28 +492,12 @@ KDV_EQUATIONS = {
 def kdv_zpart_as_moduli_poly(name, zk, kmax):
     """Expand the z^zk coefficient of a displayed equation over the bold
     series sum (-z)^k F^{(k)}: returns {multiset of (slice, eta): coeff}."""
-    eq = KDV_EQUATIONS[name]
-    out = {}
-    for z0, terms in eq.items():
-        if z0 > zk:
-            continue
-        for etas, c in terms.items():
-            r = len(etas)
-
-            def distribute(idx, zleft, factors, coeff):
-                if idx == r:
-                    if zleft == 0:
-                        key = tuple(sorted(factors))
-                        out[key] = out.get(key, Rat(0)) + coeff
-                    return
-                for slice_k in range(zleft + 1):
-                    distribute(idx + 1, zleft - slice_k,
-                               factors + [(slice_k, etas[idx])],
-                               coeff * Rat((-1) ** slice_k))
-
-            distribute(0, zk - z0, [], c)
-    return {key: v for key, v in out.items()
-            if v and all(s <= kmax for s, _ in key)}
+    eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
+          for etas, c in terms.items()}
+    # the displayed equations act on F itself: the identity conjugation
+    identity = {eta: {0: {eta: 1}} for _, etas in eq for eta in etas}
+    out = _distribute(eq, identity, zk)
+    return {key: v for key, v in out.items() if all(s <= kmax for s, _ in key)}
 
 
 def kdv_check(name, zk, fs):
@@ -788,7 +655,6 @@ class ModuliPDESolver:
     def run(self):
         if self._ran:
             return self
-        from .pic import _monomials_up_to_weight
         for phase in range(self.kmax + 1):
             eq = conjugated_equation(2, 2, phase)
             progress = True

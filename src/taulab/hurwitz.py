@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import warnings
 from itertools import permutations, product
 from math import factorial
@@ -43,7 +42,7 @@ from math import factorial
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue)
 from .symfunc import character, dimension, schur_poly
-from .series import Series, Rat, FAMILY_P
+from .series import Series, Rat, FAMILY_P, _cached
 
 ONEPART = "onepart"
 SIMPLE = "simple"
@@ -108,20 +107,7 @@ def _apply_transposition(perm, t):
 
 
 def _cycle_type_of(perm):
-    d = len(perm)
-    seen = [False] * d
-    lens = []
-    for s in range(d):
-        if seen[s]:
-            continue
-        n = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            n += 1
-        lens.append(n)
-    return Partition.from_multiset(lens)
+    return Partition.from_multiset(len(cyc) for cyc in _cycles_of(perm))
 
 
 def _merge_blocks(blocks, i, j):
@@ -313,36 +299,30 @@ def _lattice_log_coefficient(nu, m):
 
 # -- generating series ---------------------------------------------------------
 
-_series_cache = {}
-_series_lock = threading.Lock()
 
-
-def _cached(key, build):
-    got = _series_cache.get(key)
-    if got is None:
-        got = build()
-        with _series_lock:
-            _series_cache[key] = got
-    return got
+def _exp_schur_sum(weighted, cap_weight, cap_aux):
+    """sum of w e^{f(lambda) beta} s_lambda over the (lambda, w) pairs."""
+    acc = {}
+    for la, w in weighted:
+        s = schur_poly(la, cap_weight=cap_weight, cap_aux=cap_aux)
+        f = cut_and_join_eigenvalue(la)
+        for (_, vm), c in s.terms.items():
+            base = c * w
+            power = Rat(1)
+            for k in range(cap_aux + 1):
+                key = (k, vm)
+                acc[key] = acc.get(key, Rat(0)) + base * power
+                power = power * f / (k + 1)
+    return Series(FAMILY_P, cap_weight, cap_aux, acc)
 
 
 def disconnected_simple_series(cap_weight, cap_aux):
     """exp of the simple-number series:
     sum over partitions lambda of (dim/d!) e^{beta f_lambda} s_lambda."""
     def build():
-        acc = {}
-        for la in partitions_upto(cap_weight):
-            s = schur_poly(la, cap_weight=cap_weight, cap_aux=cap_aux)
-            f = cut_and_join_eigenvalue(la)
-            scale = Rat(dimension(la), factorial(la.size))
-            for (_, vm), c in s.terms.items():
-                base = c * scale
-                power = Rat(1)
-                for k in range(cap_aux + 1):
-                    key = (k, vm)
-                    acc[key] = acc.get(key, Rat(0)) + base * power
-                    power = power * f / (k + 1)
-        return Series(FAMILY_P, cap_weight, cap_aux, acc)
+        return _exp_schur_sum(((la, Rat(dimension(la), factorial(la.size)))
+                               for la in partitions_upto(cap_weight)),
+                              cap_weight, cap_aux)
     return _cached(("disc", cap_weight, cap_aux), build)
 
 
@@ -420,20 +400,9 @@ def lp(series):
 def hook_series(cap_weight, cap_aux):
     """sum_{a,b >= 0} (-1)^b s_{hook(a,b)} e^{f beta}; equals L_p^2 H."""
     def build():
-        acc = {}
-        for d in range(1, cap_weight + 1):
-            for b in range(d):
-                la = hook(d - 1 - b, b)
-                f = cut_and_join_eigenvalue(la)
-                s = schur_poly(la, cap_weight, cap_aux)
-                for (_, vm), c in s.terms.items():
-                    base = c * Rat((-1) ** b)
-                    power = Rat(1)
-                    for k in range(cap_aux + 1):
-                        key = (k, vm)
-                        acc[key] = acc.get(key, Rat(0)) + base * power
-                        power = power * f / (k + 1)
-        return Series(FAMILY_P, cap_weight, cap_aux, acc)
+        return _exp_schur_sum(((hook(d - 1 - b, b), Rat((-1) ** b))
+                               for d in range(1, cap_weight + 1) for b in range(d)),
+                              cap_weight, cap_aux)
     return _cached(("hooks", cap_weight, cap_aux), build)
 
 
@@ -489,10 +458,35 @@ def _poly_mul_linear(coeffs, const):
     return out
 
 
-def _poly_eval(coeffs, x):
+def _tensor_fit(axes, value):
+    """Exact polynomial through value(point) on the grid axes[0] x axes[1]
+    x ..., by 1-d interpolation along each axis in turn; returns
+    {exponent tuple: coeff} without zero coefficients."""
+    def fit_rec(prefix):
+        if len(prefix) == len(axes):
+            return {(): value(prefix)}
+        per_x = [(Rat(x), fit_rec(prefix + (x,))) for x in axes[len(prefix)]]
+        keys = set()
+        for _, sub in per_x:
+            keys.update(sub)
+        out = {}
+        for key in keys:
+            pts = [(x, sub.get(key, Rat(0))) for x, sub in per_x]
+            for e, c in enumerate(_lagrange_fit_1d(pts)):
+                if c:
+                    out[(e,) + key] = c
+        return out
+    return fit_rec(())
+
+
+def _tensor_eval(coeffs, point):
+    """Evaluate a _tensor_fit result at a point."""
     acc = Rat(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+    for exps, c in coeffs.items():
+        term = c
+        for x, e in zip(point, exps):
+            term *= Rat(x) ** e
+        acc += term
     return acc
 
 
@@ -500,56 +494,23 @@ def polynomiality_check(g, n, window, held_out):
     """Fit h_{g;b}/(m! d) on the window of b-tuples as a polynomial and
     verify exactly on held-out tuples.
 
-    window and held_out are lists of b-tuples of length n.  Returns the
-    fitted coefficients for n = 1, or just True/False for n > 1 (tensor
-    fit).  Degree must stay below the window size per axis.
+    window and held_out are lists of b-tuples of length n; the window must
+    be a full grid.  Returns (ok, coefficients): a coefficient list for
+    n = 1, {exponent tuple: coeff} for n > 1.  Degree must stay below the
+    window size per axis.
     """
     def value(b):
         q = HurwitzQuery(ONEPART, g, b)
         m = q.branch_points
         return hurwitz_frobenius(q) / (factorial(m) * q.degree)
 
-    if n == 1:
-        pts = [(Rat(b[0]), value(b)) for b in window]
-        coeffs = _lagrange_fit_1d(pts)
-        ok = all(_poly_eval(coeffs, Rat(b[0])) == value(b) for b in held_out)
-        return ok, coeffs
-
-    # tensor grid fit: iterate 1-d interpolation along each axis
     axes = [sorted({b[i] for b in window}) for i in range(n)]
     table = {tuple(b): value(b) for b in window}
-
-    def fit_rec(prefix, depth):
-        if depth == n:
-            return {(): table[tuple(prefix)]}
-        out = {}
-        per_x = []
-        for x in axes[depth]:
-            sub = fit_rec(prefix + [x], depth + 1)
-            per_x.append((Rat(x), sub))
-        keys = set()
-        for _, sub in per_x:
-            keys.update(sub)
-        for key in keys:
-            pts = [(x, sub.get(key, Rat(0))) for x, sub in per_x]
-            cs = _lagrange_fit_1d(pts)
-            for k, c in enumerate(cs):
-                if c:
-                    out[(k,) + key] = c
-        return out
-
-    coeffs = fit_rec([], 0)
-
-    def predict(b):
-        acc = Rat(0)
-        for exps, c in coeffs.items():
-            term = c
-            for x, e in zip(b, exps):
-                term *= Rat(x) ** e
-            acc += term
-        return acc
-
-    ok = all(predict(b) == value(b) for b in held_out)
+    coeffs = _tensor_fit(axes, table.__getitem__)
+    ok = all(_tensor_eval(coeffs, b) == value(b) for b in held_out)
+    if n == 1:
+        top = max((exps[0] for exps in coeffs), default=-1)
+        coeffs = [coeffs.get((e,), Rat(0)) for e in range(top + 1)]
     return ok, coeffs
 
 

@@ -33,10 +33,6 @@ class Partition:
         raise AttributeError("Partition is immutable")
 
     @classmethod
-    def of(cls, *parts):
-        return cls(parts)
-
-    @classmethod
     def from_multiset(cls, values):
         return cls(sorted(values, reverse=True))
 

@@ -2,14 +2,23 @@
 change of variables into t-variables, and tau-function checks for the
 bracket generating series.
 
-The change of variables sends p_b to
-    sum_{d >= b-1} q^{-(d+1)} (-1)^{d-b+1} / ((d-b+1)! (b-1)!) t_d
-with q^2 = beta.  Applied to a series whose beta^m p-monomials are exactly
-truncated to p-weight <= W and m <= M, the image coefficient at
-(q^j, prod t_{d_i}) is exact iff wt = sum (d_i + 1) <= W and
-(j + wt)/2 <= M (only the input slot m = (j + wt)/2 contributes, and the
-contributing p-monomials have sum b_i <= wt).  Results are returned as a
-Laurent object tracking that staircase.
+The change of variables sends p_b to sum_{d >= b-1} c(b, d) aux^{e(b, d)} t_d
+and beta to aux^base.  It is used in two pictures, by one engine
+(``_change_variables``) and one image class (``Laurent``):
+
+* the q-picture (here): c(b, d) = (-1)^{d-b+1} / ((d-b+1)! (b-1)!),
+  e(b, d) = -(d + 1), base 2 (q^2 = beta);
+* the u-picture (``hodge``): c(b, d) = (-1)^{d-b+1} / ((d-b+1)! b^{b-1}),
+  e(b, d) = -(3b + 2d + 1), base 3 (u^3 = beta, z = u^2).
+
+Applied to a series whose beta^m p-monomials are exact to p-weight <= W and
+m <= M, the image coefficient at (aux^j, prod t_{d_i}) is exact iff
+wt = sum (d_i + 1) <= W and j + sum top(d_i) <= base * M, where
+top(d) = -e(d + 1, d): the contributing p-monomials have sum b_i <= wt, and
+the largest beta power reaching the coefficient comes from b_i = d_i + 1.
+That staircase reads j + wt <= 2M in the q-picture and
+j + 5 sum d_i + 4n <= 3M in the u-picture.  Each slice aux^j is returned
+exact to the largest weight whose monomials all lie on it.
 
 The bracket itself is defined combinatorially:
     <tau_{d_1} ... tau_{d_n}> =
@@ -21,46 +30,100 @@ with 4g = sum d_i - n + 3 (zero if no such integer g >= 0 exists).
 
 from __future__ import annotations
 
-import threading
 from itertools import product
 from math import factorial
 
 from .partitions import partitions_of
-from .series import Series, Rat, FAMILY_P, FAMILY_TQ
+from .series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
 from .hurwitz import HurwitzQuery, ONEPART, hurwitz_frobenius
 
 
-class LaurentT:
-    """Transform image: {(q_exponent, t_monomial): coeff} with integer
-    (possibly negative) q exponents, exact on the staircase
-    q + weight <= stair and weight <= w_cap."""
+def _top(aux_exp, mono):
+    """sum top(d_i) over a t-monomial: the aux exponent its factors lose
+    from their largest sources p_{d_i + 1}."""
+    return -sum(aux_exp(d + 1, d) * e for d, e in mono)
 
-    __slots__ = ("terms", "w_cap", "stair")
 
-    def __init__(self, terms, w_cap, stair):
-        self.terms = {k: v for k, v in terms.items() if v}
+class Laurent:
+    """Image of the change of variables: {(aux_exponent, t_monomial): coeff}
+    with integer (possibly negative) aux exponents and no zero coefficients,
+    exact on the staircase of the module docstring for inputs exact to
+    beta^m_cap."""
+
+    __slots__ = ("terms", "w_cap", "m_cap", "base", "aux_exp")
+
+    def __init__(self, terms, w_cap, m_cap, base, aux_exp):
+        self.terms = terms
         self.w_cap = w_cap
-        self.stair = stair
+        self.m_cap = m_cap
+        self.base = base
+        self.aux_exp = aux_exp
 
-    def min_q(self):
-        return min((j for j, _ in self.terms), default=0)
+    def slice(self, j):
+        """t-polynomial at aux^j, as a family T_Q series with aux 0, exact
+        to the largest weight whose monomials all lie on the staircase."""
+        # worst[w]: the largest _top over t-monomials of weight w
+        worst = [0]
+        for w in range(1, self.w_cap + 1):
+            worst.append(max(_top(self.aux_exp, ((d, 1),)) + worst[w - d - 1]
+                             for d in range(w)))
+        w = self.w_cap
+        while w > 0 and j + worst[w] > self.base * self.m_cap:
+            w -= 1
+        return Series(FAMILY_TQ, w, 0,
+                      {(0, vm): c for (a, vm), c in self.terms.items() if a == j})
 
-    def q_slice(self, j):
-        """t-polynomial at q^j, as a family T_Q series with aux 0.
+    def lowest(self):
+        """Lowest aux exponent present (None for the zero image)."""
+        return min((j for j, _ in self.terms), default=None)
 
-        Its reliable weight range is min(w_cap, stair - j)."""
-        w = min(self.w_cap, self.stair - j)
-        return Series(FAMILY_TQ, max(w, 0), 0,
-                      {(0, vm): c for (q, vm), c in self.terms.items() if q == j})
+    # the q-picture names
+    q_slice = slice
+    lowest_nonzero_q = lowest
 
-    def to_series(self):
-        if self.min_q() < 0:
-            raise ValueError("negative q exponent present (min %d)" % self.min_q())
-        return Series(FAMILY_TQ, self.w_cap, self.stair,
-                      {(q, vm): c for (q, vm), c in self.terms.items()})
 
-    def lowest_nonzero_q(self):
-        return min((j for (j, _), c in self.terms.items() if c), default=None)
+def _change_variables(series, w_cap, coeff, aux_exp, base):
+    """Image of a family-P series under p_b -> sum_{d >= b-1} coeff(b, d)
+    aux^{aux_exp(b, d)} t_d, beta -> aux^base, kept on its exact staircase.
+
+    Each distinct p-monomial is expanded once and then shifted by base * m
+    for every beta^m that carries it."""
+    if series.family != FAMILY_P:
+        raise ValueError("the change of variables needs a family-P series, "
+                         "got family %s" % series.family)
+    w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
+    powers = {}
+    for (m, vm), c in series.terms.items():
+        powers.setdefault(vm, []).append((m, c))
+    out = {}
+    for vm, pairs in powers.items():
+        bs = [b for b, e in vm for _ in range(e)]
+        expansion = {}
+        mono = {}
+
+        def assign(idx, budget, cc, e):
+            if idx == len(bs):
+                key = (e, tuple(sorted(mono.items())))
+                expansion[key] = expansion.get(key, 0) + cc
+                return
+            b = bs[idx]
+            for d in range(b - 1, budget):
+                mono[d] = mono.get(d, 0) + 1
+                assign(idx + 1, budget - (d + 1), cc * coeff(b, d), e + aux_exp(b, d))
+                mono[d] -= 1
+                if not mono[d]:
+                    del mono[d]
+
+        assign(0, w_eff, Rat(1), 0)
+        for (e, tm), cc in expansion.items():
+            # room left on the staircase once beta^m is shifted in
+            room = base * series.cap_aux - e - _top(aux_exp, tm)
+            for m, c in pairs:
+                if base * m <= room:
+                    key = (base * m + e, tm)
+                    out[key] = out.get(key, 0) + c * cc
+    return Laurent({k: v for k, v in out.items() if v}, w_eff, series.cap_aux,
+                   base, aux_exp)
 
 
 def chvar_coeff(b, d):
@@ -70,40 +133,13 @@ def chvar_coeff(b, d):
     return Rat((-1) ** (d - b + 1), factorial(d - b + 1) * factorial(b - 1))
 
 
+def _q_exp(b, d):
+    return -(d + 1)
+
+
 def transform_p_to_tq(series, w_cap=None):
     """Exact transform of a family-P series into the Laurent t-picture."""
-    assert series.family == FAMILY_P
-    w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
-    stair = 2 * series.cap_aux
-    out = {}
-    for (m, vm), c in series.terms.items():
-        bs = []
-        for b, e in vm:
-            bs.extend([b] * e)
-        base_j = 2 * m
-
-        def assign(idx, budget, coeff, mono):
-            if idx == len(bs):
-                wt = sum((d + 1) * e for d, e in mono.items())
-                j = base_j - wt
-                if j + wt > stair:
-                    return
-                key = (j, tuple(sorted(mono.items())))
-                out[key] = out.get(key, Rat(0)) + coeff
-                return
-            b = bs[idx]
-            d = b - 1
-            while (d + 1) <= budget:
-                cc = chvar_coeff(b, d)
-                mono[d] = mono.get(d, 0) + 1
-                assign(idx + 1, budget - (d + 1), coeff * cc, mono)
-                mono[d] -= 1
-                if not mono[d]:
-                    del mono[d]
-                d += 1
-
-        assign(0, w_eff, c, {})
-    return LaurentT(out, w_eff, stair)
+    return _change_variables(series, w_cap, chvar_coeff, _q_exp, 2)
 
 
 def chvar_pic(series, w_cap=None, q_floor=1):
@@ -127,13 +163,10 @@ def lp2_h_unst_transformed(w_cap):
         (-1, ((0, 1), (1, 1))): Rat(1),
         (0, ((0, 2),)): Rat(1),
     }
-    return LaurentT(terms, w_cap, 2)
+    return Laurent(terms, w_cap, 1, 2, _q_exp)
 
 
 # -- brackets ------------------------------------------------------------------
-
-_bracket_cache = {}
-_bracket_lock = threading.Lock()
 
 
 def bracket(indices):
@@ -141,13 +174,7 @@ def bracket(indices):
     key = tuple(sorted(indices))
     if key and key[0] < 0:
         raise ValueError("bracket indices must be >= 0, got %r" % (key,))
-    got = _bracket_cache.get(key)
-    if got is not None:
-        return got
-    value = _bracket_raw(key)
-    with _bracket_lock:
-        _bracket_cache[key] = value
-    return value
+    return _cached(("bracket", key), _bracket_raw, key)
 
 
 def _bracket_raw(ds):
@@ -175,6 +202,8 @@ def _bracket_raw(ds):
 def genus_table(g):
     """All brackets with every index >= 2 (the generators modulo the string
     and dilaton recursions) for the given genus, as {multiset: value}."""
+    if g < 0:
+        raise ValueError("genus must be >= 0, got %d" % g)
     out = {}
     if g == 0:
         out[(0, 0, 0)] = bracket((0, 0, 0))
@@ -213,30 +242,27 @@ def _mono_factorials(mono):
     return out
 
 
-def f_series(W):
-    """F: coefficient of prod t_d^{e_d} is bracket / prod e_d!."""
+def _bracket_series(W, extra):
+    """Coefficient of prod t_d^{e_d} is <tau_extra prod tau_d^{e_d}> / prod e_d!."""
     items = []
     for mono in _monomials_up_to_weight(W):
-        ds = []
+        ds = list(extra)
         for d, e in mono.items():
             ds.extend([d] * e)
         v = bracket(tuple(ds))
         if v:
             items.append((0, mono, v / _mono_factorials(mono)))
     return Series.from_terms(FAMILY_TQ, W, 0, items)
+
+
+def f_series(W):
+    """F: coefficient of prod t_d^{e_d} is bracket / prod e_d!."""
+    return _bracket_series(W, ())
 
 
 def u_series(W):
     """U = d^2 F / d t_0^2, built directly from brackets."""
-    items = []
-    for mono in _monomials_up_to_weight(W):
-        ds = [0, 0]
-        for d, e in mono.items():
-            ds.extend([d] * e)
-        v = bracket(tuple(ds))
-        if v:
-            items.append((0, mono, v / _mono_factorials(mono)))
-    return Series.from_terms(FAMILY_TQ, W, 0, items)
+    return _bracket_series(W, (0, 0))
 
 
 # -- string / dilaton / L_t ------------------------------------------------------
@@ -401,13 +427,17 @@ def derivative_transform_pic(b):
             for d in range(b)]
 
 
-def derivative_inverse_check_pic(nmax):
-    """The derivative transform inverts the change of variables exactly."""
+def derivative_inverse_check(nmax, derivative_transform, coeff):
+    """The derivative transform is the exact inverse of the change of
+    variables with the given coefficients: sum_d D[b][d] C[d][b'] =
+    delta_{b b'} (the aux powers cancel).  The q-picture pairs
+    derivative_transform_pic with chvar_coeff, the u-picture
+    hodge.derivative_transform_elsv with hodge.elsv_chvar_coeff."""
     for b in range(1, nmax + 1):
         for bp in range(1, nmax + 1):
             acc = Rat(0)
-            for d, _, coeff in derivative_transform_pic(b):
-                acc += coeff * chvar_coeff(bp, d)
+            for d, _, c in derivative_transform(b):
+                acc += c * coeff(bp, d)
             if acc != (1 if b == bp else 0):
                 return False
     return True

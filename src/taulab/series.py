@@ -18,6 +18,7 @@ coefficient.  All arithmetic is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 Rat = Fraction
@@ -27,14 +28,31 @@ FAMILY_TQ = "T_Q"
 FAMILY_TU = "T_U"
 FAMILIES = (FAMILY_P, FAMILY_TQ, FAMILY_TU)
 
-# aux variable name per family, for messages and serialization docs
-AUX_NAME = {FAMILY_P: "beta", FAMILY_TQ: "q", FAMILY_TU: "u"}
+# The process-wide memo of every layer.  Each key starts with a tag naming
+# its use ("char", "bracket", "d_mu", "H_simple", ...), so uses cannot
+# collide.  Values are immutable once stored: a build runs outside the lock
+# (builds nest) and is stored under it, so two threads may build the same
+# key, but both store the same value.
+_memo = {}
+_memo_lock = threading.Lock()
+
+
+def _cached(key, build, *args):
+    """The value at key, from build(*args) on a miss.  Hot callers pass args
+    rather than a closure, so a hit creates no function object."""
+    got = _memo.get(key)
+    if got is None:
+        got = build(*args)
+        with _memo_lock:
+            _memo[key] = got
+    return got
 
 
 def vm_from_dict(d):
     """Canonical variable-monomial from an {index: exponent} mapping."""
     items = tuple(sorted((i, e) for i, e in d.items() if e))
-    assert all(e > 0 for _, e in items)
+    if any(e < 0 for _, e in items):
+        raise ValueError("negative exponent in %r" % (items,))
     return items
 
 
@@ -64,10 +82,6 @@ def vm_weight(family, vm):
     return got
 
 
-def vm_degree(vm):
-    return sum(e for _, e in vm)
-
-
 def var_weight(family, index):
     return index if family == FAMILY_P else index + 1
 
@@ -78,8 +92,11 @@ class Series:
     __slots__ = ("family", "cap_weight", "cap_aux", "terms")
 
     def __init__(self, family, cap_weight, cap_aux, terms=None):
-        assert family in FAMILIES, family
-        assert cap_weight >= 0 and cap_aux >= 0
+        if family not in FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if cap_weight < 0 or cap_aux < 0:
+            raise ValueError("caps must be >= 0, got weight %d, aux %d"
+                             % (cap_weight, cap_aux))
         self.family = family
         self.cap_weight = cap_weight
         self.cap_aux = cap_aux
@@ -112,10 +129,6 @@ class Series:
         return cls(family, cap_weight, cap_aux, {(0, ((index, 1),)): Rat(coeff)})
 
     @classmethod
-    def aux_power(cls, family, k, cap_weight, cap_aux, coeff=1):
-        return cls(family, cap_weight, cap_aux, {(k, ()): Rat(coeff)})
-
-    @classmethod
     def from_terms(cls, family, cap_weight, cap_aux, items):
         """items: iterable of (aux, {index: exp} or vm tuple, coeff)."""
         terms = {}
@@ -139,15 +152,6 @@ class Series:
     def constant_term(self):
         return self.terms.get((0, ()), Rat(0))
 
-    def min_weight(self):
-        """Smallest weight of a stored term, None if zero series."""
-        if not self.terms:
-            return None
-        return min(vm_weight(self.family, vm) for _, vm in self.terms)
-
-    def max_aux(self):
-        return max((aux for aux, _ in self.terms), default=0)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -155,11 +159,6 @@ class Series:
         """Coefficient series of aux^j (the aux exponent is dropped)."""
         terms = {(0, vm): c for (aux, vm), c in self.terms.items() if aux == j}
         return Series(self.family, self.cap_weight, self.cap_aux, terms)
-
-    def filter_terms(self, pred):
-        """Keep only terms with pred(aux, vm) true; caps unchanged."""
-        return Series(self.family, self.cap_weight, self.cap_aux,
-                      {k: c for k, c in self.terms.items() if pred(*k)})
 
     # -- arithmetic ----------------------------------------------------
 
@@ -440,13 +439,13 @@ class Series:
     @classmethod
     def from_jsonable(cls, obj):
         family = obj["family"]
-        if family not in FAMILIES:
-            raise ValueError("unknown family %r" % (family,))
         caps = obj["caps"]
         terms = {}
         for row in obj["terms"]:
             vec = row["exp"]
             num, den = row["coeff"].split("/")
+            if not int(den):
+                raise ValueError("zero denominator in coefficient %r" % row["coeff"])
             c = Rat(int(num), int(den))
             aux = vec[0]
             d = {}

@@ -1,8 +1,8 @@
 """Symmetric group characters, Schur polynomials, and wedge minors.
 
-Characters are computed by the Murnaghan-Nakayama rule on beta-sets, with a
-process-wide memo cache (values are immutable once written; a lock guards
-concurrent writers).  Schur polynomials use the classical normalization
+Characters are computed by the Murnaghan-Nakayama rule on beta-sets and
+memoized under the "char" tag of the process-wide memo in ``series``.  Schur
+polynomials use the classical normalization
 
     s_mu = sum over cycle types nu of chi_mu(nu) p_nu / z_nu,
 
@@ -12,14 +12,10 @@ identity p_d = sum_{a+b+1=d} (-1)^b s_{hook(a,b)} holds on the nose.
 
 from __future__ import annotations
 
-import threading
 from math import factorial
 
 from .partitions import Partition, partitions_of, zee, class_size, hook, hook_arm_leg
-from .series import Series, Rat, FAMILY_P
-
-_char_cache = {}
-_char_lock = threading.Lock()
+from .series import Series, Rat, FAMILY_P, _cached
 
 
 def character(mu, nu):
@@ -33,10 +29,10 @@ def character(mu, nu):
 def _mn(mu, nu):
     if not nu:
         return 1
-    key = (mu, nu)
-    got = _char_cache.get(key)
-    if got is not None:
-        return got
+    return _cached(("char", mu, nu), _mn_raw, mu, nu)
+
+
+def _mn_raw(mu, nu):
     strip = nu[0]
     rest = nu[1:]
     k = len(mu)
@@ -55,8 +51,6 @@ def _mn(mu, nu):
         newmu = tuple(x - (k - 1 - i) for i, x in enumerate(newbetas))
         newmu = tuple(x for x in newmu if x > 0)
         total += (-1) ** height * _mn(newmu, rest)
-    with _char_lock:
-        _char_cache[key] = total
     return total
 
 

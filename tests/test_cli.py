@@ -157,6 +157,18 @@ def test_clean_error_for_invalid_method_combination(capsys):
     "char --mu 2,1 --lambda 3,0",
     "bracket --indices -1",
     "bracket --indices 2,-1",
+    "bracket-table --genus -1",
+    "hodge --genus 1 --indices 1 --k -1",
+    "series --build simple-h --cap-weight -1",
+    "verify hirota --i 3 --j 2",
+    "verify hirota --cap-aux -1",
+    "verify u-tau --cap-weight -2",
+    # verifications whose region is empty must not report PASS
+    "verify ck --kmax 0",
+    "verify ck --kmax -3",
+    "verify corner --max-size -1",
+    "verify weight-flow --max-size -1",
+    "verify char-identity --max-size 0",
 ])
 def test_malformed_input_exits_2(argv, capsys):
     code = main(argv.split())
@@ -166,6 +178,26 @@ def test_malformed_input_exits_2(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify hirota --tau", "series --roundtrip"])
+@pytest.mark.parametrize("defect", ["negative cap", "negative exponent", "zero denominator"])
+def test_malformed_series_file_exits_2(command, defect, tmp_path, capsys):
+    obj = {"family": "P", "caps": {"weight": 4, "aux": 2},
+           "terms": [{"exp": [0, 2], "coeff": "1/2"}]}
+    if defect == "negative cap":
+        obj["caps"]["aux"] = -1
+    elif defect == "negative exponent":
+        obj["terms"][0]["exp"] = [0, -2]
+    else:
+        obj["terms"][0]["coeff"] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code = main(command.split() + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 def test_verify_kdv_default_regions_nonempty(capsys):

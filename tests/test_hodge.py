@@ -5,14 +5,13 @@ import pytest
 
 from taulab.series import Series, FAMILY_P
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
-                          chvar_elsv, derivative_transform_elsv,
-                          derivative_inverse_check, h_simple_stable,
+                          chvar_elsv, derivative_transform_elsv, h_simple_stable,
                           moduli_caps_for, f_moduli, build_L_grade,
                           alpha_coeff, exp_l_equals_L_check, ck_report,
                           LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
                           khat_22, kpbar_22, conjugated_equation,
                           eval_moduli_poly, kdv_check)
-from taulab.pic import string_check
+from taulab.pic import string_check, derivative_inverse_check
 
 # caps shared by the heavier extraction tests
 W = 10
@@ -49,8 +48,17 @@ def test_transform_images_of_p():
 
 def test_transform_stable_is_even_nonnegative():
     img = chvar_elsv(h_simple_stable(8, 14), 8)
-    assert img.min_u() >= 0
+    assert img.lowest() >= 0
     assert all(u % 2 == 0 for u, _ in img.terms)
+
+
+def test_transform_staircase_slices():
+    # u-picture staircase u + 5 sum d + 4 n <= 3M: the z^k = u^{2k} slices
+    img = chvar_elsv(h_simple_stable(8, 10), 8)
+    assert [img.slice(2 * k).cap_weight for k in range(5)] == [6, 5, 5, 5, 4]
+    assert [f_moduli(k, 10, 19).cap_weight for k in range(3)] == [10, 9, 8]
+    with pytest.raises(ValueError):
+        transform_p_to_tu(img.slice(0))
 
 
 def test_derivative_transform_displayed():
@@ -61,7 +69,7 @@ def test_derivative_transform_displayed():
 
 
 def test_derivative_inverse():
-    assert derivative_inverse_check(10)
+    assert derivative_inverse_check(10, derivative_transform_elsv, elsv_chvar_coeff)
 
 
 def test_build_L_displayed_slots():

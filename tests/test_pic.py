@@ -97,6 +97,17 @@ def test_lp2h_unst_closed_form():
             assert img.terms.get(k, Rat(0)) == want.terms.get(k, Rat(0)), k
 
 
+def test_transform_staircase_slices():
+    # q-picture staircase j + wt <= 2M, cut at w_cap = 12
+    W, M = 12, 7
+    img = chvar_pic(h_onepart_series(W, M) - h_unst_onepart(W, M), q_floor=1)
+    assert [img.q_slice(j).cap_weight for j in range(-1, 6)] == \
+        [12, 12, 12, 12, 11, 10, 9]
+    # a non-P input is rejected
+    with pytest.raises(ValueError):
+        transform_p_to_tq(img.q_slice(1))
+
+
 def test_chvar_rejects_bad_input():
     # the raw one-point series transforms to negative q powers
     p1 = Series.variable(FAMILY_P, 1, 6, 0)
@@ -144,8 +155,8 @@ def test_psi_expansion():
 
 
 def test_pic_derivative_transform():
-    from taulab.pic import derivative_transform_pic, derivative_inverse_check_pic
+    from taulab.pic import derivative_transform_pic, derivative_inverse_check
     assert derivative_transform_pic(1) == [(0, 1, F(1))]
     assert derivative_transform_pic(2) == [(0, 1, F(1)), (1, 2, F(1))]
     assert derivative_transform_pic(3) == [(0, 1, F(1)), (1, 2, F(2)), (2, 3, F(2))]
-    assert derivative_inverse_check_pic(10)
+    assert derivative_inverse_check(10, derivative_transform_pic, chvar_coeff)
