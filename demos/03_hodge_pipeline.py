@@ -35,8 +35,8 @@ def main():
     print("\nAll three routes agree on genus <= 2:", agree)
 
     print("\nRatio sequence of the logarithm's coefficients (listed values):")
-    rep = ck_report(6)
-    for k in range(1, 7):
+    rep = ck_report(len(LISTED_CK))
+    for k in range(1, len(LISTED_CK) + 1):
         print("  c_%d = %s (listed %s)" % (k, rep[k]["lowering"], LISTED_CK[k - 1]))
 
     fs = {0: f0, 1: f1}

@@ -183,16 +183,16 @@ def _verify_descent(args):
 
 
 def _verify_ck(args):
-    if args.kmax < 1:
-        raise ValueError("verify ck: --kmax %d checks an empty region; "
-                         "need --kmax >= 1" % args.kmax)
+    if not 1 <= args.kmax <= len(hodge.LISTED_CK):
+        raise ValueError("verify ck: --kmax %d is outside 1..%d, the listed c_k"
+                         % (args.kmax, len(hodge.LISTED_CK)))
     rep = hodge.ck_report(args.kmax)
     lines = []
     ok = True
     for k in range(1, args.kmax + 1):
         low = rep[k]["lowering"]
         tr = rep[k]["transposed"]
-        want = hodge.LISTED_CK[k - 1] if k <= len(hodge.LISTED_CK) else None
+        want = hodge.LISTED_CK[k - 1]
         good = low == want
         ok = ok and good
         lines.append("k=%d lowering=%s transposed=%s listed=%s %s"
@@ -305,7 +305,7 @@ def build_parser():
     v.add_argument("--tau", metavar="FILE")
     v.add_argument("--max-size", type=int, default=8)
     v.add_argument("--max-ij", type=int, default=5)
-    v.add_argument("--kmax", type=int, default=6)
+    v.add_argument("--kmax", type=int, default=12)
     v.add_argument("--cap-weight", type=int, default=None,
                    help="weight cap (default 10 for kdv, 8 otherwise)")
     v.add_argument("--cap-aux", type=int, default=6)

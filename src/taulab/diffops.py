@@ -9,7 +9,8 @@ Two flavors are used:
 
 * ``TOp``: a normal-ordered operator sum c * t-monomial * derivative-monomial
   acting on series in the t variables, with exact composition (contractions
-  via Leibniz).  Used for the appendix operator calculus (L, l, conjugation).
+  via Leibniz).  Used for the appendix operator L and for the independent
+  check that exp(l) = L.
 """
 
 from __future__ import annotations
@@ -209,9 +210,6 @@ class TOp:
             out[k] = out.get(k, Rat(0)) + v
         return TOp(out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         c = Rat(c)
         return TOp({k: v * c for k, v in self.terms.items()})
@@ -271,7 +269,7 @@ class TOp:
 
         The exact weight range shrinks by the largest weight gain
         wt(derivatives) - wt(t factors) over the operator's terms; the
-        result caps record that."""
+        result caps record that, and a gain above the cap is refused."""
         from .series import var_weight
         fam = series.family
         shift = 0
@@ -279,6 +277,9 @@ class TOp:
             gain = sum(var_weight(fam, x) for x in dm) - \
                 sum(var_weight(fam, x) for x in tm)
             shift = max(shift, gain)
+        if shift > series.cap_weight:
+            raise ValueError("operator of weight %d exceeds the weight cap %d"
+                             % (shift, series.cap_weight))
         out = {}
         for (aux, vm), c in series.terms.items():
             counts = dict(vm)
@@ -299,7 +300,7 @@ class TOp:
                     work[x] = work.get(x, 0) + 1
                 key = (aux, tuple(sorted((i, e) for i, e in work.items() if e)))
                 out[key] = out.get(key, Rat(0)) + coeff
-        return Series(fam, max(series.cap_weight - shift, 0), series.cap_aux, out)
+        return Series(fam, series.cap_weight - shift, series.cap_aux, out)
 
 
 class ZOp:
@@ -338,10 +339,6 @@ class ZOp:
                     out[k1 + k2] = out.get(k1 + k2, TOp.zero()) + t
         return ZOp(out)
 
-    def commutator(self, other, zcap, index_cap=None):
-        return self.compose(other, zcap, index_cap) + \
-            other.compose(self, zcap, index_cap).scale(-1)
-
     def exp(self, zcap, index_cap=None):
         """exp of an operator with no z^0 part."""
         assert 0 not in self.grades
@@ -349,21 +346,6 @@ class ZOp:
         term = ZOp.identity()
         for n in range(1, zcap + 1):
             term = term.compose(self, zcap, index_cap).scale(Fraction(1, n))
-            if not term.grades:
-                break
-            acc = acc + term
-        return acc
-
-    def conjugate_by_exp(self, l, zcap, index_cap=None):
-        """e^{-l} self e^{l} = self + [self, l] + 1/2 [[self, l], l] + ...
-
-        Requires l to have no z^0 part, so the series is finite per grade.
-        """
-        assert 0 not in l.grades
-        acc = self
-        term = self
-        for n in range(1, zcap + 1):
-            term = term.commutator(l, zcap, index_cap).scale(Fraction(1, n))
             if not term.grades:
                 break
             acc = acc + term

@@ -15,9 +15,12 @@ Conventions pinned here (each enforced by tests against displayed values):
 
 * The regrouping operator is L = 1 + z L_1 + z^2 L_2 + ... with first-order
   parts sum_n a_{n,n+k} t_n d/dt_{n+k} (index-lowering).  The transformed
-  stable series equals L applied to sum_k (-z)^k F^{(k)}.  L = exp(l) for a
-  z-graded first-order l with the same lowering shape; the triangular
-  relations determining l's coefficients alpha are direction-free.
+  stable series equals L applied to sum_k (-z)^k F^{(k)}.  L = :exp(A): is
+  the normal-ordered exponential of the lowering matrix A[n][n+k] =
+  z^k a(n, k), so it is the substitution t -> (1 + A)^T t.  Hence
+  L = exp(l) for the first-order l whose matrix is log(1 + A) (finite,
+  since A raises the z-degree), and conjugation acts on each derivative
+  as e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
 """
 
 from __future__ import annotations
@@ -111,15 +114,14 @@ def f_moduli(k, W, M=None):
 
     def build():
         img = transformed_stable(W, M, W)
-        index_cap = W
         if k == 0:
             return img.slice(0)
         f0 = f_moduli(0, W, M)
-        l1 = build_L_grade(1, index_cap)
+        l1 = build_L_grade(1, W)
         if k == 1:
             return l1.apply(f0) - img.slice(2)
         f1 = f_moduli(1, W, M)
-        l2 = build_L_grade(2, index_cap)
+        l2 = build_L_grade(2, W)
         return img.slice(4) - l2.apply(f0) + l1.apply(f1)
     return _cached(("F", k, W, M), build)
 
@@ -161,27 +163,34 @@ def build_L_grade(k, index_cap):
     return _cached(("L", k, index_cap), build)
 
 
+def _log_row(n, kmax):
+    """Row n of log(1 + A) = sum_{r <= kmax} (-1)^{r+1} A^r / r as {k: alpha(n, n+k)}:
+    A^r raises the z-degree by at least r; only indices n..n+kmax enter."""
+    row = {}
+    power = {0: Rat(1)}  # row n of A^r, keyed by z-degree
+    for r in range(1, kmax + 1):
+        step = {}
+        for j, c in power.items():
+            for k in range(1, kmax - j + 1):
+                step[j + k] = step.get(j + k, Rat(0)) + c * a_coeff(n + j, k)
+        power = step
+        for j, c in power.items():
+            row[j] = row.get(j, Rat(0)) + c * Rat((-1) ** (r + 1), r)
+    return row
+
+
 def solve_l(zmax, index_cap):
-    """The z-graded first-order l with exp(l) = L, solved triangularly."""
-    def build():
-        grades = {}
-        for k in range(1, zmax + 1):
-            partial = ZOp(dict(grades))
-            ek = partial.exp(k, index_cap).grade(k) if grades else TOp.zero()
-            terms = {}
-            for n in range(index_cap - k + 1):
-                alpha = a_coeff(n, k) - ek.terms.get(((n,), (n + k,)), Rat(0))
-                if alpha:
-                    terms[((n,), (n + k,))] = alpha
-            grades[k] = TOp(terms)
-        return ZOp(grades)
-    return _cached(("l", zmax, index_cap), build)
+    """The z-graded first-order l with exp(l) = L: the matrix log(1 + A)
+    on indices up to the cap."""
+    grades = {}
+    for n in range(index_cap):
+        for k, alpha in _log_row(n, min(zmax, index_cap - n)).items():
+            grades.setdefault(k, {})[((n,), (n + k,))] = alpha
+    return ZOp({k: TOp(terms) for k, terms in grades.items()})
 
 
-def alpha_coeff(n, k, index_cap=None):
-    cap = index_cap if index_cap is not None else n + k + 2
-    l = solve_l(k, max(cap, n + k))
-    return l.grade(k).terms.get(((n,), (n + k,)), Rat(0))
+def alpha_coeff(n, k):
+    return _log_row(n, k).get(k, Rat(0))
 
 
 def exp_l_equals_L_check(zmax, index_cap):
@@ -206,15 +215,13 @@ def ck_report(kmax, nmax=4):
     alpha_{n,n+k} for constancy in n.  Returns
     {k: {"lowering": value-or-None, "transposed": value-or-None}} where the
     value is the constant ratio when one exists."""
-    index_cap = nmax + kmax + 2
-    l = solve_l(kmax, index_cap)
+    rows = [_log_row(n, kmax) for n in range(nmax + 1)]
     out = {}
     for k in range(1, kmax + 1):
-        grade = l.grade(k)
         ratios_a = []
         ratios_b = []
         for n in range(nmax + 1):
-            alpha = grade.terms.get(((n,), (n + k,)), Rat(0))
+            alpha = rows[n].get(k, Rat(0))
             ratios_a.append(alpha / comb(n + k + 1, k + 1))
             ratios_b.append(alpha / comb(n + 1, k + 1) if comb(n + 1, k + 1) else None)
         const_a = ratios_a[0] if all(r == ratios_a[0] for r in ratios_a) else None
@@ -347,10 +354,11 @@ def kpbar_22():
     return {((u - base) // 2, etas): c for (u, etas), c in raw.items()}
 
 
-def conjugated_equation(i, j, k, index_cap=12):
+def conjugated_equation(i, j, k):
     """z^k coefficient of the conjugated transformed KP equation, as
     {multiset of (slice, t_eta): coeff} acting on the moduli series
-    F^{(0)}, ..., F^{(k)}.
+    F^{(0)}, ..., F^{(k)}.  Each derivative factor is conjugated directly:
+    e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
 
     Implemented for (i, j) = (2, 2); other equations contain first-order
     derivative terms whose unstable corrections are not polynomial
@@ -363,25 +371,24 @@ def conjugated_equation(i, j, k, index_cap=12):
 
     def build():
         eq = kpbar_22()
-        l = solve_l(max(k, 1), index_cap)
-        # conjugate each derivative monomial once
-        qhats = {}
-        for (_, etas) in eq:
-            for eta in etas:
-                if eta in qhats:
-                    continue
-                z0 = ZOp({0: TOp.single((), eta, 1)})
-                conj = z0.conjugate_by_exp(l, k, index_cap)
-                grades = {}
-                for zz, top in conj.grades.items():
-                    terms = {}
-                    for (tm, dm), c in top.terms.items():
-                        assert tm == (), "conjugation left a t coefficient"
-                        terms[dm] = terms.get(dm, Rat(0)) + c
-                    grades[zz] = terms
-                qhats[eta] = grades
+        qhats = {eta: _conjugate_monomial(eta, k) for _, etas in eq for eta in etas}
         return _distribute(eq, qhats, k)
-    return _cached(("conj", i, j, k, index_cap), build)
+    return _cached(("conj", i, j, k), build)
+
+
+def _conjugate_monomial(eta, k):
+    """e^{-l} d^eta e^{l} through z^k: {z: {eta': coeff}}."""
+    grades = {0: {(): Rat(1)}}
+    for i in eta:
+        step = {}
+        for z, terms in grades.items():
+            for kk in range(k - z + 1):
+                out = step.setdefault(z + kk, {})
+                for dm, c in terms.items():
+                    key = tuple(sorted(dm + (i + kk,)))
+                    out[key] = out.get(key, Rat(0)) + c * a_coeff(i, kk)
+        grades = step
+    return grades
 
 
 def _distribute(eq, qhats, k):

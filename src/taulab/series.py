@@ -284,10 +284,13 @@ class Series:
         """Formal derivative in the main variable with the given index.
 
         The result is exact only to cap_weight - weight(var); the caps are
-        reduced accordingly.
+        reduced accordingly, and a variable heavier than the cap is refused.
         """
         fam = self.family
         wvar = var_weight(fam, index)
+        if wvar > self.cap_weight:
+            raise ValueError("d/d(variable %d) of weight %d exceeds the remaining "
+                             "weight cap %d" % (index, wvar, self.cap_weight))
         out = {}
         for (aux, vm), c in self.terms.items():
             d = dict(vm)
@@ -300,7 +303,7 @@ class Series:
                 d[index] = e - 1
             key = (aux, tuple(sorted(d.items())))
             out[key] = out.get(key, Rat(0)) + e * c
-        return Series(fam, max(self.cap_weight - wvar, 0), self.cap_aux, out)
+        return Series(fam, self.cap_weight - wvar, self.cap_aux, out)
 
     def partial_multi(self, indices):
         s = self

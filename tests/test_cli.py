@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from taulab.cli import main
+from taulab.cli import build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -163,9 +166,15 @@ def test_clean_error_for_invalid_method_combination(capsys):
     "verify hirota --i 3 --j 2",
     "verify hirota --cap-aux -1",
     "verify u-tau --cap-weight -2",
+    # a derivative heavier than the weight cap knows no coefficient
+    "verify hirota --cap-weight 2",
+    "verify hirota --cap-weight 3",
+    "verify u-tau --cap-weight 3",
+    "verify u-tau --cap-weight 4",
     # verifications whose region is empty must not report PASS
     "verify ck --kmax 0",
     "verify ck --kmax -3",
+    "verify ck --kmax 13",  # beyond the listed c_k values
     "verify corner --max-size -1",
     "verify weight-flow --max-size -1",
     "verify char-identity --max-size 0",
@@ -200,6 +209,13 @@ def test_malformed_series_file_exits_2(command, defect, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_verify_ck_checks_every_listed_value(capsys):
+    code, out = run_cli("verify", "ck", capsys=capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "PASS"
+    assert len(lines) == 13 and all(line.endswith(" ok") for line in lines[:-1])
+
+
 def test_verify_kdv_default_regions_nonempty(capsys):
     code, out = run_cli("verify", "kdv", capsys=capsys)
     assert code == 0 and out.endswith("PASS")
@@ -214,3 +230,63 @@ def test_verify_kdv_empty_region_names_check(capsys):
     code = main(["verify", "kdv", "--cap-weight", "8"])
     err = capsys.readouterr().err
     assert code == 2 and "F03 z^0" in err and "empty region" in err
+
+
+# -- random argument vectors -----------------------------------------------------
+
+SUBPARSERS = next(a for a in build_parser()._actions if a.choices).choices
+SMALL = st.integers(-2, 3).map(str)
+JUNK = st.sampled_from(["", ",", "-", "--", "x", "1,,2", "0,0,0", "-1,2", "2/3",
+                        "1e3", "--nope"])
+LISTS = st.lists(st.integers(-2, 3), min_size=1, max_size=2).map(
+    lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand of the real parser with a random subset of its options,
+    values drawn from its choices, from small ints, from lists of them or
+    from junk, and possibly one junk token inserted anywhere."""
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    argv = [name]
+    for action in SUBPARSERS[name]._actions:
+        if "-h" in action.option_strings:
+            continue
+        if action.option_strings:
+            if not action.required and draw(st.booleans()):
+                continue
+            argv.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs == 0:
+                continue
+        if action.choices:
+            argv.append(draw(st.sampled_from(sorted(action.choices))))
+        else:
+            argv.append(draw(SMALL if action.type is int else st.one_of(LISTS, JUNK)))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(JUNK, SMALL)))
+    return argv
+
+
+def _slow(argv):
+    """Valid genus-3 tables take 15-30 s each; their argument handling is the
+    same as at genus 2."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return args.command in ("bracket-table", "hodge") and args.genus >= 3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+def test_random_argv_keeps_exit_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assume(not _slow(argv))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from taulab.series import Series, FAMILY_P
+from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
                           moduli_caps_for, f_moduli, build_L_grade,
@@ -76,6 +76,8 @@ def test_build_L_displayed_slots():
     L1 = build_L_grade(1, 8)
     assert L1.terms[((0,), (1,))] == 1  # a_{0,1} = 1
     assert L1.terms[((1,), (2,))] == 3  # a_{1,2} = 3
+    with pytest.raises(ValueError):  # L_1 raises the weight by 1
+        L1.apply(Series.constant(FAMILY_TQ, 0, 0, 1))
     L2 = build_L_grade(2, 8)
     assert L2.terms[((0,), (2,))] == 1          # a_{0,2} = 1
     assert L2.terms[((0, 0), (1, 1))] == F(1, 2)  # 1/2 a_{0,1}^2
@@ -93,8 +95,8 @@ def test_exp_l_equals_L():
 
 
 def test_ck_sequence():
-    rep = ck_report(6, nmax=4)
-    for k in range(1, 7):
+    rep = ck_report(len(LISTED_CK), nmax=4)
+    for k in range(1, len(LISTED_CK) + 1):
         assert rep[k]["lowering"] == LISTED_CK[k - 1], k
     # the transposed orientation is not constant once k >= 1 has data
     assert rep[1]["transposed"] is None
@@ -195,6 +197,14 @@ def test_conjugated_residuals_vanish_on_extracted_series():
     assert r1.cap_weight >= 3  # the checked region is not empty
 
 
+def test_conjugated_residual_vanishes_at_z2():
+    # no displayed golden exists at z^2; the extracted series pin it there
+    fs = {k: f_moduli(k, W, M) for k in range(3)}
+    r2 = eval_moduli_poly(conjugated_equation(2, 2, 2), fs)
+    assert r2.is_zero()
+    assert r2.cap_weight == 4
+
+
 def test_kdv_equations():
     fs = {0: f_moduli(0, W, M), 1: f_moduli(1, W, M), 2: f_moduli(2, W, M)}
     for name in ("F01", "F02", "F11", "F03", "F12"):
@@ -257,6 +267,14 @@ def test_elsv_solve_genus3_one_point():
         (0, (7,)): F(1, 82944), (1, (6,)): F(7, 138240),
         (2, (5,)): F(41, 580608), (3, (4,)): F(31, 967680),
     }
+
+
+def test_pde_route_at_z2_matches_elsv_solve():
+    from taulab.hodge import ModuliPDESolver
+    solver = ModuliPDESolver(kmax=2, weight_cap=10).run()
+    for (k, ds), v in hurwitz_to_hodge(2, 1).items():
+        assert solver.bracket(k, ds) == v, (k, ds)
+    assert solver.bracket(2, (2,)) == _lambda_g_top(2) == F(7, 5760)
 
 
 @pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])

@@ -37,6 +37,12 @@ def test_partial_examples():
     t = lambda d: Series.variable(FAMILY_TQ, d, 8, 0)
     assert (t(0) * t(1)).partial(0) == t(1)
     assert Series.variable(FAMILY_P, 2, 8, 0).partial(1).is_zero()
+    # exact to cap - weight(var): at cap 2 only the constant term of d/dp_2 is
+    # known, and at cap 1 nothing is
+    d = Series.variable(FAMILY_P, 2, 2, 0).partial(2)
+    assert d.cap_weight == 0 and d == 1
+    with pytest.raises(ValueError):
+        Series.variable(FAMILY_P, 2, 1, 0).partial(2)
 
 
 def test_family_mismatch():
