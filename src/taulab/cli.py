@@ -26,9 +26,7 @@ def _parse_ints(s):
 
 def _fmt(value):
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    return str(value.numerator) if value.denominator == 1 else _fmt_frac(value)
 
 
 def _fmt_frac(value):
@@ -77,9 +75,7 @@ def cmd_hodge(args):
         raise ValueError("--k must be >= 0, got %d" % args.k)
     ds = _parse_ints(args.indices)
     table = hodge.hurwitz_to_hodge(args.genus, len(ds))
-    key = (args.k, tuple(sorted(ds)))
-    value = table.get(key, Rat(0))
-    print(_fmt(value))
+    print(_fmt(table.get((args.k, tuple(sorted(ds))), Rat(0))))
     return 0
 
 

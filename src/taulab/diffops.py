@@ -341,7 +341,8 @@ class ZOp:
 
     def exp(self, zcap, index_cap=None):
         """exp of an operator with no z^0 part."""
-        assert 0 not in self.grades
+        if 0 in self.grades:
+            raise ValueError("exp needs an operator with no z^0 part")
         acc = ZOp.identity()
         term = ZOp.identity()
         for n in range(1, zcap + 1):

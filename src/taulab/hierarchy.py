@@ -160,7 +160,8 @@ def eval_fpoly(fp, F):
 
 def cut_and_join(s):
     """A = 1/2 sum_{i,j} [(i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j]."""
-    assert s.family == FAMILY_P
+    if s.family != FAMILY_P:
+        raise ValueError("cut-and-join acts on family-P series, got %s" % s.family)
     out = {}
 
     def bump(aux, vmdict, c):

@@ -32,7 +32,7 @@ from .series import Series, Rat, _cached
 from .diffops import TOp, ZOp
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
                       h_unst_simple, _tensor_fit, _tensor_eval)
-from .pic import _change_variables, _monomials_up_to_weight
+from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
 
 
 # -- expansion constants --------------------------------------------------------
@@ -40,7 +40,8 @@ from .pic import _change_variables, _monomials_up_to_weight
 
 def a_coeff(d, k):
     """Coefficient of psi^{d+k} in the alternating sum; a(d, 0) = 1."""
-    assert d >= 0 and k >= 0
+    if d < 0 or k < 0:
+        raise ValueError("a_coeff needs d, k >= 0, got %d, %d" % (d, k))
     acc = Rat(0)
     for b in range(1, d + 2):
         acc += Rat((-1) ** (d - b + 1) * b ** (d + k),
@@ -79,7 +80,8 @@ def chvar_elsv(series, w_cap=None):
 def derivative_transform_elsv(b):
     """d/dp_b as sum over d < b of coeff u^{3b+2d+1} d/dt_d;
     returns [(d, u_exponent, coeff)]."""
-    assert b >= 1
+    if b < 1:
+        raise ValueError("p_b needs b >= 1, got %d" % b)
     return [(d, -_u_exp(b, d), Rat(b ** (b - 1), factorial(b - 1 - d)))
             for d in range(b)]
 
@@ -108,7 +110,8 @@ def f_moduli(k, W, M=None):
     """F^{(k)} extracted from the z^k = u^{2k} slices of the transformed
     stable series via
     F^0 = slice_0, F^1 = L_1 F^0 - slice_1, F^2 = slice_2 - L_2 F^0 + L_1 F^1."""
-    assert 0 <= k <= 2
+    if not 0 <= k <= 2:
+        raise ValueError("f_moduli has k = 0, 1, 2, got %d" % k)
     if M is None:
         M = moduli_caps_for(W, k)
 
@@ -132,11 +135,8 @@ def f_moduli(k, W, M=None):
 def _compositions(k):
     if k == 0:
         return [()]
-    out = []
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(1, k + 1)
+            for rest in _compositions(k - first)]
 
 
 def build_L_grade(k, index_cap):
@@ -591,14 +591,9 @@ class ModuliPDESolver:
         merged = dict(mono)
         for d in eta:
             merged[d] = merged.get(d, 0) + 1
-        ds = []
-        for d, e in merged.items():
-            ds.extend([d] * e)
-        const, lin = self.reduce(k, tuple(ds))
-        denom = 1
-        for e in mono.values():
-            denom *= factorial(e)
-        scale = Rat(1, denom)
+        const, lin = self.reduce(k, tuple(d for d, e in merged.items()
+                                          for _ in range(e)))
+        scale = Rat(1, _mono_factorials(mono))
         return (const * scale, {kk: vv * scale for kk, vv in lin.items()})
 
     @staticmethod
@@ -606,27 +601,13 @@ class ModuliPDESolver:
         (c1, l1), (c2, l2) = a, b
         if l1 and l2:
             return None
-        const = c1 * c2
-        lin = {}
-        for kk, vv in l1.items():
-            lin[kk] = lin.get(kk, Rat(0)) + vv * c2
-        for kk, vv in l2.items():
-            lin[kk] = lin.get(kk, Rat(0)) + vv * c1
-        return (const, {kk: vv for kk, vv in lin.items() if vv})
+        lin = _merge_lin(_merge_lin({}, l1, c2), l2, c1)
+        return (c1 * c2, {kk: vv for kk, vv in lin.items() if vv})
 
     def _submonomials(self, mono):
         items = sorted(mono.items())
-        out = [{}]
-        for d, e in items:
-            nxt = []
-            for base in out:
-                for take in range(e + 1):
-                    cur = dict(base)
-                    if take:
-                        cur[d] = take
-                    nxt.append(cur)
-            out = nxt
-        return out
+        return [{d: t for (d, _), t in zip(items, takes) if t}
+                for takes in product(*[range(e + 1) for _, e in items])]
 
     def equation_affine(self, eq, mono):
         """Affine form of the equation's coefficient at the monomial, or

@@ -21,7 +21,12 @@ Routes:
     transitivity filter);
   * character sums: for one-part numbers the class-algebra formula
     collapses onto hook diagrams, h = (1/(d prod b_i)) sum over hooks of
-    chi(hook at the d-cycle) f^m chi(hook at profile); for the simple kind
+    chi(hook at the d-cycle) f^m chi(hook at profile).  With the hook
+    generating function sum_j chi_{hook(d-1-j, j)}(nu) y^j =
+    prod_i (1 - (-y)^{nu_i}) / (1 + y), the content sum f_j = d (d-1-2j) / 2
+    of hook(d-1-j, j) and chi_{hook(d-1-j, j)}((d)) = (-1)^j this reads
+    h = (1/(d prod b_i)) sum_j (-1)^j f_j^m [y^j] prod_i (1-(-y)^{b_i}) / (1+y)
+    (``_hook_sum``, which pic's brackets share); for the simple kind
     the character sum counts possibly-disconnected covers, and a single
     connected value is the logarithm taken only on the monomials
     beta^k p_mu dividing the query's beta^m p_nu (mu a sub-multiset of nu).
@@ -204,19 +209,27 @@ def _cycles_of(perm):
 # -- character sums ------------------------------------------------------------
 
 
+def _hook_sum(poly, d, m):
+    """sum_j (-1)^j f_j^m [y^j] poly / (1 + y), f_j = d (d - 1 - 2j) / 2: the
+    one-part character sum for poly = prod_i (1 - (-y)^{nu_i}), |nu| = d (see
+    the module docstring).  poly must be divisible by 1 + y; (-1)^j times the
+    quotient's y^j coefficient is the alternating prefix sum of poly to y^j."""
+    acc = prefix = 0
+    for j, c in enumerate(poly[:d]):
+        prefix += -c if j % 2 else c
+        acc += prefix * (d * (d - 1 - 2 * j)) ** m
+    return Rat(acc, 2 ** m)
+
+
 def _onepart_character_sum(nu, m):
     """sum over hooks lambda of |nu| of chi_lambda((d)) f^m chi_lambda(nu)."""
-    d = nu.size
-    dcycle = Partition((d,))
-    total = Rat(0)
-    for b in range(d):
-        la = hook(d - 1 - b, b)
-        chi_d = character(la, dcycle)
-        if not chi_d:
-            continue
-        f = cut_and_join_eigenvalue(la)
-        total += chi_d * f ** m * character(la, nu)
-    return total
+    poly = [1]
+    for b in nu:
+        out = poly + [0] * b
+        for j, c in enumerate(poly):  # times 1 - (-y)^b
+            out[j + b] -= c if b % 2 == 0 else -c
+        poly = out
+    return _hook_sum(poly, nu.size, m)
 
 
 def hurwitz_frobenius(q):

@@ -110,7 +110,8 @@ class Partition:
 
 def partitions_of(d):
     """All partitions of d, reverse-lexicographic, deterministic."""
-    assert d >= 0
+    if d < 0:
+        raise ValueError("cannot partition %d" % d)
     return [Partition(p) for p in _parts_tuples(d, d)]
 
 
@@ -164,7 +165,8 @@ def cut_and_join_eigenvalue(p):
 
 def hook(a, b):
     """Diagram with one arm of length a and leg of length b: (a+1, 1^b)."""
-    assert a >= 0 and b >= 0
+    if a < 0 or b < 0:
+        raise ValueError("hook arm and leg must be >= 0, got %d, %d" % (a, b))
     return Partition((a + 1,) + (1,) * b)
 
 
@@ -173,5 +175,6 @@ def is_hook(p):
 
 
 def hook_arm_leg(p):
-    assert is_hook(p)
+    if not is_hook(p):
+        raise ValueError("%r is not a hook" % (p,))
     return p.parts[0] - 1, len(p) - 1

@@ -26,16 +26,20 @@ The bracket itself is defined combinatorially:
         prod (-1)^{d_i - b_i + 1} / ((d_i - b_i + 1)! (b_i - 1)!)
         * h_{g; b} / ((2g - 1 + n)! sum b_i),
 with 4g = sum d_i - n + 3 (zero if no such integer g >= 0 exists).
+With the hook form of h_{g; b} (see hurwitz) and c(b, d) / b =
+(-1)^{d+1-b} C(d+1, b) / (d+1)!, the sum over b is linear and factors into
+    P(x, y) = prod_i sum_{b=1}^{d_i+1} (-1)^{d_i+1-b} C(d_i+1, b) x^b (1 - (-y)^b),
+    <...> = sum_D (1/D^2) sum_j (-1)^j f_j^m [x^D y^j] P / (1 + y)
+            / (m! prod (d_i + 1)!),  f_j = D (D - 1 - 2j) / 2, m = 2g - 1 + n.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import factorial
+from math import comb, factorial
 
 from .partitions import partitions_of
 from .series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
-from .hurwitz import HurwitzQuery, ONEPART, hurwitz_frobenius
+from .hurwitz import _hook_sum
 
 
 def _top(aux_exp, mono):
@@ -178,25 +182,27 @@ def bracket(indices):
 
 
 def _bracket_raw(ds):
-    n = len(ds)
-    if n == 0:
+    g4 = sum(ds) - len(ds) + 3  # 4g
+    if g4 % 4 or g4 < 0:
         return Rat(0)
-    total = sum(ds)
-    if (total - n + 3) % 4 or total - n + 3 < 0:
-        return Rat(0)
-    g = (total - n + 3) // 4
-    m = 2 * g - 1 + n
-    if m < 0:
-        return Rat(0)
-    acc = Rat(0)
-    for bs in product(*[range(1, d + 2) for d in ds]):
-        coeff = Rat(1)
-        for d, b in zip(ds, bs):
-            coeff *= chvar_coeff(b, d)
-        h = hurwitz_frobenius(HurwitzQuery(ONEPART, g, bs))
-        if h:
-            acc += coeff * h / (factorial(m) * sum(bs))
-    return acc
+    m = g4 // 2 - 1 + len(ds)  # 2g - 1 + n
+    # P of the module docstring, as {x power: y coefficients}
+    P = {0: [1]}
+    scale = factorial(m)
+    for d in ds:
+        scale *= factorial(d + 1)
+        nxt = {}
+        for b in range(1, d + 2):
+            e = (-1) ** (d + 1 - b) * comb(d + 1, b)
+            eb = -e if b % 2 == 0 else e  # e x^b (1 - (-y)^b)
+            for D, ys in P.items():
+                out = nxt.setdefault(D + b, [0] * (D + b + 1))
+                for j, c in enumerate(ys):
+                    if c:
+                        out[j] += e * c
+                        out[j + b] += eb * c
+        P = nxt
+    return sum(_hook_sum(ys, D, m) / (D * D) for D, ys in P.items()) / scale
 
 
 def genus_table(g):
@@ -272,6 +278,16 @@ def _coeff(F, mono):
     return F.coeff(0, mono)
 
 
+def _lowered(F, mono):
+    """Coefficient of the monomial in sum_{d >= 1} t_d dF/dt_{d-1}."""
+    acc = Rat(0)
+    for d in mono:
+        if d >= 1:
+            stripped = _bump(mono, d, -1)
+            acc += (stripped.get(d - 1, 0) + 1) * _coeff(F, _bump(stripped, d - 1))
+    return acc
+
+
 def _bump(mono, d, by=1):
     out = dict(mono)
     out[d] = out.get(d, 0) + by
@@ -298,12 +314,7 @@ def string_check(F, source=STRING_SOURCE_PIC):
     for mono in _monomials_up_to_weight(W - 1):
         e0 = mono.get(0, 0)
         lhs = (e0 + 1) * _coeff(F, _bump(mono, 0))
-        rhs = source.get(tuple(sorted(mono.items())), Rat(0))
-        for d in list(mono):
-            if d < 1 or mono[d] < 1:
-                continue
-            stripped = _bump(mono, d, -1)
-            rhs += (stripped.get(d - 1, 0) + 1) * _coeff(F, _bump(stripped, d - 1))
+        rhs = source.get(tuple(sorted(mono.items())), Rat(0)) + _lowered(F, mono)
         if lhs != rhs:
             return False
     return True
@@ -334,12 +345,7 @@ def lt_first_identity_check(F):
         if lhs0 != rhs0:
             return False
         # q^{-1} part: sum_{d>=1} t_d d/dt_{d-1}
-        lhs1 = Rat(0)
-        for d in list(mono):
-            if d < 1 or mono[d] < 1:
-                continue
-            stripped = _bump(mono, d, -1)
-            lhs1 += (stripped.get(d - 1, 0) + 1) * _coeff(F, _bump(stripped, d - 1))
+        lhs1 = _lowered(F, mono)
         rhs1 = (mono.get(0, 0) + 1) * _coeff(F, _bump(mono, 0))
         if mono == {0: 2}:
             rhs1 -= Rat(1, 2)
@@ -359,12 +365,7 @@ def lt_second_identity_check(F):
             _coeff(F, _bump(_bump(mono, 0), 1))
         if lhs0 != rhs0:
             return False
-        lhs1 = Rat(0)
-        for d in list(mono):
-            if d < 1 or mono[d] < 1:
-                continue
-            stripped = _bump(mono, d, -1)
-            lhs1 += (stripped.get(d - 1, 0) + 1) * _coeff(G, _bump(stripped, d - 1))
+        lhs1 = _lowered(G, mono)
         rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * _coeff(F, _bump(mono, 0, 2))
         if mono == {0: 1}:
             rhs1 -= 1
@@ -422,7 +423,8 @@ def psi_expansion_check(d):
 def derivative_transform_pic(b):
     """d/dp_b = sum_{d<b} q^{d+1} (b-1)!/(b-d-1)! d/dt_d;
     returns [(d, q_exponent, coeff)]."""
-    assert b >= 1
+    if b < 1:
+        raise ValueError("p_b needs b >= 1, got %d" % b)
     return [(d, d + 1, Rat(factorial(b - 1), factorial(b - 1 - d)))
             for d in range(b)]
 

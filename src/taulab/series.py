@@ -122,10 +122,8 @@ class Series:
 
     @classmethod
     def variable(cls, family, index, cap_weight, cap_aux, coeff=1):
-        if family == FAMILY_P:
-            assert index >= 1
-        else:
-            assert index >= 0
+        if index < (1 if family == FAMILY_P else 0):
+            raise ValueError("family %s has no variable %d" % (family, index))
         return cls(family, cap_weight, cap_aux, {(0, ((index, 1),)): Rat(coeff)})
 
     @classmethod
@@ -229,7 +227,8 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("series powers need an integer n >= 0, got %r" % (n,))
         result = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
         base = self
         while n:
@@ -313,7 +312,8 @@ class Series:
 
     def aux_shift(self, k):
         """Multiply by aux^k (k >= 0)."""
-        assert k >= 0
+        if k < 0:
+            raise ValueError("aux_shift needs k >= 0, got %d" % k)
         return Series(self.family, self.cap_weight, self.cap_aux,
                       {(aux + k, vm): c for (aux, vm), c in self.terms.items()})
 

@@ -118,7 +118,8 @@ def power_monomial(nu, cap_weight=None, cap_aux=0):
 
 def hook_sum_identity_check(d):
     """True iff p_d = sum_{a+b+1=d} (-1)^b s_{hook(a,b)}."""
-    assert d >= 1
+    if d < 1:
+        raise ValueError("p_d needs d >= 1, got %d" % d)
     acc = Series.zero(FAMILY_P, d, 0)
     for b in range(d):
         a = d - 1 - b

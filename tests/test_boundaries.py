@@ -1,0 +1,42 @@
+"""Exported entry points refuse bad input with ValueError rather than
+assert, so the refusal also holds under ``python -O``."""
+
+import pytest
+
+from taulab.partitions import Partition, partitions_of, hook, hook_arm_leg
+from taulab.series import Series, FAMILY_P, FAMILY_TQ
+from taulab.symfunc import hook_sum_identity_check
+from taulab.diffops import TOp, ZOp
+from taulab.hierarchy import cut_and_join
+from taulab.hodge import a_coeff, f_moduli, derivative_transform_elsv
+from taulab.pic import derivative_transform_pic
+
+P1 = Series.variable(FAMILY_P, 1, 4, 2)
+
+BAD_CALLS = {
+    "partitions_of(-1)": (partitions_of, -1),
+    "hook(-1,0)": (hook, -1, 0),
+    "hook(0,-1)": (hook, 0, -1),
+    "hook_arm_leg(2,2)": (hook_arm_leg, Partition((2, 2))),
+    "a_coeff(-1,0)": (a_coeff, -1, 0),
+    "a_coeff(0,-1)": (a_coeff, 0, -1),
+    "f_moduli(3,6)": (f_moduli, 3, 6),
+    "f_moduli(-1,6)": (f_moduli, -1, 6),
+    "derivative_transform_pic(0)": (derivative_transform_pic, 0),
+    "derivative_transform_elsv(0)": (derivative_transform_elsv, 0),
+    "variable(P,0)": (Series.variable, FAMILY_P, 0, 4, 0),
+    "variable(T_Q,-1)": (Series.variable, FAMILY_TQ, -1, 4, 0),
+    # under -O a negative power used to loop forever (-1 >> 1 == -1)
+    "pow(-1)": (Series.__pow__, P1, -1),
+    "aux_shift(-2)": (Series.aux_shift, P1, -2),
+    "cut_and_join(T_Q)": (cut_and_join, Series.variable(FAMILY_TQ, 0, 4, 0)),
+    "ZOp.exp(z^0 part)": (ZOp.exp, ZOp({0: TOp.single((), (), 1)}), 2),
+    "hook_sum_identity_check(0)": (hook_sum_identity_check, 0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_entry_point_raises_value_error(call):
+    fn, *args = call
+    with pytest.raises(ValueError):
+        fn(*args)

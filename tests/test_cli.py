@@ -268,13 +268,13 @@ def argvs(draw):
 
 
 def _slow(argv):
-    """Valid genus-3 tables take 15-30 s each; their argument handling is the
-    same as at genus 2."""
+    """A valid genus-3 hodge call solves a 10^3-point grid (about 30 s); its
+    argument handling is the same as at genus 2."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit:
         return False
-    return args.command in ("bracket-table", "hodge") and args.genus >= 3
+    return args.command == "hodge" and args.genus >= 3
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -5,7 +5,9 @@ from math import factorial
 
 import pytest
 
-from taulab.partitions import partitions_of, aut_order
+from taulab.partitions import (Partition, partitions_of, aut_order, hook,
+                               cut_and_join_eigenvalue)
+from taulab.symfunc import character
 from taulab.series import Series, FAMILY_P
 from taulab.hierarchy import cut_and_join, kp_residual
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
@@ -13,7 +15,8 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             h_onepart_series, h_simple_series,
                             h_unst_onepart, h_unst_simple,
                             disconnected_simple_series, hook_series, lp,
-                            polynomiality_check, cache_lookup)
+                            polynomiality_check, cache_lookup,
+                            _onepart_character_sum)
 
 
 def q1(g, *b):
@@ -77,6 +80,23 @@ def test_two_route_agreement_simple():
 def test_frobenius_onepart_closed_form_degree():
     for d in range(1, 11):
         assert hurwitz_frobenius(q1(0, d)) == F(1, d)
+
+
+def test_hook_polynomial_matches_murnaghan_nakayama():
+    # the hook generating function against Murnaghan-Nakayama characters:
+    # the f_j are distinct, so agreement for m = 0..D-1 (a Vandermonde
+    # system in the f_j) pins every hook character of every nu
+    for D in range(1, 11):
+        hooks = [hook(D - 1 - j, j) for j in range(D)]
+        fs = [cut_and_join_eigenvalue(la) for la in hooks]
+        assert fs == [F(D * (D - 1 - 2 * j), 2) for j in range(D)]
+        signs = [character(la, Partition((D,))) for la in hooks]
+        assert signs == [(-1) ** j for j in range(D)]
+        for nu in partitions_of(D):
+            chis = [character(la, nu) for la in hooks]
+            for m in range(D):
+                want = sum(s * f ** m * c for s, f, c in zip(signs, fs, chis))
+                assert _onepart_character_sum(nu, m) == want, (nu, m)
 
 
 def test_h_onepart_unstable_restriction():

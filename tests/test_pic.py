@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from itertools import product
+from math import factorial
 
 import pytest
 
+from taulab.partitions import partitions_of
 from taulab.series import Series, Rat, FAMILY_P
-from taulab.hurwitz import h_onepart_series, h_unst_onepart, lp
+from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius,
+                            h_onepart_series, h_unst_onepart, lp)
 from taulab.pic import (transform_p_to_tq, chvar_pic, lp2_h_unst_transformed,
                         bracket, genus_table, f_series, u_series, u_in_T,
                         string_check, dilaton_check, lt_first_identity_check,
@@ -26,6 +30,40 @@ GOLDEN = {
 def test_bracket_golden_table():
     for ds, want in GOLDEN.items():
         assert bracket(ds) == want, ds
+
+
+def _bracket_by_tuples(ds):
+    """The defining sum, term by term: one one-part Hurwitz number per
+    ordered b with 1 <= b_i <= d_i + 1."""
+    n, total = len(ds), sum(ds)
+    if not n or (total - n + 3) % 4 or total - n + 3 < 0:
+        return F(0)
+    g = (total - n + 3) // 4
+    m = 2 * g - 1 + n
+    acc = F(0)
+    for bs in product(*[range(1, d + 2) for d in ds]):
+        coeff = F(1)
+        for d, b in zip(ds, bs):
+            coeff *= chvar_coeff(b, d)
+        h = hurwitz_frobenius(HurwitzQuery(ONEPART, g, bs))
+        acc += coeff * h / (factorial(m) * sum(bs))
+    return acc
+
+
+def test_bracket_equals_per_tuple_sum():
+    # every genus <= 2 bracket of weight sum (d_i + 1) <= 12, then the
+    # genus-3 brackets with one or two points
+    cases = []
+    for w in range(1, 13):
+        for la in partitions_of(w):
+            ds = tuple(sorted(p - 1 for p in la.parts))
+            g4 = sum(ds) - len(ds) + 3
+            if g4 % 4 == 0 and 0 <= g4 <= 8:
+                cases.append(ds)
+    cases += [(10,)] + [(d, 11 - d) for d in range(6)]
+    assert len(cases) == 57
+    for ds in cases:
+        assert bracket(ds) == _bracket_by_tuples(ds), ds
 
 
 def test_bracket_dimension_filter():
@@ -62,15 +100,16 @@ def test_transform_h_st_has_only_positive_q():
 
 
 def test_double_extraction_bracket_vs_transform():
-    # weight 12 covers every bracket with g <= 2, n <= 3, sum d <= 9
-    W, M = 12, 7
-    H = h_onepart_series(W, M)
-    H_st = H - h_unst_onepart(W, M)
-    img = chvar_pic(H_st, q_floor=1)
-    got_F = img.q_slice(1)
-    assert got_F.cap_weight == W
-    want_F = f_series(got_F.cap_weight)
-    assert got_F == want_F
+    # weight 12 covers every bracket with g <= 2, n <= 3, sum d <= 9;
+    # weight 13 adds the genus-3 coefficients with one or two points
+    for W, M in ((12, 7), (13, 7)):
+        H = h_onepart_series(W, M)
+        H_st = H - h_unst_onepart(W, M)
+        img = chvar_pic(H_st, q_floor=1)
+        got_F = img.q_slice(1)
+        assert got_F.cap_weight == W
+        want_F = f_series(got_F.cap_weight)
+        assert got_F == want_F
 
 
 def test_lp2h_transform_gives_u_at_q_minus_one():
@@ -116,9 +155,11 @@ def test_chvar_rejects_bad_input():
 
 
 def test_string_dilaton():
-    Fser = f_series(10)
-    assert string_check(Fser)
-    assert dilaton_check(Fser)
+    # weight 16 spans genus 3 and 4
+    for W in (10, 16):
+        Fser = f_series(W)
+        assert string_check(Fser)
+        assert dilaton_check(Fser)
 
 
 def test_string_examples():
