@@ -42,7 +42,8 @@ def cmd_hurwitz(args):
         print("cache mismatch: cached %s, computed %s" % (_fmt(cached), _fmt(value)),
               file=sys.stderr)
         return 1
-    hw.cache_store(q, value)
+    if cached is None:
+        hw.cache_store(q, value)
     if args.json:
         print(json.dumps({"query": {"kind": q.kind, "genus": q.genus,
                                     "profile": list(q.profile)},

@@ -251,11 +251,12 @@ def hurwitz_to_hodge(g, n, max_k=None):
 
     The scaled counts are polynomials of per-variable degree 3g-3+n; the
     grid is b_i in 1..3g-2+n with the point (3g-2+n+1, ..) held out and
-    verified.  Off-grading coefficients must vanish and the solve must be
-    symmetric; both are asserted.
+    verified.  An off-grading coefficient, an asymmetric solve or a failed
+    held-out point raises ValueError; so does a negative max_k.
     """
-    if max_k is None:
-        max_k = g
+    max_k = g if max_k is None else max_k
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0, got %d" % max_k)
     dim = 3 * g - 3 + n
     if g < 0 or n < 1 or dim < 0:
         raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "

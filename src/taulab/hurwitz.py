@@ -27,11 +27,12 @@ Routes:
     of hook(d-1-j, j) and chi_{hook(d-1-j, j)}((d)) = (-1)^j this reads
     h = (1/(d prod b_i)) sum_j (-1)^j f_j^m [y^j] prod_i (1-(-y)^{b_i}) / (1+y)
     (``_hook_sum``, which pic's brackets share); for the simple kind
-    the character sum counts possibly-disconnected covers, and a single
-    connected value is the logarithm taken only on the monomials
-    beta^k p_mu dividing the query's beta^m p_nu (mu a sub-multiset of nu).
-    The logarithm of the whole disconnected series (h_simple_series) stays
-    as the series builder and as the oracle at small caps;
+    the character sum counts possibly-disconnected covers, and the
+    connected values are the coefficients of its logarithm.  One memoized
+    table (``_connected_simple``) computes that logarithm for each multiset
+    s of parts, in rows indexed by j = k - (|s| - l(s)) up to a cap J: a
+    query reads J = 2g + 2n - 2, and h_simple_series(W, M) assembles its
+    rows at J = M.  The whole-series logarithm is a test oracle;
   * closed hook series (one-part only): coefficient extraction from
     sum_{a,b} (-1)^b s_{hook(a,b)} e^{f beta}.
 """
@@ -42,7 +43,7 @@ import json
 import os
 import warnings
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial, prod
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue)
@@ -233,81 +234,73 @@ def _onepart_character_sum(nu, m):
 
 
 def hurwitz_frobenius(q):
-    """Character-sum route; one-part directly, simple via the lattice log."""
+    """Character-sum route; one-part directly, simple from the connected table."""
     d, m = q.degree, q.branch_points
     if m < 0:
         return Rat(0)
-    nu = q.cycle_type
+    nu, prod_b = q.cycle_type, prod(q.profile)
     if q.kind == ONEPART:
-        prod_b = 1
-        for b in q.profile:
-            prod_b *= b
         return _onepart_character_sum(nu, m) / (d * prod_b)
-    return _lattice_log_coefficient(nu, m) * factorial(m) * aut_order(nu)
+    return Rat(_connected_simple(tuple(sorted(nu.multiplicities().items())),
+                                 m - d + len(nu))[1][-1], 2 ** m * factorial(d) * prod_b)
 
 
-def _lattice_log_coefficient(nu, m):
-    """Coefficient of beta^m p_nu in log Z, Z = sum (dim/d!) e^{beta f} s_lambda.
+def _dim_f2(size):
+    """(lambda, dim lambda, 2 f_lambda) for every partition lambda of size."""
+    return tuple((la, dimension(la), int(2 * cut_and_join_eigenvalue(la)))
+                 for la in partitions_of(size))
 
-    That coefficient only sees the monomials beta^k p_s with s a
-    sub-multiset of nu and k <= m, a divisor-closed set, so the log is taken
-    exactly in the quotient ring they span.  Sub-multisets are exponent
-    vectors against the multiplicities of nu, visited in lexicographic
-    order, which lists every sub-multiset before the ones containing it.
 
-    Z_{k,s} = sum over lambda of |s| of dim(lambda) chi_lambda(s) f^k
-    / (|s|! z_s k!).  The number of parts l is a derivation, so DZ = Z DH
-    gives l(s) H_{k,s} = l(s) Z_{k,s} - sum l(t) H_{k',t} Z_{k-k',s-t}
-    over nonempty proper t of s.  With e(s) = |s| - l(s), Z_{k,s} vanishes
-    below k = e(s) (k transpositions leave at least |s| - k cycles) and e
-    is additive, so beta^k p_s can reach beta^m p_nu only when
-    k <= m - e(nu) + e(s); nothing above that cap is computed.
+def _connected_simple(vm, J):
+    """Rows (Z, H) of the multiset s = vm = ((b, mult), ...), for j = 0..J.
+
+    Entry j holds the coefficient at beta^k p_s, k = e(s) + j with
+    e(s) = |s| - l(s), of Z = sum (dim/d!) e^{beta f} s_lambda and of
+    H = log Z, each times k! 2^k |s|! z_s, which makes both integers:
+    Z's is sum over lambda of |s| of dim(lambda) chi_lambda(s) (2f)^k, and
+    H's is 2^k |s|! (product of the parts) times the connected number
+    h_{g;s} with k = |s| + l(s) + 2g - 2 branch points, or 0 if no g fits.
+    Both vanish below k = e(s) (k transpositions leave at least |s| - k
+    cycles).  The number of parts l is a derivation, so DZ = Z DH gives
+    l(s) H_{k,s} = l(s) Z_{k,s} - sum l(t) H_{k',t} Z_{k-k',s-t} over
+    nonempty proper sub-multisets t of s; scaled, each product gains the
+    factor C(k, k') C(|s|, |t|) prod_b C(mult_b(s), mult_b(t)).  e is
+    additive, so j is too, and one cap J serves every sub-multiset.
     """
-    values = sorted(nu.multiplicities().items(), reverse=True)
-    lattice = list(product(*[range(c + 1) for _, c in values]))
-    top = lattice[-1]
-    nu_excess = nu.size - len(nu)
-    per_size = {}
-    Z = {}
-    H = {}
-    for s in lattice:
-        parts = tuple(b for (b, _), e in zip(values, s) for _ in range(e))
-        if not parts:
-            Z[s] = {0: Rat(1)}
-            continue
-        size = sum(parts)
-        kcap = m - nu_excess + size - len(parts)
-        if size not in per_size:
-            per_size[size] = [(la, dimension(la), int(2 * cut_and_join_eigenvalue(la)))
-                              for la in partitions_of(size)]
-        mu = Partition(parts)
-        sums = [0] * (kcap + 1)
-        for la, dim, f2 in per_size[size]:
-            c = dim * character(la, mu)
-            for k in range(kcap + 1):
-                if not c:
-                    break
-                sums[k] += c
+    return _cached(("simple", vm, J), _connected_simple_raw, vm, J)
+
+
+def _connected_simple_raw(vm, J):
+    values, mults = zip(*vm)
+    size = sum(b * c for b, c in vm)
+    n = sum(mults)
+    excess = size - n
+    mu = Partition(tuple(b for b, c in reversed(vm) for _ in range(c)))
+    Z = [0] * (J + 1)
+    for la, dim, f2 in _cached(("dim_f2", size), _dim_f2, size):
+        if c := character(la, mu):
+            c *= dim * f2 ** excess
+            for j in range(J + 1):
+                Z[j] += c
                 c *= f2
-        scale = factorial(size) * zee(mu)
-        Z[s] = {k: Rat(v, scale * 2 ** k * factorial(k))
-                for k, v in enumerate(sums) if v}
-        # the log, one lattice point at a time
-        n = len(parts)
-        acc = {k: n * z for k, z in Z[s].items()}
-        for t in product(*[range(e + 1) for e in s]):
-            ht = H.get(t)  # None for the empty t and for s itself
-            if not ht:
-                continue
-            nt = sum(t)
-            zu = Z[tuple(a - b for a, b in zip(s, t))]
-            for k1, h in ht.items():
-                for k2, z in zu.items():
-                    k = k1 + k2
-                    if k <= kcap:
-                        acc[k] = acc.get(k, 0) - nt * h * z
-        H[s] = {k: v / n for k, v in acc.items() if v}
-    return H[top].get(m, Rat(0))
+    H = [n * z for z in Z]
+    # sub-multisets t as exponent vectors against the multiplicities of s
+    for t in product(*[range(c + 1) for c in mults]):
+        nt = sum(t)
+        if not 0 < nt < n:
+            continue
+        tsize = sum(b * x for b, x in zip(values, t))
+        Ht = _connected_simple(tuple((b, x) for b, x in zip(values, t) if x), J)[1]
+        Zu = _connected_simple(tuple((b, c - x) for b, c, x in zip(values, mults, t)
+                                     if c > x), J)[0]
+        w = nt * comb(size, tsize) * prod(map(comb, mults, t))
+        shift = tsize - nt
+        for j1, h in enumerate(Ht):
+            if h:
+                h *= w
+                for j2 in range(J + 1 - j1):
+                    H[j1 + j2] -= comb(excess + j1 + j2, shift + j1) * h * Zu[j2]
+    return tuple(Z), tuple(v // n for v in H)
 
 
 # -- generating series ---------------------------------------------------------
@@ -329,21 +322,18 @@ def _exp_schur_sum(weighted, cap_weight, cap_aux):
     return Series(FAMILY_P, cap_weight, cap_aux, acc)
 
 
-def disconnected_simple_series(cap_weight, cap_aux):
-    """exp of the simple-number series:
-    sum over partitions lambda of (dim/d!) e^{beta f_lambda} s_lambda."""
-    def build():
-        return _exp_schur_sum(((la, Rat(dimension(la), factorial(la.size)))
-                               for la in partitions_upto(cap_weight)),
-                              cap_weight, cap_aux)
-    return _cached(("disc", cap_weight, cap_aux), build)
-
-
 def h_simple_series(cap_weight, cap_aux):
-    """Connected simple series H: coefficient of beta^m p_nu is
-    h_{g;nu} / (m! |Aut(nu)|) with m = d + n + 2g - 2."""
+    """Connected simple series H = log sum (dim/d!) e^{beta f} s_lambda:
+    coefficient of beta^m p_nu is h_{g;nu} / (m! |Aut(nu)|) with
+    m = d + n + 2g - 2, read from the connected table at J = cap_aux."""
     def build():
-        return disconnected_simple_series(cap_weight, cap_aux).log()
+        terms = {}
+        for la in partitions_upto(cap_weight)[1:]:
+            excess, vm = la.size - len(la), tuple(sorted(la.multiplicities().items()))
+            row = _connected_simple(vm, cap_aux)[1] if excess <= cap_aux else ()
+            for k, h in enumerate(row[:cap_aux + 1 - excess], start=excess):
+                terms[k, vm] = Rat(h, factorial(la.size) * zee(la) * 2 ** k * factorial(k))
+        return Series(FAMILY_P, cap_weight, cap_aux, terms)
     return _cached(("H_simple", cap_weight, cap_aux), build)
 
 

@@ -367,7 +367,7 @@ class Series:
             out = out + piece
         return out
 
-    # -- exp / log / inverse --------------------------------------------
+    # -- exp / inverse --------------------------------------------------
 
     def exp(self):
         """exp of a series with zero constant term."""
@@ -382,20 +382,6 @@ class Series:
             if term.is_zero():
                 break
             acc = acc + term
-        return acc
-
-    def log(self):
-        """log of a series with constant term 1."""
-        if self.constant_term() != 1:
-            raise ValueError("log needs constant term 1")
-        x = self - 1
-        acc = Series.zero(self.family, self.cap_weight, self.cap_aux)
-        term = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
-        for k in range(1, self.cap_weight + self.cap_aux + 1):
-            term = term * x
-            if term.is_zero():
-                break
-            acc = acc + term * Rat((-1) ** (k + 1), k)
         return acc
 
     def inverse(self):

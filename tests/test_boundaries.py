@@ -8,7 +8,7 @@ from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.symfunc import hook_sum_identity_check
 from taulab.diffops import TOp, ZOp
 from taulab.hierarchy import cut_and_join
-from taulab.hodge import a_coeff, f_moduli, derivative_transform_elsv
+from taulab.hodge import a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge
 from taulab.pic import derivative_transform_pic
 
 P1 = Series.variable(FAMILY_P, 1, 4, 2)
@@ -22,6 +22,7 @@ BAD_CALLS = {
     "a_coeff(0,-1)": (a_coeff, 0, -1),
     "f_moduli(3,6)": (f_moduli, 3, 6),
     "f_moduli(-1,6)": (f_moduli, -1, 6),
+    "hurwitz_to_hodge(1,1,max_k=-1)": (hurwitz_to_hodge, 1, 1, -1),
     "derivative_transform_pic(0)": (derivative_transform_pic, 0),
     "derivative_transform_elsv(0)": (derivative_transform_elsv, 0),
     "variable(P,0)": (Series.variable, FAMILY_P, 0, 4, 0),

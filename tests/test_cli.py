@@ -129,10 +129,11 @@ def test_cache_file(tmp_path, capsys, monkeypatch):
     assert cache.exists()
     row = json.loads(cache.read_text().splitlines()[0])
     assert row == {"query": ["onepart", 1, [2]], "value": "1/2"}
-    # second run hits the cache and checks consistency
+    # second run hits the cache, checks consistency and stores nothing
     code, out = run_cli("hurwitz", "--kind", "onepart", "--genus", "1",
                         "--profile", "2", capsys=capsys)
     assert (code, out) == (0, "1/2")
+    assert len(cache.read_text().splitlines()) == 1
 
 
 def test_console_script_entry():

