@@ -11,6 +11,15 @@ and beta to aux^base.  It is used in two pictures, by one engine
 * the u-picture (``hodge``): c(b, d) = (-1)^{d-b+1} / ((d-b+1)! b^{b-1}),
   e(b, d) = -(3b + 2d + 1), base 3 (u^3 = beta, z = u^2).
 
+The engine computes the image one target t-monomial prod_d t_d^{k_d} at a
+time: its coefficient in the image of p^vm = prod_b p_b^{e_b} is
+prod_b e_b! / prod_d k_d! times the sum of prod_i c(b_i, d_i) over the
+b-tuples 1 <= b_i <= d_i + 1 (the d_i listed in order) with multiset vm.
+That sum stays in integers: row d of the table holds s_d c(b, d), with s_d
+the least common denominator of the row (s_d = d! in the q-picture, where
+c(b, d) d! = (-1)^{d-b+1} C(d, b-1)), and the input is put over one
+denominator, so each image coefficient costs one division.
+
 Applied to a series whose beta^m p-monomials are exact to p-weight <= W and
 m <= M, the image coefficient at (aux^j, prod t_{d_i}) is exact iff
 wt = sum (d_i + 1) <= W and j + sum top(d_i) <= base * M, where
@@ -35,17 +44,13 @@ With the hook form of h_{g; b} (see hurwitz) and c(b, d) / b =
 
 from __future__ import annotations
 
-from math import comb, factorial
+from bisect import bisect_right
+from collections import Counter
+from math import comb, factorial, lcm, prod
 
 from .partitions import partitions_of
 from .series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
 from .hurwitz import _hook_sum
-
-
-def _top(aux_exp, mono):
-    """sum top(d_i) over a t-monomial: the aux exponent its factors lose
-    from their largest sources p_{d_i + 1}."""
-    return -sum(aux_exp(d + 1, d) * e for d, e in mono)
 
 
 class Laurent:
@@ -66,11 +71,10 @@ class Laurent:
     def slice(self, j):
         """t-polynomial at aux^j, as a family T_Q series with aux 0, exact
         to the largest weight whose monomials all lie on the staircase."""
-        # worst[w]: the largest _top over t-monomials of weight w
+        # worst[w]: the largest sum top(d_i) over t-monomials of weight w
         worst = [0]
         for w in range(1, self.w_cap + 1):
-            worst.append(max(_top(self.aux_exp, ((d, 1),)) + worst[w - d - 1]
-                             for d in range(w)))
+            worst.append(max(worst[w - d - 1] - self.aux_exp(d + 1, d) for d in range(w)))
         w = self.w_cap
         while w > 0 and j + worst[w] > self.base * self.m_cap:
             w -= 1
@@ -90,44 +94,57 @@ def _change_variables(series, w_cap, coeff, aux_exp, base):
     """Image of a family-P series under p_b -> sum_{d >= b-1} coeff(b, d)
     aux^{aux_exp(b, d)} t_d, beta -> aux^base, kept on its exact staircase.
 
-    Each distinct p-monomial is expanded once and then shifted by base * m
-    for every beta^m that carries it."""
+    One integer sum per target t-monomial (module docstring).  The targets
+    are walked depth first, d_1 <= d_2 <= ..., so each extends its parent's
+    sums by one row of the table."""
     if series.family != FAMILY_P:
         raise ValueError("the change of variables needs a family-P series, "
                          "got family %s" % series.family)
+    if w_cap is not None and w_cap < 0:
+        raise ValueError("w_cap must be >= 0, got %d" % w_cap)
     w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
+    # the input as integers over den, keyed by the sorted b-tuple of each
+    # p-monomial p^vm, each numerator times prod_b e_b!
+    den = lcm(*(c.denominator for c in series.terms.values()))
     powers = {}
     for (m, vm), c in series.terms.items():
-        powers.setdefault(vm, []).append((m, c))
+        n = c.numerator * (den // c.denominator) * prod(factorial(e) for _, e in vm)
+        powers.setdefault(tuple(b for b, e in vm for _ in range(e)), []).append((m, n))
+    rows = []  # rows[d]: (s_d, [(b, s_d coeff(b, d), aux_exp(b, d))])
+    for d in range(w_eff):
+        cs = [(b, coeff(b, d), aux_exp(b, d)) for b in range(1, d + 2)]
+        s = lcm(*(c.denominator for _, c, _ in cs))
+        rows.append((s, [(b, int(c * s), a) for b, c, a in cs if c]))
+    cap = base * series.cap_aux
     out = {}
-    for vm, pairs in powers.items():
-        bs = [b for b, e in vm for _ in range(e)]
-        expansion = {}
-        mono = {}
 
-        def assign(idx, budget, cc, e):
-            if idx == len(bs):
-                key = (e, tuple(sorted(mono.items())))
-                expansion[key] = expansion.get(key, 0) + cc
-                return
-            b = bs[idx]
-            for d in range(b - 1, budget):
-                mono[d] = mono.get(d, 0) + 1
-                assign(idx + 1, budget - (d + 1), cc * coeff(b, d), e + aux_exp(b, d))
-                mono[d] -= 1
-                if not mono[d]:
-                    del mono[d]
+    def visit(sums, tm, w, scale, top):
+        # sums: {(b-tuple, aux exponent): integer sum over the b-tuples};
+        # scale = prod_d s_d^{k_d} k_d!, top = sum_i top(d_i)
+        acc = {}
+        for (bs, e), v in sums.items():
+            for m, n in powers.get(bs, ()):
+                j = base * m + e
+                if j + top <= cap:  # the staircase
+                    acc[j] = acc.get(j, 0) + n * v
+        for j, a in acc.items():
+            if a:
+                out[(j, tm)] = Rat(a, den * scale)
+        for d in range(tm[-1][0] if tm else 0, w_eff - w):
+            s, row = rows[d]
+            nxt = {}
+            for (bs, e), v in sums.items():
+                for b, c, a in row:
+                    i = bisect_right(bs, b)
+                    key = (bs[:i] + (b,) + bs[i:], e + a)
+                    nxt[key] = nxt.get(key, 0) + v * c
+            k = tm[-1][1] + 1 if tm and tm[-1][0] == d else 1
+            visit({key: v for key, v in nxt.items() if v},
+                  tm[:len(tm) - (k > 1)] + ((d, k),), w + d + 1, scale * s * k,
+                  top - aux_exp(d + 1, d))
 
-        assign(0, w_eff, Rat(1), 0)
-        for (e, tm), cc in expansion.items():
-            # room left on the staircase once beta^m is shifted in
-            room = base * series.cap_aux - e - _top(aux_exp, tm)
-            for m, c in pairs:
-                if base * m <= room:
-                    key = (base * m + e, tm)
-                    out[key] = out.get(key, 0) + c * cc
-    return Laurent({k: v for k, v in out.items() if v}, w_eff, series.cap_aux,
-                   base, aux_exp)
+    visit({((), 0): 1}, (), 0, 1, 0)
+    return Laurent(out, w_eff, series.cap_aux, base, aux_exp)
 
 
 def chvar_coeff(b, d):
@@ -231,33 +248,18 @@ def genus_table(g):
 
 def _monomials_up_to_weight(W):
     """All t-monomials with sum (d+1) e_d <= W, as {d: e} dicts."""
-    out = []
-    for w in range(W + 1):
-        for la in partitions_of(w):
-            mono = {}
-            for part in la.parts:
-                mono[part - 1] = mono.get(part - 1, 0) + 1
-            out.append(mono)
-    return out
+    return [dict(Counter(part - 1 for part in la.parts))
+            for w in range(W + 1) for la in partitions_of(w)]
 
 
 def _mono_factorials(mono):
-    out = 1
-    for e in mono.values():
-        out *= factorial(e)
-    return out
+    return prod(factorial(e) for e in mono.values())
 
 
 def _bracket_series(W, extra):
     """Coefficient of prod t_d^{e_d} is <tau_extra prod tau_d^{e_d}> / prod e_d!."""
-    items = []
-    for mono in _monomials_up_to_weight(W):
-        ds = list(extra)
-        for d, e in mono.items():
-            ds.extend([d] * e)
-        v = bracket(tuple(ds))
-        if v:
-            items.append((0, mono, v / _mono_factorials(mono)))
+    items = [(0, mono, bracket(extra + tuple(Counter(mono).elements()))
+              / _mono_factorials(mono)) for mono in _monomials_up_to_weight(W)]
     return Series.from_terms(FAMILY_TQ, W, 0, items)
 
 
@@ -274,17 +276,13 @@ def u_series(W):
 # -- string / dilaton / L_t ------------------------------------------------------
 
 
-def _coeff(F, mono):
-    return F.coeff(0, mono)
-
-
 def _lowered(F, mono):
     """Coefficient of the monomial in sum_{d >= 1} t_d dF/dt_{d-1}."""
     acc = Rat(0)
     for d in mono:
         if d >= 1:
             stripped = _bump(mono, d, -1)
-            acc += (stripped.get(d - 1, 0) + 1) * _coeff(F, _bump(stripped, d - 1))
+            acc += (stripped.get(d - 1, 0) + 1) * F.coeff(0, _bump(stripped, d - 1))
     return acc
 
 
@@ -313,7 +311,7 @@ def string_check(F, source=STRING_SOURCE_PIC):
     source = source or {}
     for mono in _monomials_up_to_weight(W - 1):
         e0 = mono.get(0, 0)
-        lhs = (e0 + 1) * _coeff(F, _bump(mono, 0))
+        lhs = (e0 + 1) * F.coeff(0, _bump(mono, 0))
         rhs = source.get(tuple(sorted(mono.items())), Rat(0)) + _lowered(F, mono)
         if lhs != rhs:
             return False
@@ -325,9 +323,9 @@ def dilaton_check(F):
     W = F.cap_weight
     for mono in _monomials_up_to_weight(W - 2):
         e1 = mono.get(1, 0)
-        lhs = (e1 + 1) * _coeff(F, _bump(mono, 1))
+        lhs = (e1 + 1) * F.coeff(0, _bump(mono, 1))
         weight = sum((d + 1) * e for d, e in mono.items())
-        rhs = Rat(weight, 2) * _coeff(F, mono) - Rat(1, 2) * _coeff(F, mono)
+        rhs = Rat(weight, 2) * F.coeff(0, mono) - Rat(1, 2) * F.coeff(0, mono)
         if lhs != rhs:
             return False
     return True
@@ -340,13 +338,13 @@ def lt_first_identity_check(F):
     for mono in _monomials_up_to_weight(W - 2):
         weight = sum((d + 1) * e for d, e in mono.items())
         # q^0 part: Euler operator sum (d+1) t_d d/dt_d
-        lhs0 = Rat(weight) * _coeff(F, mono)
-        rhs0 = _coeff(F, mono) + 2 * (mono.get(1, 0) + 1) * _coeff(F, _bump(mono, 1))
+        lhs0 = Rat(weight) * F.coeff(0, mono)
+        rhs0 = F.coeff(0, mono) + 2 * (mono.get(1, 0) + 1) * F.coeff(0, _bump(mono, 1))
         if lhs0 != rhs0:
             return False
         # q^{-1} part: sum_{d>=1} t_d d/dt_{d-1}
         lhs1 = _lowered(F, mono)
-        rhs1 = (mono.get(0, 0) + 1) * _coeff(F, _bump(mono, 0))
+        rhs1 = (mono.get(0, 0) + 1) * F.coeff(0, _bump(mono, 0))
         if mono == {0: 2}:
             rhs1 -= Rat(1, 2)
         if lhs1 != rhs1:
@@ -360,13 +358,13 @@ def lt_second_identity_check(F):
     G = F.partial(0)
     for mono in _monomials_up_to_weight(W - 3):
         weight = sum((d + 1) * e for d, e in mono.items())
-        lhs0 = Rat(weight) * _coeff(G, mono)
+        lhs0 = Rat(weight) * G.coeff(0, mono)
         rhs0 = 2 * (mono.get(0, 0) + 1) * (mono.get(1, 0) + 1) * \
-            _coeff(F, _bump(_bump(mono, 0), 1))
+            F.coeff(0, _bump(_bump(mono, 0), 1))
         if lhs0 != rhs0:
             return False
         lhs1 = _lowered(G, mono)
-        rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * _coeff(F, _bump(mono, 0, 2))
+        rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * F.coeff(0, _bump(mono, 0, 2))
         if mono == {0: 1}:
             rhs1 -= 1
         if lhs1 != rhs1:
@@ -380,15 +378,8 @@ def lt_second_identity_check(F):
 def u_in_T(W):
     """U re-expressed in T_i = t_{i-1}/(i-1)!: a family-P style series in
     the T variables (weight(T_i) = i), suitable for the Hirota machinery."""
-    U = u_series(W)
-    items = []
-    for (aux, vm), c in U.terms.items():
-        scale = Rat(1)
-        tv = {}
-        for d, e in vm:
-            scale *= Rat(factorial(d)) ** e
-            tv[d + 1] = e
-        items.append((0, tv, c * scale))
+    items = [(0, {d + 1: e for d, e in vm}, c * prod(factorial(d) ** e for d, e in vm))
+             for (_, vm), c in u_series(W).terms.items()]
     return Series.from_terms(FAMILY_P, W, 0, items)
 
 

@@ -30,11 +30,12 @@ FAMILIES = (FAMILY_P, FAMILY_TQ, FAMILY_TU)
 
 # The process-wide memo of every layer.  Each key starts with a tag naming
 # its use ("char", "bracket", "d_mu", "H_simple", ...), so uses cannot
-# collide.  Values are immutable once stored: a build runs outside the lock
-# (builds nest) and is stored under it, so two threads may build the same
-# key, but both store the same value.
+# collide.  Values are immutable once stored.  A hit takes no lock; a miss
+# builds under its key's own lock, so each key is built once, and a nested
+# build takes its own key's lock (``_memo_lock`` guards only ``_key_locks``).
 _memo = {}
 _memo_lock = threading.Lock()
+_key_locks = {}
 
 
 def _cached(key, build, *args):
@@ -42,9 +43,14 @@ def _cached(key, build, *args):
     rather than a closure, so a hit creates no function object."""
     got = _memo.get(key)
     if got is None:
-        got = build(*args)
         with _memo_lock:
-            _memo[key] = got
+            lock = _key_locks.setdefault(key, threading.RLock())
+        with lock:
+            got = _memo.get(key)
+            if got is None:
+                got = _memo[key] = build(*args)
+        with _memo_lock:
+            _key_locks.pop(key, None)
     return got
 
 

@@ -7,6 +7,9 @@
   cut-and-join equation alone (Goulden-Jackson, "Transitive factorizations
   into transpositions and holomorphic mappings on the sphere", 1997), with no
   characters.
+* ``expand_then_cancel``: the change of variables of ``pic`` by its literal
+  definition, expanding every p-monomial into every t-monomial it reaches
+  and letting the image cancel.
 """
 
 from fractions import Fraction as F
@@ -15,7 +18,8 @@ from math import factorial
 from taulab.hierarchy import cut_and_join
 from taulab.hurwitz import _exp_schur_sum
 from taulab.partitions import partitions_upto
-from taulab.series import Series, FAMILY_P, vm_mul, vm_weight
+from taulab.pic import Laurent
+from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight
 from taulab.symfunc import dimension
 
 
@@ -69,3 +73,53 @@ def cut_and_join_simple_series(cap_weight, cap_aux):
         slices.append({vm: c / (k + 1) for vm, c in nxt.items() if c})
     return Series(FAMILY_P, cap_weight, cap_aux,
                   {(k, vm): c for k, sl in enumerate(slices) for vm, c in sl.items()})
+
+
+def _top(aux_exp, mono):
+    """sum top(d_i) over a t-monomial: the aux exponent its factors lose
+    from their largest sources p_{d_i + 1}."""
+    return -sum(aux_exp(d + 1, d) * e for d, e in mono)
+
+
+def expand_then_cancel(series, w_cap, coeff, aux_exp, base):
+    """Image of a family-P series under p_b -> sum_{d >= b-1} coeff(b, d)
+    aux^{aux_exp(b, d)} t_d, beta -> aux^base, kept on its exact staircase.
+
+    Each distinct p-monomial is expanded once and then shifted by base * m
+    for every beta^m that carries it."""
+    if series.family != FAMILY_P:
+        raise ValueError("the change of variables needs a family-P series, "
+                         "got family %s" % series.family)
+    w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
+    powers = {}
+    for (m, vm), c in series.terms.items():
+        powers.setdefault(vm, []).append((m, c))
+    out = {}
+    for vm, pairs in powers.items():
+        bs = [b for b, e in vm for _ in range(e)]
+        expansion = {}
+        mono = {}
+
+        def assign(idx, budget, cc, e):
+            if idx == len(bs):
+                key = (e, tuple(sorted(mono.items())))
+                expansion[key] = expansion.get(key, 0) + cc
+                return
+            b = bs[idx]
+            for d in range(b - 1, budget):
+                mono[d] = mono.get(d, 0) + 1
+                assign(idx + 1, budget - (d + 1), cc * coeff(b, d), e + aux_exp(b, d))
+                mono[d] -= 1
+                if not mono[d]:
+                    del mono[d]
+
+        assign(0, w_eff, Rat(1), 0)
+        for (e, tm), cc in expansion.items():
+            # room left on the staircase once beta^m is shifted in
+            room = base * series.cap_aux - e - _top(aux_exp, tm)
+            for m, c in pairs:
+                if base * m <= room:
+                    key = (base * m + e, tm)
+                    out[key] = out.get(key, 0) + c * cc
+    return Laurent({k: v for k, v in out.items() if v}, w_eff, series.cap_aux,
+                   base, aux_exp)

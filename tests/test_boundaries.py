@@ -8,8 +8,9 @@ from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.symfunc import hook_sum_identity_check
 from taulab.diffops import TOp, ZOp
 from taulab.hierarchy import cut_and_join
-from taulab.hodge import a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge
-from taulab.pic import derivative_transform_pic
+from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
+                          transform_p_to_tu, chvar_elsv)
+from taulab.pic import derivative_transform_pic, transform_p_to_tq, chvar_pic
 
 P1 = Series.variable(FAMILY_P, 1, 4, 2)
 
@@ -33,6 +34,11 @@ BAD_CALLS = {
     "cut_and_join(T_Q)": (cut_and_join, Series.variable(FAMILY_TQ, 0, 4, 0)),
     "ZOp.exp(z^0 part)": (ZOp.exp, ZOp({0: TOp.single((), (), 1)}), 2),
     "hook_sum_identity_check(0)": (hook_sum_identity_check, 0),
+    # a negative weight cap used to return an empty image, failing only at slice
+    "transform_p_to_tq(w_cap=-1)": (transform_p_to_tq, P1, -1),
+    "transform_p_to_tu(w_cap=-1)": (transform_p_to_tu, P1, -1),
+    "chvar_pic(w_cap=-1)": (chvar_pic, P1, -1),
+    "chvar_elsv(w_cap=-1)": (chvar_elsv, P1, -1),
 }
 
 

@@ -12,7 +12,9 @@ from taulab.pic import (transform_p_to_tq, chvar_pic, lp2_h_unst_transformed,
                         bracket, genus_table, f_series, u_series, u_in_T,
                         string_check, dilaton_check, lt_first_identity_check,
                         lt_second_identity_check, u_hierarchy_residuals,
-                        psi_expansion_check, chvar_coeff)
+                        psi_expansion_check, chvar_coeff, _q_exp)
+from taulab.hodge import transform_p_to_tu, elsv_chvar_coeff, _u_exp, h_simple_stable
+from oracles import expand_then_cancel
 
 GOLDEN = {
     (0, 0, 0): F(1),
@@ -101,8 +103,9 @@ def test_transform_h_st_has_only_positive_q():
 
 def test_double_extraction_bracket_vs_transform():
     # weight 12 covers every bracket with g <= 2, n <= 3, sum d <= 9;
-    # weight 13 adds the genus-3 coefficients with one or two points
-    for W, M in ((12, 7), (13, 7)):
+    # weight 13 adds the genus-3 coefficients with one or two points,
+    # weight 15 those with up to three
+    for W, M in ((12, 7), (13, 7), (15, 8)):
         H = h_onepart_series(W, M)
         H_st = H - h_unst_onepart(W, M)
         img = chvar_pic(H_st, q_floor=1)
@@ -110,6 +113,41 @@ def test_double_extraction_bracket_vs_transform():
         assert got_F.cap_weight == W
         want_F = f_series(got_F.cap_weight)
         assert got_F == want_F
+
+
+def test_genus4_transform_matches_brackets():
+    # weight 17 reaches the genus-4 brackets (4g = sum d - n + 3) with one
+    # or two points
+    W, M = 17, 9
+    img = chvar_pic(h_onepart_series(W, M) - h_unst_onepart(W, M), q_floor=1)
+    assert img.lowest() == 1
+    got_F = img.q_slice(1)
+    assert got_F.cap_weight == W
+    assert got_F == f_series(W)
+    assert got_F.coeff(0, {14: 1}) == bracket((14,)) != 0
+
+
+PICTURES = {"q": (transform_p_to_tq, (chvar_coeff, _q_exp, 2)),
+            "u": (transform_p_to_tu, (elsv_chvar_coeff, _u_exp, 3))}
+ORACLE_CASES = {  # name: (input series, w_cap, picture)
+    "q(10,6)": (lambda: h_onepart_series(10, 6) - h_unst_onepart(10, 6), None, "q"),
+    "lp2 q(9,5)": (lambda: lp(lp(h_onepart_series(9, 5))), None, "q"),
+    "u(8,10)": (lambda: h_simple_stable(8, 10), None, "u"),
+    "q(10,6) w_cap 7": (lambda: h_onepart_series(10, 6) - h_unst_onepart(10, 6), 7, "q"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_change_of_variables_matches_expand_then_cancel(case):
+    # the per-target sum against the literal definition, term by term
+    build, w_cap, picture = case
+    H = build()
+    transform, args = PICTURES[picture]
+    img = transform(H, w_cap)
+    want = expand_then_cancel(H, w_cap, *args)
+    assert img.terms and img.terms == want.terms
+    assert (img.w_cap, img.m_cap) == (want.w_cap, want.m_cap)
+    assert img.w_cap == (H.cap_weight if w_cap is None else w_cap)
 
 
 def test_lp2h_transform_gives_u_at_q_minus_one():

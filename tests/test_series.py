@@ -1,9 +1,12 @@
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
+from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
 from oracles import series_log
 
 
@@ -137,3 +140,42 @@ def test_substitute_is_ring_morphism(a, b):
     lhs = (a * b).substitute(images)
     rhs = a.substitute(images) * b.substitute(images)
     assert lhs == rhs
+
+
+def test_memo_builds_each_key_once_under_threads():
+    # 8 threads ask for one fresh key whose build nests a second fresh key,
+    # which 8 more threads ask for directly: each key is built once, and
+    # every thread gets the same object
+    outer, inner = ("test-thread-outer", object()), ("test-thread-inner", object())
+    builds = {outer: 0, inner: 0}
+    count_lock = threading.Lock()
+    start = threading.Barrier(16, timeout=10)
+
+    def build(key, nested):
+        with count_lock:
+            builds[key] += 1
+        time.sleep(0.05)  # keep the other threads waiting on the miss
+        return (object(), _cached(nested, build, nested, None)) if nested else object()
+
+    got = [None] * 16
+
+    def ask(i):
+        start.wait()
+        got[i] = _cached(outer, build, outer, inner) if i < 8 else \
+            _cached(inner, build, inner, None)
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == {outer: 1, inner: 1}
+    assert all(g is got[0] for g in got[:8])
+    assert all(g is got[8] for g in got[8:])
+    assert got[0][1] is got[8]
