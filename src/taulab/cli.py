@@ -143,11 +143,13 @@ def _verify_hirota(args):
     return res.is_zero(), "max weight checked: %d" % res.cap_weight
 
 
-def _region(args, items):
-    """The diagrams a suite checks; an empty region is a usage error."""
+def _region(args, items, bound="max_size"):
+    """The items a suite checks up to args.<bound>; an empty region is a
+    usage error."""
     if not items:
-        raise ValueError("verify %s: --max-size %d checks an empty region; "
-                         "raise --max-size" % (args.suite, args.max_size))
+        flag = "--" + bound.replace("_", "-")
+        raise ValueError("verify %s: %s %d checks an empty region; raise %s"
+                         % (args.suite, flag, getattr(args, bound), flag))
     return items
 
 
@@ -167,15 +169,13 @@ def _verify_char_identity(args):
 
 
 def _verify_descent(args):
-    want = {(2, 2): "0", (2, 3): "2 Hir_{2,2}", (3, 3): "1 Hir_{2,3}"}
-    for (i, j) in want:
+    hi = args.max_ij
+    sweep = _region(args, [(i, j) for i in range(2, hi + 1)
+                           for j in range(i, hi + 1)], "max_ij")
+    # the three displayed relations are checked at every --max-ij
+    for (i, j) in [(2, 2), (2, 3), (3, 3)] + sweep:
         if not hierarchy.hirota_descent_check(i, j):
             return False, "failed at (%d, %d)" % (i, j)
-    hi = args.max_ij
-    for i in range(2, hi + 1):
-        for j in range(i, hi + 1):
-            if not hierarchy.hirota_descent_check(i, j):
-                return False, "failed at (%d, %d)" % (i, j)
     return True, "descent relations hold through i, j <= %d" % hi
 
 

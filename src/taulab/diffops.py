@@ -1,6 +1,11 @@
 """Finite differential operators.
 
-Two flavors are used:
+``evaluate`` is the one evaluator of polynomials in partial derivatives of
+one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
+through it.  Within a call it computes each derivative d^eta F once, as one
+partial derivative of d^{eta[:-1]} F, and drops that table on return.
+
+Two flavors of operator are used:
 
 * ``DPoly``: a polynomial with rational coefficients in commuting derivative
   symbols d_1, d_2, ... (weight(d_i) = i).  Viewed as a constant-coefficient
@@ -20,6 +25,32 @@ from itertools import product
 from math import comb
 
 from .series import Series, Rat
+
+
+def evaluate(poly, fs):
+    """sum c * prod_r d^{eta_r} fs[s_r] for poly {((s_1, eta_1), ...): c}.
+
+    Each eta is a sorted index tuple and fs maps each slice s to a Series.
+    The caps of the result are the least over the first series of fs and
+    every factor; a derivative heavier than its remaining cap is refused by
+    ``Series.partial``."""
+    some = next(iter(fs.values()))
+    table = {}
+
+    def derivative(s, eta):
+        got = table.get((s, eta))
+        if got is None:
+            got = derivative(s, eta[:-1]).partial(eta[-1]) if eta else fs[s]
+            table[(s, eta)] = got
+        return got
+
+    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    for key, c in poly.items():
+        piece = Series.constant(some.family, some.cap_weight, some.cap_aux, c)
+        for s, eta in key:
+            piece = piece * derivative(s, eta)
+        out = out + piece
+    return out
 
 
 def _mono_mul(a, b):
@@ -90,10 +121,8 @@ class DPoly:
         return not self.terms
 
     def apply(self, series):
-        out = Series.zero(series.family, series.cap_weight, series.cap_aux)
-        for mono, c in self.terms.items():
-            out = out + series.partial_multi(mono) * c
-        return out
+        return evaluate({((0, mono),): c for mono, c in self.terms.items()},
+                        {0: series})
 
     def s_action(self):
         """S = sum_i i d_i d/dd_{i+1}, acting on the polynomial."""
@@ -148,10 +177,9 @@ class BForm:
         return BForm([(c * k, a, b) for k, a, b in self.parts])
 
     def apply(self, tau):
-        out = Series.zero(tau.family, tau.cap_weight, tau.cap_aux)
-        for c, a, b in self.parts:
-            out = out + (a.apply(tau) * b.apply(tau)) * c
-        return out
+        return evaluate({((0, m1), (0, m2)): c
+                         for (m1, m2), c in self.canonical_pairs().items()},
+                        {0: tau})
 
     def canonical_pairs(self):
         """Unordered expansion dict {(mono_min, mono_max): coeff}."""

@@ -9,6 +9,10 @@ Hir_{i,j}(tau) = D_{()}tau * D_{(j,i)}tau - D_{(i-1)}tau * D_{(j,1)}tau
 
 KP_{i,j}(F) = Hir_{i,j}(e^F) / e^{2F}; LKP_{i,j} is its linear part, which
 works out to the single operator D_{(j,i)}.
+
+Every residual here is a polynomial in derivatives of one series, and
+``diffops.evaluate`` computes all of them: Hir and LKP through
+``BForm.apply`` and ``DPoly.apply``, KP in closed form directly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
 from .series import Series, Rat, FAMILY_P, _cached
-from .diffops import DPoly, BForm
+from .diffops import DPoly, BForm, evaluate
 
 
 def d_mu(mu):
@@ -73,7 +77,8 @@ def kp_residual(i, j, F, method="exp"):
         tau = F.exp()
         return hirota_residual(i, j, tau) * (F * Rat(-2)).exp()
     if method == "closed":
-        return eval_fpoly(kp_form(i, j), F)
+        return evaluate({tuple((0, eta) for eta in key): c
+                         for key, c in kp_form(i, j).items()}, {0: F})
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -81,7 +86,8 @@ def kp_residual(i, j, F, method="exp"):
 #
 # An FPoly is a dict {(eta_1, eta_2, ...): coeff} where each eta is a sorted
 # tuple of p-indices and the key tuple is sorted; it denotes
-# sum coeff * prod_r (d^{|eta_r|} F / d p_{eta_r}).
+# sum coeff * prod_r (d^{|eta_r|} F / d p_{eta_r}), which diffops.evaluate
+# computes with every factor on the one slice F.
 
 
 def fpoly_mul(a, b):
@@ -138,21 +144,6 @@ def kp_form(i, j):
 def lkp_form(i, j):
     """Terms of kp_form with exactly one derivative factor."""
     return {k: v for k, v in kp_form(i, j).items() if len(k) == 1}
-
-
-def eval_fpoly(fp, F):
-    out = Series.zero(F.family, F.cap_weight, F.cap_aux)
-    cache = {}
-    for key, c in fp.items():
-        piece = Series.constant(F.family, F.cap_weight, F.cap_aux, 1)
-        for eta in key:
-            got = cache.get(eta)
-            if got is None:
-                got = F.partial_multi(eta)
-                cache[eta] = got
-            piece = piece * got
-        out = out + piece * c
-    return out
 
 
 # -- cut-and-join --------------------------------------------------------------

@@ -28,8 +28,8 @@ from __future__ import annotations
 from itertools import product
 from math import comb, factorial
 
-from .series import Series, Rat, _cached
-from .diffops import TOp, ZOp
+from .series import Rat, _cached
+from .diffops import TOp, ZOp, evaluate
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
                       h_unst_simple, _tensor_fit, _tensor_eval)
 from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
@@ -419,21 +419,6 @@ def _distribute(eq, qhats, k):
     return {key: v for key, v in out.items() if v}
 
 
-def eval_moduli_poly(eq, fs):
-    """Evaluate {multiset of (slice, eta): coeff} on series fs[slice]."""
-    some = next(iter(fs.values()))
-    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
-    for key, c in eq.items():
-        piece = None
-        for slice_k, eta in key:
-            part = fs[slice_k].partial_multi(eta)
-            piece = part if piece is None else piece * part
-        if piece is None:
-            piece = Series.constant(some.family, some.cap_weight, some.cap_aux, 1)
-        out = out + piece * c
-    return out
-
-
 # -- displayed hierarchy equations on the moduli series ------------------------------
 
 # Each equation is {z: {multiset of bold-F derivative etas: coeff}} with the
@@ -511,8 +496,7 @@ def kdv_zpart_as_moduli_poly(name, zk, kmax):
 def kdv_check(name, zk, fs):
     """Verify the z^zk part of a displayed equation on the given moduli
     series; returns the residual (zero on the exactly-checked region)."""
-    poly = kdv_zpart_as_moduli_poly(name, zk, max(fs))
-    return eval_moduli_poly(poly, fs)
+    return evaluate(kdv_zpart_as_moduli_poly(name, zk, max(fs)), fs)
 
 
 # -- PDE route: solve bracket values from the equations alone ------------------------

@@ -101,17 +101,6 @@ class HurwitzQuery:
 # -- brute force ---------------------------------------------------------------
 
 
-def _transpositions(d):
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
-def _apply_transposition(perm, t):
-    i, j = t
-    lst = list(perm)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
-
-
 def _cycle_type_of(perm):
     return Partition.from_multiset(len(cyc) for cyc in _cycles_of(perm))
 
@@ -137,57 +126,37 @@ def hurwitz_bruteforce(q):
     if m < 0:
         return Rat(0)
     target = q.cycle_type
-    labelings = aut_order(target)
-    transpositions = _transpositions(d)
-    identity = tuple(range(d))
-
+    transpositions = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    full = (tuple(range(d)),)
+    # DP over (running product sigma tau_1 ... tau_k, partition of the sheets
+    # the factors generated so far), to filter for connectedness at the end.
+    # A one-part sigma is a d-cycle, so its sheets start in one block.
     if q.kind == ONEPART:
-        # DP over the running product sigma tau_1 ... tau_k
-        total = 0
-        for sigma in permutations(range(d)):
-            if len(_cycle_type_of(sigma)) != 1:
-                continue
-            state = {sigma: 1}
-            for _ in range(m):
-                nxt = {}
-                for perm, cnt in state.items():
-                    for t in transpositions:
-                        np = _apply_transposition(perm, t)
-                        nxt[np] = nxt.get(np, 0) + cnt
-                state = nxt
-            for perm, cnt in state.items():
-                # pi = perm^{-1}; same cycle type as perm
-                if _cycle_type_of(perm) == target:
-                    total += cnt
-        return Rat(total * labelings, factorial(d))
-
-    # simple kind: track the partition of sheets generated by the
-    # transpositions so far, to filter for connectedness at the end
-    start_blocks = tuple((i,) for i in range(d))
-    state = {(identity, start_blocks): 1}
+        state = {(sigma, full): 1 for sigma in permutations(range(d))
+                 if len(_cycle_type_of(sigma)) == 1}
+    else:
+        state = {(tuple(range(d)), tuple((i,) for i in range(d))): 1}
     for _ in range(m):
         nxt = {}
         for (perm, blocks), cnt in state.items():
-            for t in transpositions:
-                np = _apply_transposition(perm, t)
-                nb = _merge_blocks(blocks, t[0], t[1])
-                key = (np, nb)
+            for i, j in transpositions:
+                np = list(perm)
+                np[i], np[j] = np[j], np[i]
+                key = (tuple(np), _merge_blocks(blocks, i, j))
                 nxt[key] = nxt.get(key, 0) + cnt
         state = nxt
-    full = tuple((tuple(range(d)),))
     total = 0
     for (perm, blocks), cnt in state.items():
+        # pi = perm^{-1} has the cycle type of perm and joins its own cycles
         if _cycle_type_of(perm) != target:
             continue
-        # pi = perm^{-1} joins its own cycles into the orbit structure
         joined = blocks
-        pi_cycles = _cycles_of(perm)
-        for cyc in pi_cycles:
+        for cyc in _cycles_of(perm):
             for x in cyc[1:]:
                 joined = _merge_blocks(joined, cyc[0], x)
         if joined == full:
             total += cnt
-    return Rat(total * labelings, factorial(d))
+    return Rat(total * aut_order(target), factorial(d))
 
 
 def _cycles_of(perm):

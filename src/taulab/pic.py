@@ -333,23 +333,10 @@ def dilaton_check(F):
 
 def lt_first_identity_check(F):
     """L_t F = F + 2 dF/dt_1 + (1/sqrt(beta)) (dF/dt_0 - t_0^2/2),
-    split into the q^0 and q^{-1} parts, coefficient-wise."""
-    W = F.cap_weight
-    for mono in _monomials_up_to_weight(W - 2):
-        weight = sum((d + 1) * e for d, e in mono.items())
-        # q^0 part: Euler operator sum (d+1) t_d d/dt_d
-        lhs0 = Rat(weight) * F.coeff(0, mono)
-        rhs0 = F.coeff(0, mono) + 2 * (mono.get(1, 0) + 1) * F.coeff(0, _bump(mono, 1))
-        if lhs0 != rhs0:
-            return False
-        # q^{-1} part: sum_{d>=1} t_d d/dt_{d-1}
-        lhs1 = _lowered(F, mono)
-        rhs1 = (mono.get(0, 0) + 1) * F.coeff(0, _bump(mono, 0))
-        if mono == {0: 2}:
-            rhs1 -= Rat(1, 2)
-        if lhs1 != rhs1:
-            return False
-    return True
+    split into the q^0 and q^{-1} parts, coefficient-wise.  The q^0 part is
+    twice the dilaton equation, the q^{-1} part the string equation with
+    its t_0^2/2 source."""
+    return string_check(F) and dilaton_check(F)
 
 
 def lt_second_identity_check(F):

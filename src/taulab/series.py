@@ -310,12 +310,6 @@ class Series:
             out[key] = out.get(key, Rat(0)) + e * c
         return Series(fam, self.cap_weight - wvar, self.cap_aux, out)
 
-    def partial_multi(self, indices):
-        s = self
-        for i in indices:
-            s = s.partial(i)
-        return s
-
     def aux_shift(self, k):
         """Multiply by aux^k (k >= 0)."""
         if k < 0:

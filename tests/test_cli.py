@@ -179,6 +179,8 @@ def test_clean_error_for_invalid_method_combination(capsys):
     "verify corner --max-size -1",
     "verify weight-flow --max-size -1",
     "verify char-identity --max-size 0",
+    "verify descent --max-ij 1",
+    "verify descent --max-ij -3",
 ])
 def test_malformed_input_exits_2(argv, capsys):
     code = main(argv.split())

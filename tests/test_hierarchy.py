@@ -1,9 +1,13 @@
 from fractions import Fraction as F
 
+import pytest
+
 from taulab.partitions import Partition, partitions_of, partitions_upto, cut_and_join_eigenvalue
 from taulab.symfunc import schur_poly
-from taulab.series import Series, Rat, FAMILY_P
-from taulab.diffops import DPoly
+from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
+from taulab.diffops import DPoly, evaluate
+from taulab.hurwitz import h_onepart_series, lp
+from taulab.hodge import conjugated_equation, f_moduli, moduli_caps_for
 from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               lkp_residual, lkp_form, kp_form, kp_residual,
                               fpoly_add, fpoly_mul, fpoly_scale,
@@ -251,3 +255,65 @@ def test_hirota_descent():
 def test_lemma_weight_flow():
     for mu in partitions_upto(6):
         assert weight_flow_equivalence_check(mu), mu
+
+
+# -- the one evaluator of polynomials in derivatives ------------------------------
+
+
+def term_by_term(poly, fs):
+    """sum c * prod d^eta fs[s], each factor its own chain of partials."""
+    some = next(iter(fs.values()))
+    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    for key, c in poly.items():
+        piece = Series.constant(some.family, some.cap_weight, some.cap_aux, c)
+        for s, eta in key:
+            factor = fs[s]
+            for i in eta:
+                factor = factor.partial(i)
+            piece = piece * factor
+        out = out + piece
+    return out
+
+
+def shared_prefix_case():
+    # (0,) and (0, 2) sit on both slices, and (0,), (0, 0), (0, 2) share
+    # prefixes: a table keyed without the slice mixes the two series up
+    a = Series.from_terms(FAMILY_TQ, 9, 2, [
+        (0, {0: 3}, 1), (0, {0: 2, 2: 1}, F(1, 2)), (1, {0: 1, 2: 2}, -3),
+        (0, {0: 1, 1: 1, 2: 1}, 7), (2, {0: 4}, F(2, 5))])
+    b = Series.from_terms(FAMILY_TQ, 8, 2, [
+        (0, {0: 2}, 5), (0, {0: 1, 2: 1}, -1), (1, {0: 2, 2: 1}, F(1, 3)),
+        (0, {0: 3, 1: 1}, 4)])
+    poly = {((0, (0,)), (1, (0,))): F(2), ((0, (0, 0)),): F(-1, 3),
+            ((0, (0, 2)), (1, (0, 2))): F(5), ((1, ()), (1, (0, 0))): F(1),
+            ((0, (0,)), (0, (0, 2))): F(3, 4), (): F(7)}
+    return poly, {0: a, 1: b}
+
+
+def test_evaluate_matches_term_by_term_partials():
+    W = 10
+    M = moduli_caps_for(W, 2)
+    cases = [(conjugated_equation(2, 2, k), {s: f_moduli(s, W, M) for s in range(k + 1)})
+             for k in range(3)]
+    cases.append(shared_prefix_case())
+    for poly, fs in cases:
+        got, want = evaluate(poly, fs), term_by_term(poly, fs)
+        assert got.terms == want.terms
+        assert (got.cap_weight, got.cap_aux) == (want.cap_weight, want.cap_aux)
+    # the conjugated residuals vanish; the hand-made case compares real terms
+    assert not want.is_zero()
+
+
+def test_hirota_residual_caps_and_refusals():
+    # None: some derivative is heavier than its remaining weight cap
+    want = {2: (None, None, None), 3: (None, None, None),
+            4: (0, None, None), 5: (1, 0, None)}
+    for W, caps in want.items():
+        tau = lp(lp(h_onepart_series(W, 6))) + 1
+        for (i, j), cap in zip(((2, 2), (2, 3), (3, 3)), caps):
+            if cap is None:
+                with pytest.raises(ValueError, match="exceeds the remaining weight cap"):
+                    hirota_residual(i, j, tau)
+            else:
+                res = hirota_residual(i, j, tau)
+                assert res.is_zero() and res.cap_weight == cap

@@ -9,8 +9,8 @@ from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           moduli_caps_for, f_moduli, build_L_grade,
                           alpha_coeff, exp_l_equals_L_check, ck_report,
                           LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
-                          khat_22, kpbar_22, conjugated_equation,
-                          eval_moduli_poly, kdv_check)
+                          khat_22, kpbar_22, conjugated_equation, kdv_check)
+from taulab.diffops import evaluate
 from taulab.pic import string_check, derivative_inverse_check
 
 # caps shared by the heavier extraction tests
@@ -190,9 +190,9 @@ def test_extracted_f1_matches_elsv_solve():
 
 def test_conjugated_residuals_vanish_on_extracted_series():
     fs = {0: f_moduli(0, W, M), 1: f_moduli(1, W, M)}
-    r0 = eval_moduli_poly(conjugated_equation(2, 2, 0), {0: fs[0]})
+    r0 = evaluate(conjugated_equation(2, 2, 0), {0: fs[0]})
     assert r0.is_zero()
-    r1 = eval_moduli_poly(conjugated_equation(2, 2, 1), fs)
+    r1 = evaluate(conjugated_equation(2, 2, 1), fs)
     assert r1.is_zero()
     assert r1.cap_weight >= 3  # the checked region is not empty
 
@@ -200,7 +200,7 @@ def test_conjugated_residuals_vanish_on_extracted_series():
 def test_conjugated_residual_vanishes_at_z2():
     # no displayed golden exists at z^2; the extracted series pin it there
     fs = {k: f_moduli(k, W, M) for k in range(3)}
-    r2 = eval_moduli_poly(conjugated_equation(2, 2, 2), fs)
+    r2 = evaluate(conjugated_equation(2, 2, 2), fs)
     assert r2.is_zero()
     assert r2.cap_weight == 4
 

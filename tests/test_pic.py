@@ -210,6 +210,10 @@ def test_lt_identities():
     Fser = f_series(10)
     assert lt_first_identity_check(Fser)
     assert lt_second_identity_check(Fser)
+    # a wrong constant breaks only the q^0 part, a wrong t_0 only the q^{-1}
+    for vm in ((), ((0, 1),)):
+        bad = Fser + Series(Fser.family, Fser.cap_weight, 0, {(0, vm): F(1)})
+        assert not lt_first_identity_check(bad), vm
 
 
 def test_u_in_T_weights():
