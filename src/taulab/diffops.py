@@ -1,5 +1,12 @@
 """Finite differential operators.
 
+``expand`` is the one routine that multiplies out a symbol substitution:
+the product over factors of a sum of graded symbol tuples.  DPoly products,
+the binomial change of derivative variables, the canonical pairs of a
+bilinear form and FPoly products in ``hierarchy`` call it, and so do the
+transformed KP equation, its conjugation and the displayed KdV equations in
+``hodge``.
+
 ``evaluate`` is the one evaluator of polynomials in partial derivatives of
 one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
 through it.  Within a call it computes each derivative d^eta F once, as one
@@ -14,8 +21,8 @@ Two flavors of operator are used:
 
 * ``TOp``: a normal-ordered operator sum c * t-monomial * derivative-monomial
   acting on series in the t variables, with exact composition (contractions
-  via Leibniz).  Used for the appendix operator L and for the independent
-  check that exp(l) = L.
+  via Leibniz).  Used for the independent check that exp(l) = L; L itself
+  acts on series as a substitution (``hodge.apply_L``).
 """
 
 from __future__ import annotations
@@ -25,6 +32,26 @@ from itertools import product
 from math import comb
 
 from .series import Series, Rat
+
+
+def expand(factors, image, cap=None):
+    """Multiply out prod over factors f of sum image(f): {(grade, key): coeff}.
+
+    image(f) lists (grade, symbols, coeff) and is called once per factor.
+    Grades add and a grade above cap is dropped; the key is the sorted
+    concatenation of the chosen symbol tuples; zero coefficients drop out."""
+    acc = {(0, ()): Rat(1)}
+    for f in factors:
+        step = {}
+        terms = image(f)
+        for (g0, key0), c0 in acc.items():
+            for g, syms, c in terms:
+                if cap is not None and g0 + g > cap:
+                    continue
+                key = (g0 + g, tuple(sorted(key0 + syms)))
+                step[key] = step.get(key, 0) + c0 * c
+        acc = step
+    return {key: c for key, c in acc.items() if c}
 
 
 def evaluate(poly, fs):
@@ -51,16 +78,6 @@ def evaluate(poly, fs):
             piece = piece * derivative(s, eta)
         out = out + piece
     return out
-
-
-def _mono_mul(a, b):
-    return tuple(sorted(a + b))
-
-
-def _mono_remove_one(mono, x):
-    out = list(mono)
-    out.remove(x)
-    return tuple(out)
 
 
 class DPoly:
@@ -91,12 +108,8 @@ class DPoly:
 
     def __mul__(self, other):
         if isinstance(other, DPoly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    k = _mono_mul(m1, m2)
-                    out[k] = out.get(k, Rat(0)) + c1 * c2
-            return DPoly(out)
+            return DPoly({mono: c for (_, mono), c in expand(
+                (self, other), lambda p: [(0, m, k) for m, k in p.terms.items()]).items()})
         c = Rat(other)
         return DPoly({k: v * c for k, v in self.terms.items()})
 
@@ -134,7 +147,8 @@ class DPoly:
                     continue
                 seen.add(x)
                 e = mono.count(x)
-                new = _mono_mul(_mono_remove_one(mono, x), (x - 1,))
+                at = mono.index(x)
+                new = tuple(sorted(mono[:at] + mono[at + 1:] + (x - 1,)))
                 out[new] = out.get(new, Rat(0)) + c * e * (x - 1)
         return DPoly(out)
 
@@ -147,17 +161,9 @@ class DPoly:
         """
         out = {}
         for mono, c in self.terms.items():
-            acc = {(0, ()): c}
-            for i in mono:
-                nxt = {}
-                for (q, dm), v in acc.items():
-                    for k in range(1, i + 1):
-                        coeff = comb(i - 1, k - 1)
-                        key = (q + k, _mono_mul(dm, (k,)))
-                        nxt[key] = nxt.get(key, Rat(0)) + v * coeff
-                acc = nxt
-            for key, v in acc.items():
-                out[key] = out.get(key, Rat(0)) + v
+            for key, v in expand(mono, lambda i: [(k, (k,), comb(i - 1, k - 1))
+                                                  for k in range(1, i + 1)]).items():
+                out[key] = out.get(key, Rat(0)) + c * v
         return {k: v for k, v in out.items() if v}
 
 
@@ -185,10 +191,9 @@ class BForm:
         """Unordered expansion dict {(mono_min, mono_max): coeff}."""
         out = {}
         for c, a, b in self.parts:
-            for m1, c1 in a.terms.items():
-                for m2, c2 in b.terms.items():
-                    key = (m1, m2) if m1 <= m2 else (m2, m1)
-                    out[key] = out.get(key, Rat(0)) + c * c1 * c2
+            for (_, key), v in expand((a, b), lambda p: [(0, (mono,), k) for mono, k
+                                                         in p.terms.items()]).items():
+                out[key] = out.get(key, Rat(0)) + c * v
         return {k: v for k, v in out.items() if v}
 
     def s_tensor(self):
@@ -291,44 +296,6 @@ class TOp:
                     key = (tuple(sorted(newt)), tuple(sorted(newd)))
                     out[key] = out.get(key, Rat(0)) + coeff
         return TOp(out)
-
-    def apply(self, series):
-        """Apply to a series, coefficient-wise.
-
-        The exact weight range shrinks by the largest weight gain
-        wt(derivatives) - wt(t factors) over the operator's terms; the
-        result caps record that, and a gain above the cap is refused."""
-        from .series import var_weight
-        fam = series.family
-        shift = 0
-        for (tm, dm), _ in self.terms.items():
-            gain = sum(var_weight(fam, x) for x in dm) - \
-                sum(var_weight(fam, x) for x in tm)
-            shift = max(shift, gain)
-        if shift > series.cap_weight:
-            raise ValueError("operator of weight %d exceeds the weight cap %d"
-                             % (shift, series.cap_weight))
-        out = {}
-        for (aux, vm), c in series.terms.items():
-            counts = dict(vm)
-            for (tm, dm), oc in self.terms.items():
-                coeff = c * oc
-                work = dict(counts)
-                ok = True
-                for x in dm:
-                    e = work.get(x, 0)
-                    if not e:
-                        ok = False
-                        break
-                    coeff *= e
-                    work[x] = e - 1
-                if not ok or not coeff:
-                    continue
-                for x in tm:
-                    work[x] = work.get(x, 0) + 1
-                key = (aux, tuple(sorted((i, e) for i, e in work.items() if e)))
-                out[key] = out.get(key, Rat(0)) + coeff
-        return Series(fam, series.cap_weight - shift, series.cap_aux, out)
 
 
 class ZOp:

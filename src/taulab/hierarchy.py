@@ -22,7 +22,7 @@ from fractions import Fraction
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
 from .series import Series, Rat, FAMILY_P, _cached
-from .diffops import DPoly, BForm, evaluate
+from .diffops import DPoly, BForm, evaluate, expand
 
 
 def d_mu(mu):
@@ -91,12 +91,8 @@ def kp_residual(i, j, F, method="exp"):
 
 
 def fpoly_mul(a, b):
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            key = tuple(sorted(k1 + k2))
-            out[key] = out.get(key, Rat(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+    return {key: c for (_, key), c
+            in expand((a, b), lambda p: [(0, k, c) for k, c in p.items()]).items()}
 
 
 def fpoly_add(a, b):

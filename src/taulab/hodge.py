@@ -17,10 +17,15 @@ Conventions pinned here (each enforced by tests against displayed values):
   parts sum_n a_{n,n+k} t_n d/dt_{n+k} (index-lowering).  The transformed
   stable series equals L applied to sum_k (-z)^k F^{(k)}.  L = :exp(A): is
   the normal-ordered exponential of the lowering matrix A[n][n+k] =
-  z^k a(n, k), so it is the substitution t -> (1 + A)^T t.  Hence
-  L = exp(l) for the first-order l whose matrix is log(1 + A) (finite,
-  since A raises the z-degree), and conjugation acts on each derivative
-  as e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
+  z^k a(n, k), so it is the substitution t -> (1 + A)^T t, and ``apply_L``
+  applies it as that substitution.  Hence L = exp(l) for the first-order l
+  whose matrix is log(1 + A) (finite, since A raises the z-degree), and
+  conjugation acts on each derivative as
+  e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
+
+* The transformed KP equation, its conjugation and the displayed KdV
+  equations over the bold series sum (-z)^k F^{(k)} are each multiplied
+  out by ``diffops.expand``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from __future__ import annotations
 from itertools import product
 from math import comb, factorial
 
-from .series import Rat, _cached
-from .diffops import TOp, ZOp, evaluate
+from .series import Series, Rat, _cached
+from .diffops import TOp, ZOp, evaluate, expand
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
                       h_unst_simple, _tensor_fit, _tensor_eval)
 from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
@@ -120,16 +125,31 @@ def f_moduli(k, W, M=None):
         if k == 0:
             return img.slice(0)
         f0 = f_moduli(0, W, M)
-        l1 = build_L_grade(1, W)
         if k == 1:
-            return l1.apply(f0) - img.slice(2)
-        f1 = f_moduli(1, W, M)
-        l2 = build_L_grade(2, W)
-        return img.slice(4) - l2.apply(f0) + l1.apply(f1)
+            return apply_L(1, f0) - img.slice(2)
+        return img.slice(4) - apply_L(2, f0) + apply_L(1, f_moduli(1, W, M))
     return _cached(("F", k, W, M), build)
 
 
 # -- the regrouping operator L and its logarithm l --------------------------------
+
+
+def apply_L(k, f):
+    """z^k part of L f for a series f in the t variables alone: the z^k slice
+    of the substitution t_m -> t_m + sum_{j >= 1} z^j a(m - j, j) t_{m-j},
+    which lowers the weight by k, so it is exact to cap_weight - k."""
+    w = f.cap_weight - k
+    if w < 0:
+        raise ValueError("L_%d lowers the weight by %d, below the cap %d"
+                         % (k, k, f.cap_weight))
+    if any(aux for aux, _ in f.terms):
+        raise ValueError("L acts on series in the t variables alone")
+    images = {m: Series.from_terms(f.family, w, k, [(j, ((m - j, 1),), a_coeff(m - j, j))
+                                                     for j in range(min(m, k) + 1)])
+              for m in range(f.cap_weight)}
+    image = f.substitute(images, cap_weight=w, cap_aux=k)
+    return Series(f.family, w, f.cap_aux,
+                  {(0, vm): c for (aux, vm), c in image.terms.items() if aux == k})
 
 
 def _compositions(k):
@@ -295,31 +315,20 @@ def khat_22():
     cancels identically and is asserted to."""
     from .hierarchy import kp_form
 
-    def ud(a, b):
-        return (a + b, Rat(a ** a * b ** b, (a + b) * factorial(a) * factorial(b)))
+    def image(eta):
+        # S_eta + u_eta; the unstable part is quadratic, so u_eta vanishes
+        # for third and higher derivatives
+        assert len(eta) >= 2, "first-derivative terms are not supported"
+        if len(eta) > 2:
+            return [(0, (eta,), 1)]
+        a, b = eta
+        return [(0, (eta,), 1),
+                (a + b, (), Rat(a ** a * b ** b, (a + b) * factorial(a) * factorial(b)))]
 
     out = {}
     for etas, c in kp_form(2, 2).items():
-        # expand prod (S_eta + u_eta) over subsets; the unstable part is
-        # quadratic, so u_eta vanishes for third and higher derivatives
-        choices = []
-        for eta in etas:
-            assert len(eta) >= 2, "first-derivative terms are not supported"
-            choices.append((eta, ud(eta[0], eta[1]) if len(eta) == 2 else (0, Rat(0))))
-        for mask in product((0, 1), repeat=len(etas)):
-            beta = 0
-            coeff = c
-            rest = []
-            for bit, (eta, (bexp, uval)) in zip(mask, choices):
-                if bit:
-                    beta += bexp
-                    coeff *= uval
-                else:
-                    rest.append(eta)
-            if not coeff:
-                continue
-            key = (beta, tuple(sorted(rest)))
-            out[key] = out.get(key, Rat(0)) + coeff
+        for key, v in expand(etas, image).items():
+            out[key] = out.get(key, Rat(0)) + c * v
     out = {k: v for k, v in out.items() if v}
     # no surviving pure-constant term
     assert not any(not etas for (_, etas) in out)
@@ -329,26 +338,18 @@ def khat_22():
 def kpbar_22():
     """khat transformed to the t picture and normalized by the leading z
     power: {(z, t_etas): coeff}.  Matches the displayed form."""
-    khat = khat_22()
+    def image(eta):
+        # d^eta/dp through the derivative transform, graded by the u power
+        inner = expand(eta, lambda b: [(u, (d,), c) for d, u, c
+                                       in derivative_transform_elsv(b)])
+        return [(u, (teta,), c) for (u, teta), c in inner.items()]
+
     raw = {}
-    for (bexp, etas), c in khat.items():
-        # expand each p-derivative via the derivative transform;
+    for (bexp, etas), c in khat_22().items():
         # beta^bexp carries u^{3 bexp}
-        acc = [(3 * bexp, c, [])]
-        for eta in etas:
-            nxt = []
-            for uexp, coeff, tetas in acc:
-                for combo in product(*[derivative_transform_elsv(b) for b in eta]):
-                    du = sum(x[1] for x in combo)
-                    dc = coeff
-                    for x in combo:
-                        dc *= x[2]
-                    teta = tuple(sorted(x[0] for x in combo))
-                    nxt.append((uexp + du, dc, tetas + [teta]))
-            acc = nxt
-        for uexp, coeff, tetas in acc:
-            key = (uexp, tuple(sorted(tetas)))
-            raw[key] = raw.get(key, Rat(0)) + coeff
+        for (u, tetas), v in expand(etas, image).items():
+            key = (3 * bexp + u, tetas)
+            raw[key] = raw.get(key, Rat(0)) + c * v
     raw = {k: v for k, v in raw.items() if v}
     base = min(u for u, _ in raw)
     assert all((u - base) % 2 == 0 for u, _ in raw)
@@ -371,51 +372,25 @@ def conjugated_equation(i, j, k):
             "unstable corrections")
 
     def build():
-        eq = kpbar_22()
-        qhats = {eta: _conjugate_monomial(eta, k) for _, etas in eq for eta in etas}
-        return _distribute(eq, qhats, k)
+        return _distribute(kpbar_22(), k, lambda i: [(z, (i + z,), a_coeff(i, z))
+                                                     for z in range(k + 1)])
     return _cached(("conj", i, j, k), build)
 
 
-def _conjugate_monomial(eta, k):
-    """e^{-l} d^eta e^{l} through z^k: {z: {eta': coeff}}."""
-    grades = {0: {(): Rat(1)}}
-    for i in eta:
-        step = {}
-        for z, terms in grades.items():
-            for kk in range(k - z + 1):
-                out = step.setdefault(z + kk, {})
-                for dm, c in terms.items():
-                    key = tuple(sorted(dm + (i + kk,)))
-                    out[key] = out.get(key, Rat(0)) + c * a_coeff(i, kk)
-        grades = step
-    return grades
-
-
-def _distribute(eq, qhats, k):
+def _distribute(eq, k, conj):
     """z^k coefficient of an equation {(z0, etas): coeff} whose derivative
-    d^eta has the z-graded image qhats[eta] = {z: {eta': coeff}}, expanded
+    index i has the z-graded image conj(i) = [(z, (i',), coeff)], expanded
     over the bold series sum (-z)^s F^{(s)}: {multiset of (s, eta'): coeff}."""
+    def image(eta):
+        graded = expand(eta, conj, k)
+        return [(z + s, ((s, dm),), c * (-1) ** s) for z in range(k + 1)
+                for s in range(k - z + 1) for (zz, dm), c in graded.items() if zz == z]
+
     out = {}
-
-    def rec(etas, idx, zleft, factors, coeff):
-        if idx == len(etas):
-            if zleft == 0:
-                key = tuple(sorted(factors))
-                out[key] = out.get(key, Rat(0)) + coeff
-            return
-        for zz, terms in qhats[etas[idx]].items():
-            if zz > zleft:
-                continue
-            for slice_k in range(zleft - zz + 1):
-                sign = Rat((-1) ** slice_k)
-                for dm, c in terms.items():
-                    rec(etas, idx + 1, zleft - zz - slice_k,
-                        factors + [(slice_k, dm)], coeff * c * sign)
-
     for (z0, etas), c in eq.items():
-        if z0 <= k:
-            rec(etas, 0, k - z0, [], c)
+        for (z, key), v in expand(etas, image, k - z0).items():
+            if z == k - z0:
+                out[key] = out.get(key, Rat(0)) + c * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -488,8 +463,7 @@ def kdv_zpart_as_moduli_poly(name, zk, kmax):
     eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
           for etas, c in terms.items()}
     # the displayed equations act on F itself: the identity conjugation
-    identity = {eta: {0: {eta: 1}} for _, etas in eq for eta in etas}
-    out = _distribute(eq, identity, zk)
+    out = _distribute(eq, zk, lambda i: [(0, (i,), 1)])
     return {key: v for key, v in out.items() if all(s <= kmax for s, _ in key)}
 
 

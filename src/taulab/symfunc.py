@@ -67,25 +67,13 @@ def dimension(mu):
     return out
 
 
-class CharacterTable:
-    """Thin per-degree view over the memoized character values."""
-
-    def __init__(self, d):
-        self.d = d
-        self.classes = partitions_of(d)
-
-    def chi(self, mu, nu):
-        return character(mu, nu)
-
-    def check_column_orthogonality(self):
-        d = self.d
-        for la in self.classes:
-            for lb in self.classes:
-                s = sum(character(mu, la) * character(mu, lb) for mu in self.classes)
-                want = factorial(d) // class_size(la) if la == lb else 0
-                if s != want:
-                    return False
-        return True
+def column_orthogonality_check(d):
+    """True iff sum_mu chi_mu(la) chi_mu(lb) = [la = lb] d!/|class of la|
+    for all cycle types la, lb of degree d."""
+    classes = partitions_of(d)
+    return all(sum(character(mu, la) * character(mu, lb) for mu in classes)
+               == (factorial(d) // class_size(la) if la == lb else 0)
+               for la in classes for lb in classes)
 
 
 def schur_poly(mu, cap_weight=None, cap_aux=0):
@@ -133,51 +121,27 @@ def hook_sum_identity_check(d):
 # z^{-n}; row i >= 2 has 1 at z^i and -e^{-(i-1) beta} at z^{i-1}.  The
 # coefficient of the basis wedge labeled by mu (column lengths, padded with
 # zeros) is the determinant of the finite minor whose column j targets the
-# exponent j - mu_j.  Exponentials are expanded to the requested beta order.
+# exponent j - mu_j.  Entries are family-P series in beta alone, truncated
+# at the requested beta order.
 
 
-def _exp_poly(rate, beta_order):
-    """Truncated e^{rate * beta} as {beta_exp: coeff}."""
-    out = {}
-    c = Rat(1)
-    for k in range(beta_order + 1):
-        out[k] = c
-        c = c * rate / (k + 1)
-    return out
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Rat(0)) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_mul(a, b, beta_order):
-    out = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            if k1 + k2 > beta_order:
-                continue
-            out[k1 + k2] = out.get(k1 + k2, Rat(0)) + v1 * v2
-    return {k: v for k, v in out.items() if v}
+def _exp_beta(rate, beta_order):
+    """e^{rate * beta} to the given beta order."""
+    return Series.from_terms(FAMILY_P, 0, beta_order, [(1, {}, rate)]).exp()
 
 
 def _row_entry(i, zexp, c, beta_order):
-    """Coefficient of z^zexp in row i, as a beta polynomial dict."""
+    """Coefficient of z^zexp in row i, as a series in beta."""
     if i == 1:
         if zexp == 1:
-            return {0: Rat(c)} if c else {}
+            return Series.constant(FAMILY_P, 0, beta_order, c)
         if zexp <= 0:
-            n = -zexp
-            return _exp_poly(Rat(n * (n + 1), 2), beta_order)
-        return {}
-    if zexp == i:
-        return {0: Rat(1)}
-    if zexp == i - 1:
-        poly = _exp_poly(Rat(-(i - 1)), beta_order)
-        return {k: -v for k, v in poly.items()}
-    return {}
+            return _exp_beta(Rat(-zexp * (1 - zexp), 2), beta_order)
+    elif zexp == i:
+        return Series.constant(FAMILY_P, 0, beta_order, 1)
+    elif zexp == i - 1:
+        return -_exp_beta(Rat(1 - i), beta_order)
+    return Series.zero(FAMILY_P, 0, beta_order)
 
 
 def wedge_minor_coefficient(mu, c, beta_order):
@@ -191,38 +155,29 @@ def wedge_minor_coefficient(mu, c, beta_order):
     size = max(len(mu), 1) + 1
     pad = list(mu.parts) + [0] * (size - len(mu))
     targets = [j + 1 - pad[j] for j in range(size)]
-    matrix = [[_row_entry(i + 1, targets[j], c, beta_order) for j in range(size)]
-              for i in range(size)]
-    det = _det(matrix, beta_order)
-    return Series.from_terms(FAMILY_P, 0, beta_order,
-                             [(k, {}, v) for k, v in det.items()])
+    return _det([[_row_entry(i + 1, targets[j], c, beta_order) for j in range(size)]
+                 for i in range(size)])
 
 
-def _det(matrix, beta_order):
-    """Determinant over truncated beta polynomials, by expansion along the
-    first remaining row with memoization on column subsets."""
+def _det(matrix):
+    """Determinant of a matrix of series, by expansion along the first
+    remaining row with memoization on column subsets."""
     n = len(matrix)
+    one = Series.constant(FAMILY_P, 0, matrix[0][0].cap_aux, 1)
     memo = {}
 
     def go(row, cols):
         if row == n:
-            return {0: Rat(1)}
-        key = cols
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = {}
-        for pos, j in enumerate(cols):
-            entry = matrix[row][j]
-            if not entry:
-                continue
-            sub = go(row + 1, cols[:pos] + cols[pos + 1:])
-            term = _poly_mul(entry, sub, beta_order)
-            if pos % 2:
-                term = {k: -v for k, v in term.items()}
-            acc = _poly_add(acc, term)
-        memo[key] = acc
-        return acc
+            return one
+        got = memo.get(cols)
+        if got is None:
+            got = Series.zero(FAMILY_P, 0, one.cap_aux)
+            for pos, j in enumerate(cols):
+                if not matrix[row][j].is_zero():
+                    term = matrix[row][j] * go(row + 1, cols[:pos] + cols[pos + 1:])
+                    got = got - term if pos % 2 else got + term
+            memo[cols] = got
+        return got
 
     return go(0, tuple(range(n)))
 
@@ -230,8 +185,4 @@ def _det(matrix, beta_order):
 def expected_hook_wedge(mu, beta_order):
     """Closed form for the wedge coefficient of a hook, for cross-checks."""
     a, b = hook_arm_leg(mu)
-    rate = Rat(a * (a + 1) - b * (b + 1), 2)
-    poly = _exp_poly(rate, beta_order)
-    sign = (-1) ** b
-    return Series.from_terms(FAMILY_P, 0, beta_order,
-                             [(k, {}, sign * v) for k, v in poly.items()])
+    return _exp_beta(Rat(a * (a + 1) - b * (b + 1), 2), beta_order) * (-1) ** b

@@ -5,7 +5,7 @@ import pytest
 from taulab.partitions import Partition, partitions_of, partitions_upto, cut_and_join_eigenvalue
 from taulab.symfunc import schur_poly
 from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
-from taulab.diffops import DPoly, evaluate
+from taulab.diffops import DPoly, evaluate, expand
 from taulab.hurwitz import h_onepart_series, lp
 from taulab.hodge import conjugated_equation, f_moduli, moduli_caps_for
 from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
@@ -31,6 +31,26 @@ def test_dmu_displayed_list():
     assert d_mu(P((3,))) == dp(((1, 1, 1), F(1, 6)), ((1, 2), 1), ((3,), 1))
     assert d_mu(P((2, 1))) == dp(((1, 1, 1), F(1, 3)), ((3,), -1))
     assert d_mu(P((1, 1, 1))) == dp(((1, 1, 1), F(1, 6)), ((1, 2), -1), ((3,), 1))
+
+
+def test_expand():
+    assert expand([], lambda f: [(1, (f,), 2)]) == {(0, ()): 1}
+    assert expand([], lambda f: [], cap=0) == {(0, ()): 1}
+    # (d_2 + q d_1)(d_1 - q d_2): the q^1 terms d_1 d_1 and -d_2 d_2 stay
+    # apart, and the two d_1 d_2 products (grade 0 and grade 2) too
+    image = {"a": [(0, (2,), 1), (1, (1,), 1)], "b": [(0, (1,), 1), (1, (2,), -1)]}
+    got = expand("ab", image.get)
+    assert got == {(0, (1, 2)): 1, (1, (2, 2)): -1, (1, (1, 1)): 1, (2, (1, 2)): -1}
+    assert expand("ab", image.get, cap=1) == {k: v for k, v in got.items() if k[0] <= 1}
+    assert expand("ab", image.get, cap=0) == {(0, (1, 2)): 1}
+    # keys are sorted concatenations of the chosen symbol tuples
+    assert expand((3, 1), lambda i: [(0, (i, 0), 1)]) == {(0, (0, 0, 1, 3)): 1}
+    # (d_1 + d_2)(d_1 - d_2) = d_1^2 - d_2^2: the cross terms cancel and drop out
+    got = expand("+-", lambda s: [(0, (1,), 1), (0, (2,), 1 if s == "+" else -1)])
+    assert got == {(0, (1, 1)): 1, (0, (2, 2)): -1}
+    calls = []
+    expand("xyz", lambda f: calls.append(f) or [(0, (), 1), (1, (f,), 1)], cap=1)
+    assert calls == ["x", "y", "z"]
 
 
 def test_apply_dmu_examples():

@@ -6,7 +6,7 @@ import pytest
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
-                          moduli_caps_for, f_moduli, build_L_grade,
+                          moduli_caps_for, f_moduli, build_L_grade, apply_L,
                           alpha_coeff, exp_l_equals_L_check, ck_report,
                           LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
                           khat_22, kpbar_22, conjugated_equation, kdv_check)
@@ -76,12 +76,40 @@ def test_build_L_displayed_slots():
     L1 = build_L_grade(1, 8)
     assert L1.terms[((0,), (1,))] == 1  # a_{0,1} = 1
     assert L1.terms[((1,), (2,))] == 3  # a_{1,2} = 3
-    with pytest.raises(ValueError):  # L_1 raises the weight by 1
-        L1.apply(Series.constant(FAMILY_TQ, 0, 0, 1))
+    with pytest.raises(ValueError):  # L_1 lowers the weight by 1
+        apply_L(1, Series.constant(FAMILY_TQ, 0, 0, 1))
     L2 = build_L_grade(2, 8)
     assert L2.terms[((0,), (2,))] == 1          # a_{0,2} = 1
     assert L2.terms[((0, 0), (1, 1))] == F(1, 2)  # 1/2 a_{0,1}^2
     assert L2.terms[((0, 1), (1, 2))] == 3        # a_{0,1} a_{1,2} (two orders)
+
+
+def test_apply_L_matches_build_L_terms():
+    # sum c * t^tm * d^dm f over the normal-ordered terms of L_k.  f has no
+    # term above weight w, so d^dm f is 0 when dm is heavier than w and has
+    # no term above w - wt(dm) otherwise; it is re-capped at w - k before the
+    # t factors raise its weight back by wt(tm) = wt(dm) - k
+    for s in (0, 1):
+        f = f_moduli(s, W)
+        w = f.cap_weight
+        for k in (1, 2):
+            want = Series.zero(FAMILY_TQ, w - k, f.cap_aux)
+            for (tm, dm), c in build_L_grade(k, w).terms.items():
+                if sum(d + 1 for d in dm) > w:
+                    continue
+                piece = f
+                for d in dm:
+                    piece = piece.partial(d)
+                piece = Series(FAMILY_TQ, w - k, f.cap_aux, piece.terms) * c
+                for t in tm:
+                    piece = piece * Series.variable(FAMILY_TQ, t, w - k, f.cap_aux)
+                want = want + piece
+            got = apply_L(k, f)
+            assert got == want, (s, k)
+            assert (got.cap_weight, got.cap_aux) == (want.cap_weight, want.cap_aux)
+            assert not got.is_zero()
+    with pytest.raises(ValueError):  # aux would mix with z
+        apply_L(1, Series.from_terms(FAMILY_TQ, 4, 1, [(1, {0: 1}, 1)]))
 
 
 def test_solve_l_values():
