@@ -27,7 +27,6 @@ Two flavors of operator are used:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -58,6 +57,7 @@ def evaluate(poly, fs):
     """sum c * prod_r d^{eta_r} fs[s_r] for poly {((s_1, eta_1), ...): c}.
 
     Each eta is a sorted index tuple and fs maps each slice s to a Series.
+    Keys that differ only in their last factor share one product of the rest.
     The caps of the result are the least over the first series of fs and
     every factor; a derivative heavier than its remaining cap is refused by
     ``Series.partial``."""
@@ -71,10 +71,15 @@ def evaluate(poly, fs):
             table[(s, eta)] = got
         return got
 
-    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    buckets = {}
     for key, c in poly.items():
-        piece = Series.constant(some.family, some.cap_weight, some.cap_aux, c)
-        for s, eta in key:
+        buckets.setdefault(key[:-1], []).append((c, key[-1:]))
+    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    for prefix, lasts in buckets.items():
+        piece = Series.zero(some.family, some.cap_weight, some.cap_aux)
+        for c, last in lasts:
+            piece = piece + (derivative(*last[0]) * c if last else c)
+        for s, eta in prefix:
             piece = piece * derivative(s, eta)
         out = out + piece
     return out
@@ -341,7 +346,7 @@ class ZOp:
         acc = ZOp.identity()
         term = ZOp.identity()
         for n in range(1, zcap + 1):
-            term = term.compose(self, zcap, index_cap).scale(Fraction(1, n))
+            term = term.compose(self, zcap, index_cap).scale(Rat(1, n))
             if not term.grades:
                 break
             acc = acc + term

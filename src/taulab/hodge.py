@@ -44,14 +44,19 @@ from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
 
 
 def a_coeff(d, k):
-    """Coefficient of psi^{d+k} in the alternating sum; a(d, 0) = 1."""
+    """Coefficient of psi^{d+k} in the alternating sum; a(d, 0) = 1.  It is
+    the integer (sum_{b=1}^{d+1} (-1)^{d-b+1} C(d, b-1) b^{d+k}) / d!."""
     if d < 0 or k < 0:
         raise ValueError("a_coeff needs d, k >= 0, got %d, %d" % (d, k))
-    acc = Rat(0)
-    for b in range(1, d + 2):
-        acc += Rat((-1) ** (d - b + 1) * b ** (d + k),
-                   factorial(d - b + 1) * factorial(b - 1))
-    return acc
+    return _cached(("a", d, k), _a_raw, d, k)
+
+
+def _a_raw(d, k):
+    q, r = divmod(sum((-1) ** (d - b + 1) * comb(d, b - 1) * b ** (d + k)
+                      for b in range(1, d + 2)), factorial(d))
+    if r:
+        raise ValueError("a(%d, %d) is not an integer" % (d, k))
+    return Rat(q)
 
 
 # -- the appendix change of variables ---------------------------------------------
@@ -161,24 +166,22 @@ def _compositions(k):
 
 def build_L_grade(k, index_cap):
     """z^k part of L: sum over ordered compositions (k_1..k_r) of k of
-    (1/r!) prod a_{n_i, n_i+k_i} t_{n_1}..t_{n_r} d/dt_{n_1+k_1}..d/dt_{n_r+k_r}."""
+    (1/r!) prod a_{n_i, n_i+k_i} t_{n_1}..t_{n_r} d/dt_{n_1+k_1}..d/dt_{n_r+k_r}.
+    The products are summed as integers per key and divided by r! once."""
     def build():
+        a = {(n, j): int(a_coeff(n, j)) for j in range(1, k + 1)
+             for n in range(index_cap - j + 1)}
         terms = {}
-        for compn in _compositions(k):
-            r = len(compn)
-            if r == 0:
-                continue
-            base = Rat(1, factorial(r))
-            for ns in product(range(index_cap + 1), repeat=r):
-                if any(n + ki > index_cap for n, ki in zip(ns, compn)):
-                    continue
-                coeff = base
+        for compn in _compositions(k) if k else []:
+            sums = {}
+            for ns in product(*[range(index_cap - ki + 1) for ki in compn]):
+                coeff = 1
                 for n, ki in zip(ns, compn):
-                    coeff *= a_coeff(n, ki)
-                tm = tuple(sorted(ns))
-                dm = tuple(sorted(n + ki for n, ki in zip(ns, compn)))
-                key = (tm, dm)
-                terms[key] = terms.get(key, Rat(0)) + coeff
+                    coeff *= a[n, ki]
+                key = (tuple(sorted(ns)), tuple(sorted(n + ki for n, ki in zip(ns, compn))))
+                sums[key] = sums.get(key, 0) + coeff
+            for key, c in sums.items():
+                terms[key] = terms.get(key, Rat(0)) + Rat(c, factorial(len(compn)))
         return TOp(terms)
     return _cached(("L", k, index_cap), build)
 
@@ -460,11 +463,13 @@ KDV_EQUATIONS = {
 def kdv_zpart_as_moduli_poly(name, zk, kmax):
     """Expand the z^zk coefficient of a displayed equation over the bold
     series sum (-z)^k F^{(k)}: returns {multiset of (slice, eta): coeff}."""
-    eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
-          for etas, c in terms.items()}
-    # the displayed equations act on F itself: the identity conjugation
-    out = _distribute(eq, zk, lambda i: [(0, (i,), 1)])
-    return {key: v for key, v in out.items() if all(s <= kmax for s, _ in key)}
+    def build():
+        eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
+              for etas, c in terms.items()}
+        # the displayed equations act on F itself: the identity conjugation
+        out = _distribute(eq, zk, lambda i: [(0, (i,), 1)])
+        return {key: v for key, v in out.items() if all(s <= kmax for s, _ in key)}
+    return _cached(("kdvz", name, zk, kmax), build)
 
 
 def kdv_check(name, zk, fs):
@@ -485,6 +490,11 @@ class ModuliPDESolver:
     primitives (all indices >= 2, and the one-pointed exceptional values)
     are extracted one at a time from coefficient equations of the z^0 and
     z^1 conjugated equations, each solved when it is the only unknown.
+
+    A phase sweeps a work list of monomials until a sweep solves nothing.  An
+    equation leaves it once it has no unknown (its constant is checked to be
+    zero) or has solved its one unknown (it is then zero exactly); solved
+    values never change, so re-evaluating it could only give zero again.
     """
 
     def __init__(self, kmax=1, weight_cap=10):
@@ -497,14 +507,11 @@ class ModuliPDESolver:
     # bracket -> (constant, {primitive: coeff})
 
     def reduce(self, k, ds):
-        ds = tuple(sorted(ds))
-        key = (k, ds)
+        key = (k, tuple(sorted(ds)))
         got = self._reduce_memo.get(key)
-        if got is not None:
-            return got
-        out = self._reduce_raw(k, ds)
-        self._reduce_memo[key] = out
-        return out
+        if got is None:
+            got = self._reduce_memo[key] = self._reduce_raw(*key)
+        return got
 
     def _reduce_raw(self, k, ds):
         n = len(ds)
@@ -552,6 +559,8 @@ class ModuliPDESolver:
             merged[d] = merged.get(d, 0) + 1
         const, lin = self.reduce(k, tuple(d for d, e in merged.items()
                                           for _ in range(e)))
+        if not (const or lin):
+            return (const, lin)
         scale = Rat(1, _mono_factorials(mono))
         return (const * scale, {kk: vv * scale for kk, vv in lin.items()})
 
@@ -576,16 +585,12 @@ class ModuliPDESolver:
             if len(key) == 1:
                 slice_k, eta = key[0]
                 term = self._deriv_coeff(slice_k, eta, mono)
-                term = (term[0] * c, {kk: vv * c for kk, vv in term[1].items()})
             elif len(key) == 2:
                 (k1, e1), (k2, e2) = key
                 term = (Rat(0), {})
                 for sub in self._submonomials(mono):
-                    rest = dict(mono)
-                    for d, e in sub.items():
-                        rest[d] -= e
-                        if not rest[d]:
-                            del rest[d]
+                    rest = {d: e - sub.get(d, 0) for d, e in mono.items()
+                            if e > sub.get(d, 0)}
                     a = self._deriv_coeff(k1, e1, sub)
                     b = self._deriv_coeff(k2, e2, rest)
                     prod = self._affine_mul(a, b)
@@ -593,9 +598,9 @@ class ModuliPDESolver:
                         return None
                     term = (term[0] + prod[0],
                             _merge_lin(term[1], prod[1], Rat(1)))
-                term = (term[0] * c, {kk: vv * c for kk, vv in term[1].items()})
             else:
                 raise NotImplementedError("equations with 3+ factors")
+            term = (term[0] * c, {kk: vv * c for kk, vv in term[1].items()})
             total = (total[0] + term[0], _merge_lin(total[1], term[1], Rat(1)))
         return (total[0], {kk: vv for kk, vv in total[1].items() if vv})
 
@@ -604,21 +609,25 @@ class ModuliPDESolver:
             return self
         for phase in range(self.kmax + 1):
             eq = conjugated_equation(2, 2, phase)
+            work = _monomials_up_to_weight(self.weight_cap)
             progress = True
             while progress:
                 progress = False
-                for mono in _monomials_up_to_weight(self.weight_cap):
+                keep = []
+                for mono in work:
                     aff = self.equation_affine(eq, mono)
-                    if aff is None:
+                    if aff is None or len(aff[1]) > 1:
+                        keep.append(mono)
                         continue
                     const, lin = aff
-                    if len(lin) == 1:
+                    if lin:
                         (prim, coeff), = lin.items()
                         self.solved[prim] = -const / coeff
                         self._reduce_memo.clear()
                         progress = True
-                    elif not lin and const:
+                    elif const:
                         raise ValueError("inconsistent equation at %r" % (mono,))
+                work = keep
         self._ran = True
         return self
 

@@ -10,15 +10,25 @@
 * ``expand_then_cancel``: the change of variables of ``pic`` by its literal
   definition, expanding every p-monomial into every t-monomial it reaches
   and letting the image cancel.
+* ``term_by_term``: a polynomial in derivatives evaluated one product at a
+  time, each factor its own chain of partials.
+* ``a_alternating``: a(d, k) as the alternating ``Fraction`` sum.
+* ``L_grade_per_tuple``: the z^k part of L, one index tuple at a time.
+* ``full_rescan``: the PDE route re-evaluating every monomial's
+  equation on every sweep.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import product
 from math import factorial
 
+from taulab.diffops import TOp
 from taulab.hierarchy import cut_and_join
+from taulab.hodge import conjugated_equation
 from taulab.hurwitz import _exp_schur_sum
 from taulab.partitions import partitions_upto
-from taulab.pic import Laurent
+from taulab.pic import Laurent, _monomials_up_to_weight
 from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight
 from taulab.symfunc import dimension
 
@@ -123,3 +133,71 @@ def expand_then_cancel(series, w_cap, coeff, aux_exp, base):
                     out[key] = out.get(key, 0) + c * cc
     return Laurent({k: v for k, v in out.items() if v}, w_eff, series.cap_aux,
                    base, aux_exp)
+
+
+def term_by_term(poly, fs):
+    """sum c * prod d^eta fs[s], each factor its own chain of partials."""
+    some = next(iter(fs.values()))
+    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    for key, c in poly.items():
+        piece = Series.constant(some.family, some.cap_weight, some.cap_aux, c)
+        for s, eta in key:
+            factor = fs[s]
+            for i in eta:
+                factor = factor.partial(i)
+            piece = piece * factor
+        out = out + piece
+    return out
+
+
+@lru_cache(maxsize=None)
+def a_alternating(d, k):
+    """Coefficient of psi^{d+k} in sum_b (-1)^{d-b+1} / ((d-b+1)! (b-1)!)
+    * 1/(1 - b psi), summed as Fractions."""
+    acc = F(0)
+    for b in range(1, d + 2):
+        acc += F((-1) ** (d - b + 1) * b ** (d + k),
+                 factorial(d - b + 1) * factorial(b - 1))
+    return acc
+
+
+def L_grade_per_tuple(k, index_cap):
+    """z^k part of L: over ordered compositions (k_1..k_r) of k and index
+    tuples (n_1..n_r), (1/r!) prod a(n_i, k_i) t_{n_i} d/dt_{n_i + k_i}."""
+    terms = {}
+    compositions = [c for r in range(1, k + 1) for c in product(range(1, k + 1), repeat=r)
+                    if sum(c) == k]
+    for compn in compositions:
+        for ns in product(range(index_cap + 1), repeat=len(compn)):
+            if any(n + ki > index_cap for n, ki in zip(ns, compn)):
+                continue
+            coeff = F(1, factorial(len(compn)))
+            for n, ki in zip(ns, compn):
+                coeff *= a_alternating(n, ki)
+            key = (tuple(sorted(ns)), tuple(sorted(n + ki for n, ki in zip(ns, compn))))
+            terms[key] = terms.get(key, F(0)) + coeff
+    return TOp(terms)
+
+
+def full_rescan(solver):
+    """Run a fresh ModuliPDESolver with each sweep re-evaluating the equation
+    at every monomial, until a whole sweep solves nothing."""
+    kmax, weight_cap = solver.kmax, solver.weight_cap
+    for phase in range(kmax + 1):
+        eq = conjugated_equation(2, 2, phase)
+        progress = True
+        while progress:
+            progress = False
+            for mono in _monomials_up_to_weight(weight_cap):
+                aff = solver.equation_affine(eq, mono)
+                if aff is None:
+                    continue
+                const, lin = aff
+                if len(lin) == 1:
+                    (prim, coeff), = lin.items()
+                    solver.solved[prim] = -const / coeff
+                    solver._reduce_memo.clear()
+                    progress = True
+                elif not lin and const:
+                    raise ValueError("inconsistent equation at %r" % (mono,))
+    return solver

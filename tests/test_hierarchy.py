@@ -7,7 +7,8 @@ from taulab.symfunc import schur_poly
 from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
 from taulab.diffops import DPoly, evaluate, expand
 from taulab.hurwitz import h_onepart_series, lp
-from taulab.hodge import conjugated_equation, f_moduli, moduli_caps_for
+from taulab.hodge import (conjugated_equation, f_moduli, moduli_caps_for,
+                          kdv_zpart_as_moduli_poly)
 from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               lkp_residual, lkp_form, kp_form, kp_residual,
                               fpoly_add, fpoly_mul, fpoly_scale,
@@ -15,6 +16,8 @@ from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               character_identity_check, hirota_descent_check,
                               simplified_hirota_23, weight_flow_equivalence_check,
                               bell_poly)
+
+from oracles import term_by_term
 
 P = Partition
 
@@ -280,21 +283,6 @@ def test_lemma_weight_flow():
 # -- the one evaluator of polynomials in derivatives ------------------------------
 
 
-def term_by_term(poly, fs):
-    """sum c * prod d^eta fs[s], each factor its own chain of partials."""
-    some = next(iter(fs.values()))
-    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
-    for key, c in poly.items():
-        piece = Series.constant(some.family, some.cap_weight, some.cap_aux, c)
-        for s, eta in key:
-            factor = fs[s]
-            for i in eta:
-                factor = factor.partial(i)
-            piece = piece * factor
-        out = out + piece
-    return out
-
-
 def shared_prefix_case():
     # (0,) and (0, 2) sit on both slices, and (0,), (0, 0), (0, 2) share
     # prefixes: a table keyed without the slice mixes the two series up
@@ -322,6 +310,26 @@ def test_evaluate_matches_term_by_term_partials():
         assert (got.cap_weight, got.cap_aux) == (want.cap_weight, want.cap_aux)
     # the conjugated residuals vanish; the hand-made case compares real terms
     assert not want.is_zero()
+
+
+def test_evaluate_matches_term_by_term_on_hirota_and_kdv():
+    # Hir_{2,2} and Hir_{2,3} share leading factors across their pairs; the
+    # perturbed tau and the swapped slices give nonzero values to compare
+    tau = lp(lp(h_onepart_series(10, 6))) + 1
+    bumped = tau + Series.from_terms(FAMILY_P, 10, 6, [(1, {1: 1, 3: 1}, F(2, 3))])
+    cases = [({((0, m1), (0, m2)): c for (m1, m2), c
+               in hirota_form(i, j).canonical_pairs().items()}, {0: t})
+             for i, j in ((2, 2), (2, 3)) for t in (tau, bumped)]
+    fs = {s: f_moduli(s, 10, moduli_caps_for(10, 1)) for s in range(2)}
+    poly = kdv_zpart_as_moduli_poly("F02", 1, 1)
+    cases += [(poly, fs), (poly, {0: fs[1], 1: fs[0]})]
+    zero = []
+    for poly, fs in cases:
+        got, want = evaluate(poly, fs), term_by_term(poly, fs)
+        assert got.terms == want.terms
+        assert (got.cap_weight, got.cap_aux) == (want.cap_weight, want.cap_aux)
+        zero.append(want.is_zero())
+    assert zero == [True, False] * 3
 
 
 def test_hirota_residual_caps_and_refusals():

@@ -3,15 +3,20 @@ from math import comb, factorial
 
 import pytest
 
+from taulab import hodge
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
                           moduli_caps_for, f_moduli, build_L_grade, apply_L,
                           alpha_coeff, exp_l_equals_L_check, ck_report,
                           LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
-                          khat_22, kpbar_22, conjugated_equation, kdv_check)
+                          khat_22, kpbar_22, conjugated_equation, kdv_check,
+                          kdv_zpart_as_moduli_poly, ModuliPDESolver)
 from taulab.diffops import evaluate
 from taulab.pic import string_check, derivative_inverse_check
+
+import oracles
+from oracles import a_alternating, L_grade_per_tuple, full_rescan
 
 # caps shared by the heavier extraction tests
 W = 10
@@ -31,6 +36,55 @@ def test_a_coeff_integrality():
         for k in range(9):
             v = a_coeff(d, k)
             assert v.denominator == 1, (d, k, v)
+
+
+def test_a_coeff_matches_alternating_sum():
+    for d in range(13):
+        for k in range(9):
+            assert a_coeff(d, k) == a_alternating(d, k), (d, k)
+
+
+def test_build_L_grade_matches_per_tuple_sum():
+    for cap in (4, 8):
+        for k in range(1, 5):
+            want = L_grade_per_tuple(k, cap).terms
+            assert want and build_L_grade(k, cap).terms == want, (k, cap)
+
+
+class _CountingSolver(ModuliPDESolver):
+    calls = 0
+
+    def equation_affine(self, eq, mono):
+        self.calls += 1
+        return super().equation_affine(eq, mono)
+
+
+@pytest.mark.parametrize("kmax, w, reverse, calls", [
+    (1, 10, False, (284, 556)), (2, 8, False, (203, 335)),
+    (1, 10, True, (293, 695)), (2, 8, True, (207, 402))])
+def test_pde_work_list_matches_full_rescan(kmax, w, reverse, calls, monkeypatch):
+    # the same primitives, solved in the same order, with fewer equations
+    # evaluated than rescanning every monomial on every sweep.  In reverse
+    # weight order some primitives are solved only on a second sweep, by an
+    # equation that had two unknowns on the first
+    if reverse:
+        monos = hodge._monomials_up_to_weight
+        for module in (hodge, oracles):
+            monkeypatch.setattr(module, "_monomials_up_to_weight",
+                                lambda cap: monos(cap)[::-1])
+    solver = _CountingSolver(kmax, w).run()
+    want = full_rescan(_CountingSolver(kmax, w))
+    assert list(solver.solved.items()) == list(want.solved.items())
+    assert (solver.calls, want.calls) == calls
+
+
+def test_kdv_zpart_is_memoised_and_left_alone():
+    poly = kdv_zpart_as_moduli_poly("F01", 1, 1)
+    assert kdv_zpart_as_moduli_poly("F01", 1, 1) is poly
+    before = dict(poly)
+    fs = {s: f_moduli(s, W, M) for s in range(2)}
+    assert kdv_check("F01", 1, fs).is_zero()
+    assert kdv_zpart_as_moduli_poly("F01", 1, 1) is poly and poly == before
 
 
 def test_transform_images_of_p():
