@@ -205,6 +205,8 @@ def _log_row(n, kmax):
 def solve_l(zmax, index_cap):
     """The z-graded first-order l with exp(l) = L: the matrix log(1 + A)
     on indices up to the cap."""
+    if zmax < 0 or index_cap < 0:
+        raise ValueError("l needs zmax, index_cap >= 0, got %d, %d" % (zmax, index_cap))
     grades = {}
     for n in range(index_cap):
         for k, alpha in _log_row(n, min(zmax, index_cap - n)).items():
@@ -213,6 +215,8 @@ def solve_l(zmax, index_cap):
 
 
 def alpha_coeff(n, k):
+    if n < 0 or k < 0:
+        raise ValueError("alpha_coeff needs n, k >= 0, got %d, %d" % (n, k))
     return _log_row(n, k).get(k, Rat(0))
 
 
@@ -238,6 +242,8 @@ def ck_report(kmax, nmax=4):
     alpha_{n,n+k} for constancy in n.  Returns
     {k: {"lowering": value-or-None, "transposed": value-or-None}} where the
     value is the constant ratio when one exists."""
+    if kmax < 1 or nmax < 0:
+        raise ValueError("ck_report needs kmax >= 1, nmax >= 0, got %d, %d" % (kmax, nmax))
     rows = [_log_row(n, kmax) for n in range(nmax + 1)]
     out = {}
     for k in range(1, kmax + 1):
@@ -368,6 +374,8 @@ def conjugated_equation(i, j, k):
     Implemented for (i, j) = (2, 2); other equations contain first-order
     derivative terms whose unstable corrections are not polynomial
     operators."""
+    if k < 0:
+        raise ValueError("the z^k coefficient needs k >= 0, got %d" % k)
     if (i, j) != (2, 2):
         raise NotImplementedError(
             "conjugated equations are provided for (2,2) only; "
@@ -463,6 +471,9 @@ KDV_EQUATIONS = {
 def kdv_zpart_as_moduli_poly(name, zk, kmax):
     """Expand the z^zk coefficient of a displayed equation over the bold
     series sum (-z)^k F^{(k)}: returns {multiset of (slice, eta): coeff}."""
+    if name not in KDV_EQUATIONS or zk < 0 or kmax < 0:
+        raise ValueError("no equation %r at z^%d, slices <= %d" % (name, zk, kmax))
+
     def build():
         eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
               for etas, c in terms.items()}
@@ -481,15 +492,53 @@ def kdv_check(name, zk, fs):
 # -- PDE route: solve bracket values from the equations alone ------------------------
 
 
+def _accumulate(acc, items, scale):
+    """acc += scale * items for affine forms {primitive or None: coeff},
+    dropping the coefficients that become zero; returns acc."""
+    for key, c in items:
+        v = acc.get(key, 0) + scale * c
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def _reduce(k, ds):
+    """<tau_ds lambda_k> as an affine form {primitive or None: coeff}, None
+    marking the constant.  A tau_0 beside other points is removed by the
+    string recursion, seeded at <tau_0^3> = 1, and then a tau_1 by the
+    dilaton factor 2g - 2 + n; a bracket with neither is a primitive.  It
+    reads no solved values, so one memo entry serves every solver."""
+    ds = tuple(sorted(ds))
+
+    def build():
+        n = len(ds)
+        g, r = divmod(k + sum(ds) + 3 - n, 3)
+        if n == 0 or r or g < k:
+            return {}
+        if n >= 2 and ds[0] == 0:
+            rest = ds[1:]
+            out = {None: Rat(1)} if k == 0 and rest == (0, 0) else {}
+            for i, v in enumerate(rest):
+                if v:
+                    _accumulate(out, _reduce(k, rest[:i] + (v - 1,) + rest[i + 1:]).items(), 1)
+            return out
+        if n >= 2 and ds[0] == 1:
+            return _accumulate({}, _reduce(k, ds[1:]).items(), 2 * g - 3 + n)
+        return {(k, ds): Rat(1)}
+    return _cached(("reduce", k, ds), build)
+
+
 class ModuliPDESolver:
     """Solve single-lambda bracket values from the conjugated equations plus
     the string and dilaton reductions, seeded only at <tau_0^3> = 1.
 
-    Brackets with a tau_0 (and at least one other point) reduce by the
-    string recursion, tau_1 by the dilaton factor 2g - 2 + n; the remaining
-    primitives (all indices >= 2, and the one-pointed exceptional values)
-    are extracted one at a time from coefficient equations of the z^0 and
-    z^1 conjugated equations, each solved when it is the only unknown.
+    Every bracket reduces by ``_reduce`` to primitives (all indices >= 2,
+    and the one-pointed exceptional values), which are extracted one at a
+    time from coefficient equations of the z^0 .. z^kmax conjugated
+    equations, each solved when it is the only unknown.  The solver holds
+    only ``solved`` and substitutes it whenever it reads a reduction.
 
     A phase sweeps a work list of monomials until a sweep solves nothing.  An
     equation leaves it once it has no unknown (its constant is checked to be
@@ -501,108 +550,41 @@ class ModuliPDESolver:
         self.kmax = kmax
         self.weight_cap = weight_cap
         self.solved = {}
-        self._reduce_memo = {}
         self._ran = False
 
-    # bracket -> (constant, {primitive: coeff})
-
-    def reduce(self, k, ds):
-        key = (k, tuple(sorted(ds)))
-        got = self._reduce_memo.get(key)
-        if got is None:
-            got = self._reduce_memo[key] = self._reduce_raw(*key)
-        return got
-
-    def _reduce_raw(self, k, ds):
-        n = len(ds)
-        total = sum(ds)
-        if n == 0:
-            return (Rat(0), {})
-        if (k + total + 3 - n) % 3:
-            return (Rat(0), {})
-        g = (k + total + 3 - n) // 3
-        if g < 0 or k > g:
-            return (Rat(0), {})
-        if n >= 2 and ds[0] == 0:
-            rest = ds[1:]
-            const = Rat(1) if (k == 0 and rest == (0, 0)) else Rat(0)
-            lin = {}
-            seen = set()
-            for i, v in enumerate(rest):
-                if v == 0 or v in seen:
-                    continue
-                seen.add(v)
-                mult = rest.count(v)
-                lowered = list(rest)
-                lowered[i] = v - 1
-                c2, l2 = self.reduce(k, tuple(lowered))
-                const += mult * c2
-                for kk, vv in l2.items():
-                    lin[kk] = lin.get(kk, Rat(0)) + mult * vv
-            return (const, {kk: vv for kk, vv in lin.items() if vv})
-        if n >= 2 and 1 in ds:
-            rest = list(ds)
-            rest.remove(1)
-            factor = Rat(2 * g - 2 + n - 1)
-            c2, l2 = self.reduce(k, tuple(rest))
-            return (factor * c2, {kk: factor * vv for kk, vv in l2.items()})
-        prim = (k, ds)
-        if prim in self.solved:
-            return (self.solved[prim], {})
-        return (Rat(0), {prim: Rat(1)})
-
-    # coefficient of a monomial in d^eta F^{(k)}, as an affine value
-
     def _deriv_coeff(self, k, eta, mono):
-        merged = dict(mono)
-        for d in eta:
-            merged[d] = merged.get(d, 0) + 1
-        const, lin = self.reduce(k, tuple(d for d, e in merged.items()
-                                          for _ in range(e)))
-        if not (const or lin):
-            return (const, lin)
-        scale = Rat(1, _mono_factorials(mono))
-        return (const * scale, {kk: vv * scale for kk, vv in lin.items()})
-
-    @staticmethod
-    def _affine_mul(a, b):
-        (c1, l1), (c2, l2) = a, b
-        if l1 and l2:
-            return None
-        lin = _merge_lin(_merge_lin({}, l1, c2), l2, c1)
-        return (c1 * c2, {kk: vv for kk, vv in lin.items() if vv})
-
-    def _submonomials(self, mono):
-        items = sorted(mono.items())
-        return [{d: t for (d, _), t in zip(items, takes) if t}
-                for takes in product(*[range(e + 1) for _, e in items])]
+        """Coefficient of the monomial in d^eta F^{(k)}, as an affine form
+        in the primitives not yet solved."""
+        form = _reduce(k, list(eta) + [d for d, e in mono.items() for _ in range(e)])
+        if not form:
+            return form
+        return _accumulate({}, ((None, c * self.solved[p]) if p in self.solved else (p, c)
+                                for p, c in form.items()), Rat(1, _mono_factorials(mono)))
 
     def equation_affine(self, eq, mono):
-        """Affine form of the equation's coefficient at the monomial, or
-        None when a product of two unknown-bearing factors appears."""
-        total = (Rat(0), {})
+        """Affine form {primitive or None: coeff} of the equation's
+        coefficient at the monomial, or None when a product of two
+        unknown-bearing factors appears."""
+        total = {}
         for key, c in eq.items():
             if len(key) == 1:
-                slice_k, eta = key[0]
-                term = self._deriv_coeff(slice_k, eta, mono)
+                (slice_k, eta), = key
+                _accumulate(total, self._deriv_coeff(slice_k, eta, mono).items(), c)
             elif len(key) == 2:
                 (k1, e1), (k2, e2) = key
-                term = (Rat(0), {})
-                for sub in self._submonomials(mono):
-                    rest = {d: e - sub.get(d, 0) for d, e in mono.items()
-                            if e > sub.get(d, 0)}
-                    a = self._deriv_coeff(k1, e1, sub)
-                    b = self._deriv_coeff(k2, e2, rest)
-                    prod = self._affine_mul(a, b)
-                    if prod is None:
-                        return None
-                    term = (term[0] + prod[0],
-                            _merge_lin(term[1], prod[1], Rat(1)))
+                idx = sorted(mono)
+                for takes in product(*[range(mono[d] + 1) for d in idx]):
+                    a = self._deriv_coeff(k1, e1, dict(zip(idx, takes)))
+                    b = self._deriv_coeff(k2, e2, {d: mono[d] - t for d, t in zip(idx, takes)})
+                    if len(a) > (None in a):
+                        if len(b) > (None in b):
+                            return None
+                        a, b = b, a
+                    if a and b:  # a is a nonzero constant
+                        _accumulate(total, b.items(), c * a[None])
             else:
                 raise NotImplementedError("equations with 3+ factors")
-            term = (term[0] * c, {kk: vv * c for kk, vv in term[1].items()})
-            total = (total[0] + term[0], _merge_lin(total[1], term[1], Rat(1)))
-        return (total[0], {kk: vv for kk, vv in total[1].items() if vv})
+        return total
 
     def run(self):
         if self._ran:
@@ -616,14 +598,13 @@ class ModuliPDESolver:
                 keep = []
                 for mono in work:
                     aff = self.equation_affine(eq, mono)
-                    if aff is None or len(aff[1]) > 1:
+                    if aff is None or len(aff) - (None in aff) > 1:
                         keep.append(mono)
                         continue
-                    const, lin = aff
-                    if lin:
-                        (prim, coeff), = lin.items()
+                    const = aff.pop(None, 0)
+                    if aff:
+                        (prim, coeff), = aff.items()
                         self.solved[prim] = -const / coeff
-                        self._reduce_memo.clear()
                         progress = True
                     elif const:
                         raise ValueError("inconsistent equation at %r" % (mono,))
@@ -632,15 +613,13 @@ class ModuliPDESolver:
         return self
 
     def bracket(self, k, ds):
+        """<tau_ds lambda_k>: the constant term of d^ds F^{(k)}."""
+        if k < 0 or any(d < 0 for d in ds):
+            raise ValueError("a bracket needs k >= 0 and indices >= 0, got %d, %r"
+                             % (k, tuple(ds)))
         self.run()
-        const, lin = self.reduce(k, ds)
-        if lin:
-            raise ValueError("unsolved primitives %r" % (sorted(lin),))
+        form = dict(self._deriv_coeff(k, ds, {}))
+        const = form.pop(None, Rat(0))
+        if form:
+            raise ValueError("unsolved primitives %r" % (sorted(form),))
         return const
-
-
-def _merge_lin(a, b, scale):
-    out = dict(a)
-    for kk, vv in b.items():
-        out[kk] = out.get(kk, Rat(0)) + vv * scale
-    return out

@@ -31,11 +31,10 @@ FAMILIES = (FAMILY_P, FAMILY_TQ, FAMILY_TU)
 # The process-wide memo of every layer.  Each key starts with a tag naming
 # its use ("char", "bracket", "d_mu", "H_simple", ...), so uses cannot
 # collide.  Values are immutable once stored.  A hit takes no lock; a miss
-# builds under its key's own lock, so each key is built once, and a nested
-# build takes its own key's lock (``_memo_lock`` guards only ``_key_locks``).
+# builds under one re-entrant lock, so each key is built once and a nested
+# build runs in the thread that holds it.  A build that raises stores nothing.
 _memo = {}
-_memo_lock = threading.Lock()
-_key_locks = {}
+_memo_lock = threading.RLock()
 
 
 def _cached(key, build, *args):
@@ -44,13 +43,9 @@ def _cached(key, build, *args):
     got = _memo.get(key)
     if got is None:
         with _memo_lock:
-            lock = _key_locks.setdefault(key, threading.RLock())
-        with lock:
             got = _memo.get(key)
             if got is None:
                 got = _memo[key] = build(*args)
-        with _memo_lock:
-            _key_locks.pop(key, None)
     return got
 
 

@@ -192,12 +192,11 @@ def full_rescan(solver):
                 aff = solver.equation_affine(eq, mono)
                 if aff is None:
                     continue
-                const, lin = aff
-                if len(lin) == 1:
-                    (prim, coeff), = lin.items()
+                const = aff.pop(None, 0)
+                if len(aff) == 1:
+                    (prim, coeff), = aff.items()
                     solver.solved[prim] = -const / coeff
-                    solver._reduce_memo.clear()
                     progress = True
-                elif not lin and const:
+                elif not aff and const:
                     raise ValueError("inconsistent equation at %r" % (mono,))
     return solver

@@ -9,7 +9,9 @@ from taulab.symfunc import hook_sum_identity_check
 from taulab.diffops import TOp, ZOp
 from taulab.hierarchy import cut_and_join
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
-                          transform_p_to_tu, chvar_elsv)
+                          transform_p_to_tu, chvar_elsv, ModuliPDESolver,
+                          conjugated_equation, kdv_zpart_as_moduli_poly, ck_report,
+                          alpha_coeff, exp_l_equals_L_check, solve_l)
 from taulab.pic import derivative_transform_pic, transform_p_to_tq, chvar_pic
 
 P1 = Series.variable(FAMILY_P, 1, 4, 2)
@@ -39,6 +41,20 @@ BAD_CALLS = {
     "transform_p_to_tu(w_cap=-1)": (transform_p_to_tu, P1, -1),
     "chvar_pic(w_cap=-1)": (chvar_pic, P1, -1),
     "chvar_elsv(w_cap=-1)": (chvar_elsv, P1, -1),
+    # without the check each returns 0, {} or True on an empty region, or a KeyError
+    "bracket(0,(-1,2))": (ModuliPDESolver.bracket, ModuliPDESolver(0, 1), 0, (-1, 2)),
+    "bracket(-1,(0,0,0))": (ModuliPDESolver.bracket, ModuliPDESolver(0, 1), -1, (0, 0, 0)),
+    "conjugated_equation(2,2,-1)": (conjugated_equation, 2, 2, -1),
+    "kdv_zpart(F01,-1,0)": (kdv_zpart_as_moduli_poly, "F01", -1, 0),
+    "kdv_zpart(F01,0,-1)": (kdv_zpart_as_moduli_poly, "F01", 0, -1),
+    "kdv_zpart(nope,0,0)": (kdv_zpart_as_moduli_poly, "nope", 0, 0),
+    "ck_report(0)": (ck_report, 0),
+    "ck_report(2,nmax=-1)": (ck_report, 2, -1),
+    "alpha_coeff(2,-1)": (alpha_coeff, 2, -1),
+    "alpha_coeff(-1,0)": (alpha_coeff, -1, 0),
+    "exp_l_equals_L_check(-1,3)": (exp_l_equals_L_check, -1, 3),
+    "exp_l_equals_L_check(2,-1)": (exp_l_equals_L_check, 2, -1),
+    "solve_l(-1,3)": (solve_l, -1, 3),
 }
 
 

@@ -78,6 +78,19 @@ def test_pde_work_list_matches_full_rescan(kmax, w, reverse, calls, monkeypatch)
     assert (solver.calls, want.calls) == calls
 
 
+def test_reduction_is_pure_and_shared_by_solvers():
+    # solved values are substituted when a reduction is read and never stored
+    # in it, so a second solver reusing the memoized reductions solves the same
+    first = ModuliPDESolver(1, 10).run()
+    assert first.solved[(0, (4,))] == F(1, 1152)
+    assert hodge._reduce(0, (4,)) == {(0, (4,)): 1}
+    assert hodge._reduce(0, (0, 5)) == {(0, (4,)): 1}  # string: <tau_0 tau_5> = <tau_4>
+    assert hodge._reduce(0, (0, 0, 0)) == {None: 1}
+    assert first.bracket(0, (5, 0)) == F(1, 1152)
+    second = ModuliPDESolver(1, 10).run()
+    assert list(second.solved.items()) == list(first.solved.items())
+
+
 def test_kdv_zpart_is_memoised_and_left_alone():
     poly = kdv_zpart_as_moduli_poly("F01", 1, 1)
     assert kdv_zpart_as_moduli_poly("F01", 1, 1) is poly

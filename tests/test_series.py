@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taulab import series
 from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
 from oracles import series_log
 
@@ -179,3 +180,27 @@ def test_memo_builds_each_key_once_under_threads():
     assert all(g is got[0] for g in got[:8])
     assert all(g is got[8] for g in got[8:])
     assert got[0][1] is got[8]
+
+
+def test_memo_stores_nothing_when_a_build_raises():
+    # the failed build leaves no entry and no held lock: a retry from
+    # another thread builds the key again
+    key = ("test-raising-build", object())
+    builds = []
+
+    def build(fail):
+        builds.append(fail)
+        if fail:
+            raise KeyError("bad input")
+        return object()
+
+    with pytest.raises(KeyError):
+        _cached(key, build, True)
+    assert key not in series._memo
+    got = []
+    retry = threading.Thread(target=lambda: got.append(_cached(key, build, False)),
+                             daemon=True)
+    retry.start()
+    retry.join(timeout=10)
+    assert not retry.is_alive()
+    assert builds == [True, False] and _cached(key, build, True) is got[0]
