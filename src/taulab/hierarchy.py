@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
-from .series import Series, Rat, FAMILY_P, _cached
+from .series import Rat, FAMILY_P, _cached, _make
 from .diffops import DPoly, BForm, evaluate, expand
 
 
@@ -153,11 +153,12 @@ def cut_and_join(s):
 
     def bump(aux, vmdict, c):
         key = (aux, tuple(sorted((i, e) for i, e in vmdict.items() if e)))
-        out[key] = out.get(key, Rat(0)) + c
+        out[key] = out.get(key, 0) + c
         if not out[key]:
             del out[key]
 
-    for (aux, vm), c in s.terms.items():
+    # numerators over 2 * s.den: the weight and aux of each term are kept
+    for (aux, vm), n in s.num.items():
         d = dict(vm)
         # join piece: replace one p_k by p_i p_{k-i}, ordered splits
         for k, e in vm:
@@ -166,7 +167,7 @@ def cut_and_join(s):
                 nd[k] -= 1
                 nd[i] = nd.get(i, 0) + 1
                 nd[k - i] = nd.get(k - i, 0) + 1
-                bump(aux, nd, Rat(k * e, 2) * c)
+                bump(aux, nd, k * e * n)
         # cut piece: replace p_i p_j by p_{i+j}, ordered pairs
         idxs = [i for i, _ in vm]
         for i in idxs:
@@ -179,8 +180,8 @@ def cut_and_join(s):
                 nd[i] -= 1
                 nd[j] -= 1
                 nd[i + j] = nd.get(i + j, 0) + 1
-                bump(aux, nd, Rat(i * j * ei * ej, 2) * c)
-    return Series(s.family, s.cap_weight, s.cap_aux, out)
+                bump(aux, nd, i * j * ei * ej * n)
+    return _make(s.family, s.cap_weight, s.cap_aux, out, 2 * s.den)
 
 
 # -- corner calculus -----------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb, factorial
 
-from .series import Series, Rat, _cached
+from .series import Series, Rat, _cached, _make
 from .diffops import TOp, ZOp, evaluate, expand
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
                       h_unst_simple, _tensor_fit, _tensor_eval)
@@ -147,14 +147,14 @@ def apply_L(k, f):
     if w < 0:
         raise ValueError("L_%d lowers the weight by %d, below the cap %d"
                          % (k, k, f.cap_weight))
-    if any(aux for aux, _ in f.terms):
+    if any(aux for aux, _ in f.num):
         raise ValueError("L acts on series in the t variables alone")
     images = {m: Series.from_terms(f.family, w, k, [(j, ((m - j, 1),), a_coeff(m - j, j))
                                                      for j in range(min(m, k) + 1)])
               for m in range(f.cap_weight)}
     image = f.substitute(images, cap_weight=w, cap_aux=k)
-    return Series(f.family, w, f.cap_aux,
-                  {(0, vm): c for (aux, vm), c in image.terms.items() if aux == k})
+    return _make(f.family, w, f.cap_aux,
+                 {(0, vm): n for (aux, vm), n in image.num.items() if aux == k}, image.den)
 
 
 def _compositions(k):

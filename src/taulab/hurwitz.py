@@ -43,12 +43,12 @@ import json
 import os
 import warnings
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue)
 from .symfunc import character, dimension, schur_poly
-from .series import Series, Rat, FAMILY_P, _cached
+from .series import Series, Rat, FAMILY_P, _cached, _make, vm_weight
 
 ONEPART = "onepart"
 SIMPLE = "simple"
@@ -276,19 +276,21 @@ def _connected_simple_raw(vm, J):
 
 
 def _exp_schur_sum(weighted, cap_weight, cap_aux):
-    """sum of w e^{f(lambda) beta} s_lambda over the (lambda, w) pairs."""
+    """sum of w e^{f(lambda) beta} s_lambda over the (lambda, w) pairs, over one
+    denominator: f^k / k! = f2^k (top / (2^k k!)) / top with f2 = 2f an integer."""
+    parts = [(schur_poly(la, cap_weight=cap_weight, cap_aux=cap_aux), w,
+              int(2 * cut_and_join_eigenvalue(la))) for la, w in weighted]
+    top = 2 ** cap_aux * factorial(cap_aux)
+    den = top * lcm(*(s.den * w.denominator for s, w, _ in parts))
     acc = {}
-    for la, w in weighted:
-        s = schur_poly(la, cap_weight=cap_weight, cap_aux=cap_aux)
-        f = cut_and_join_eigenvalue(la)
-        for (_, vm), c in s.terms.items():
-            base = c * w
-            power = Rat(1)
+    for s, w, f2 in parts:
+        scale = den // (s.den * w.denominator) * w.numerator
+        for (_, vm), n in s.num.items():
+            v = n * scale
             for k in range(cap_aux + 1):
-                key = (k, vm)
-                acc[key] = acc.get(key, Rat(0)) + base * power
-                power = power * f / (k + 1)
-    return Series(FAMILY_P, cap_weight, cap_aux, acc)
+                acc[(k, vm)] = acc.get((k, vm), 0) + v
+                v = v * f2 // (2 * k + 2)
+    return _make(FAMILY_P, cap_weight, cap_aux, acc, den)
 
 
 def h_simple_series(cap_weight, cap_aux):
@@ -363,10 +365,9 @@ def h_unst_simple(cap_weight, cap_aux):
 
 def lp(series):
     """L_p = sum b p_b d/dp_b: multiply each term by its p-weight."""
-    from .series import vm_weight
-    return Series(series.family, series.cap_weight, series.cap_aux,
-                  {(aux, vm): c * vm_weight(series.family, vm)
-                   for (aux, vm), c in series.terms.items()})
+    return _make(series.family, series.cap_weight, series.cap_aux,
+                 {(aux, vm): n * vm_weight(series.family, vm)
+                  for (aux, vm), n in series.num.items()}, series.den)
 
 
 def hook_series(cap_weight, cap_aux):

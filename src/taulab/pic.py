@@ -49,7 +49,7 @@ from collections import Counter
 from math import comb, factorial, lcm, prod
 
 from .partitions import partitions_of
-from .series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
+from .series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _make
 from .hurwitz import _hook_sum
 
 
@@ -105,10 +105,10 @@ def _change_variables(series, w_cap, coeff, aux_exp, base):
     w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
     # the input as integers over den, keyed by the sorted b-tuple of each
     # p-monomial p^vm, each numerator times prod_b e_b!
-    den = lcm(*(c.denominator for c in series.terms.values()))
+    den = series.den
     powers = {}
-    for (m, vm), c in series.terms.items():
-        n = c.numerator * (den // c.denominator) * prod(factorial(e) for _, e in vm)
+    for (m, vm), n in series.num.items():
+        n *= prod(factorial(e) for _, e in vm)
         powers.setdefault(tuple(b for b, e in vm for _ in range(e)), []).append((m, n))
     rows = []  # rows[d]: (s_d, [(b, s_d coeff(b, d), aux_exp(b, d))])
     for d in range(w_eff):
@@ -365,9 +365,10 @@ def lt_second_identity_check(F):
 def u_in_T(W):
     """U re-expressed in T_i = t_{i-1}/(i-1)!: a family-P style series in
     the T variables (weight(T_i) = i), suitable for the Hirota machinery."""
-    items = [(0, {d + 1: e for d, e in vm}, c * prod(factorial(d) ** e for d, e in vm))
-             for (_, vm), c in u_series(W).terms.items()]
-    return Series.from_terms(FAMILY_P, W, 0, items)
+    u = u_series(W)
+    return _make(FAMILY_P, W, 0, {(0, tuple((d + 1, e) for d, e in vm)):
+                                  n * prod(factorial(d) ** e for d, e in vm)
+                                  for (_, vm), n in u.num.items()}, u.den)
 
 
 def u_hierarchy_residuals(W, equations=((2, 2), (2, 3)), shifts=(Rat(0), Rat(1))):

@@ -13,13 +13,18 @@ A monomial is stored as ``(aux_exponent, ((index, exponent), ...))`` with the
 variable pairs sorted by index and all exponents positive.  Truncation is
 eager: a series never stores a term whose weight exceeds ``cap_weight`` or
 whose auxiliary exponent exceeds ``cap_aux``, and never stores a zero
-coefficient.  All arithmetic is exact; there is no floating point anywhere.
-"""
+coefficient.  Coefficients are integer numerators over one denominator, and
+the arithmetic reduces each result once, not each term.  Every coefficient
+handed out (``terms``, ``coeff``, ``to_jsonable``) is an exact ``Fraction``;
+coefficients and scalars taken in must be ``int`` or ``Fraction``.  There is
+no floating point anywhere."""
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 Rat = Fraction
 
@@ -87,10 +92,44 @@ def var_weight(family, index):
     return index if family == FAMILY_P else index + 1
 
 
-class Series:
-    """Sparse truncated series.  Treat instances as immutable."""
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction; a float is refused."""
+    if not isinstance(x, (int, Rat)):
+        raise ValueError("series coefficients and scalars must be int or "
+                         "Fraction, got %r" % (x,))
+    return x.numerator, x.denominator
 
-    __slots__ = ("family", "cap_weight", "cap_aux", "terms")
+
+def _reduced(num, den):
+    """(num, den) without zero numerators and divided by their common gcd."""
+    g = gcd(den, *num.values())
+    if g > 1 or 0 in num.values():
+        num = {k: n // g for k, n in num.items() if n}
+        den //= g
+    return num, den
+
+
+def _make(family, cap_weight, cap_aux, num, den):
+    """The series num/den, for den > 0 and num's terms within the caps."""
+    s = object.__new__(Series)
+    s.family, s.cap_weight, s.cap_aux = family, cap_weight, cap_aux
+    s.num, s.den = _reduced(num, den)
+    return s
+
+
+def _within(family, cap_weight, cap_aux, num):
+    return {k: n for k, n in num.items()
+            if k[0] <= cap_aux and vm_weight(family, k[1]) <= cap_weight}
+
+
+class Series:
+    """Sparse truncated series.  Treat instances as immutable.
+
+    The coefficient of aux^a x^vm is num[(a, vm)] / den, with den > 0, no zero
+    numerator and gcd(den, every numerator) = 1, so equal series store equal
+    (num, den)."""
+
+    __slots__ = ("family", "cap_weight", "cap_aux", "num", "den")
 
     def __init__(self, family, cap_weight, cap_aux, terms=None):
         if family not in FAMILIES:
@@ -98,18 +137,14 @@ class Series:
         if cap_weight < 0 or cap_aux < 0:
             raise ValueError("caps must be >= 0, got weight %d, aux %d"
                              % (cap_weight, cap_aux))
-        self.family = family
-        self.cap_weight = cap_weight
-        self.cap_aux = cap_aux
-        clean = {}
-        for (aux, vm), c in (terms or {}).items():
-            if not c:
-                continue
-            if aux < 0:
+        pairs = [(key, _ratio(c)) for key, c in (terms or {}).items()]
+        den = lcm(*(q for _, (_, q) in pairs))
+        num = {key: p * (den // q) for key, (p, q) in pairs}
+        for (aux, _), n in num.items():
+            if n and aux < 0:
                 raise ValueError("negative auxiliary exponent %d" % aux)
-            if aux <= cap_aux and vm_weight(family, vm) <= cap_weight:
-                clean[(aux, vm)] = c if type(c) is Rat else Rat(c)
-        self.terms = clean
+        self.family, self.cap_weight, self.cap_aux = family, cap_weight, cap_aux
+        self.num, self.den = _reduced(_within(family, cap_weight, cap_aux, num), den)
 
     # -- constructors -------------------------------------------------
 
@@ -119,45 +154,51 @@ class Series:
 
     @classmethod
     def constant(cls, family, cap_weight, cap_aux, value):
-        return cls(family, cap_weight, cap_aux, {(0, ()): Rat(value)})
+        return cls(family, cap_weight, cap_aux, {(0, ()): value})
 
     @classmethod
     def variable(cls, family, index, cap_weight, cap_aux, coeff=1):
         if index < (1 if family == FAMILY_P else 0):
             raise ValueError("family %s has no variable %d" % (family, index))
-        return cls(family, cap_weight, cap_aux, {(0, ((index, 1),)): Rat(coeff)})
+        return cls(family, cap_weight, cap_aux, {(0, ((index, 1),)): coeff})
 
     @classmethod
     def from_terms(cls, family, cap_weight, cap_aux, items):
         """items: iterable of (aux, {index: exp} or vm tuple, coeff)."""
         terms = {}
         for aux, vm, c in items:
-            if isinstance(vm, dict):
-                vm = vm_from_dict(vm)
-            key = (aux, vm)
-            terms[key] = terms.get(key, Rat(0)) + Rat(c)
+            key = (aux, vm_from_dict(vm) if isinstance(vm, dict) else vm)
+            _ratio(c)  # refuse a float before it is summed
+            terms[key] = terms[key] + c if key in terms else c
         return cls(family, cap_weight, cap_aux, terms)
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only {(aux, vm): Fraction}, built on access, in storage order."""
+        den = self.den
+        return MappingProxyType({k: Rat(n, den) for k, n in self.num.items()})
+
     def coeff(self, aux=0, vm=()):
         if isinstance(vm, dict):
             vm = vm_from_dict(vm)
-        return self.terms.get((aux, vm), Rat(0))
+        return Rat(self.num.get((aux, vm), 0), self.den)
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def constant_term(self):
-        return self.terms.get((0, ()), Rat(0))
+        return self.coeff()
 
     def sorted_terms(self):
         return sorted(self.terms.items())
 
     def aux_slice(self, j):
         """Coefficient series of aux^j (the aux exponent is dropped)."""
-        terms = {(0, vm): c for (aux, vm), c in self.terms.items() if aux == j}
-        return Series(self.family, self.cap_weight, self.cap_aux, terms)
+        return _make(self.family, self.cap_weight, self.cap_aux,
+                     {(0, vm): n for (aux, vm), n in self.num.items() if aux == j},
+                     self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -167,34 +208,38 @@ class Series:
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            return self + Series.constant(self.family, self.cap_weight, self.cap_aux, other)
+            p, q = _ratio(other)
+            other = _make(self.family, self.cap_weight, self.cap_aux, {(0, ()): p}, q)
         self._check_family(other)
+        fam = self.family
         w = min(self.cap_weight, other.cap_weight)
         a = min(self.cap_aux, other.cap_aux)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Rat(0)) + c
-        return Series(self.family, w, a, terms)
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        out = {k: n * m1 for k, n in self.num.items()} if m1 > 1 else dict(self.num)
+        for k, n in other.num.items():
+            out[k] = out.get(k, 0) + n * m2
+        if (self.cap_weight, self.cap_aux, other.cap_weight, other.cap_aux) != (w, a, w, a):
+            out = _within(fam, w, a, out)
+        return _make(fam, w, a, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.family, self.cap_weight, self.cap_aux,
-                      {k: -c for k, c in self.terms.items()})
+        return _make(self.family, self.cap_weight, self.cap_aux,
+                     {k: -n for k, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Series) else -Rat(other))
+        return self + -(other if isinstance(other, Series) else Rat(*_ratio(other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            c = Rat(other)
-            if not c:
-                return Series(self.family, self.cap_weight, self.cap_aux)
-            return Series(self.family, self.cap_weight, self.cap_aux,
-                          {k: c * v for k, v in self.terms.items()})
+            p, q = _ratio(other)
+            return _make(self.family, self.cap_weight, self.cap_aux,
+                         {k: n * p for k, n in self.num.items()}, self.den * q)
         self._check_family(other)
         w = min(self.cap_weight, other.cap_weight)
         a = min(self.cap_aux, other.cap_aux)
@@ -203,12 +248,12 @@ class Series:
         # bucket the right factor by weight so high-weight pairs are skipped
         # without touching them
         buckets = {}
-        for (aux2, vm2), c2 in other.terms.items():
+        for (aux2, vm2), c2 in other.num.items():
             w2 = vm_weight(fam, vm2)
             if w2 <= w:
                 buckets.setdefault(w2, []).append((aux2, vm2, c2))
         weights = sorted(buckets)
-        for (aux1, vm1), c1 in self.terms.items():
+        for (aux1, vm1), c1 in self.num.items():
             w1 = vm_weight(fam, vm1)
             room = w - w1
             if room < 0:
@@ -221,9 +266,8 @@ class Series:
                     if aux2 > aroom:
                         continue
                     key = (aux1 + aux2, vm_mul(vm1, vm2))
-                    prev = out.get(key)
-                    out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Series(fam, w, a, out)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return _make(fam, w, a, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -242,26 +286,27 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.inverse()
-        return self * (Rat(1) / Rat(other))
+        p, q = _ratio(other)
+        return self * (Rat(q) / p)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
-            if self.terms and set(self.terms) != {(0, ())}:
-                return False
-            return self.constant_term() == Rat(other)
-        return self.family == other.family and self.terms == other.terms
+            p, q = _ratio(other)
+            return self.num == ({(0, ()): p} if p else {}) and self.den == q
+        return (self.family == other.family and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.family, frozenset(self.terms.items())))
+        return hash((self.family, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self.num)
         return "Series(%s, w<=%d, aux<=%d, %d terms)" % (
             self.family, self.cap_weight, self.cap_aux, n)
 
     def pretty(self, max_terms=24):
         """Readable rendering, deterministic order."""
-        if not self.terms:
+        if not self.num:
             return "0"
         names = {FAMILY_P: ("beta", "p"), FAMILY_TQ: ("q", "t"), FAMILY_TU: ("u", "t")}
         auxn, varn = names[self.family]
@@ -275,7 +320,7 @@ class Series:
                 factors.append(v if e == 1 else "%s^%d" % (v, e))
             mono = "*".join(factors) if factors else "1"
             bits.append("%s*%s" % (c, mono))
-        tail = " + ..." if len(self.terms) > max_terms else ""
+        tail = " + ..." if len(self.num) > max_terms else ""
         return " + ".join(bits) + tail
 
     # -- calculus ------------------------------------------------------
@@ -292,33 +337,28 @@ class Series:
             raise ValueError("d/d(variable %d) of weight %d exceeds the remaining "
                              "weight cap %d" % (index, wvar, self.cap_weight))
         out = {}
-        for (aux, vm), c in self.terms.items():
-            d = dict(vm)
-            e = d.get(index)
-            if not e:
-                continue
-            if e == 1:
-                del d[index]
-            else:
-                d[index] = e - 1
-            key = (aux, tuple(sorted(d.items())))
-            out[key] = out.get(key, Rat(0)) + e * c
-        return Series(fam, self.cap_weight - wvar, self.cap_aux, out)
+        # distinct monomials have distinct derivatives, so nothing adds up
+        for (aux, vm), n in self.num.items():
+            for pos, (i, e) in enumerate(vm):
+                if i == index:
+                    low = ((i, e - 1),) if e > 1 else ()
+                    out[(aux, vm[:pos] + low + vm[pos + 1:])] = e * n
+                    break
+        return _make(fam, self.cap_weight - wvar, self.cap_aux, out, self.den)
 
     def aux_shift(self, k):
         """Multiply by aux^k (k >= 0)."""
         if k < 0:
             raise ValueError("aux_shift needs k >= 0, got %d" % k)
-        return Series(self.family, self.cap_weight, self.cap_aux,
-                      {(aux + k, vm): c for (aux, vm), c in self.terms.items()})
+        return _make(self.family, self.cap_weight, self.cap_aux,
+                     {(aux + k, vm): n for (aux, vm), n in self.num.items()
+                      if aux + k <= self.cap_aux}, self.den)
 
     def aux_partial(self):
         """Formal derivative in the auxiliary variable."""
-        out = {}
-        for (aux, vm), c in self.terms.items():
-            if aux:
-                out[(aux - 1, vm)] = aux * c
-        return Series(self.family, self.cap_weight, self.cap_aux, out)
+        return _make(self.family, self.cap_weight, self.cap_aux,
+                     {(aux - 1, vm): aux * n for (aux, vm), n in self.num.items() if aux},
+                     self.den)
 
     def substitute(self, images, family=None, cap_weight=None, cap_aux=None,
                    aux_image_exp=1):
@@ -340,21 +380,21 @@ class Series:
             if img.family != fam:
                 raise ValueError("image of variable %d is in family %s, not %s"
                                  % (i, img.family, fam))
-            for (aux, vm), _ in img.terms.items():
-                if aux == 0 and not vm:
-                    raise ValueError("image of variable %d has a constant term; "
-                                     "substitution grading is not triangular" % i)
+            if (0, ()) in img.num:
+                raise ValueError("image of variable %d has a constant term; "
+                                 "substitution grading is not triangular" % i)
+        images = {i: _make(fam, w, a, _within(fam, w, a, img.num), img.den)
+                  for i, img in images.items()}
         out = Series.zero(fam, w, a)
-        for (aux, vm), c in self.terms.items():
-            piece = Series(fam, w, a, {(aux * aux_image_exp, ()): c})
-            if piece.is_zero():
+        for (aux, vm), n in self.num.items():
+            if aux * aux_image_exp > a:
                 continue
+            piece = _make(fam, w, a, {(aux * aux_image_exp, ()): n}, self.den)
             for i, e in vm:
                 if i not in images:
                     raise ValueError("no image for variable index %d" % i)
-                img = Series(fam, w, a, images[i].terms)
                 for _ in range(e):
-                    piece = piece * img
+                    piece = piece * images[i]
                     if piece.is_zero():
                         break
                 if piece.is_zero():
@@ -384,15 +424,15 @@ class Series:
         c0 = self.constant_term()
         if not c0:
             raise ValueError("inverse needs nonzero constant term")
-        y = self * Rat(1, 1) / c0 - 1
+        y = self / c0 - 1
         acc = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
-        term = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
+        term = acc
         for k in range(1, self.cap_weight + self.cap_aux + 1):
             term = term * y
             if term.is_zero():
                 break
-            acc = acc + term * Rat((-1) ** k)
-        return acc * (Rat(1) / c0)
+            acc = acc + term * (-1) ** k
+        return acc / c0
 
     # -- serialization ---------------------------------------------------
 
@@ -403,7 +443,7 @@ class Series:
         canonical variable order (beta|q|u, p_1/t_0, p_2/t_1, ...).
         """
         width = 0
-        for _, vm in self.terms:
+        for _, vm in self.num:
             for i, _ in vm:
                 slot = i if self.family == FAMILY_P else i + 1
                 width = max(width, slot)
@@ -424,19 +464,15 @@ class Series:
     def from_jsonable(cls, obj):
         family = obj["family"]
         caps = obj["caps"]
-        terms = {}
+        items = []
         for row in obj["terms"]:
             vec = row["exp"]
             num, den = row["coeff"].split("/")
             if not int(den):
                 raise ValueError("zero denominator in coefficient %r" % row["coeff"])
-            c = Rat(int(num), int(den))
-            aux = vec[0]
             d = {}
             for slot, e in enumerate(vec[1:], start=1):
                 if e:
-                    idx = slot if family == FAMILY_P else slot - 1
-                    d[idx] = e
-            key = (aux, vm_from_dict(d))
-            terms[key] = terms.get(key, Rat(0)) + c
-        return cls(family, caps["weight"], caps["aux"], terms)
+                    d[slot if family == FAMILY_P else slot - 1] = e
+            items.append((vec[0], d, Rat(int(num), int(den))))
+        return cls.from_terms(family, caps["weight"], caps["aux"], items)

@@ -1,6 +1,10 @@
 """Slow reference routes the library no longer takes, kept as test oracles.
 
 * ``series_log``: the logarithm of a whole truncated series, term by term.
+* ``fraction_mul``, ``fraction_add``, ``fraction_scale``,
+  ``fraction_partial``: the ``Series`` product, sum, scalar product and
+  partial derivative computed term by term in ``Fraction``s.  Each returns
+  ``(terms, cap_weight, cap_aux)``, terms without zeros in insertion order.
 * ``disconnected_simple_series``: Z = sum over lambda of (dim/d!)
   e^{beta f} s_lambda, whose logarithm is the connected simple series.
 * ``cut_and_join_simple_series``: the connected simple series from the
@@ -29,7 +33,7 @@ from taulab.hodge import conjugated_equation
 from taulab.hurwitz import _exp_schur_sum
 from taulab.partitions import partitions_upto
 from taulab.pic import Laurent, _monomials_up_to_weight
-from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight
+from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight, var_weight
 from taulab.symfunc import dimension
 
 
@@ -46,6 +50,68 @@ def series_log(s):
             break
         acc = acc + term * F((-1) ** (k + 1), k)
     return acc
+
+
+def _kept(s, terms, w, a):
+    """The nonzero terms within caps (w, a), as Series.__init__ keeps them."""
+    return ({k: c for k, c in terms.items()
+             if c and k[0] <= a and vm_weight(s.family, k[1]) <= w}, w, a)
+
+
+def fraction_mul(x, y):
+    w = min(x.cap_weight, y.cap_weight)
+    a = min(x.cap_aux, y.cap_aux)
+    fam = x.family
+    out = {}
+    buckets = {}
+    for (aux2, vm2), c2 in y.terms.items():
+        w2 = vm_weight(fam, vm2)
+        if w2 <= w:
+            buckets.setdefault(w2, []).append((aux2, vm2, c2))
+    weights = sorted(buckets)
+    for (aux1, vm1), c1 in x.terms.items():
+        w1 = vm_weight(fam, vm1)
+        room = w - w1
+        if room < 0:
+            continue
+        aroom = a - aux1
+        for w2 in weights:
+            if w2 > room:
+                break
+            for aux2, vm2, c2 in buckets[w2]:
+                if aux2 > aroom:
+                    continue
+                key = (aux1 + aux2, vm_mul(vm1, vm2))
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return _kept(x, out, w, a)
+
+
+def fraction_add(x, y):
+    terms = dict(x.terms)
+    for k, c in y.terms.items():
+        terms[k] = terms.get(k, F(0)) + c
+    return _kept(x, terms, min(x.cap_weight, y.cap_weight), min(x.cap_aux, y.cap_aux))
+
+
+def fraction_scale(x, c):
+    return _kept(x, {k: F(c) * v for k, v in x.terms.items()}, x.cap_weight, x.cap_aux)
+
+
+def fraction_partial(x, index):
+    out = {}
+    for (aux, vm), c in x.terms.items():
+        d = dict(vm)
+        e = d.get(index)
+        if not e:
+            continue
+        if e == 1:
+            del d[index]
+        else:
+            d[index] = e - 1
+        key = (aux, tuple(sorted(d.items())))
+        out[key] = out.get(key, F(0)) + e * c
+    return _kept(x, out, x.cap_weight - var_weight(x.family, index), x.cap_aux)
 
 
 def disconnected_simple_series(cap_weight, cap_aux):

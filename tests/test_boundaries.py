@@ -55,6 +55,17 @@ BAD_CALLS = {
     "exp_l_equals_L_check(-1,3)": (exp_l_equals_L_check, -1, 3),
     "exp_l_equals_L_check(2,-1)": (exp_l_equals_L_check, 2, -1),
     "solve_l(-1,3)": (solve_l, -1, 3),
+    # a float used to be stored as its binary value, 0.1 as 3602879701896397/2^55
+    "Series(terms=0.1)": (Series, FAMILY_P, 4, 2, {(0, ()): 0.1}),
+    "constant(0.1)": (Series.constant, FAMILY_P, 4, 2, 0.1),
+    "variable(coeff=0.1)": (Series.variable, FAMILY_P, 1, 4, 2, 0.1),
+    "from_terms(0.1)": (Series.from_terms, FAMILY_P, 4, 2, [(0, {1: 1}, 0.1)]),
+    "P1*0.1": (Series.__mul__, P1, 0.1),
+    "P1*'1/2'": (Series.__mul__, P1, "1/2"),
+    "P1+0.1": (Series.__add__, P1, 0.1),
+    "P1-0.1": (Series.__sub__, P1, 0.1),
+    "P1/0.1": (Series.__truediv__, P1, 0.1),
+    "P1==0.1": (Series.__eq__, P1, 0.1),
 }
 
 

@@ -1,14 +1,18 @@
+import json
 import sys
 import threading
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulab import series
-from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached
-from oracles import series_log
+from taulab.series import (Series, Rat, FAMILY_P, FAMILY_TQ, FAMILIES, _cached,
+                           var_weight)
+from oracles import (series_log, fraction_mul, fraction_add, fraction_scale,
+                     fraction_partial)
 
 
 def P(cap_w=8, cap_a=4):
@@ -141,6 +145,83 @@ def test_substitute_is_ring_morphism(a, b):
     lhs = (a * b).substitute(images)
     rhs = a.substitute(images) * b.substitute(images)
     assert lhs == rhs
+
+
+# -- the integer kernel against the Fraction oracle ----------------------------
+
+# small, coprime-mixed and above-2^64 denominators, either sign
+dens = st.one_of(st.integers(1, 12), st.sampled_from([2 ** 64 + 13, 3 ** 41, 7 ** 23]),
+                 st.integers(2 ** 64, 2 ** 70)).flatmap(lambda d: st.sampled_from([d, -d]))
+fracs = st.builds(Fraction, st.integers(-10 ** 22, 10 ** 22), dens)
+
+
+@st.composite
+def same_family_pair(draw):
+    fam = draw(st.sampled_from(FAMILIES))
+    low = 1 if fam == FAMILY_P else 0
+
+    def one():
+        items = draw(st.lists(st.tuples(
+            st.integers(0, 3),
+            st.dictionaries(st.integers(low, low + 3), st.integers(1, 2), max_size=3),
+            st.one_of(fracs, st.integers(-5, 5))), max_size=6))
+        return Series.from_terms(fam, draw(st.integers(0, 7)), draw(st.integers(0, 3)),
+                                 items)
+    return one(), one()
+
+
+def assert_canonical(s):
+    assert s.den > 0 and all(s.num.values())
+    assert gcd(s.den, *s.num.values()) == 1
+
+
+def assert_matches(got, want):
+    terms, w, a = want
+    assert (got.cap_weight, got.cap_aux) == (w, a)
+    assert list(got.terms.items()) == list(terms.items())  # values and dict order
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert type(got.constant_term()) is Fraction
+    assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_family_pair(), st.one_of(fracs, st.integers(-3, 3)))
+def test_kernel_matches_fraction_oracle(pair, c):
+    x, y = pair
+    assert_matches(x * y, fraction_mul(x, y))
+    assert_matches(x + y, fraction_add(x, y))
+    minus_y = fraction_scale(y, -1)
+    assert_matches(x - y, fraction_add(x, Series(y.family, *minus_y[1:], minus_y[0])))
+    assert_matches(x - x, ({}, x.cap_weight, x.cap_aux))
+    assert (x - x).den == 1
+    assert_matches(x * c, fraction_scale(x, c))
+    low = 1 if x.family == FAMILY_P else 0
+    for index in range(low, low + 4):
+        if var_weight(x.family, index) <= x.cap_weight:
+            assert_matches(x.partial(index), fraction_partial(x, index))
+
+
+def test_equal_series_store_one_canonical_form():
+    x = Series.variable(FAMILY_TQ, 0, 6, 2, Rat(3, 4))
+    y = Series.from_terms(FAMILY_TQ, 6, 2, [(1, {1: 1}, Rat(-5, 6))])
+    a, b = (x + y) * (x - y), x * x - y * y
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.den) == (b.num, b.den) == ({(0, ((0, 2),)): 81, (2, ((1, 2),)): -100}, 144)
+    half = Series.constant(FAMILY_P, 4, 2, Rat(1, 2))
+    one = half + half
+    assert one == 1 and (one.num, one.den) == ({(0, ()): 1}, 1)
+    for s in (a, b, one, a - b, x * 6, (x * 4).partial(0)):
+        assert_canonical(s)
+
+
+def test_from_jsonable_normalizes_a_negative_denominator():
+    obj = {"family": FAMILY_P, "caps": {"weight": 4, "aux": 2},
+           "terms": [{"exp": [1, 2], "coeff": "1/-2"}, {"exp": [0, 0, 1], "coeff": "-6/4"}]}
+    s = Series.from_jsonable(obj)
+    assert s.coeff(1, {1: 2}) == Rat(-1, 2) and s.coeff(0, {2: 1}) == Rat(-3, 2)
+    text = json.dumps(s.to_jsonable())
+    assert json.dumps(Series.from_jsonable(json.loads(text)).to_jsonable()) == text
+    assert '"1/-2"' not in text and Series.from_jsonable(json.loads(text)) == s
 
 
 def test_memo_builds_each_key_once_under_threads():
