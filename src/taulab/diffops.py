@@ -20,9 +20,10 @@ Two flavors of operator are used:
   polynomial it supports the corner-bite calculus (the S operator).
 
 * ``TOp``: a normal-ordered operator sum c * t-monomial * derivative-monomial
-  acting on series in the t variables, with exact composition (contractions
-  via Leibniz).  Used for the independent check that exp(l) = L; L itself
-  acts on series as a substitution (``hodge.apply_L``).
+  in the t variables, with exact composition (contractions via Leibniz), and
+  ``ZOp``, its z-graded sums, with an exponential.  The library calls neither;
+  they stay because the benchmark harness (``perfbench/wrap.py``) wraps both
+  by name, and the operator-algebra test oracle of exp(l) = L builds on them.
 """
 
 from __future__ import annotations

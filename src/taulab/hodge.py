@@ -18,10 +18,11 @@ Conventions pinned here (each enforced by tests against displayed values):
   stable series equals L applied to sum_k (-z)^k F^{(k)}.  L = :exp(A): is
   the normal-ordered exponential of the lowering matrix A[n][n+k] =
   z^k a(n, k), so it is the substitution t -> (1 + A)^T t, and ``apply_L``
-  applies it as that substitution.  Hence L = exp(l) for the first-order l
-  whose matrix is log(1 + A) (finite, since A raises the z-degree), and
-  conjugation acts on each derivative as
-  e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
+  applies it as that substitution.  The first-order l whose matrix is
+  M = log(1 + A) (finite, since A raises the z-degree) is a linear vector
+  field, so exp(l) substitutes by exp(M): L = exp(l) exactly when
+  exp(M) = 1 + A (``exp_l_equals_L_check``).  Conjugation acts on each
+  derivative as e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
 
 * The transformed KP equation, its conjugation and the displayed KdV
   equations over the bold series sum (-z)^k F^{(k)} are each multiplied
@@ -34,7 +35,7 @@ from itertools import product
 from math import comb, factorial
 
 from .series import Series, Rat, _cached, _make
-from .diffops import TOp, ZOp, evaluate, expand
+from .diffops import evaluate, expand
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
                       h_unst_simple, _tensor_fit, _tensor_eval)
 from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
@@ -43,11 +44,17 @@ from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
 # -- expansion constants --------------------------------------------------------
 
 
+def _check_caps(name, least, *caps):
+    """ValueError unless every cap is an int >= least (2.0 shares 2's memo key)."""
+    if not all(isinstance(c, int) and c >= least for c in caps):
+        raise ValueError("%s needs integers >= %d, got %s"
+                         % (name, least, ", ".join(map(repr, caps))))
+
+
 def a_coeff(d, k):
     """Coefficient of psi^{d+k} in the alternating sum; a(d, 0) = 1.  It is
     the integer (sum_{b=1}^{d+1} (-1)^{d-b+1} C(d, b-1) b^{d+k}) / d!."""
-    if d < 0 or k < 0:
-        raise ValueError("a_coeff needs d, k >= 0, got %d, %d" % (d, k))
+    _check_caps("a_coeff", 0, d, k)
     return _cached(("a", d, k), _a_raw, d, k)
 
 
@@ -157,79 +164,64 @@ def apply_L(k, f):
                  {(0, vm): n for (aux, vm), n in image.num.items() if aux == k}, image.den)
 
 
-def _compositions(k):
-    if k == 0:
-        return [()]
-    return [(first,) + rest for first in range(1, k + 1)
-            for rest in _compositions(k - first)]
-
-
-def build_L_grade(k, index_cap):
-    """z^k part of L: sum over ordered compositions (k_1..k_r) of k of
-    (1/r!) prod a_{n_i, n_i+k_i} t_{n_1}..t_{n_r} d/dt_{n_1+k_1}..d/dt_{n_r+k_r}.
-    The products are summed as integers per key and divided by r! once."""
-    def build():
-        a = {(n, j): int(a_coeff(n, j)) for j in range(1, k + 1)
-             for n in range(index_cap - j + 1)}
-        terms = {}
-        for compn in _compositions(k) if k else []:
-            sums = {}
-            for ns in product(*[range(index_cap - ki + 1) for ki in compn]):
-                coeff = 1
-                for n, ki in zip(ns, compn):
-                    coeff *= a[n, ki]
-                key = (tuple(sorted(ns)), tuple(sorted(n + ki for n, ki in zip(ns, compn))))
-                sums[key] = sums.get(key, 0) + coeff
-            for key, c in sums.items():
-                terms[key] = terms.get(key, Rat(0)) + Rat(c, factorial(len(compn)))
-        return TOp(terms)
-    return _cached(("L", k, index_cap), build)
-
-
-def _log_row(n, kmax):
-    """Row n of log(1 + A) = sum_{r <= kmax} (-1)^{r+1} A^r / r as {k: alpha(n, n+k)}:
-    A^r raises the z-degree by at least r; only indices n..n+kmax enter."""
+def _row_series(n, kmax, entry, coeff):
+    """Row n of sum_{1 <= r <= kmax} coeff(r) X^r as {k: value at (n, n+k)}, for
+    the triangular X[i][i+k] = entry(i, k), k >= 1: X^r raises the z-degree
+    by at least r; only indices n..n+kmax enter."""
     row = {}
-    power = {0: Rat(1)}  # row n of A^r, keyed by z-degree
+    power = {0: Rat(1)}  # row n of X^r, keyed by z-degree
     for r in range(1, kmax + 1):
         step = {}
         for j, c in power.items():
             for k in range(1, kmax - j + 1):
-                step[j + k] = step.get(j + k, Rat(0)) + c * a_coeff(n + j, k)
+                step[j + k] = step.get(j + k, Rat(0)) + c * entry(n + j, k)
         power = step
         for j, c in power.items():
-            row[j] = row.get(j, Rat(0)) + c * Rat((-1) ** (r + 1), r)
+            row[j] = row.get(j, Rat(0)) + c * coeff(r)
     return row
 
 
+def _log_row(n, kmax):
+    """Row n of log(1 + A) = sum (-1)^{r+1} A^r / r as {k: alpha(n, n+k)}."""
+    return _row_series(n, kmax, a_coeff, lambda r: Rat((-1) ** (r + 1), r))
+
+
 def solve_l(zmax, index_cap):
-    """The z-graded first-order l with exp(l) = L: the matrix log(1 + A)
-    on indices up to the cap."""
-    if zmax < 0 or index_cap < 0:
-        raise ValueError("l needs zmax, index_cap >= 0, got %d, %d" % (zmax, index_cap))
-    grades = {}
-    for n in range(index_cap):
-        for k, alpha in _log_row(n, min(zmax, index_cap - n)).items():
-            grades.setdefault(k, {})[((n,), (n + k,))] = alpha
-    return ZOp({k: TOp(terms) for k, terms in grades.items()})
+    """The first-order l = sum alpha z^k t_n d/dt_{n+k} with exp(l) = L, as its matrix
+    M = log(1 + A): {(n, n + k): alpha} for 1 <= k <= zmax, n + k <= index_cap."""
+    _check_caps("solve_l", 0, zmax, index_cap)
+    return {(n, n + k): alpha for n in range(index_cap)
+            for k, alpha in _log_row(n, min(zmax, index_cap - n)).items() if alpha}
 
 
 def alpha_coeff(n, k):
-    if n < 0 or k < 0:
-        raise ValueError("alpha_coeff needs n, k >= 0, got %d, %d" % (n, k))
+    _check_caps("alpha_coeff", 0, n, k)
     return _log_row(n, k).get(k, Rat(0))
 
 
+def _exp_matrix(m, zmax, index_cap):
+    """exp(m) = 1 + sum_r m^r / r! through z^zmax on indices up to the cap, for
+    a matrix {(i, i + k): c} with 1 <= k, so the z-degree k bounds r."""
+    out = {}
+    for n in range(index_cap + 1):
+        out[n, n] = Rat(1)
+        row = _row_series(n, min(zmax, index_cap - n), lambda i, k: m.get((i, i + k), 0),
+                          lambda r: Rat(1, factorial(r)))
+        out.update(((n, n + k), c) for k, c in row.items())
+    return out
+
+
+def _one_plus_A(zmax, index_cap):
+    """1 + A through z^zmax on indices up to the cap, A[n][n+k] = a(n, k)."""
+    return {(n, n + k): a_coeff(n, k) for n in range(index_cap + 1)
+            for k in range(min(zmax, index_cap - n) + 1)}
+
+
 def exp_l_equals_L_check(zmax, index_cap):
-    """exp(l) reproduces every coefficient of L through z^zmax on terms with
-    all indices within the cap (lowering chains never leave that range)."""
-    l = solve_l(zmax, index_cap)
-    expl = l.exp(zmax, index_cap)
-    for k in range(zmax + 1):
-        want = TOp.single((), (), 1) if k == 0 else build_L_grade(k, index_cap)
-        if expl.grade(k) != want:
-            return False
-    return True
+    """exp(l) = L through z^zmax on indices up to the cap, as the triangular
+    matrix identity exp(M) = 1 + A (lowering chains never leave the cap)."""
+    _check_caps("exp_l_equals_L_check", 0, zmax, index_cap)
+    return _exp_matrix(solve_l(zmax, index_cap), zmax, index_cap) == _one_plus_A(zmax, index_cap)
 
 
 LISTED_CK = [Rat(1), Rat(-1, 2), Rat(1, 2), Rat(-2, 3), Rat(11, 12), Rat(-3, 4),
@@ -242,8 +234,8 @@ def ck_report(kmax, nmax=4):
     alpha_{n,n+k} for constancy in n.  Returns
     {k: {"lowering": value-or-None, "transposed": value-or-None}} where the
     value is the constant ratio when one exists."""
-    if kmax < 1 or nmax < 0:
-        raise ValueError("ck_report needs kmax >= 1, nmax >= 0, got %d, %d" % (kmax, nmax))
+    _check_caps("ck_report", 1, kmax)
+    _check_caps("ck_report", 0, nmax)
     rows = [_log_row(n, kmax) for n in range(nmax + 1)]
     out = {}
     for k in range(1, kmax + 1):

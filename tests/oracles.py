@@ -18,6 +18,11 @@
   time, each factor its own chain of partials.
 * ``a_alternating``: a(d, k) as the alternating ``Fraction`` sum.
 * ``L_grade_per_tuple``: the z^k part of L, one index tuple at a time.
+* ``build_L_grade``: the z^k part of L, normal ordered, summed per
+  composition of k.
+* ``exp_l_operator_route``: exp(l) = L checked in the normal-ordered
+  operator algebra, by ``ZOp.exp`` of the operator form of ``solve_l``'s
+  matrix (``l_operator``), grade by grade against ``build_L_grade``.
 * ``full_rescan``: the PDE route re-evaluating every monomial's
   equation on every sweep.
 """
@@ -27,9 +32,9 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from taulab.diffops import TOp
+from taulab.diffops import TOp, ZOp
 from taulab.hierarchy import cut_and_join
-from taulab.hodge import conjugated_equation
+from taulab.hodge import a_coeff, conjugated_equation, solve_l
 from taulab.hurwitz import _exp_schur_sum
 from taulab.partitions import partitions_upto
 from taulab.pic import Laurent, _monomials_up_to_weight
@@ -243,6 +248,53 @@ def L_grade_per_tuple(k, index_cap):
             key = (tuple(sorted(ns)), tuple(sorted(n + ki for n, ki in zip(ns, compn))))
             terms[key] = terms.get(key, F(0)) + coeff
     return TOp(terms)
+
+
+def _compositions(k):
+    if k == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, k + 1)
+            for rest in _compositions(k - first)]
+
+
+@lru_cache(maxsize=None)
+def build_L_grade(k, index_cap):
+    """z^k part of L: sum over ordered compositions (k_1..k_r) of k of
+    (1/r!) prod a_{n_i, n_i+k_i} t_{n_1}..t_{n_r} d/dt_{n_1+k_1}..d/dt_{n_r+k_r}.
+    The products are summed as integers per key and divided by r! once."""
+    a = {(n, j): int(a_coeff(n, j)) for j in range(1, k + 1)
+         for n in range(index_cap - j + 1)}
+    terms = {}
+    for compn in _compositions(k) if k else []:
+        sums = {}
+        for ns in product(*[range(index_cap - ki + 1) for ki in compn]):
+            coeff = 1
+            for n, ki in zip(ns, compn):
+                coeff *= a[n, ki]
+            key = (tuple(sorted(ns)), tuple(sorted(n + ki for n, ki in zip(ns, compn))))
+            sums[key] = sums.get(key, 0) + coeff
+        for key, c in sums.items():
+            terms[key] = terms.get(key, F(0)) + F(c, factorial(len(compn)))
+    return TOp(terms)
+
+
+def l_operator(m):
+    """The first-order operator sum c z^(j-i) t_i d/dt_j of a matrix {(i, j): c}."""
+    grades = {}
+    for (i, j), c in m.items():
+        grades.setdefault(j - i, {})[((i,), (j,))] = c
+    return ZOp({k: TOp(terms) for k, terms in grades.items()})
+
+
+def exp_l_operator_route(zmax, index_cap):
+    """exp(l), summed in the normal-ordered operator algebra, reproduces every
+    coefficient of L through z^zmax on terms with all indices within the cap."""
+    expl = l_operator(solve_l(zmax, index_cap)).exp(zmax, index_cap)
+    for k in range(zmax + 1):
+        want = TOp.single((), (), 1) if k == 0 else build_L_grade(k, index_cap)
+        if expl.grade(k) != want:
+            return False
+    return True
 
 
 def full_rescan(solver):

@@ -55,6 +55,12 @@ BAD_CALLS = {
     "exp_l_equals_L_check(-1,3)": (exp_l_equals_L_check, -1, 3),
     "exp_l_equals_L_check(2,-1)": (exp_l_equals_L_check, 2, -1),
     "solve_l(-1,3)": (solve_l, -1, 3),
+    # a float cap used to return the memo value of the equal int, or raise TypeError
+    "a_coeff(2.0,1)": (a_coeff, 2.0, 1),
+    "exp_l_equals_L_check(2.5,3)": (exp_l_equals_L_check, 2.5, 3),
+    "solve_l(2,2.0)": (solve_l, 2, 2.0),
+    "alpha_coeff(1.5,1)": (alpha_coeff, 1.5, 1),
+    "ck_report(2.0,3)": (ck_report, 2.0, 3),
     # a float used to be stored as its binary value, 0.1 as 3602879701896397/2^55
     "Series(terms=0.1)": (Series, FAMILY_P, 4, 2, {(0, ()): 0.1}),
     "constant(0.1)": (Series.constant, FAMILY_P, 4, 2, 0.1),

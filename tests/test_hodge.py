@@ -7,7 +7,7 @@ from taulab import hodge
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
-                          moduli_caps_for, f_moduli, build_L_grade, apply_L,
+                          moduli_caps_for, f_moduli, apply_L, solve_l,
                           alpha_coeff, exp_l_equals_L_check, ck_report,
                           LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
                           khat_22, kpbar_22, conjugated_equation, kdv_check,
@@ -16,7 +16,8 @@ from taulab.diffops import evaluate
 from taulab.pic import string_check, derivative_inverse_check
 
 import oracles
-from oracles import a_alternating, L_grade_per_tuple, full_rescan
+from oracles import (a_alternating, L_grade_per_tuple, build_L_grade, full_rescan,
+                     exp_l_operator_route, l_operator)
 
 # caps shared by the heavier extraction tests
 W = 10
@@ -186,6 +187,38 @@ def test_solve_l_values():
 
 
 def test_exp_l_equals_L():
+    for zmax, cap in ((3, 6), (4, 8), (8, 16), (12, 24)):
+        assert exp_l_equals_L_check(zmax, cap), (zmax, cap)
+
+
+def test_exp_l_operator_route_agrees():
+    for zmax, cap in ((3, 6), (4, 8)):
+        assert exp_l_operator_route(zmax, cap), (zmax, cap)
+
+
+def test_exp_of_l_operator_is_L_grade_by_grade():
+    m = solve_l(4, 8)
+    assert m[0, 1] == 1 and m[0, 2] == F(-1, 2) and m[1, 2] == 3
+    assert all(1 <= j - i <= 4 and j <= 8 for i, j in m)
+    expl = l_operator(m).exp(4, 8)
+    assert expl.grade(0).terms == {((), ()): 1}
+    for k in range(1, 5):
+        assert expl.grade(k) == build_L_grade(k, 8), k
+
+
+def test_exp_l_check_refuses_a_perturbed_entry(monkeypatch):
+    m = solve_l(4, 8)
+    assert hodge._exp_matrix(m, 4, 8) == hodge._one_plus_A(4, 8)
+    bent_m = dict(m)
+    bent_m[2, 4] += F(1, 7)
+    with monkeypatch.context() as mp:
+        mp.setattr(hodge, "solve_l", lambda zmax, cap: bent_m)
+        assert not exp_l_equals_L_check(4, 8)
+    bent_a = hodge._one_plus_A(4, 8)
+    bent_a[3, 6] += 1
+    with monkeypatch.context() as mp:
+        mp.setattr(hodge, "_one_plus_A", lambda zmax, cap: bent_a)
+        assert not exp_l_equals_L_check(4, 8)
     assert exp_l_equals_L_check(4, 8)
 
 
