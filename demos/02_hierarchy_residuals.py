@@ -31,8 +31,8 @@ def main():
     print("\nKP_{2,2} of the simple series %s through weight %d"
           % ("vanishes" if res.is_zero() else "FAILS", res.cap_weight))
 
-    print("\nClosed KP_{2,2} expansion:", sorted(kp_form(2, 2).items()))
-    print("Linear part:", sorted(lkp_form(2, 2).items()))
+    print("\nClosed KP_{2,2} expansion:", sorted(kp_form(2, 2).terms.items()))
+    print("Linear part:", sorted(lkp_form(2, 2).terms.items()))
 
     print("\nU in the T variables:")
     for key, series in sorted(u_hierarchy_residuals(10).items(), key=str):

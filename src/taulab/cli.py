@@ -75,6 +75,8 @@ def cmd_hodge(args):
     if args.k < 0:
         raise ValueError("--k must be >= 0, got %d" % args.k)
     ds = _parse_ints(args.indices)
+    if any(d < 0 for d in ds):
+        raise ValueError("hodge indices must be >= 0, got %r" % (ds,))
     table = hodge.hurwitz_to_hodge(args.genus, len(ds))
     print(_fmt(table.get((args.k, tuple(sorted(ds))), Rat(0))))
     return 0

@@ -1,9 +1,8 @@
 """Finite differential operators.
 
 ``expand`` is the one routine that multiplies out a symbol substitution:
-the product over factors of a sum of graded symbol tuples.  DPoly products,
-the binomial change of derivative variables, the canonical pairs of a
-bilinear form and FPoly products in ``hierarchy`` call it, and so do the
+the product over factors of a sum of graded symbol tuples.  DPoly products
+and the binomial change of derivative variables call it, and so do the
 transformed KP equation, its conjugation and the displayed KdV equations in
 ``hodge``.
 
@@ -14,10 +13,14 @@ partial derivative of d^{eta[:-1]} F, and drops that table on return.
 
 Two flavors of operator are used:
 
-* ``DPoly``: a polynomial with rational coefficients in commuting derivative
-  symbols d_1, d_2, ... (weight(d_i) = i).  Viewed as a constant-coefficient
-  operator it acts on series by iterated partial derivatives; viewed as a
-  polynomial it supports the corner-bite calculus (the S operator).
+* ``DPoly``: the one sparse polynomial with rational coefficients in
+  commuting symbols, which are either
+  - derivative indices i, the symbols d_i (weight i): the polynomial, D_mu
+    for one, is then a constant-coefficient operator on series (``apply``),
+    and the S operator of the corner-bite calculus acts on it; or
+  - derivative monomials m, sorted index tuples that stand for d^m of a
+    series (D^m tau in a Hirota form, d^m F in a KP form); ``lift`` makes
+    each monomial of an operator one such symbol.
 
 * ``TOp``: a normal-ordered operator sum c * t-monomial * derivative-monomial
   in the t variables, with exact composition (contractions via Leibniz), and
@@ -86,8 +89,21 @@ def evaluate(poly, fs):
     return out
 
 
+def _evaluate_monomials(form, series):
+    """``evaluate`` of a DPoly in derivative monomials m, each read as d^m series."""
+    return evaluate({tuple((0, m) for m in key): c for key, c in form.terms.items()},
+                    {0: series})
+
+
+def _dpoly(terms):
+    """The DPoly of normal terms: sorted keys, nonzero Fraction values."""
+    p = object.__new__(DPoly)
+    p.terms = terms
+    return p
+
+
 class DPoly:
-    """Polynomial in derivative symbols d_i; keys are sorted index tuples."""
+    """Sparse polynomial: sorted symbol tuples -> nonzero Fractions (see above)."""
 
     __slots__ = ("terms",)
 
@@ -96,43 +112,43 @@ class DPoly:
         for mono, c in (terms or {}).items():
             c = Rat(c)
             if c:
-                clean[tuple(sorted(mono))] = clean.get(tuple(sorted(mono)), Rat(0)) + c
+                key = tuple(sorted(mono))
+                clean[key] = clean[key] + c if key in clean else c
         self.terms = {k: v for k, v in clean.items() if v}
 
     @classmethod
     def d(cls, i):
         return cls({(i,): Rat(1)})
 
+    def lift(self):
+        """sum c * [m]: each monomial m of this polynomial as one symbol."""
+        return _dpoly({(mono,): c for mono, c in self.terms.items()})
+
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Rat(0)) + v
-        return DPoly(out)
-
-    def __sub__(self, other):
-        return self + (other * Rat(-1))
+            out[k] = out[k] + v if k in out else v
+        return _dpoly({k: v for k, v in out.items() if v})
 
     def __mul__(self, other):
         if isinstance(other, DPoly):
-            return DPoly({mono: c for (_, mono), c in expand(
+            return _dpoly({mono: c for (_, mono), c in expand(
                 (self, other), lambda p: [(0, m, k) for m, k in p.terms.items()]).items()})
         c = Rat(other)
-        return DPoly({k: v * c for k, v in self.terms.items()})
+        return _dpoly({k: v * c for k, v in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, DPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "DPoly(0)"
         bits = []
         for mono, c in sorted(self.terms.items()):
-            name = "*".join("d%d" % i for i in mono) if mono else "1"
+            name = "*".join("d%d" % x if isinstance(x, int) else
+                            "d(%s)" % ",".join(map(str, x)) for x in mono) or "1"
             bits.append("%s*%s" % (c, name))
         return "DPoly(%s)" % " + ".join(bits)
 
@@ -140,8 +156,8 @@ class DPoly:
         return not self.terms
 
     def apply(self, series):
-        return evaluate({((0, mono),): c for mono, c in self.terms.items()},
-                        {0: series})
+        """This operator, in index symbols, applied to series."""
+        return _evaluate_monomials(self.lift(), series)
 
     def s_action(self):
         """S = sum_i i d_i d/dd_{i+1}, acting on the polynomial."""
@@ -171,50 +187,6 @@ class DPoly:
                                                   for k in range(1, i + 1)]).items():
                 out[key] = out.get(key, Rat(0)) + c * v
         return {k: v for k, v in out.items() if v}
-
-
-class BForm:
-    """Bilinear combination sum_r c_r (A_r tau) (B_r tau)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = [(Rat(c), a, b) for c, a, b in parts]
-
-    def __add__(self, other):
-        return BForm(self.parts + other.parts)
-
-    def scale(self, c):
-        c = Rat(c)
-        return BForm([(c * k, a, b) for k, a, b in self.parts])
-
-    def apply(self, tau):
-        return evaluate({((0, m1), (0, m2)): c
-                         for (m1, m2), c in self.canonical_pairs().items()},
-                        {0: tau})
-
-    def canonical_pairs(self):
-        """Unordered expansion dict {(mono_min, mono_max): coeff}."""
-        out = {}
-        for c, a, b in self.parts:
-            for (_, key), v in expand((a, b), lambda p: [(0, (mono,), k) for mono, k
-                                                         in p.terms.items()]).items():
-                out[key] = out.get(key, Rat(0)) + c * v
-        return {k: v for k, v in out.items() if v}
-
-    def s_tensor(self):
-        """(S (x) 1 + 1 (x) S) applied to the form."""
-        return BForm([(c, a.s_action(), b) for c, a, b in self.parts]
-                     + [(c, a, b.s_action()) for c, a, b in self.parts])
-
-    def d1_derivative(self):
-        """Derivative of the expression in p_1 (product rule)."""
-        d1 = DPoly.d(1)
-        return BForm([(c, d1 * a, b) for c, a, b in self.parts]
-                     + [(c, a, d1 * b) for c, a, b in self.parts])
-
-    def equals(self, other):
-        return self.canonical_pairs() == other.canonical_pairs()
 
 
 # -- normal-ordered t-variable operators --------------------------------------

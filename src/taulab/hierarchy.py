@@ -10,19 +10,19 @@ Hir_{i,j}(tau) = D_{()}tau * D_{(j,i)}tau - D_{(i-1)}tau * D_{(j,1)}tau
 KP_{i,j}(F) = Hir_{i,j}(e^F) / e^{2F}; LKP_{i,j} is its linear part, which
 works out to the single operator D_{(j,i)}.
 
-Every residual here is a polynomial in derivatives of one series, and
-``diffops.evaluate`` computes all of them: Hir and LKP through
-``BForm.apply`` and ``DPoly.apply``, KP in closed form directly.
+Each form is a ``DPoly`` in derivative monomials m: D^m tau in
+``hirota_form``, d^m F in ``kp_form``, ``lkp_form`` and ``bell_poly``.
+``diffops.evaluate`` computes every residual, through the one bridge
+``diffops._evaluate_monomials``: Hir and closed KP directly, LKP as
+``DPoly.apply`` of the operator D_{(j,i)}.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
 from .series import Rat, FAMILY_P, _cached, _make
-from .diffops import DPoly, BForm, evaluate, expand
+from .diffops import DPoly, _evaluate_monomials
 
 
 def d_mu(mu):
@@ -41,17 +41,31 @@ def _check_ij(i, j):
         raise ValueError("need 2 <= i <= j, got i = %d, j = %d" % (i, j))
 
 
-def hirota_form(i, j):
+def _hirota_pairs(i, j):
+    """The three factor pairs (c, D_a, D_b) of Hir_{i,j} = sum c (D_a tau)(D_b tau)."""
     _check_ij(i, j)
-    return BForm([
-        (1, d_mu(Partition(())), d_mu(Partition((j, i)))),
-        (-1, d_mu(Partition((i - 1,))), d_mu(Partition((j, 1)))),
-        (1, d_mu(Partition((j,))), d_mu(Partition((i - 1, 1)))),
-    ])
+    return [(1, d_mu(Partition(())), d_mu(Partition((j, i)))),
+            (-1, d_mu(Partition((i - 1,))), d_mu(Partition((j, 1)))),
+            (1, d_mu(Partition((j,))), d_mu(Partition((i - 1, 1))))]
+
+
+def _bilinear(pairs):
+    """sum c * lift(a) * lift(b) over the pairs (c, a, b)."""
+    return sum((a.lift() * b.lift() * c for c, a, b in pairs), DPoly())
+
+
+def _leibniz(pairs, op):
+    """The pairs of op applied to one factor of each pair, then to the other."""
+    return [(c, op(a), b) for c, a, b in pairs] + [(c, a, op(b)) for c, a, b in pairs]
+
+
+def hirota_form(i, j):
+    """Hir_{i,j} as a DPoly in the monomials m, each standing for D^m tau."""
+    return _cached(("hirota", i, j), _bilinear, _hirota_pairs(i, j))
 
 
 def hirota_residual(i, j, tau):
-    return hirota_form(i, j).apply(tau)
+    return _evaluate_monomials(hirota_form(i, j), tau)
 
 
 def lkp_op(i, j):
@@ -77,34 +91,11 @@ def kp_residual(i, j, F, method="exp"):
         tau = F.exp()
         return hirota_residual(i, j, tau) * (F * Rat(-2)).exp()
     if method == "closed":
-        return evaluate({tuple((0, eta) for eta in key): c
-                         for key, c in kp_form(i, j).items()}, {0: F})
+        return _evaluate_monomials(kp_form(i, j), F)
     raise ValueError("unknown method %r" % (method,))
 
 
 # -- KP closed forms: polynomials in derivatives of F -------------------------
-#
-# An FPoly is a dict {(eta_1, eta_2, ...): coeff} where each eta is a sorted
-# tuple of p-indices and the key tuple is sorted; it denotes
-# sum coeff * prod_r (d^{|eta_r|} F / d p_{eta_r}), which diffops.evaluate
-# computes with every factor on the one slice F.
-
-
-def fpoly_mul(a, b):
-    return {key: c for (_, key), c
-            in expand((a, b), lambda p: [(0, k, c) for k, c in p.items()]).items()}
-
-
-def fpoly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Rat(0)) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def fpoly_scale(a, c):
-    c = Rat(c)
-    return {k: v * c for k, v in a.items() if v * c}
 
 
 def _set_partitions(items):
@@ -120,26 +111,24 @@ def _set_partitions(items):
 
 
 def bell_poly(dp):
-    """e^{-F} (dp applied to e^F), as an FPoly (Faa di Bruno)."""
+    """e^{-F} (dp applied to e^F), in the monomials m of d^m F (Faa di Bruno)."""
     out = {}
     for mono, c in dp.terms.items():
         for part in _set_partitions(list(mono)):
             key = tuple(sorted(tuple(sorted(block)) for block in part))
             out[key] = out.get(key, Rat(0)) + c
-    return {k: v for k, v in out.items() if v}
+    return DPoly(out)
 
 
 def kp_form(i, j):
-    """KP_{i,j} expanded as an FPoly in the derivatives of F."""
-    acc = {}
-    for c, a, b in hirota_form(i, j).parts:
-        acc = fpoly_add(acc, fpoly_scale(fpoly_mul(bell_poly(a), bell_poly(b)), c))
-    return acc
+    """KP_{i,j} expanded in the monomials m of d^m F."""
+    return sum((bell_poly(a) * bell_poly(b) * c for c, a, b in _hirota_pairs(i, j)),
+               DPoly())
 
 
 def lkp_form(i, j):
     """Terms of kp_form with exactly one derivative factor."""
-    return {k: v for k, v in kp_form(i, j).items() if len(k) == 1}
+    return DPoly({k: v for k, v in kp_form(i, j).terms.items() if len(k) == 1})
 
 
 # -- cut-and-join --------------------------------------------------------------
@@ -208,30 +197,28 @@ def character_identity_check(mu, la):
     return lhs == rhs
 
 
+def hirota_s_tensor(i, j):
+    """(S (x) 1 + 1 (x) S) Hir_{i,j}: S applied to each factor D_a, D_b."""
+    return _bilinear(_leibniz(_hirota_pairs(i, j), DPoly.s_action))
+
+
 def hirota_descent_check(i, j):
     """(S (x) 1 + 1 (x) S) Hir_{i,j} equals the stated lower combination.
 
     Returns True iff the identity holds as bilinear forms:
       i < j:  (i-2) Hir_{i-1,j} + (j-1) Hir_{i,j-1}
       i == j: (i-2) Hir_{i-1,i}
+    A term whose coefficient is 0 or whose indices leave 2 <= i <= j drops.
     """
-    lhs = hirota_form(i, j).s_tensor()
-    if i < j:
-        rhs = BForm([])
-        if i - 2:
-            rhs = rhs + hirota_form(i - 1, j).scale(i - 2)
-        if j - 1 and j - 1 >= i:
-            rhs = rhs + hirota_form(i, j - 1).scale(j - 1)
-    else:
-        rhs = BForm([])
-        if i - 2:
-            rhs = rhs + hirota_form(i - 1, i).scale(i - 2)
-    return lhs.equals(rhs)
+    lower = [(i - 2, i - 1, j), (j - 1, i, j - 1)]
+    return hirota_s_tensor(i, j) == sum((hirota_form(a, b) * c for c, a, b in lower
+                                         if c and a <= b), DPoly())
 
 
 def simplified_hirota_23():
     """Hir_{2,3} - 1/2 d(Hir_{2,2})/dp_1 as a bilinear form."""
-    return hirota_form(2, 3) + hirota_form(2, 2).d1_derivative().scale(Fraction(-1, 2))
+    d_p1 = _leibniz(_hirota_pairs(2, 2), DPoly.d(1).__mul__)
+    return _bilinear(_hirota_pairs(2, 3) + [(c * Rat(-1, 2), a, b) for c, a, b in d_p1])
 
 
 def weight_flow_equivalence_check(mu):

@@ -275,13 +275,13 @@ def hurwitz_to_hodge(g, n, max_k=None):
     verified.  An off-grading coefficient, an asymmetric solve or a failed
     held-out point raises ValueError; so does a negative max_k.
     """
-    max_k = g if max_k is None else max_k
-    if max_k < 0:
-        raise ValueError("max_k must be >= 0, got %d" % max_k)
     dim = 3 * g - 3 + n
     if g < 0 or n < 1 or dim < 0:
         raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
                          "and 3g - 3 + n >= 0" % (g, n))
+    max_k = g if max_k is None else max_k
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0, got %d" % max_k)
     B = dim + 1
     coeffs = _tensor_fit([range(1, B + 1)] * n, lambda bs: elsv_scaled_value(g, bs))
     table = {}
@@ -327,7 +327,7 @@ def khat_22():
                 (a + b, (), Rat(a ** a * b ** b, (a + b) * factorial(a) * factorial(b)))]
 
     out = {}
-    for etas, c in kp_form(2, 2).items():
+    for etas, c in kp_form(2, 2).terms.items():
         for key, v in expand(etas, image).items():
             out[key] = out.get(key, Rat(0)) + c * v
     out = {k: v for k, v in out.items() if v}

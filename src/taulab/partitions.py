@@ -12,8 +12,9 @@ with the hook-sum identity (see symfunc).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
+
+from .series import _cached
 
 
 class Partition:
@@ -115,8 +116,11 @@ def partitions_of(d):
     return [Partition(p) for p in _parts_tuples(d, d)]
 
 
-@lru_cache(maxsize=None)
 def _parts_tuples(d, maxpart):
+    return _cached(("parts", d, maxpart), _parts_tuples_raw, d, maxpart)
+
+
+def _parts_tuples_raw(d, maxpart):
     if d == 0:
         return ((),)
     out = []

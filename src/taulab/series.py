@@ -73,19 +73,12 @@ def vm_mul(a, b):
     return tuple(sorted(acc.items()))
 
 
-_WEIGHT_CACHE = {}
-
-
 def vm_weight(family, vm):
-    key = (family, vm)
-    got = _WEIGHT_CACHE.get(key)
-    if got is None:
-        if family == FAMILY_P:
-            got = sum(i * e for i, e in vm)
-        else:
-            got = sum((i + 1) * e for i, e in vm)
-        _WEIGHT_CACHE[key] = got
-    return got
+    shift = 0 if family == FAMILY_P else 1
+    w = 0
+    for i, e in vm:
+        w += (i + shift) * e
+    return w
 
 
 def var_weight(family, index):
@@ -360,20 +353,19 @@ class Series:
                      {(aux - 1, vm): aux * n for (aux, vm), n in self.num.items() if aux},
                      self.den)
 
-    def substitute(self, images, family=None, cap_weight=None, cap_aux=None,
-                   aux_image_exp=1):
+    def substitute(self, images, cap_weight=None, cap_aux=None):
         """Simultaneous substitution of finite series for main variables.
 
-        ``images`` maps variable indices to Series in the target family; any
-        variable without an image must not occur.  The auxiliary variable is
-        sent to aux^aux_image_exp.  Every image must be free of constant
-        terms (each image term has weight + aux >= 1); this is the
-        triangularity that keeps the truncated computation finite and is
-        checked up front.  Exactness on the retained range is the caller's
-        responsibility: images must be supplied complete up to the target
-        caps.
+        ``images`` maps variable indices to Series in this series' family; any
+        variable without an image must not occur, and the auxiliary variable
+        is kept.  The result has the given caps, by default this series'
+        caps.  Every image must be free of constant terms (each image term
+        has weight + aux >= 1); this is the triangularity that keeps the
+        truncated computation finite and is checked up front.  Exactness on
+        the retained range is the caller's responsibility: images must be
+        supplied complete up to the target caps.
         """
-        fam = family or self.family
+        fam = self.family
         w = self.cap_weight if cap_weight is None else cap_weight
         a = self.cap_aux if cap_aux is None else cap_aux
         for i, img in images.items():
@@ -387,9 +379,9 @@ class Series:
                   for i, img in images.items()}
         out = Series.zero(fam, w, a)
         for (aux, vm), n in self.num.items():
-            if aux * aux_image_exp > a:
+            if aux > a:
                 continue
-            piece = _make(fam, w, a, {(aux * aux_image_exp, ()): n}, self.den)
+            piece = _make(fam, w, a, {(aux, ()): n}, self.den)
             for i, e in vm:
                 if i not in images:
                     raise ValueError("no image for variable index %d" % i)

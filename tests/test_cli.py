@@ -157,6 +157,10 @@ def test_clean_error_for_invalid_method_combination(capsys):
     "hurwitz --kind simple --genus 0 --profile 6 --method brute",
     "hodge --genus 0 --indices 0",
     "hodge --genus -1 --indices 0,0,0,0,0,0",
+    # a negative index must not read as a missing (zero) table entry
+    "hodge --genus 1 --indices -1",
+    "hodge --genus 1 --indices 2,-1",
+    "hodge --genus -1 --indices 1",
     "schur --mu 0",
     "char --mu 2,1 --lambda 3,0",
     "bracket --indices -1",

@@ -11,11 +11,10 @@ from taulab.hodge import (conjugated_equation, f_moduli, moduli_caps_for,
                           kdv_zpart_as_moduli_poly)
 from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               lkp_residual, lkp_form, kp_form, kp_residual,
-                              fpoly_add, fpoly_mul, fpoly_scale,
                               cut_and_join, corner_descent_check,
                               character_identity_check, hirota_descent_check,
-                              simplified_hirota_23, weight_flow_equivalence_check,
-                              bell_poly)
+                              hirota_s_tensor, simplified_hirota_23,
+                              weight_flow_equivalence_check, bell_poly)
 
 from oracles import term_by_term
 
@@ -65,7 +64,7 @@ def test_apply_dmu_examples():
 
 
 def test_hirota_22_displayed():
-    got = hirota_form(2, 2).canonical_pairs()
+    got = hirota_form(2, 2).terms
     want = {
         ((), (2, 2)): F(1),
         ((2,), (2,)): F(-1),
@@ -79,7 +78,7 @@ def test_hirota_22_displayed():
 
 
 def test_hirota_23_displayed():
-    got = hirota_form(2, 3).canonical_pairs()
+    got = hirota_form(2, 3).terms
     want = {
         ((), (2, 3)): F(1),
         ((2,), (3,)): F(-1),
@@ -105,13 +104,13 @@ def test_hirota_23_displayed():
 
 
 def test_kp_lkp_22_displayed():
-    assert kp_form(2, 2) == {
+    assert kp_form(2, 2).terms == {
         ((2, 2),): F(1),
         ((1, 3),): F(-1),
         ((1, 1), (1, 1)): F(1, 2),
         ((1, 1, 1, 1),): F(1, 12),
     }
-    assert lkp_form(2, 2) == {
+    assert lkp_form(2, 2).terms == {
         ((2, 2),): F(1),
         ((1, 3),): F(-1),
         ((1, 1, 1, 1),): F(1, 12),
@@ -125,7 +124,7 @@ def test_kp_lkp_23_displayed():
     # 1/2 F_1 KP_{2,2} (equivalent modulo the hierarchy); the reduction
     # identity is asserted below and reconstructs the printed table
     literal = kp_form(2, 3)
-    assert literal == {
+    assert literal.terms == {
         ((2, 3),): F(1),
         ((1, 4),): F(-1),
         ((1, 1), (1, 2)): F(1),
@@ -139,7 +138,7 @@ def test_kp_lkp_23_displayed():
         ((1, 1), (1, 1, 1)): F(1, 2),
         ((1, 1, 1, 1, 1),): F(1, 24),
     }
-    half_f1_kp22 = fpoly_scale(fpoly_mul({((1,),): F(1)}, kp_form(2, 2)), F(-1, 2))
+    half_f1_kp22 = DPoly({((1,),): F(1)}) * kp_form(2, 2) * F(-1, 2)
     printed = {
         ((2, 3),): F(1),
         ((1, 4),): F(-1),
@@ -154,8 +153,8 @@ def test_kp_lkp_23_displayed():
         ((1, 1), (1, 1, 1)): F(1, 2),
         ((1, 1, 1, 1, 1),): F(1, 24),
     }
-    assert fpoly_add(literal, half_f1_kp22) == printed
-    assert lkp_form(2, 3) == {
+    assert (literal + half_f1_kp22).terms == printed
+    assert lkp_form(2, 3).terms == {
         ((2, 3),): F(1),
         ((1, 4),): F(-1),
         ((1, 1, 1, 2),): F(1, 6),
@@ -166,7 +165,7 @@ def test_kp_lkp_23_displayed():
 
 
 def test_simplified_hierarchy_23():
-    got = simplified_hirota_23().canonical_pairs()
+    got = simplified_hirota_23().terms
     want = {
         ((), (2, 3)): F(1),
         ((2,), (3,)): F(-1),
@@ -181,9 +180,9 @@ def test_simplified_hierarchy_23():
 
 
 def test_bell_poly_small():
-    assert bell_poly(DPoly.d(1)) == {((1,),): F(1)}
-    assert bell_poly(DPoly({(1, 2): 1})) == {((1, 2),): F(1), ((1,), (2,)): F(1)}
-    got = bell_poly(DPoly({(1, 1, 1): 1}))
+    assert bell_poly(DPoly.d(1)).terms == {((1,),): F(1)}
+    assert bell_poly(DPoly({(1, 2): 1})).terms == {((1, 2),): F(1), ((1,), (2,)): F(1)}
+    got = bell_poly(DPoly({(1, 1, 1): 1})).terms
     assert got == {((1, 1, 1),): F(1), ((1,), (1, 1)): F(3), ((1,), (1,), (1,)): F(1)}
 
 
@@ -243,6 +242,13 @@ def test_s_operator_examples():
     assert d_mu(P((2, 1))).s_action() == DPoly({(2,): -2})
 
 
+def test_dpoly_repr_names_both_kinds_of_symbol():
+    assert repr(DPoly({(1, 2): F(1, 2)})) == "DPoly(1/2*d1*d2)"
+    assert repr(hirota_form(2, 2) * 0) == "DPoly(0)"
+    assert (repr(DPoly({((), (1, 1)): 1, ((2,), (2,)): -1}))
+            == "DPoly(1*d()*d(1,1) + -1*d(2)*d(2))")
+
+
 def test_corner_descent_exhaustive():
     for d in range(1, 9):
         for mu in partitions_of(d):
@@ -259,15 +265,15 @@ def test_character_identity_exhaustive():
 
 
 def test_hirota_descent():
-    lhs22 = hirota_form(2, 2).s_tensor().canonical_pairs()
+    lhs22 = hirota_s_tensor(2, 2).terms
     assert lhs22 == {}
     assert hirota_descent_check(2, 2)
-    lhs23 = hirota_form(2, 3).s_tensor().canonical_pairs()
-    want23 = hirota_form(2, 2).scale(2).canonical_pairs()
+    lhs23 = hirota_s_tensor(2, 3).terms
+    want23 = (hirota_form(2, 2) * 2).terms
     assert lhs23 == want23
     assert hirota_descent_check(2, 3)
-    lhs33 = hirota_form(3, 3).s_tensor().canonical_pairs()
-    want33 = hirota_form(2, 3).canonical_pairs()
+    lhs33 = hirota_s_tensor(3, 3).terms
+    want33 = hirota_form(2, 3).terms
     assert lhs33 == want33
     assert hirota_descent_check(3, 3)
     for i in range(2, 6):
@@ -318,7 +324,7 @@ def test_evaluate_matches_term_by_term_on_hirota_and_kdv():
     tau = lp(lp(h_onepart_series(10, 6))) + 1
     bumped = tau + Series.from_terms(FAMILY_P, 10, 6, [(1, {1: 1, 3: 1}, F(2, 3))])
     cases = [({((0, m1), (0, m2)): c for (m1, m2), c
-               in hirota_form(i, j).canonical_pairs().items()}, {0: t})
+               in hirota_form(i, j).terms.items()}, {0: t})
              for i, j in ((2, 2), (2, 3)) for t in (tau, bumped)]
     fs = {s: f_moduli(s, 10, moduli_caps_for(10, 1)) for s in range(2)}
     poly = kdv_zpart_as_moduli_poly("F02", 1, 1)

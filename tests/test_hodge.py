@@ -455,7 +455,8 @@ def test_one_point_tables_match_hodge_series():
             assert v == coeffs[(g, g - k)], (g, k)
 
 
-@pytest.mark.parametrize("g, n", [(0, 1), (0, 2), (-1, 5), (1, 0)])
+@pytest.mark.parametrize("g, n", [(0, 1), (0, 2), (-1, 5), (1, 0), (-1, 1)])
 def test_unstable_hodge_shape_rejected(g, n):
-    with pytest.raises(ValueError):
+    # the message names the shape, not the default max_k = g
+    with pytest.raises(ValueError, match="not stable"):
         hurwitz_to_hodge(g, n)
