@@ -2,7 +2,8 @@
 integrals, and bilinear integrable-hierarchy verification.
 
 Everything is computed over rational numbers; there is no floating point
-anywhere.  The main entry points:
+anywhere.  Names load on first use: ``import taulab`` imports no submodule,
+and ``taulab.X`` imports the module that defines X.  The main entry points:
 
 * ``hurwitz``: one-part and simple Hurwitz numbers by independent routes
   (brute-force factorization counting, character sums, closed hook series)
@@ -17,31 +18,36 @@ anywhere.  The main entry points:
 * ``cli``: the ``tau-lab`` command line front end.
 """
 
-from .series import Series, Rat, FAMILY_P, FAMILY_TQ, FAMILY_TU
-from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
-                         zee, class_size, hook, cut_and_join_eigenvalue)
-from .symfunc import character, dimension, schur_poly, power_to_schur
-from .diffops import DPoly, TOp, ZOp
-# the dispatching hurwitz() lives in taulab.hurwitz; importing it here would
-# shadow the submodule attribute of the same name
-from .hurwitz import (HurwitzQuery, ONEPART, SIMPLE,
-                      hurwitz_bruteforce, hurwitz_frobenius, hurwitz_closed,
-                      h_onepart_series, h_simple_series)
-from .hierarchy import (d_mu, hirota_residual, kp_residual, lkp_residual,
-                        cut_and_join)
-from .pic import bracket, f_series, u_series, u_hierarchy_residuals
-from .hodge import a_coeff, hurwitz_to_hodge, f_moduli
+from importlib import import_module
 
-__all__ = [
-    "Series", "Rat", "FAMILY_P", "FAMILY_TQ", "FAMILY_TU",
-    "Partition", "partitions_of", "partitions_upto", "aut_order", "zee",
-    "class_size", "hook", "cut_and_join_eigenvalue",
-    "character", "dimension", "schur_poly", "power_to_schur",
-    "DPoly", "TOp", "ZOp",
-    "HurwitzQuery", "ONEPART", "SIMPLE", "hurwitz_bruteforce",
-    "hurwitz_frobenius", "hurwitz_closed", "h_onepart_series",
-    "h_simple_series",
-    "d_mu", "hirota_residual", "kp_residual", "lkp_residual", "cut_and_join",
-    "bracket", "f_series", "u_series", "u_hierarchy_residuals",
-    "a_coeff", "hurwitz_to_hodge", "f_moduli",
-]
+# the public names of each home module, in the order of __all__; hurwitz()
+# stays in taulab.hurwitz, so that taulab.hurwitz is the submodule
+_EXPORTS = {
+    "series": ("Series", "Rat", "FAMILY_P", "FAMILY_TQ", "FAMILY_TU"),
+    "partitions": ("Partition", "partitions_of", "partitions_upto", "aut_order",
+                   "zee", "class_size", "hook", "cut_and_join_eigenvalue"),
+    "symfunc": ("character", "dimension", "schur_poly", "power_to_schur"),
+    "diffops": ("DPoly", "TOp", "ZOp"),
+    "hurwitz": ("HurwitzQuery", "ONEPART", "SIMPLE", "hurwitz_bruteforce",
+                "hurwitz_frobenius", "hurwitz_closed", "h_onepart_series",
+                "h_simple_series"),
+    "hierarchy": ("d_mu", "hirota_residual", "kp_residual", "lkp_residual",
+                  "cut_and_join"),
+    "pic": ("bracket", "f_series", "u_series", "u_hierarchy_residuals"),
+    "hodge": ("a_coeff", "hurwitz_to_hodge", "f_moduli"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(import_module("." + _HOME[name], __name__), name)
+    if name in _EXPORTS or name == "cli":
+        return import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

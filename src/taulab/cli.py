@@ -11,13 +11,9 @@ import json
 import sys
 from fractions import Fraction
 
+# each command imports the modules it runs, so a process loads only those
 from .partitions import Partition, partitions_of, partitions_upto
-from .symfunc import character, schur_poly
 from .series import Series, Rat
-from . import hurwitz as hw
-from . import pic
-from . import hodge
-from . import hierarchy
 
 
 def _parse_ints(s):
@@ -35,6 +31,7 @@ def _fmt_frac(value):
 
 
 def cmd_hurwitz(args):
+    from . import hurwitz as hw
     q = hw.HurwitzQuery(args.kind, args.genus, _parse_ints(args.profile))
     cached = hw.cache_lookup(q)
     value = hw.hurwitz(q, method=args.method)
@@ -54,11 +51,13 @@ def cmd_hurwitz(args):
 
 
 def cmd_bracket(args):
+    from . import pic
     print(_fmt(pic.bracket(_parse_ints(args.indices))))
     return 0
 
 
 def cmd_bracket_table(args):
+    from . import pic
     table = pic.genus_table(args.genus)
     rows = [{"indices": list(k), "value": _fmt_frac(v)}
             for k, v in sorted(table.items())]
@@ -72,6 +71,7 @@ def cmd_bracket_table(args):
 
 
 def cmd_hodge(args):
+    from . import hodge
     if args.k < 0:
         raise ValueError("--k must be >= 0, got %d" % args.k)
     ds = _parse_ints(args.indices)
@@ -83,6 +83,7 @@ def cmd_hodge(args):
 
 
 def cmd_char(args):
+    from .symfunc import character
     mu = Partition(sorted(_parse_ints(args.mu), reverse=True))
     lam = Partition(sorted(_parse_ints(args.lam), reverse=True))
     print(character(mu, lam))
@@ -90,6 +91,7 @@ def cmd_char(args):
 
 
 def cmd_schur(args):
+    from .symfunc import schur_poly
     mu = Partition(sorted(_parse_ints(args.mu), reverse=True))
     s = schur_poly(mu)
     if args.format == "json":
@@ -100,13 +102,13 @@ def cmd_schur(args):
 
 
 BUILDERS = {
-    "onepart-h": lambda w, a: hw.h_onepart_series(w, a),
-    "simple-h": lambda w, a: hw.h_simple_series(w, a),
-    "lp2h": lambda w, a: hw.lp(hw.lp(hw.h_onepart_series(w, a))),
-    "hooks": lambda w, a: hw.hook_series(w, a),
-    "f": lambda w, a: pic.f_series(w),
-    "u": lambda w, a: pic.u_series(w),
-    "u-in-T": lambda w, a: pic.u_in_T(w),
+    "onepart-h": ("hurwitz", lambda hw, w, a: hw.h_onepart_series(w, a)),
+    "simple-h": ("hurwitz", lambda hw, w, a: hw.h_simple_series(w, a)),
+    "lp2h": ("hurwitz", lambda hw, w, a: hw.lp(hw.lp(hw.h_onepart_series(w, a)))),
+    "hooks": ("hurwitz", lambda hw, w, a: hw.hook_series(w, a)),
+    "f": ("pic", lambda pic, w, a: pic.f_series(w)),
+    "u": ("pic", lambda pic, w, a: pic.u_series(w)),
+    "u-in-T": ("pic", lambda pic, w, a: pic.u_in_T(w)),
 }
 
 
@@ -119,7 +121,9 @@ def cmd_series(args):
         ok = Series.from_jsonable(again) == s
         print("PASS" if ok else "FAIL")
         return 0 if ok else 1
-    s = BUILDERS[args.build](args.cap_weight, args.cap_aux)
+    from importlib import import_module
+    module, build = BUILDERS[args.build]
+    s = build(import_module("." + module, __package__), args.cap_weight, args.cap_aux)
     print(json.dumps(s.to_jsonable()))
     return 0
 
@@ -136,10 +140,12 @@ def cmd_verify(args):
 
 
 def _verify_hirota(args):
+    from . import hierarchy
     if args.tau:
         with open(args.tau) as fh:
             tau = Series.from_jsonable(json.load(fh))
     else:
+        from . import hurwitz as hw
         tau = hw.lp(hw.lp(hw.h_onepart_series(args.cap_weight, args.cap_aux))) + 1
     res = hierarchy.hirota_residual(args.i, args.j, tau)
     return res.is_zero(), "max weight checked: %d" % res.cap_weight
@@ -156,12 +162,14 @@ def _region(args, items, bound="max_size"):
 
 
 def _verify_corner(args):
+    from . import hierarchy
     mus = _region(args, [mu for mu in partitions_upto(args.max_size) if mu.size])
     bad = [mu for mu in mus if not hierarchy.corner_descent_check(mu)]
     return not bad, "checked all diagrams with at most %d boxes" % args.max_size
 
 
 def _verify_char_identity(args):
+    from . import hierarchy
     pairs = _region(args, [(mu, la) for d in range(1, args.max_size + 1)
                            for mu in partitions_of(d) for la in partitions_of(d - 1)])
     for mu, la in pairs:
@@ -171,6 +179,7 @@ def _verify_char_identity(args):
 
 
 def _verify_descent(args):
+    from . import hierarchy
     hi = args.max_ij
     sweep = _region(args, [(i, j) for i in range(2, hi + 1)
                            for j in range(i, hi + 1)], "max_ij")
@@ -182,6 +191,7 @@ def _verify_descent(args):
 
 
 def _verify_ck(args):
+    from . import hodge
     if not 1 <= args.kmax <= len(hodge.LISTED_CK):
         raise ValueError("verify ck: --kmax %d is outside 1..%d, the listed c_k"
                          % (args.kmax, len(hodge.LISTED_CK)))
@@ -200,6 +210,7 @@ def _verify_ck(args):
 
 
 def _verify_kdv(args):
+    from . import hodge
     W = args.cap_weight
     M = hodge.moduli_caps_for(W, 2)
     fs = {k: hodge.f_moduli(k, W, M) for k in (0, 1, 2)}
@@ -221,6 +232,7 @@ def _verify_kdv(args):
 
 
 def _verify_u_tau(args):
+    from . import pic
     res = pic.u_hierarchy_residuals(args.cap_weight)
     lines = []
     ok = True
@@ -235,6 +247,7 @@ def _verify_u_tau(args):
 
 
 def _verify_weight_flow(args):
+    from . import hierarchy
     bad = [mu for mu in _region(args, partitions_upto(args.max_size))
            if not hierarchy.weight_flow_equivalence_check(mu)]
     return not bad, "checked all diagrams with at most %d boxes" % args.max_size
@@ -257,7 +270,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("hurwitz", help="a single Hurwitz number")
-    q.add_argument("--kind", choices=[hw.ONEPART, hw.SIMPLE], required=True)
+    q.add_argument("--kind", choices=["onepart", "simple"], required=True)
     q.add_argument("--genus", type=int, required=True)
     q.add_argument("--profile", required=True)
     q.add_argument("--method", choices=["brute", "frobenius", "closed"],

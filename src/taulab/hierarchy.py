@@ -98,25 +98,32 @@ def kp_residual(i, j, F, method="exp"):
 # -- KP closed forms: polynomials in derivatives of F -------------------------
 
 
-def _set_partitions(items):
-    """All set partitions of a list (positions distinct)."""
+def _set_partition_classes(items):
+    """The set partitions of a list (positions distinct), merged by their
+    sorted block multiset: {key: [first representative, count]} in order of
+    first appearance.  Each level of the recursion merges before the next
+    grows, so equal indices do not multiply the work by a Bell number."""
     if not items:
-        yield []
-        return
+        return {(): [[], 1]}
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [part[k] + [first]] + part[k + 1:]
-        yield [[first]] + part
+    out = {}
+    for part, n in _set_partition_classes(rest).values():
+        for new in ([part[:k] + [part[k] + [first]] + part[k + 1:]
+                     for k in range(len(part))] + [[[first]] + part]):
+            key = tuple(sorted(tuple(sorted(block)) for block in new))
+            if key in out:
+                out[key][1] += n
+            else:
+                out[key] = [new, n]
+    return out
 
 
 def bell_poly(dp):
     """e^{-F} (dp applied to e^F), in the monomials m of d^m F (Faa di Bruno)."""
     out = {}
     for mono, c in dp.terms.items():
-        for part in _set_partitions(list(mono)):
-            key = tuple(sorted(tuple(sorted(block)) for block in part))
-            out[key] = out.get(key, Rat(0)) + c
+        for key, (_, n) in _set_partition_classes(list(mono)).items():
+            out[key] = out.get(key, Rat(0)) + c * n
     return DPoly(out)
 
 

@@ -115,6 +115,18 @@ def _within(family, cap_weight, cap_aux, num):
             if k[0] <= cap_aux and vm_weight(family, k[1]) <= cap_weight}
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _json_field(obj, path, kind):
+    """The value under the last key of path in the JSON object obj; a missing
+    value or one of another kind raises ValueError naming the field."""
+    value = obj.get(path.rsplit(".", 1)[-1]) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError("series JSON: %s must be %s" % (path, _JSON_KINDS[kind]))
+    return value
+
+
 class Series:
     """Sparse truncated series.  Treat instances as immutable.
 
@@ -454,17 +466,31 @@ class Series:
 
     @classmethod
     def from_jsonable(cls, obj):
-        family = obj["family"]
-        caps = obj["caps"]
+        """The series of a to_jsonable object.  A field of the wrong shape
+        raises ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError("series JSON must be an object, got %s" % type(obj).__name__)
+        family = _json_field(obj, "family", str)
+        caps = _json_field(obj, "caps", dict)
+        weight = _json_field(caps, "caps.weight", int)
+        aux = _json_field(caps, "caps.aux", int)
         items = []
-        for row in obj["terms"]:
-            vec = row["exp"]
-            num, den = row["coeff"].split("/")
-            if not int(den):
-                raise ValueError("zero denominator in coefficient %r" % row["coeff"])
+        for k, row in enumerate(_json_field(obj, "terms", list)):
+            vec = _json_field(row, "terms[%d].exp" % k, list)
+            coeff = _json_field(row, "terms[%d].coeff" % k, str)
+            if not vec or any(type(e) is not int for e in vec):
+                raise ValueError("series JSON: terms[%d].exp must be a nonempty "
+                                 "list of integers" % k)
+            try:
+                num, den = map(int, coeff.split("/"))
+            except ValueError:
+                raise ValueError("series JSON: terms[%d].coeff must be num/den, got %r"
+                                 % (k, coeff)) from None
+            if not den:
+                raise ValueError("zero denominator in coefficient %r" % coeff)
             d = {}
             for slot, e in enumerate(vec[1:], start=1):
                 if e:
                     d[slot if family == FAMILY_P else slot - 1] = e
-            items.append((vec[0], d, Rat(int(num), int(den))))
-        return cls.from_terms(family, caps["weight"], caps["aux"], items)
+            items.append((vec[0], d, Rat(num, den)))
+        return cls.from_terms(family, weight, aux, items)

@@ -25,6 +25,8 @@
   matrix (``l_operator``), grade by grade against ``build_L_grade``.
 * ``full_rescan``: the PDE route re-evaluating every monomial's
   equation on every sweep.
+* ``bell_poly_by_set_partitions``: Faa di Bruno's expansion summed over
+  every set partition of each monomial's positions, one at a time.
 """
 
 from fractions import Fraction as F
@@ -32,7 +34,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from taulab.diffops import TOp, ZOp
+from taulab.diffops import DPoly, TOp, ZOp
 from taulab.hierarchy import cut_and_join
 from taulab.hodge import a_coeff, conjugated_equation, solve_l
 from taulab.hurwitz import _exp_schur_sum
@@ -318,3 +320,25 @@ def full_rescan(solver):
                 elif not aff and const:
                     raise ValueError("inconsistent equation at %r" % (mono,))
     return solver
+
+
+def set_partitions(items):
+    """All set partitions of a list (positions distinct)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [part[k] + [first]] + part[k + 1:]
+        yield [[first]] + part
+
+
+def bell_poly_by_set_partitions(dp):
+    """``hierarchy.bell_poly`` with one step per set partition."""
+    out = {}
+    for mono, c in dp.terms.items():
+        for part in set_partitions(list(mono)):
+            key = tuple(sorted(tuple(sorted(block)) for block in part))
+            out[key] = out.get(key, Rat(0)) + c
+    return DPoly(out)

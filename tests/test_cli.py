@@ -37,6 +37,14 @@ def test_char_and_schur(capsys):
     assert rows[(0, 0, 0, 1)] == "-1/3"    # -p_3 / 3
 
 
+def test_kind_choices_are_the_hurwitz_families():
+    # the parser names the families literally, so building it imports nothing
+    from taulab import hurwitz
+    hurwitz_parser = next(a for a in build_parser()._actions if a.choices).choices["hurwitz"]
+    kind = next(a for a in hurwitz_parser._actions if "--kind" in a.option_strings)
+    assert kind.choices == [hurwitz.ONEPART, hurwitz.SIMPLE]
+
+
 def test_hurwitz_command(capsys):
     code, out = run_cli("hurwitz", "--kind", "onepart", "--genus", "1",
                         "--profile", "3", "--method", "brute", capsys=capsys)
@@ -196,19 +204,32 @@ def test_malformed_input_exits_2(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def _series_file(caps={"weight": 4, "aux": 2}, row={"exp": [0, 2], "coeff": "1/2"},
+                 **fields):
+    """A series file, valid unless a part is replaced."""
+    return {"family": "P", "caps": caps, "terms": [row], **fields}
+
+
+SERIES_FILE_DEFECTS = {
+    "negative cap": _series_file(caps={"weight": 4, "aux": -1}),
+    "negative exponent": _series_file(row={"exp": [0, -2], "coeff": "1/2"}),
+    "zero denominator": _series_file(row={"exp": [0, 2], "coeff": "1/0"}),
+    "top-level list": [_series_file()],
+    "terms a string": _series_file(terms="[]"),
+    "caps a string": _series_file(caps="4,2"),
+    "int coeff": _series_file(row={"exp": [0, 2], "coeff": 1}),
+    "int exp": _series_file(row={"exp": 2, "coeff": "1/2"}),
+    "fractional cap": _series_file(caps={"weight": 4.5, "aux": 2}),
+    "boolean cap": _series_file(caps={"weight": True, "aux": 2}),
+    "missing caps": {"family": "P", "terms": [{"exp": [0, 2], "coeff": "1/2"}]},
+}
+
+
 @pytest.mark.parametrize("command", ["verify hirota --tau", "series --roundtrip"])
-@pytest.mark.parametrize("defect", ["negative cap", "negative exponent", "zero denominator"])
+@pytest.mark.parametrize("defect", list(SERIES_FILE_DEFECTS))
 def test_malformed_series_file_exits_2(command, defect, tmp_path, capsys):
-    obj = {"family": "P", "caps": {"weight": 4, "aux": 2},
-           "terms": [{"exp": [0, 2], "coeff": "1/2"}]}
-    if defect == "negative cap":
-        obj["caps"]["aux"] = -1
-    elif defect == "negative exponent":
-        obj["terms"][0]["exp"] = [0, -2]
-    else:
-        obj["terms"][0]["coeff"] = "1/0"
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(SERIES_FILE_DEFECTS[defect]))
     code = main(command.split() + [str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -14,9 +14,10 @@ from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               cut_and_join, corner_descent_check,
                               character_identity_check, hirota_descent_check,
                               hirota_s_tensor, simplified_hirota_23,
-                              weight_flow_equivalence_check, bell_poly)
+                              weight_flow_equivalence_check, bell_poly,
+                              _hirota_pairs)
 
-from oracles import term_by_term
+from oracles import bell_poly_by_set_partitions, term_by_term
 
 P = Partition
 
@@ -184,6 +185,27 @@ def test_bell_poly_small():
     assert bell_poly(DPoly({(1, 2): 1})).terms == {((1, 2),): F(1), ((1,), (2,)): F(1)}
     got = bell_poly(DPoly({(1, 1, 1): 1})).terms
     assert got == {((1, 1, 1),): F(1), ((1,), (1, 1)): F(3), ((1,), (1,), (1,)): F(1)}
+
+
+def test_bell_poly_merges_equal_set_partitions():
+    # d_1^12: the B(12) = 4,213,597 set partitions of 12 equal positions fall
+    # into p(12) = 77 keys, one per partition of 12
+    got = bell_poly(DPoly({(1,) * 12: 1})).terms
+    assert len(got) == 77 and sum(got.values()) == 4213597
+    assert sorted(tuple(map(len, k)) for k in got) == sorted(
+        tuple(sorted(mu.parts)) for mu in partitions_of(12))
+
+
+def test_bell_poly_matches_set_partition_oracle():
+    # values and dict order, for each D_mu with |mu| <= 6 and each KP form up to (4, 4)
+    for mu in partitions_upto(6):
+        want = bell_poly_by_set_partitions(d_mu(mu)).terms
+        assert list(bell_poly(d_mu(mu)).terms.items()) == list(want.items())
+    for i in range(2, 5):
+        for j in range(i, 5):
+            want = sum((bell_poly_by_set_partitions(a) * bell_poly_by_set_partitions(b) * c
+                        for c, a, b in _hirota_pairs(i, j)), DPoly())
+            assert list(kp_form(i, j).terms.items()) == list(want.terms.items())
 
 
 def random_cubic_F():
