@@ -273,15 +273,17 @@ def hurwitz_to_hodge(g, n, max_k=None):
     The scaled counts are polynomials of per-variable degree 3g-3+n; the
     grid is b_i in 1..3g-2+n with the point (3g-2+n+1, ..) held out and
     verified.  An off-grading coefficient, an asymmetric solve or a failed
-    held-out point raises ValueError; so does a negative max_k.
+    held-out point raises ValueError; so does a cap that is not an integer,
+    or a negative max_k.
     """
+    if not (isinstance(g, int) and isinstance(n, int)):
+        _check_caps("hurwitz_to_hodge", 0, g, n)
     dim = 3 * g - 3 + n
     if g < 0 or n < 1 or dim < 0:
         raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
                          "and 3g - 3 + n >= 0" % (g, n))
     max_k = g if max_k is None else max_k
-    if max_k < 0:
-        raise ValueError("max_k must be >= 0, got %d" % max_k)
+    _check_caps("hurwitz_to_hodge", 0, max_k)
     B = dim + 1
     coeffs = _tensor_fit([range(1, B + 1)] * n, lambda bs: elsv_scaled_value(g, bs))
     table = {}

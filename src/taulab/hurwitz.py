@@ -404,37 +404,27 @@ def hurwitz(q, method="frobenius"):
 # -- polynomiality -------------------------------------------------------------
 
 
-def _lagrange_fit_1d(points):
-    """Exact polynomial through (x, y) points, as a coefficient list."""
-    n = len(points)
-    coeffs = [Rat(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Rat(1)]
-        denom = Rat(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            denom *= xi - xj
-            basis = _poly_mul_linear(basis, -xj)
-        for k, c in enumerate(basis):
-            coeffs[k] += yi * c / denom
+def _fit_1d(points):
+    """Exact polynomial through (x, y) points with distinct x, as a coefficient
+    list: Newton's divided differences, expanded by Horner's rule."""
+    xs = [x for x, _ in points]
+    c = [y for _, y in points]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = []
+    for x, ck in zip(reversed(xs), reversed(c)):  # coeffs * (X - x) + ck
+        coeffs = [a - x * b for a, b in zip([ck] + coeffs, coeffs + [0])]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def _poly_mul_linear(coeffs, const):
-    out = [Rat(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] += c * const
-        out[k + 1] += c
-    return out
-
-
 def _tensor_fit(axes, value):
     """Exact polynomial through value(point) on the grid axes[0] x axes[1]
-    x ..., by 1-d interpolation along each axis in turn; returns
-    {exponent tuple: coeff} without zero coefficients."""
+    x ..., by 1-d interpolation along each axis in turn (Newton's divided
+    differences, ``_fit_1d``); returns {exponent tuple: coeff} without zero
+    coefficients."""
     def fit_rec(prefix):
         if len(prefix) == len(axes):
             return {(): value(prefix)}
@@ -445,7 +435,7 @@ def _tensor_fit(axes, value):
         out = {}
         for key in keys:
             pts = [(x, sub.get(key, Rat(0))) for x, sub in per_x]
-            for e, c in enumerate(_lagrange_fit_1d(pts)):
+            for e, c in enumerate(_fit_1d(pts)):
                 if c:
                     out[(e,) + key] = c
         return out
@@ -470,15 +460,25 @@ def polynomiality_check(g, n, window, held_out):
     window and held_out are lists of b-tuples of length n; the window must
     be a full grid.  Returns (ok, coefficients): a coefficient list for
     n = 1, {exponent tuple: coeff} for n > 1.  Degree must stay below the
-    window size per axis.
+    window size per axis.  A malformed or empty window, or a held-out list
+    that is empty or meets the window, verifies nothing: ValueError.
     """
     def value(b):
         q = HurwitzQuery(ONEPART, g, b)
         m = q.branch_points
         return hurwitz_frobenius(q) / (factorial(m) * q.degree)
 
+    window, held_out = [tuple(b) for b in window], [tuple(b) for b in held_out]
+    if any(len(b) != n for b in window + held_out):
+        raise ValueError("every b-tuple needs length n = %d" % n)
+    if not window or not held_out:
+        raise ValueError("the window and the held-out list must be nonempty")
     axes = [sorted({b[i] for b in window}) for i in range(n)]
-    table = {tuple(b): value(b) for b in window}
+    if set(window) != set(product(*axes)):
+        raise ValueError("the window is not a full grid")
+    if set(held_out) & set(window):
+        raise ValueError("a held-out point lies in the window")
+    table = {b: value(b) for b in window}
     coeffs = _tensor_fit(axes, table.__getitem__)
     ok = all(_tensor_eval(coeffs, b) == value(b) for b in held_out)
     if n == 1:

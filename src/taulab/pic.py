@@ -331,14 +331,6 @@ def dilaton_check(F):
     return True
 
 
-def lt_first_identity_check(F):
-    """L_t F = F + 2 dF/dt_1 + (1/sqrt(beta)) (dF/dt_0 - t_0^2/2),
-    split into the q^0 and q^{-1} parts, coefficient-wise.  The q^0 part is
-    twice the dilaton equation, the q^{-1} part the string equation with
-    its t_0^2/2 source."""
-    return string_check(F) and dilaton_check(F)
-
-
 def lt_second_identity_check(F):
     """L_t (dF/dt_0) = 2 d^2F/dt_0 dt_1 + (1/sqrt(beta)) (d^2F/dt_0^2 - t_0)."""
     W = F.cap_weight

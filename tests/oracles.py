@@ -27,6 +27,8 @@
   equation on every sweep.
 * ``bell_poly_by_set_partitions``: Faa di Bruno's expansion summed over
   every set partition of each monomial's positions, one at a time.
+* ``lagrange_fit_1d``: the 1-d exact polynomial fit of ``hurwitz._tensor_fit``
+  through the Lagrange basis, rebuilt for every node.
 """
 
 from fractions import Fraction as F
@@ -342,3 +344,30 @@ def bell_poly_by_set_partitions(dp):
             key = tuple(sorted(tuple(sorted(block)) for block in part))
             out[key] = out.get(key, Rat(0)) + c
     return DPoly(out)
+
+
+def lagrange_fit_1d(points):
+    """Exact polynomial through (x, y) points, as a coefficient list."""
+    n = len(points)
+    coeffs = [Rat(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        basis = [Rat(1)]
+        denom = Rat(1)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            denom *= xi - xj
+            basis = _poly_mul_linear(basis, -xj)
+        for k, c in enumerate(basis):
+            coeffs[k] += yi * c / denom
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul_linear(coeffs, const):
+    out = [Rat(0)] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k] += c * const
+        out[k + 1] += c
+    return out

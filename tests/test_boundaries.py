@@ -12,6 +12,7 @@ from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_
                           transform_p_to_tu, chvar_elsv, ModuliPDESolver,
                           conjugated_equation, kdv_zpart_as_moduli_poly, ck_report,
                           alpha_coeff, exp_l_equals_L_check, solve_l)
+from taulab.hurwitz import polynomiality_check
 from taulab.pic import derivative_transform_pic, transform_p_to_tq, chvar_pic
 
 P1 = Series.variable(FAMILY_P, 1, 4, 2)
@@ -26,6 +27,18 @@ BAD_CALLS = {
     "f_moduli(3,6)": (f_moduli, 3, 6),
     "f_moduli(-1,6)": (f_moduli, -1, 6),
     "hurwitz_to_hodge(1,1,max_k=-1)": (hurwitz_to_hodge, 1, 1, -1),
+    # a float cap used to cut the table at k = 0 or raise TypeError
+    "hurwitz_to_hodge(1,1,max_k=0.5)": (hurwitz_to_hodge, 1, 1, 0.5),
+    "hurwitz_to_hodge(1.0,1)": (hurwitz_to_hodge, 1.0, 1),
+    "hurwitz_to_hodge(1,1.0)": (hurwitz_to_hodge, 1, 1.0),
+    "hurwitz_to_hodge(2,1,max_k='1')": (hurwitz_to_hodge, 2, 1, "1"),
+    # a malformed window used to raise KeyError or IndexError; a check with
+    # nothing held out, or held out inside the window, verified nothing
+    "polynomiality_check(not a grid)": (polynomiality_check, 1, 2, [(1, 1), (2, 2)], [(3, 3)]),
+    "polynomiality_check(len(b) != n)": (polynomiality_check, 1, 2, [(2,)], [(3, 3)]),
+    "polynomiality_check(held_out=[])": (polynomiality_check, 1, 1, [(2,)], []),
+    "polynomiality_check(held out in window)": (polynomiality_check, 1, 1, [(2,), (3,)], [(2,)]),
+    "polynomiality_check(window=[])": (polynomiality_check, 1, 1, [], [(3,)]),
     "derivative_transform_pic(0)": (derivative_transform_pic, 0),
     "derivative_transform_elsv(0)": (derivative_transform_elsv, 0),
     "variable(P,0)": (Series.variable, FAMILY_P, 0, 4, 0),

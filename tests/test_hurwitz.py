@@ -1,10 +1,14 @@
 import json
 import warnings
 from fractions import Fraction as F
+from functools import partial
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from taulab import hurwitz
+from taulab.hodge import elsv_scaled_value
 from taulab.partitions import (Partition, partitions_of, aut_order, hook,
                                cut_and_join_eigenvalue)
 from taulab.symfunc import character
@@ -15,9 +19,10 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             h_onepart_series, h_simple_series,
                             h_unst_onepart, h_unst_simple, hook_series, lp,
                             polynomiality_check, cache_lookup,
-                            _onepart_character_sum, _connected_simple)
+                            _onepart_character_sum, _connected_simple,
+                            _fit_1d, _tensor_fit)
 from oracles import (series_log, disconnected_simple_series,
-                     cut_and_join_simple_series)
+                     cut_and_join_simple_series, lagrange_fit_1d)
 
 
 def q1(g, *b):
@@ -191,6 +196,36 @@ def test_polynomiality_genus2_one_part():
     assert ok
     # leading coefficient is the top bracket <tau_6> = 1/1920
     assert coeffs[6] == F(1, 1920)
+
+
+@st.composite
+def _fit_points(draw):
+    xs = draw(st.lists(st.fractions(-20, 20, max_denominator=6), min_size=1,
+                       max_size=7, unique=True))
+    ys = draw(st.one_of(st.just([F(0)] * len(xs)),
+                        st.lists(st.fractions(-50, 50, max_denominator=9),
+                                 min_size=len(xs), max_size=len(xs))))
+    return list(zip(xs, ys))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_fit_points())
+@example([(F(3), F(7))])
+@example([(F(-4), F(0)), (F(1), F(0)), (F(9), F(0))])
+@example([(F(-3), F(2)), (F(0), F(-1)), (F(5), F(4)), (F(11), F(1, 3))])
+def test_divided_differences_match_lagrange(points):
+    assert _fit_1d(points) == lagrange_fit_1d(points)
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (3, 1)])
+def test_tensor_fit_matches_lagrange_oracle(g, n, monkeypatch):
+    # the grids of hurwitz_to_hodge(g, n): b_i in 1..3g-2+n
+    axes = [range(1, 3 * g - 1 + n)] * n
+    fit = _tensor_fit(axes, partial(elsv_scaled_value, g))
+    monkeypatch.setattr(hurwitz, "_fit_1d", lagrange_fit_1d)
+    slow = _tensor_fit(axes, partial(elsv_scaled_value, g))
+    assert fit == slow
+    assert list(fit.items()) == list(slow.items())
 
 
 def test_onepart_g0_map_b_times_h_constant():

@@ -10,7 +10,7 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius,
                             h_onepart_series, h_unst_onepart, lp)
 from taulab.pic import (transform_p_to_tq, chvar_pic, lp2_h_unst_transformed,
                         bracket, genus_table, f_series, u_series, u_in_T,
-                        string_check, dilaton_check, lt_first_identity_check,
+                        string_check, dilaton_check,
                         lt_second_identity_check, u_hierarchy_residuals,
                         psi_expansion_check, chvar_coeff, _q_exp)
 from taulab.hodge import transform_p_to_tu, elsv_chvar_coeff, _u_exp, h_simple_stable
@@ -207,13 +207,16 @@ def test_string_examples():
 
 
 def test_lt_identities():
+    # L_t F = F + 2 dF/dt_1 + (1/sqrt(beta)) (dF/dt_0 - t_0^2/2), split into
+    # the q^0 and q^{-1} parts: twice the dilaton equation, and the string
+    # equation with its t_0^2/2 source
     Fser = f_series(10)
-    assert lt_first_identity_check(Fser)
+    assert string_check(Fser) and dilaton_check(Fser)
     assert lt_second_identity_check(Fser)
     # a wrong constant breaks only the q^0 part, a wrong t_0 only the q^{-1}
     for vm in ((), ((0, 1),)):
         bad = Fser + Series(Fser.family, Fser.cap_weight, 0, {(0, vm): F(1)})
-        assert not lt_first_identity_check(bad), vm
+        assert not (string_check(bad) and dilaton_check(bad)), vm
 
 
 def test_u_in_T_weights():
