@@ -1,58 +1,47 @@
 """tau-lab command line front end.
 
 Exit codes: 0 on success or PASS, 1 on a failed verification, 2 on usage
-errors.  All numeric output is exact, printed as num/den (integers as n/1
-in JSON, bare integers in text)."""
+errors.  An option that the run does not read is a usage error: each
+``verify`` suite reads only the options ``VERIFIERS`` lists for it, and
+``verify hirota --tau FILE`` and ``series --roundtrip FILE`` take their caps
+from the file.  All numeric output is exact, printed as num/den (integers as
+n/1 in JSON, bare integers in text)."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 # each command imports the modules it runs, so a process loads only those
 from .partitions import Partition, partitions_of, partitions_upto
-from .series import Series, Rat
+from .series import Series
 
 
 def _parse_ints(s):
     return tuple(int(x) for x in s.split(",") if x != "")
 
 
-def _fmt(value):
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else _fmt_frac(value)
-
-
 def _fmt_frac(value):
-    value = Fraction(value)
     return "%d/%d" % (value.numerator, value.denominator)
 
 
 def cmd_hurwitz(args):
     from . import hurwitz as hw
     q = hw.HurwitzQuery(args.kind, args.genus, _parse_ints(args.profile))
-    cached = hw.cache_lookup(q)
     value = hw.hurwitz(q, method=args.method)
-    if cached is not None and cached != value:
-        print("cache mismatch: cached %s, computed %s" % (_fmt(cached), _fmt(value)),
-              file=sys.stderr)
-        return 1
-    if cached is None:
-        hw.cache_store(q, value)
     if args.json:
         print(json.dumps({"query": {"kind": q.kind, "genus": q.genus,
                                     "profile": list(q.profile)},
                           "method": args.method, "value": _fmt_frac(value)}))
     else:
-        print(_fmt(value))
+        print(value)
     return 0
 
 
 def cmd_bracket(args):
     from . import pic
-    print(_fmt(pic.bracket(_parse_ints(args.indices))))
+    print(pic.bracket(_parse_ints(args.indices)))
     return 0
 
 
@@ -78,22 +67,20 @@ def cmd_hodge(args):
     if any(d < 0 for d in ds):
         raise ValueError("hodge indices must be >= 0, got %r" % (ds,))
     table = hodge.hurwitz_to_hodge(args.genus, len(ds))
-    print(_fmt(table.get((args.k, tuple(sorted(ds))), Rat(0))))
+    print(table.get((args.k, tuple(sorted(ds))), 0))
     return 0
 
 
 def cmd_char(args):
     from .symfunc import character
-    mu = Partition(sorted(_parse_ints(args.mu), reverse=True))
-    lam = Partition(sorted(_parse_ints(args.lam), reverse=True))
-    print(character(mu, lam))
+    print(character(Partition.from_multiset(_parse_ints(args.mu)),
+                    Partition.from_multiset(_parse_ints(args.lam))))
     return 0
 
 
 def cmd_schur(args):
     from .symfunc import schur_poly
-    mu = Partition(sorted(_parse_ints(args.mu), reverse=True))
-    s = schur_poly(mu)
+    s = schur_poly(Partition.from_multiset(_parse_ints(args.mu)))
     if args.format == "json":
         print(json.dumps(s.to_jsonable()))
     else:
@@ -112,82 +99,106 @@ BUILDERS = {
 }
 
 
+def _refuse(args, names, run):
+    """A usage error when an option in names, which the run does not read,
+    was given."""
+    given = ["--" + name.replace("_", "-") for name in names
+             if getattr(args, name) is not None]
+    if given:
+        raise ValueError("%s does not read %s" % (run, ", ".join(given)))
+
+
+def _read_series(path):
+    with open(path) as fh:
+        return Series.from_jsonable(json.load(fh))
+
+
+def _build(name, args):
+    """The series `series --build name` prints at the caps args gives."""
+    from importlib import import_module
+    module, build = BUILDERS[name]
+    return build(import_module("." + module, __package__),
+                 8 if args.cap_weight is None else args.cap_weight,
+                 6 if args.cap_aux is None else args.cap_aux)
+
+
 def cmd_series(args):
-    if args.roundtrip:
-        with open(args.roundtrip) as fh:
-            obj = json.load(fh)
-        s = Series.from_jsonable(obj)
-        again = s.to_jsonable()
-        ok = Series.from_jsonable(again) == s
+    if args.roundtrip is not None:
+        _refuse(args, ("build", "cap_weight", "cap_aux"), "series --roundtrip FILE")
+        s = _read_series(args.roundtrip)
+        ok = Series.from_jsonable(s.to_jsonable()) == s
         print("PASS" if ok else "FAIL")
         return 0 if ok else 1
-    from importlib import import_module
-    module, build = BUILDERS[args.build]
-    s = build(import_module("." + module, __package__), args.cap_weight, args.cap_aux)
-    print(json.dumps(s.to_jsonable()))
+    print(json.dumps(_build(args.build or "onepart-h", args).to_jsonable()))
     return 0
 
 
 def cmd_verify(args):
-    if args.cap_weight is None:
-        # kdv's higher equations lose the most weight: at 10 each keeps a
-        # nonempty region
-        args.cap_weight = 10 if args.suite == "kdv" else 8
-    ok, detail = VERIFIERS[args.suite](args)
+    run, reads = VERIFIERS[args.suite]
+    _refuse(args, [name for name in VERIFY_OPTIONS if name not in reads],
+            "verify " + args.suite)
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    ok, detail = run(args)
     print(detail)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def _verify_hirota(args):
-    from . import hierarchy
-    if args.tau:
-        with open(args.tau) as fh:
-            tau = Series.from_jsonable(json.load(fh))
-    else:
-        from . import hurwitz as hw
-        tau = hw.lp(hw.lp(hw.h_onepart_series(args.cap_weight, args.cap_aux))) + 1
-    res = hierarchy.hirota_residual(args.i, args.j, tau)
-    return res.is_zero(), "max weight checked: %d" % res.cap_weight
-
-
-def _region(args, items, bound="max_size"):
-    """The items a suite checks up to args.<bound>; an empty region is a
-    usage error."""
+def _sweep(args, bound, items, check, passed):
+    """Check each item of the region up to args.<bound> and name the first
+    that fails; an empty region is a usage error."""
     if not items:
         flag = "--" + bound.replace("_", "-")
         raise ValueError("verify %s: %s %d checks an empty region; raise %s"
                          % (args.suite, flag, getattr(args, bound), flag))
-    return items
+    bad = next((item for item in items if not check(item)), None)
+    return bad is None, passed if bad is None else "failed at %r" % (bad,)
+
+
+def _rows(rows):
+    """A report of (good, line) rows, each line showing ok or BAD at {}."""
+    rows = list(rows)
+    return (all(good for good, _ in rows),
+            "\n".join(line.format("ok" if good else "BAD") for good, line in rows))
+
+
+def _verify_hirota(args):
+    from . import hierarchy
+    if args.tau is not None:
+        # the file's caps bound the check
+        _refuse(args, ("cap_weight", "cap_aux"), "verify hirota --tau FILE")
+        tau = _read_series(args.tau)
+    else:
+        tau = _build("lp2h", args) + 1
+    res = hierarchy.hirota_residual(args.i, args.j, tau)
+    return res.is_zero(), "max weight checked: %d" % res.cap_weight
 
 
 def _verify_corner(args):
     from . import hierarchy
-    mus = _region(args, [mu for mu in partitions_upto(args.max_size) if mu.size])
-    bad = [mu for mu in mus if not hierarchy.corner_descent_check(mu)]
-    return not bad, "checked all diagrams with at most %d boxes" % args.max_size
+    return _sweep(args, "max_size", [mu for mu in partitions_upto(args.max_size) if mu.size],
+                  hierarchy.corner_descent_check,
+                  "checked all diagrams with at most %d boxes" % args.max_size)
 
 
 def _verify_char_identity(args):
     from . import hierarchy
-    pairs = _region(args, [(mu, la) for d in range(1, args.max_size + 1)
-                           for mu in partitions_of(d) for la in partitions_of(d - 1)])
-    for mu, la in pairs:
-        if not hierarchy.character_identity_check(mu, la):
-            return False, "failed at %r, %r" % (mu, la)
-    return True, "checked all diagrams with at most %d boxes" % args.max_size
+    return _sweep(args, "max_size", [(mu, la) for d in range(1, args.max_size + 1)
+                                     for mu in partitions_of(d) for la in partitions_of(d - 1)],
+                  lambda pair: hierarchy.character_identity_check(*pair),
+                  "checked all diagrams with at most %d boxes" % args.max_size)
 
 
 def _verify_descent(args):
     from . import hierarchy
     hi = args.max_ij
-    sweep = _region(args, [(i, j) for i in range(2, hi + 1)
-                           for j in range(i, hi + 1)], "max_ij")
-    # the three displayed relations are checked at every --max-ij
-    for (i, j) in [(2, 2), (2, 3), (3, 3)] + sweep:
-        if not hierarchy.hirota_descent_check(i, j):
-            return False, "failed at (%d, %d)" % (i, j)
-    return True, "descent relations hold through i, j <= %d" % hi
+    sweep = [(i, j) for i in range(2, hi + 1) for j in range(i, hi + 1)]
+    # the three displayed relations are checked at every nonempty --max-ij
+    return _sweep(args, "max_ij", sweep and [(2, 2), (2, 3), (3, 3)] + sweep,
+                  lambda ij: hierarchy.hirota_descent_check(*ij),
+                  "descent relations hold through i, j <= %d" % hi)
 
 
 def _verify_ck(args):
@@ -196,17 +207,10 @@ def _verify_ck(args):
         raise ValueError("verify ck: --kmax %d is outside 1..%d, the listed c_k"
                          % (args.kmax, len(hodge.LISTED_CK)))
     rep = hodge.ck_report(args.kmax)
-    lines = []
-    ok = True
-    for k in range(1, args.kmax + 1):
-        low = rep[k]["lowering"]
-        tr = rep[k]["transposed"]
-        want = hodge.LISTED_CK[k - 1]
-        good = low == want
-        ok = ok and good
-        lines.append("k=%d lowering=%s transposed=%s listed=%s %s"
-                     % (k, low, tr, want, "ok" if good else "BAD"))
-    return ok, "\n".join(lines)
+    return _rows((rep[k]["lowering"] == want,
+                  "k=%d lowering=%s transposed=%s listed=%s {}"
+                  % (k, rep[k]["lowering"], rep[k]["transposed"], want))
+                 for k, want in enumerate(hodge.LISTED_CK[:args.kmax], start=1))
 
 
 def _verify_kdv(args):
@@ -214,55 +218,48 @@ def _verify_kdv(args):
     W = args.cap_weight
     M = hodge.moduli_caps_for(W, 2)
     fs = {k: hodge.f_moduli(k, W, M) for k in (0, 1, 2)}
-    checks = [(name, 0, {0: fs[0]}) for name in ("F01", "F02", "F11", "F03", "F12")]
-    checks += [("F01", 1, {0: fs[0], 1: fs[1]}), ("F11", 1, {0: fs[0], 1: fs[1]}),
-               ("F01", 2, fs)]
-    lines = []
-    ok = True
-    for name, zk, use in checks:
-        res = hodge.kdv_check(name, zk, use)
+    rows = []
+    for name, zk in [("F01", 0), ("F02", 0), ("F11", 0), ("F03", 0), ("F12", 0),
+                     ("F01", 1), ("F11", 1), ("F01", 2)]:
+        res = hodge.kdv_check(name, zk, {k: fs[k] for k in range(zk + 1)})
         if res.cap_weight <= 0:
             raise ValueError("verify kdv: %s z^%d checks an empty region at "
                              "--cap-weight %d; raise --cap-weight" % (name, zk, W))
-        good = res.is_zero()
-        ok = ok and good
-        lines.append("%s z^%d: %s (weight <= %d)"
-                     % (name, zk, "ok" if good else "BAD", res.cap_weight))
-    return ok, "\n".join(lines)
+        rows.append((res.is_zero(), "%s z^%d: {} (weight <= %d)" % (name, zk, res.cap_weight)))
+    return _rows(rows)
 
 
 def _verify_u_tau(args):
     from . import pic
     res = pic.u_hierarchy_residuals(args.cap_weight)
-    lines = []
-    ok = True
-    for key, series in sorted(res.items(), key=str):
-        good = series.is_zero()
-        ok = ok and good
-        kind, (i, j), shift = key
-        lines.append("%s (%d,%d) shift=%s: %s (weight <= %d)"
-                     % (kind, i, j, shift, "ok" if good else "BAD",
-                        series.cap_weight))
-    return ok, "\n".join(lines)
+    return _rows((series.is_zero(), "%s (%d,%d) shift=%s: {} (weight <= %d)"
+                  % (kind, i, j, shift, series.cap_weight))
+                 for (kind, (i, j), shift), series in sorted(res.items(), key=str))
 
 
 def _verify_weight_flow(args):
     from . import hierarchy
-    bad = [mu for mu in _region(args, partitions_upto(args.max_size))
-           if not hierarchy.weight_flow_equivalence_check(mu)]
-    return not bad, "checked all diagrams with at most %d boxes" % args.max_size
+    return _sweep(args, "max_size", partitions_upto(args.max_size),
+                  hierarchy.weight_flow_equivalence_check,
+                  "checked all diagrams with at most %d boxes" % args.max_size)
 
 
+# suite: (runner, {option it reads: default}); every other verify option is
+# refused.  hirota fills in its caps itself, because --tau replaces them.
 VERIFIERS = {
-    "hirota": _verify_hirota,
-    "corner": _verify_corner,
-    "char-identity": _verify_char_identity,
-    "descent": _verify_descent,
-    "ck": _verify_ck,
-    "kdv": _verify_kdv,
-    "u-tau": _verify_u_tau,
-    "weight-flow": _verify_weight_flow,
+    "hirota": (_verify_hirota, {"i": 2, "j": 2, "tau": None, "cap_weight": None,
+                                "cap_aux": None}),
+    "corner": (_verify_corner, {"max_size": 8}),
+    "char-identity": (_verify_char_identity, {"max_size": 8}),
+    "descent": (_verify_descent, {"max_ij": 5}),
+    "ck": (_verify_ck, {"kmax": 12}),
+    # kdv's higher equations lose the most weight: at 10 each keeps a
+    # nonempty region
+    "kdv": (_verify_kdv, {"cap_weight": 10}),
+    "u-tau": (_verify_u_tau, {"cap_weight": 8}),
+    "weight-flow": (_verify_weight_flow, {"max_size": 8}),
 }
+VERIFY_OPTIONS = list(dict.fromkeys(name for _, reads in VERIFIERS.values() for name in reads))
 
 
 def build_parser():
@@ -304,23 +301,20 @@ def build_parser():
     s.set_defaults(func=cmd_schur)
 
     se = sub.add_parser("series", help="build or round-trip a series")
-    se.add_argument("--build", choices=sorted(BUILDERS), default="onepart-h")
-    se.add_argument("--cap-weight", type=int, default=8)
-    se.add_argument("--cap-aux", type=int, default=6)
+    se.add_argument("--build", choices=sorted(BUILDERS), help="default onepart-h")
+    se.add_argument("--cap-weight", type=int, help="default 8")
+    se.add_argument("--cap-aux", type=int, help="default 6")
     se.add_argument("--roundtrip", metavar="FILE")
     se.set_defaults(func=cmd_series)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(VERIFIERS))
-    v.add_argument("--i", type=int, default=2)
-    v.add_argument("--j", type=int, default=2)
-    v.add_argument("--tau", metavar="FILE")
-    v.add_argument("--max-size", type=int, default=8)
-    v.add_argument("--max-ij", type=int, default=5)
-    v.add_argument("--kmax", type=int, default=12)
-    v.add_argument("--cap-weight", type=int, default=None,
-                   help="weight cap (default 10 for kdv, 8 otherwise)")
-    v.add_argument("--cap-aux", type=int, default=6)
+    # flat flags: each suite refuses the ones it does not read
+    for name in VERIFY_OPTIONS:
+        if name == "tau":
+            v.add_argument("--tau", metavar="FILE")
+        else:
+            v.add_argument("--" + name.replace("_", "-"), type=int)
     v.set_defaults(func=cmd_verify)
 
     return p

@@ -39,9 +39,6 @@ Routes:
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
 from itertools import permutations, product
 from math import comb, factorial, lcm, prod
 
@@ -62,13 +59,14 @@ class HurwitzQuery:
     def __init__(self, kind, genus, profile):
         if kind not in (ONEPART, SIMPLE):
             raise ValueError("unknown kind %r" % (kind,))
-        profile = tuple(int(b) for b in profile)
-        if genus < 0:
-            raise ValueError("genus must be >= 0, got %d" % genus)
+        profile = tuple(profile)
+        # one type test per value: int() would truncate 2.7 and read True as 1
+        if type(genus) is not int or genus < 0:
+            raise ValueError("genus must be an int >= 0, got %r" % (genus,))
         if not profile:
             raise ValueError("the profile needs at least one part")
-        if min(profile) < 1:
-            raise ValueError("profile parts must be >= 1, got %r" % (profile,))
+        if not all(type(b) is int for b in profile) or min(profile) < 1:
+            raise ValueError("profile parts must be ints >= 1, got %r" % (profile,))
         self.kind = kind
         self.genus = genus
         self.profile = profile
@@ -485,46 +483,3 @@ def polynomiality_check(g, n, window, held_out):
         top = max((exps[0] for exps in coeffs), default=-1)
         coeffs = [coeffs.get((e,), Rat(0)) for e in range(top + 1)]
     return ok, coeffs
-
-
-# -- advisory value cache --------------------------------------------------------
-
-
-def cache_path():
-    return os.environ.get("TAU_LAB_CACHE", "")
-
-
-def cache_lookup(q):
-    path = cache_path()
-    if not path or not os.path.exists(path):
-        return None
-    key = list(q.key())
-    want = [key[0], key[1], list(key[2])]
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # a malformed or half-written line is skipped: the cache is advisory
-            try:
-                row = json.loads(line)
-                if row.get("query") != want:
-                    continue
-                num, den = row["value"].split("/")
-                return Rat(int(num), int(den))
-            except (ValueError, KeyError, TypeError, AttributeError,
-                    ZeroDivisionError) as exc:
-                warnings.warn("%s:%d: skipping malformed cache line (%s)"
-                              % (path, lineno, exc))
-    return None
-
-
-def cache_store(q, value):
-    path = cache_path()
-    if not path:
-        return
-    key = q.key()
-    row = {"query": [key[0], key[1], list(key[2])],
-           "value": "%d/%d" % (value.numerator, value.denominator)}
-    with open(path, "a") as fh:
-        fh.write(json.dumps(row) + "\n")

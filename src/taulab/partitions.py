@@ -23,10 +23,11 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(x) for x in parts)
-        # weakly decreasing with a positive last part: one pass, no sort
-        if parts and (parts[-1] < 1 or any(a < b for a, b in zip(parts, parts[1:]))):
-            raise ValueError("partition parts must be positive and weakly "
+        parts = tuple(parts)
+        # ints (int() would truncate 2.7), weakly decreasing, last part positive
+        if parts and (not all(type(x) is int for x in parts) or parts[-1] < 1
+                      or any(a < b for a, b in zip(parts, parts[1:]))):
+            raise ValueError("partition parts must be positive ints, weakly "
                              "decreasing, got %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 

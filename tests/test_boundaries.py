@@ -12,7 +12,7 @@ from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_
                           transform_p_to_tu, chvar_elsv, ModuliPDESolver,
                           conjugated_equation, kdv_zpart_as_moduli_poly, ck_report,
                           alpha_coeff, exp_l_equals_L_check, solve_l)
-from taulab.hurwitz import polynomiality_check
+from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, polynomiality_check
 from taulab.pic import derivative_transform_pic, transform_p_to_tq, chvar_pic
 
 P1 = Series.variable(FAMILY_P, 1, 4, 2)
@@ -85,6 +85,16 @@ BAD_CALLS = {
     "P1-0.1": (Series.__sub__, P1, 0.1),
     "P1/0.1": (Series.__truediv__, P1, 0.1),
     "P1==0.1": (Series.__eq__, P1, 0.1),
+    # int() used to truncate a float part and read a bool as 0 or 1: (2.7,)
+    # gave the value of (2,), and this fit passed on values taken at 2, 3, 4
+    "HurwitzQuery(profile=(2.7,))": (HurwitzQuery, ONEPART, 1, (2.7,)),
+    "HurwitzQuery(profile=(True,))": (HurwitzQuery, SIMPLE, 0, (True,)),
+    "HurwitzQuery(genus=1.5)": (HurwitzQuery, ONEPART, 1.5, (2,)),
+    "HurwitzQuery(genus=True)": (HurwitzQuery, ONEPART, True, (2,)),
+    "polynomiality_check(float window)": (polynomiality_check, 1, 1,
+                                          [(2.5,), (3.5,), (4.5,)], [(5.5,)]),
+    "Partition((2.7,1))": (Partition, (2.7, 1)),
+    "Partition((True,))": (Partition, (True,)),
 }
 
 

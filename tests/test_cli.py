@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from taulab.cli import build_parser, main
+from taulab.cli import VERIFIERS, VERIFY_OPTIONS, build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -128,22 +128,6 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_cache_file(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "cache.jsonl"
-    monkeypatch.setenv("TAU_LAB_CACHE", str(cache))
-    code, out = run_cli("hurwitz", "--kind", "onepart", "--genus", "1",
-                        "--profile", "2", capsys=capsys)
-    assert (code, out) == (0, "1/2")
-    assert cache.exists()
-    row = json.loads(cache.read_text().splitlines()[0])
-    assert row == {"query": ["onepart", 1, [2]], "value": "1/2"}
-    # second run hits the cache, checks consistency and stores nothing
-    code, out = run_cli("hurwitz", "--kind", "onepart", "--genus", "1",
-                        "--profile", "2", capsys=capsys)
-    assert (code, out) == (0, "1/2")
-    assert len(cache.read_text().splitlines()) == 1
-
-
 def test_console_script_entry():
     out = subprocess.run([sys.executable, "-m", "taulab.cli", "bracket",
                           "--indices", "2"], capture_output=True, text=True)
@@ -260,6 +244,60 @@ def test_verify_kdv_empty_region_names_check(capsys):
     assert code == 2 and "F03 z^0" in err and "empty region" in err
 
 
+def test_a_failing_suite_names_what_failed(monkeypatch, capsys):
+    from taulab import hierarchy, hodge
+    monkeypatch.setattr(hierarchy, "corner_descent_check", lambda mu: mu.size < 3)
+    assert run_cli("verify", "corner", capsys=capsys) == (1, "failed at Partition(3,)\nFAIL")
+    monkeypatch.setattr(hodge, "LISTED_CK", [hodge.LISTED_CK[0], hodge.LISTED_CK[1] + 1])
+    code, out = run_cli("verify", "ck", "--kmax", "2", capsys=capsys)
+    lines = out.splitlines()
+    assert code == 1 and lines[0].endswith(" ok") and lines[2] == "FAIL"
+    assert lines[1].startswith("k=2 lowering=-1/2 ") and lines[1].endswith(" listed=1/2 BAD")
+
+
+# -- options a run does not read -------------------------------------------------
+
+UNREAD = [(suite, name) for suite, (_, reads) in sorted(VERIFIERS.items())
+          for name in VERIFY_OPTIONS if name not in reads]
+
+
+def _refused(argv, capsys, flags):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert lines[0].endswith("does not read " + flags), lines[0]
+
+
+def test_every_verify_flag_is_read_by_some_suite():
+    assert len(UNREAD) == 52
+    verify = next(a for a in build_parser()._actions if a.choices).choices["verify"]
+    flags = {a.dest for a in verify._actions if a.option_strings and a.dest != "help"}
+    assert flags == set(VERIFY_OPTIONS)
+
+
+@pytest.mark.parametrize("suite, name", UNREAD, ids=["%s--%s" % p for p in UNREAD])
+def test_verify_refuses_an_option_its_suite_does_not_read(suite, name, capsys):
+    # a --tau file that does not exist would be exit 2 as well, so the
+    # message must name the option
+    flag = "--" + name.replace("_", "-")
+    _refused(["verify", suite, flag, "no-such.json" if name == "tau" else "4"], capsys, flag)
+
+
+@pytest.mark.parametrize("command, options, flags", [
+    ("verify hirota --tau", ["--cap-weight", "8"], "--cap-weight"),
+    ("verify hirota --tau", ["--cap-aux", "6", "--i", "2"], "--cap-aux"),
+    ("series --roundtrip", ["--build", "f"], "--build"),
+    ("series --roundtrip", ["--cap-weight", "99", "--cap-aux", "1"], "--cap-weight, --cap-aux"),
+])
+def test_a_series_file_sets_its_own_caps(command, options, flags, tmp_path, capsys):
+    path = tmp_path / "tau.json"
+    assert main(["series", "--build", "lp2h", "--cap-weight", "6", "--cap-aux", "4"]) == 0
+    path.write_text(capsys.readouterr().out)
+    _refused(command.split() + [str(path)] + options, capsys, flags)
+
+
 # -- random argument vectors -----------------------------------------------------
 
 SUBPARSERS = next(a for a in build_parser()._actions if a.choices).choices
@@ -270,14 +308,30 @@ LISTS = st.lists(st.integers(-2, 3), min_size=1, max_size=2).map(
     lambda xs: ",".join(map(str, xs)))
 
 
+def _value(draw, action):
+    if action.choices:
+        return draw(st.sampled_from(sorted(action.choices)))
+    return draw(SMALL if action.type is int else st.one_of(LISTS, JUNK))
+
+
 @st.composite
 def argvs(draw):
     """A subcommand of the real parser with a random subset of its options,
     values drawn from its choices, from small ints, from lists of them or
-    from junk, and possibly one junk token inserted anywhere."""
+    from junk, and possibly one junk token inserted anywhere.  A verify
+    suite draws from the options VERIFIERS says it reads, and in about a
+    quarter of the draws gets one option that it does not read."""
     name = draw(st.sampled_from(sorted(SUBPARSERS)))
-    argv = [name]
-    for action in SUBPARSERS[name]._actions:
+    argv, actions, foreign = [name], SUBPARSERS[name]._actions, []
+    if name == "verify":
+        suite = draw(st.sampled_from(sorted(VERIFIERS)))
+        reads = VERIFIERS[suite][1]
+        argv.append(suite)
+        if draw(st.integers(0, 3)) == 0:
+            foreign = [draw(st.sampled_from([a for a in actions if a.dest in VERIFY_OPTIONS
+                                             and a.dest not in reads]))]
+        actions = [a for a in actions if a.dest in reads]
+    for action in actions:
         if "-h" in action.option_strings:
             continue
         if action.option_strings:
@@ -286,10 +340,9 @@ def argvs(draw):
             argv.append(draw(st.sampled_from(action.option_strings)))
             if action.nargs == 0:
                 continue
-        if action.choices:
-            argv.append(draw(st.sampled_from(sorted(action.choices))))
-        else:
-            argv.append(draw(SMALL if action.type is int else st.one_of(LISTS, JUNK)))
+        argv.append(_value(draw, action))
+    for action in foreign:
+        argv += [action.option_strings[0], _value(draw, action)]
     if draw(st.integers(0, 3)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(JUNK, SMALL)))
     return argv

@@ -1,5 +1,3 @@
-import json
-import warnings
 from fractions import Fraction as F
 from functools import partial
 from math import factorial
@@ -18,7 +16,7 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             hurwitz_frobenius, hurwitz_closed,
                             h_onepart_series, h_simple_series,
                             h_unst_onepart, h_unst_simple, hook_series, lp,
-                            polynomiality_check, cache_lookup,
+                            polynomiality_check,
                             _onepart_character_sum, _connected_simple,
                             _fit_1d, _tensor_fit)
 from oracles import (series_log, disconnected_simple_series,
@@ -299,15 +297,3 @@ def test_simple_value_independent_of_profile_order():
 def test_query_rejects_bad_input(kind, genus, profile):
     with pytest.raises(ValueError):
         HurwitzQuery(kind, genus, profile)
-
-
-def test_cache_lookup_skips_truncated_line(tmp_path, monkeypatch):
-    cache = tmp_path / "cache.jsonl"
-    good = {"query": ["onepart", 1, [2]], "value": "1/2"}
-    cache.write_text(json.dumps(good) + "\n" + '{"query": ["onepart", 1, [3]], "val')
-    monkeypatch.setenv("TAU_LAB_CACHE", str(cache))
-    assert cache_lookup(q1(1, 2)) == F(1, 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cache_lookup(q1(1, 3)) is None
-    assert len(caught) == 1 and "cache.jsonl:2" in str(caught[0].message)
