@@ -19,7 +19,11 @@ from .series import Series
 
 
 def _parse_ints(s):
-    return tuple(int(x) for x in s.split(",") if x != "")
+    """A comma list of ints; "" is the empty list, and an empty item is an error."""
+    items = s.split(",") if s else []
+    if "" in items:
+        raise ValueError("empty item in the list %r" % s)
+    return tuple(int(x) for x in items)
 
 
 def _fmt_frac(value):
@@ -84,7 +88,7 @@ def cmd_schur(args):
     if args.format == "json":
         print(json.dumps(s.to_jsonable()))
     else:
-        print(s.pretty(max_terms=10 ** 6))
+        print(s.pretty())
     return 0
 
 
@@ -93,10 +97,12 @@ BUILDERS = {
     "simple-h": ("hurwitz", lambda hw, w, a: hw.h_simple_series(w, a)),
     "lp2h": ("hurwitz", lambda hw, w, a: hw.lp(hw.lp(hw.h_onepart_series(w, a)))),
     "hooks": ("hurwitz", lambda hw, w, a: hw.hook_series(w, a)),
-    "f": ("pic", lambda pic, w, a: pic.f_series(w)),
-    "u": ("pic", lambda pic, w, a: pic.u_series(w)),
-    "u-in-T": ("pic", lambda pic, w, a: pic.u_in_T(w)),
+    # the bracket series have no aux variable, so they do not read --cap-aux
+    "f": ("pic", lambda pic, w: pic.f_series(w)),
+    "u": ("pic", lambda pic, w: pic.u_series(w)),
+    "u-in-T": ("pic", lambda pic, w: pic.u_in_T(w)),
 }
+NO_AUX = ("f", "u", "u-in-T")
 
 
 def _refuse(args, names, run):
@@ -117,9 +123,12 @@ def _build(name, args):
     """The series `series --build name` prints at the caps args gives."""
     from importlib import import_module
     module, build = BUILDERS[name]
-    return build(import_module("." + module, __package__),
-                 8 if args.cap_weight is None else args.cap_weight,
-                 6 if args.cap_aux is None else args.cap_aux)
+    caps = [8 if args.cap_weight is None else args.cap_weight]
+    if name in NO_AUX:
+        _refuse(args, ("cap_aux",), "series --build " + name)
+    else:
+        caps.append(6 if args.cap_aux is None else args.cap_aux)
+    return build(import_module("." + module, __package__), *caps)
 
 
 def cmd_series(args):

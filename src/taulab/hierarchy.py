@@ -78,21 +78,13 @@ def lkp_residual(i, j, F):
     return lkp_op(i, j).apply(F)
 
 
-def kp_residual(i, j, F, method="exp"):
-    """KP_{i,j}(F).  F must have zero constant term.
-
-    method "exp": Hir_{i,j}(e^F) * e^{-2F}.
-    method "closed": evaluate the expanded polynomial in derivatives of F.
-    Both agree on the retained range.
-    """
+def kp_residual(i, j, F):
+    """KP_{i,j}(F) = Hir_{i,j}(e^F) e^{-2F}, evaluated as the closed
+    polynomial ``kp_form`` in derivatives of F.  F must have zero constant
+    term."""
     if F.constant_term():
         raise ValueError("KP residual needs zero constant term")
-    if method == "exp":
-        tau = F.exp()
-        return hirota_residual(i, j, tau) * (F * Rat(-2)).exp()
-    if method == "closed":
-        return _evaluate_monomials(kp_form(i, j), F)
-    raise ValueError("unknown method %r" % (method,))
+    return _evaluate_monomials(kp_form(i, j), F)
 
 
 # -- KP closed forms: polynomials in derivatives of F -------------------------
@@ -220,12 +212,6 @@ def hirota_descent_check(i, j):
     lower = [(i - 2, i - 1, j), (j - 1, i, j - 1)]
     return hirota_s_tensor(i, j) == sum((hirota_form(a, b) * c for c, a, b in lower
                                          if c and a <= b), DPoly())
-
-
-def simplified_hirota_23():
-    """Hir_{2,3} - 1/2 d(Hir_{2,2})/dp_1 as a bilinear form."""
-    d_p1 = _leibniz(_hirota_pairs(2, 2), DPoly.d(1).__mul__)
-    return _bilinear(_hirota_pairs(2, 3) + [(c * Rat(-1, 2), a, b) for c, a, b in d_p1])
 
 
 def weight_flow_equivalence_check(mu):

@@ -80,14 +80,14 @@ def _u_exp(b, d):
     return -(3 * b + 2 * d + 1)
 
 
-def transform_p_to_tu(series, w_cap=None):
+def transform_p_to_tu(series):
     """Exact transform of a family-P series into the (u, t) Laurent picture."""
-    return _change_variables(series, w_cap, elsv_chvar_coeff, _u_exp, 3)
+    return _change_variables(series, elsv_chvar_coeff, _u_exp, 3)
 
 
-def chvar_elsv(series, w_cap=None):
+def chvar_elsv(series):
     """Transform and verify nonnegative, even u exponents on the exact range."""
-    img = transform_p_to_tu(series, w_cap)
+    img = transform_p_to_tu(series)
     bad = [(k, v) for k, v in img.terms.items() if k[0] < 0 or k[0] % 2]
     if bad:
         raise ValueError("transform outside the guaranteed class, e.g. %r" % (bad[0],))
@@ -117,23 +117,22 @@ def moduli_caps_for(W, kmax):
     return (2 * kmax + max(5 * (W - 1) + 4, 4 * W) + 2) // 3 + 1
 
 
-def transformed_stable(W, M, w_cap):
+def transformed_stable(W, M):
     def build():
-        return chvar_elsv(h_simple_stable(W, M), w_cap)
-    return _cached(("LbF", W, M, w_cap), build)
+        return chvar_elsv(h_simple_stable(W, M))
+    return _cached(("LbF", W, M), build)
 
 
-def f_moduli(k, W, M=None):
+def f_moduli(k, W, M):
     """F^{(k)} extracted from the z^k = u^{2k} slices of the transformed
     stable series via
-    F^0 = slice_0, F^1 = L_1 F^0 - slice_1, F^2 = slice_2 - L_2 F^0 + L_1 F^1."""
+    F^0 = slice_0, F^1 = L_1 F^0 - slice_1, F^2 = slice_2 - L_2 F^0 + L_1 F^1.
+    M = moduli_caps_for(W, k) keeps the z^k slice exact to weight W."""
     if not 0 <= k <= 2:
         raise ValueError("f_moduli has k = 0, 1, 2, got %d" % k)
-    if M is None:
-        M = moduli_caps_for(W, k)
 
     def build():
-        img = transformed_stable(W, M, W)
+        img = transformed_stable(W, M)
         if k == 0:
             return img.slice(0)
         f0 = f_moduli(0, W, M)
@@ -192,11 +191,6 @@ def solve_l(zmax, index_cap):
     _check_caps("solve_l", 0, zmax, index_cap)
     return {(n, n + k): alpha for n in range(index_cap)
             for k, alpha in _log_row(n, min(zmax, index_cap - n)).items() if alpha}
-
-
-def alpha_coeff(n, k):
-    _check_caps("alpha_coeff", 0, n, k)
-    return _log_row(n, k).get(k, Rat(0))
 
 
 def _exp_matrix(m, zmax, index_cap):
@@ -266,15 +260,14 @@ def elsv_scaled_value(g, bs):
     return h / scale
 
 
-def hurwitz_to_hodge(g, n, max_k=None):
-    """Solve the grid interpolation for all brackets <prod tau_{d_i} lambda_k>
-    with the given (g, n); returns {(k, sorted d-tuple): value}.
+def hurwitz_to_hodge(g, n):
+    """Solve the grid interpolation for all brackets <prod tau_{d_i} lambda_k>,
+    0 <= k <= g, with the given (g, n); returns {(k, sorted d-tuple): value}.
 
     The scaled counts are polynomials of per-variable degree 3g-3+n; the
     grid is b_i in 1..3g-2+n with the point (3g-2+n+1, ..) held out and
     verified.  An off-grading coefficient, an asymmetric solve or a failed
-    held-out point raises ValueError; so does a cap that is not an integer,
-    or a negative max_k.
+    held-out point raises ValueError; so does a cap that is not an integer.
     """
     if not (isinstance(g, int) and isinstance(n, int)):
         _check_caps("hurwitz_to_hodge", 0, g, n)
@@ -282,8 +275,6 @@ def hurwitz_to_hodge(g, n, max_k=None):
     if g < 0 or n < 1 or dim < 0:
         raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
                          "and 3g - 3 + n >= 0" % (g, n))
-    max_k = g if max_k is None else max_k
-    _check_caps("hurwitz_to_hodge", 0, max_k)
     B = dim + 1
     coeffs = _tensor_fit([range(1, B + 1)] * n, lambda bs: elsv_scaled_value(g, bs))
     table = {}
@@ -301,8 +292,6 @@ def hurwitz_to_hodge(g, n, max_k=None):
     probe = tuple([B + 1] * n)
     if _tensor_eval(coeffs, probe) != elsv_scaled_value(g, probe):
         raise ValueError("held-out grid point failed")
-    if max_k < g:
-        table = {key: v for key, v in table.items() if key[0] <= max_k}
     return table
 
 

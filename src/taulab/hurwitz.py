@@ -399,7 +399,7 @@ def hurwitz(q, method="frobenius"):
     raise ValueError("unknown method %r" % (method,))
 
 
-# -- polynomiality -------------------------------------------------------------
+# -- exact grid fits -----------------------------------------------------------
 
 
 def _fit_1d(points):
@@ -449,37 +449,3 @@ def _tensor_eval(coeffs, point):
             term *= Rat(x) ** e
         acc += term
     return acc
-
-
-def polynomiality_check(g, n, window, held_out):
-    """Fit h_{g;b}/(m! d) on the window of b-tuples as a polynomial and
-    verify exactly on held-out tuples.
-
-    window and held_out are lists of b-tuples of length n; the window must
-    be a full grid.  Returns (ok, coefficients): a coefficient list for
-    n = 1, {exponent tuple: coeff} for n > 1.  Degree must stay below the
-    window size per axis.  A malformed or empty window, or a held-out list
-    that is empty or meets the window, verifies nothing: ValueError.
-    """
-    def value(b):
-        q = HurwitzQuery(ONEPART, g, b)
-        m = q.branch_points
-        return hurwitz_frobenius(q) / (factorial(m) * q.degree)
-
-    window, held_out = [tuple(b) for b in window], [tuple(b) for b in held_out]
-    if any(len(b) != n for b in window + held_out):
-        raise ValueError("every b-tuple needs length n = %d" % n)
-    if not window or not held_out:
-        raise ValueError("the window and the held-out list must be nonempty")
-    axes = [sorted({b[i] for b in window}) for i in range(n)]
-    if set(window) != set(product(*axes)):
-        raise ValueError("the window is not a full grid")
-    if set(held_out) & set(window):
-        raise ValueError("a held-out point lies in the window")
-    table = {b: value(b) for b in window}
-    coeffs = _tensor_fit(axes, table.__getitem__)
-    ok = all(_tensor_eval(coeffs, b) == value(b) for b in held_out)
-    if n == 1:
-        top = max((exps[0] for exps in coeffs), default=-1)
-        coeffs = [coeffs.get((e,), Rat(0)) for e in range(top + 1)]
-    return ok, coeffs

@@ -173,13 +173,3 @@ def hook(a, b):
     if a < 0 or b < 0:
         raise ValueError("hook arm and leg must be >= 0, got %d, %d" % (a, b))
     return Partition((a + 1,) + (1,) * b)
-
-
-def is_hook(p):
-    return len(p) >= 1 and all(x == 1 for x in p.parts[1:])
-
-
-def hook_arm_leg(p):
-    if not is_hook(p):
-        raise ValueError("%r is not a hook" % (p,))
-    return p.parts[0] - 1, len(p) - 1

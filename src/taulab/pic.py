@@ -90,7 +90,7 @@ class Laurent:
     lowest_nonzero_q = lowest
 
 
-def _change_variables(series, w_cap, coeff, aux_exp, base):
+def _change_variables(series, coeff, aux_exp, base):
     """Image of a family-P series under p_b -> sum_{d >= b-1} coeff(b, d)
     aux^{aux_exp(b, d)} t_d, beta -> aux^base, kept on its exact staircase.
 
@@ -100,9 +100,7 @@ def _change_variables(series, w_cap, coeff, aux_exp, base):
     if series.family != FAMILY_P:
         raise ValueError("the change of variables needs a family-P series, "
                          "got family %s" % series.family)
-    if w_cap is not None and w_cap < 0:
-        raise ValueError("w_cap must be >= 0, got %d" % w_cap)
-    w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
+    W = series.cap_weight
     # the input as integers over den, keyed by the sorted b-tuple of each
     # p-monomial p^vm, each numerator times prod_b e_b!
     den = series.den
@@ -111,7 +109,7 @@ def _change_variables(series, w_cap, coeff, aux_exp, base):
         n *= prod(factorial(e) for _, e in vm)
         powers.setdefault(tuple(b for b, e in vm for _ in range(e)), []).append((m, n))
     rows = []  # rows[d]: (s_d, [(b, s_d coeff(b, d), aux_exp(b, d))])
-    for d in range(w_eff):
+    for d in range(W):
         cs = [(b, coeff(b, d), aux_exp(b, d)) for b in range(1, d + 2)]
         s = lcm(*(c.denominator for _, c, _ in cs))
         rows.append((s, [(b, int(c * s), a) for b, c, a in cs if c]))
@@ -130,7 +128,7 @@ def _change_variables(series, w_cap, coeff, aux_exp, base):
         for j, a in acc.items():
             if a:
                 out[(j, tm)] = Rat(a, den * scale)
-        for d in range(tm[-1][0] if tm else 0, w_eff - w):
+        for d in range(tm[-1][0] if tm else 0, W - w):
             s, row = rows[d]
             nxt = {}
             for (bs, e), v in sums.items():
@@ -144,7 +142,7 @@ def _change_variables(series, w_cap, coeff, aux_exp, base):
                   top - aux_exp(d + 1, d))
 
     visit({((), 0): 1}, (), 0, 1, 0)
-    return Laurent(out, w_eff, series.cap_aux, base, aux_exp)
+    return Laurent(out, W, series.cap_aux, base, aux_exp)
 
 
 def chvar_coeff(b, d):
@@ -158,33 +156,22 @@ def _q_exp(b, d):
     return -(d + 1)
 
 
-def transform_p_to_tq(series, w_cap=None):
+def transform_p_to_tq(series):
     """Exact transform of a family-P series into the Laurent t-picture."""
-    return _change_variables(series, w_cap, chvar_coeff, _q_exp, 2)
+    return _change_variables(series, chvar_coeff, _q_exp, 2)
 
 
-def chvar_pic(series, w_cap=None, q_floor=1):
+def chvar_pic(series, q_floor=1):
     """Transform and verify that every q exponent is >= q_floor.
 
     Raises if an exactly-computed coefficient below the floor is nonzero
     (the input was outside the guaranteed class)."""
-    img = transform_p_to_tq(series, w_cap)
+    img = transform_p_to_tq(series)
     bad = [(k, v) for k, v in img.terms.items() if k[0] < q_floor]
     if bad:
         raise ValueError("transform has %d terms below q^%d, e.g. %r"
                          % (len(bad), q_floor, bad[0]))
     return img
-
-
-def lp2_h_unst_transformed(w_cap):
-    """Closed form of the transform of L_p^2 H_unst:
-    q^{-1} t_0 (t_1 + 1) + t_0^2, entered directly."""
-    terms = {
-        (-1, ((0, 1),)): Rat(1),
-        (-1, ((0, 1), (1, 1))): Rat(1),
-        (0, ((0, 2),)): Rat(1),
-    }
-    return Laurent(terms, w_cap, 1, 2, _q_exp)
 
 
 # -- brackets ------------------------------------------------------------------
@@ -331,26 +318,6 @@ def dilaton_check(F):
     return True
 
 
-def lt_second_identity_check(F):
-    """L_t (dF/dt_0) = 2 d^2F/dt_0 dt_1 + (1/sqrt(beta)) (d^2F/dt_0^2 - t_0)."""
-    W = F.cap_weight
-    G = F.partial(0)
-    for mono in _monomials_up_to_weight(W - 3):
-        weight = sum((d + 1) * e for d, e in mono.items())
-        lhs0 = Rat(weight) * G.coeff(0, mono)
-        rhs0 = 2 * (mono.get(0, 0) + 1) * (mono.get(1, 0) + 1) * \
-            F.coeff(0, _bump(_bump(mono, 0), 1))
-        if lhs0 != rhs0:
-            return False
-        lhs1 = _lowered(G, mono)
-        rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * F.coeff(0, _bump(mono, 0, 2))
-        if mono == {0: 1}:
-            rhs1 -= 1
-        if lhs1 != rhs1:
-            return False
-    return True
-
-
 # -- tau-function checks for U in the T variables ---------------------------
 
 
@@ -363,54 +330,16 @@ def u_in_T(W):
                                   for (_, vm), n in u.num.items()}, u.den)
 
 
-def u_hierarchy_residuals(W, equations=((2, 2), (2, 3)), shifts=(Rat(0), Rat(1))):
-    """Hirota residuals of c' + U and linearized residuals of U, in the T
-    variables.  Returns {(kind, (i,j), shift): residual_series}; the caps of
-    each residual delimit the exactly-checked region."""
+def u_hierarchy_residuals(W):
+    """Hirota residuals of c' + U for c' = 0, 1 and linearized residuals of U,
+    in the T variables, for (i, j) = (2, 2) and (2, 3).  Returns
+    {(kind, (i,j), shift): residual_series}; the caps of each residual
+    delimit the exactly-checked region."""
     from .hierarchy import hirota_residual, lkp_residual
     UT = u_in_T(W)
     out = {}
-    for (i, j) in equations:
-        for c in shifts:
+    for (i, j) in ((2, 2), (2, 3)):
+        for c in (Rat(0), Rat(1)):
             out[("hirota", (i, j), c)] = hirota_residual(i, j, UT + c)
         out[("lkp", (i, j), None)] = lkp_residual(i, j, UT)
     return out
-
-
-# -- binomial identity used by the change of variables ---------------------------
-
-
-def psi_expansion_check(d):
-    """The alternating sum of 1/(1 - b psi) telescopes to psi^d + higher:
-    coefficient of psi^k is 0 for k < d and 1 for k = d."""
-    for k in range(d + 1):
-        s = sum(chvar_coeff(b, d) * Rat(b) ** k for b in range(1, d + 2))
-        want = Rat(1) if k == d else Rat(0)
-        if s != want:
-            return False
-    return True
-
-
-def derivative_transform_pic(b):
-    """d/dp_b = sum_{d<b} q^{d+1} (b-1)!/(b-d-1)! d/dt_d;
-    returns [(d, q_exponent, coeff)]."""
-    if b < 1:
-        raise ValueError("p_b needs b >= 1, got %d" % b)
-    return [(d, d + 1, Rat(factorial(b - 1), factorial(b - 1 - d)))
-            for d in range(b)]
-
-
-def derivative_inverse_check(nmax, derivative_transform, coeff):
-    """The derivative transform is the exact inverse of the change of
-    variables with the given coefficients: sum_d D[b][d] C[d][b'] =
-    delta_{b b'} (the aux powers cancel).  The q-picture pairs
-    derivative_transform_pic with chvar_coeff, the u-picture
-    hodge.derivative_transform_elsv with hodge.elsv_chvar_coeff."""
-    for b in range(1, nmax + 1):
-        for bp in range(1, nmax + 1):
-            acc = Rat(0)
-            for d, _, c in derivative_transform(b):
-                acc += c * coeff(bp, d)
-            if acc != (1 if b == bp else 0):
-                return False
-    return True

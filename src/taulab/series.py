@@ -309,14 +309,14 @@ class Series:
         return "Series(%s, w<=%d, aux<=%d, %d terms)" % (
             self.family, self.cap_weight, self.cap_aux, n)
 
-    def pretty(self, max_terms=24):
-        """Readable rendering, deterministic order."""
+    def pretty(self):
+        """Readable rendering of every term, deterministic order."""
         if not self.num:
             return "0"
         names = {FAMILY_P: ("beta", "p"), FAMILY_TQ: ("q", "t"), FAMILY_TU: ("u", "t")}
         auxn, varn = names[self.family]
         bits = []
-        for (aux, vm), c in self.sorted_terms()[:max_terms]:
+        for (aux, vm), c in self.sorted_terms():
             factors = []
             if aux:
                 factors.append("%s^%d" % (auxn, aux) if aux > 1 else auxn)
@@ -325,8 +325,7 @@ class Series:
                 factors.append(v if e == 1 else "%s^%d" % (v, e))
             mono = "*".join(factors) if factors else "1"
             bits.append("%s*%s" % (c, mono))
-        tail = " + ..." if len(self.num) > max_terms else ""
-        return " + ".join(bits) + tail
+        return " + ".join(bits)
 
     # -- calculus ------------------------------------------------------
 

@@ -29,6 +29,19 @@
   every set partition of each monomial's positions, one at a time.
 * ``lagrange_fit_1d``: the 1-d exact polynomial fit of ``hurwitz._tensor_fit``
   through the Lagrange basis, rebuilt for every node.
+* ``kp_residual_exp``: KP_{i,j}(F) as Hir_{i,j}(e^F) e^{-2F}, through the
+  series exponential, against the closed ``hierarchy.kp_residual``.
+
+Checks of stated identities that more than one test module runs:
+
+* ``derivative_transform_pic`` and ``derivative_inverse_check``: d/dp_b in
+  the q-picture, and the check that a derivative transform inverts its
+  change of variables.
+* ``power_monomial`` and ``hook_sum_identity_check``: p_nu as a series, and
+  p_d = sum_{a+b+1=d} (-1)^b s_{hook(a,b)}.
+* ``is_hook`` and ``hook_arm_leg``: hook diagrams and their arm and leg.
+* ``polynomiality_check``: a grid fit of the scaled one-part numbers,
+  verified on held-out points.
 """
 
 from fractions import Fraction as F
@@ -37,13 +50,14 @@ from itertools import product
 from math import factorial
 
 from taulab.diffops import DPoly, TOp, ZOp
-from taulab.hierarchy import cut_and_join
+from taulab.hierarchy import cut_and_join, hirota_residual
 from taulab.hodge import a_coeff, conjugated_equation, solve_l
-from taulab.hurwitz import _exp_schur_sum
-from taulab.partitions import partitions_upto
+from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius, _exp_schur_sum,
+                            _tensor_fit, _tensor_eval)
+from taulab.partitions import Partition, partitions_upto, hook
 from taulab.pic import Laurent, _monomials_up_to_weight
 from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight, var_weight
-from taulab.symfunc import dimension
+from taulab.symfunc import dimension, schur_poly
 
 
 def series_log(s):
@@ -166,7 +180,7 @@ def _top(aux_exp, mono):
     return -sum(aux_exp(d + 1, d) * e for d, e in mono)
 
 
-def expand_then_cancel(series, w_cap, coeff, aux_exp, base):
+def expand_then_cancel(series, coeff, aux_exp, base):
     """Image of a family-P series under p_b -> sum_{d >= b-1} coeff(b, d)
     aux^{aux_exp(b, d)} t_d, beta -> aux^base, kept on its exact staircase.
 
@@ -175,7 +189,6 @@ def expand_then_cancel(series, w_cap, coeff, aux_exp, base):
     if series.family != FAMILY_P:
         raise ValueError("the change of variables needs a family-P series, "
                          "got family %s" % series.family)
-    w_eff = series.cap_weight if w_cap is None else min(w_cap, series.cap_weight)
     powers = {}
     for (m, vm), c in series.terms.items():
         powers.setdefault(vm, []).append((m, c))
@@ -198,7 +211,7 @@ def expand_then_cancel(series, w_cap, coeff, aux_exp, base):
                 if not mono[d]:
                     del mono[d]
 
-        assign(0, w_eff, Rat(1), 0)
+        assign(0, series.cap_weight, Rat(1), 0)
         for (e, tm), cc in expansion.items():
             # room left on the staircase once beta^m is shifted in
             room = base * series.cap_aux - e - _top(aux_exp, tm)
@@ -206,7 +219,7 @@ def expand_then_cancel(series, w_cap, coeff, aux_exp, base):
                 if base * m <= room:
                     key = (base * m + e, tm)
                     out[key] = out.get(key, 0) + c * cc
-    return Laurent({k: v for k, v in out.items() if v}, w_eff, series.cap_aux,
+    return Laurent({k: v for k, v in out.items() if v}, series.cap_weight, series.cap_aux,
                    base, aux_exp)
 
 
@@ -371,3 +384,98 @@ def _poly_mul_linear(coeffs, const):
         out[k] += c * const
         out[k + 1] += c
     return out
+
+
+def kp_residual_exp(i, j, F):
+    """KP_{i,j}(F) = Hir_{i,j}(e^F) * e^{-2F}.  F must have zero constant term."""
+    if F.constant_term():
+        raise ValueError("KP residual needs zero constant term")
+    return hirota_residual(i, j, F.exp()) * (F * Rat(-2)).exp()
+
+
+# -- checks of stated identities ------------------------------------------------
+
+
+def derivative_transform_pic(b):
+    """d/dp_b = sum_{d<b} q^{d+1} (b-1)!/(b-d-1)! d/dt_d;
+    returns [(d, q_exponent, coeff)]."""
+    if b < 1:
+        raise ValueError("p_b needs b >= 1, got %d" % b)
+    return [(d, d + 1, Rat(factorial(b - 1), factorial(b - 1 - d)))
+            for d in range(b)]
+
+
+def derivative_inverse_check(nmax, derivative_transform, coeff):
+    """The derivative transform is the exact inverse of the change of
+    variables with the given coefficients: sum_d D[b][d] C[d][b'] =
+    delta_{b b'} (the aux powers cancel).  The q-picture pairs
+    derivative_transform_pic with pic.chvar_coeff, the u-picture
+    hodge.derivative_transform_elsv with hodge.elsv_chvar_coeff."""
+    for b in range(1, nmax + 1):
+        for bp in range(1, nmax + 1):
+            acc = Rat(0)
+            for d, _, c in derivative_transform(b):
+                acc += c * coeff(bp, d)
+            if acc != (1 if b == bp else 0):
+                return False
+    return True
+
+
+def power_monomial(nu):
+    """The monomial p_nu as a family-P series."""
+    return Series.from_terms(FAMILY_P, nu.size, 0, [(0, nu.multiplicities(), Rat(1))])
+
+
+def hook_sum_identity_check(d):
+    """True iff p_d = sum_{a+b+1=d} (-1)^b s_{hook(a,b)}."""
+    if d < 1:
+        raise ValueError("p_d needs d >= 1, got %d" % d)
+    acc = Series.zero(FAMILY_P, d, 0)
+    for b in range(d):
+        a = d - 1 - b
+        acc = acc + schur_poly(hook(a, b)) * Rat((-1) ** b)
+    return acc == power_monomial(Partition((d,)))
+
+
+def is_hook(p):
+    return len(p) >= 1 and all(x == 1 for x in p.parts[1:])
+
+
+def hook_arm_leg(p):
+    if not is_hook(p):
+        raise ValueError("%r is not a hook" % (p,))
+    return p.parts[0] - 1, len(p) - 1
+
+
+def polynomiality_check(g, n, window, held_out):
+    """Fit h_{g;b}/(m! d) on the window of b-tuples as a polynomial and
+    verify exactly on held-out tuples.
+
+    window and held_out are lists of b-tuples of length n; the window must
+    be a full grid.  Returns (ok, coefficients): a coefficient list for
+    n = 1, {exponent tuple: coeff} for n > 1.  Degree must stay below the
+    window size per axis.  A malformed or empty window, or a held-out list
+    that is empty or meets the window, verifies nothing: ValueError.
+    """
+    def value(b):
+        q = HurwitzQuery(ONEPART, g, b)
+        m = q.branch_points
+        return hurwitz_frobenius(q) / (factorial(m) * q.degree)
+
+    window, held_out = [tuple(b) for b in window], [tuple(b) for b in held_out]
+    if any(len(b) != n for b in window + held_out):
+        raise ValueError("every b-tuple needs length n = %d" % n)
+    if not window or not held_out:
+        raise ValueError("the window and the held-out list must be nonempty")
+    axes = [sorted({b[i] for b in window}) for i in range(n)]
+    if set(window) != set(product(*axes)):
+        raise ValueError("the window is not a full grid")
+    if set(held_out) & set(window):
+        raise ValueError("a held-out point lies in the window")
+    table = {b: value(b) for b in window}
+    coeffs = _tensor_fit(axes, table.__getitem__)
+    ok = all(_tensor_eval(coeffs, b) == value(b) for b in held_out)
+    if n == 1:
+        top = max((exps[0] for exps in coeffs), default=-1)
+        coeffs = [coeffs.get((e,), Rat(0)) for e in range(top + 1)]
+    return ok, coeffs

@@ -37,6 +37,17 @@ def test_char_and_schur(capsys):
     assert rows[(0, 0, 0, 1)] == "-1/3"    # -p_3 / 3
 
 
+def test_an_empty_list_is_the_empty_partition(capsys):
+    assert run_cli("char", "--mu", "", "--lambda", "", capsys=capsys) == (0, "1")
+    assert run_cli("schur", "--mu", "", capsys=capsys) == (0, "1*1")
+
+
+def test_bracket_series_build_reads_only_the_weight(capsys):
+    for name in ("f", "u", "u-in-T"):
+        code, out = run_cli("series", "--build", name, "--cap-weight", "4", capsys=capsys)
+        assert code == 0 and json.loads(out)["caps"] == {"weight": 4, "aux": 0}, name
+
+
 def test_kind_choices_are_the_hurwitz_families():
     # the parser names the families literally, so building it imports nothing
     from taulab import hurwitz
@@ -160,6 +171,14 @@ def test_clean_error_for_invalid_method_combination(capsys):
     "bracket-table --genus -1",
     "hodge --genus 1 --indices 1 --k -1",
     "series --build simple-h --cap-weight -1",
+    # the bracket series have no aux variable: --cap-aux used to be ignored
+    "series --build f --cap-weight 4 --cap-aux 5",
+    "series --build u --cap-aux 0",
+    "series --build u-in-T --cap-weight 6 --cap-aux 2",
+    # an empty item in a comma list used to be dropped silently
+    "bracket --indices 1,,2",
+    "bracket --indices ,",
+    "hurwitz --kind onepart --genus 1 --profile 3,",
     "verify hirota --i 3 --j 2",
     "verify hirota --cap-aux -1",
     "verify u-tau --cap-weight -2",

@@ -13,11 +13,10 @@ from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               lkp_residual, lkp_form, kp_form, kp_residual,
                               cut_and_join, corner_descent_check,
                               character_identity_check, hirota_descent_check,
-                              hirota_s_tensor, simplified_hirota_23,
-                              weight_flow_equivalence_check, bell_poly,
-                              _hirota_pairs)
+                              hirota_s_tensor, weight_flow_equivalence_check,
+                              bell_poly, _hirota_pairs, _leibniz, _bilinear)
 
-from oracles import bell_poly_by_set_partitions, term_by_term
+from oracles import bell_poly_by_set_partitions, term_by_term, kp_residual_exp
 
 P = Partition
 
@@ -165,6 +164,12 @@ def test_kp_lkp_23_displayed():
     }
 
 
+def simplified_hirota_23():
+    """Hir_{2,3} - 1/2 d(Hir_{2,2})/dp_1 as a bilinear form."""
+    d_p1 = _leibniz(_hirota_pairs(2, 2), DPoly.d(1).__mul__)
+    return _bilinear(_hirota_pairs(2, 3) + [(c * Rat(-1, 2), a, b) for c, a, b in d_p1])
+
+
 def test_simplified_hierarchy_23():
     got = simplified_hirota_23().terms
     want = {
@@ -217,11 +222,15 @@ def random_cubic_F():
 
 
 def test_kp_routes_agree():
-    Fser = random_cubic_F()
-    for (i, j) in ((2, 2), (2, 3)):
-        a = kp_residual(i, j, Fser, method="exp")
-        b = kp_residual(i, j, Fser, method="closed")
-        assert a == b
+    # the closed form against Hir(e^F) e^{-2F}, values and caps
+    for Fser in (random_cubic_F(), h_onepart_series(8, 4)):
+        for (i, j) in ((2, 2), (2, 3), (3, 3)):
+            a = kp_residual_exp(i, j, Fser)
+            b = kp_residual(i, j, Fser)
+            assert a == b and not b.is_zero(), (i, j)
+            assert (a.cap_weight, a.cap_aux) == (b.cap_weight, b.cap_aux), (i, j)
+    with pytest.raises(ValueError):
+        kp_residual(2, 2, Fser + 1)
 
 
 def test_kp_of_zero():

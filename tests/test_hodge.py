@@ -8,16 +8,16 @@ from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
                           moduli_caps_for, f_moduli, apply_L, solve_l,
-                          alpha_coeff, exp_l_equals_L_check, ck_report,
+                          exp_l_equals_L_check, ck_report,
                           LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
                           khat_22, kpbar_22, conjugated_equation, kdv_check,
                           kdv_zpart_as_moduli_poly, ModuliPDESolver)
 from taulab.diffops import evaluate
-from taulab.pic import string_check, derivative_inverse_check
+from taulab.pic import string_check
 
 import oracles
 from oracles import (a_alternating, L_grade_per_tuple, build_L_grade, full_rescan,
-                     exp_l_operator_route, l_operator)
+                     exp_l_operator_route, l_operator, derivative_inverse_check)
 
 # caps shared by the heavier extraction tests
 W = 10
@@ -115,14 +115,14 @@ def test_transform_images_of_p():
 
 
 def test_transform_stable_is_even_nonnegative():
-    img = chvar_elsv(h_simple_stable(8, 14), 8)
+    img = chvar_elsv(h_simple_stable(8, 14))
     assert img.lowest() >= 0
     assert all(u % 2 == 0 for u, _ in img.terms)
 
 
 def test_transform_staircase_slices():
     # u-picture staircase u + 5 sum d + 4 n <= 3M: the z^k = u^{2k} slices
-    img = chvar_elsv(h_simple_stable(8, 10), 8)
+    img = chvar_elsv(h_simple_stable(8, 10))
     assert [img.slice(2 * k).cap_weight for k in range(5)] == [6, 5, 5, 5, 4]
     assert [f_moduli(k, 10, 19).cap_weight for k in range(3)] == [10, 9, 8]
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_apply_L_matches_build_L_terms():
     # no term above w - wt(dm) otherwise; it is re-capped at w - k before the
     # t factors raise its weight back by wt(tm) = wt(dm) - k
     for s in (0, 1):
-        f = f_moduli(s, W)
+        f = f_moduli(s, W, moduli_caps_for(W, s))
         w = f.cap_weight
         for k in (1, 2):
             want = Series.zero(FAMILY_TQ, w - k, f.cap_aux)
@@ -181,9 +181,10 @@ def test_apply_L_matches_build_L_terms():
 
 
 def test_solve_l_values():
-    assert alpha_coeff(0, 1) == 1
-    assert alpha_coeff(0, 2) == F(-1, 2)  # a_{0,2} - 1/2 a_{0,1} a_{1,2}
-    assert alpha_coeff(1, 1) == 3
+    alpha = solve_l(2, 2)
+    assert alpha[0, 1] == 1
+    assert alpha[0, 2] == F(-1, 2)  # a_{0,2} - 1/2 a_{0,1} a_{1,2}
+    assert alpha[1, 2] == 3
 
 
 def test_exp_l_equals_L():
@@ -457,6 +458,6 @@ def test_one_point_tables_match_hodge_series():
 
 @pytest.mark.parametrize("g, n", [(0, 1), (0, 2), (-1, 5), (1, 0), (-1, 1)])
 def test_unstable_hodge_shape_rejected(g, n):
-    # the message names the shape, not the default max_k = g
+    # the message names the shape
     with pytest.raises(ValueError, match="not stable"):
         hurwitz_to_hodge(g, n)

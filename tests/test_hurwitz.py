@@ -16,11 +16,10 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             hurwitz_frobenius, hurwitz_closed,
                             h_onepart_series, h_simple_series,
                             h_unst_onepart, h_unst_simple, hook_series, lp,
-                            polynomiality_check,
                             _onepart_character_sum, _connected_simple,
                             _fit_1d, _tensor_fit)
 from oracles import (series_log, disconnected_simple_series,
-                     cut_and_join_simple_series, lagrange_fit_1d)
+                     cut_and_join_simple_series, lagrange_fit_1d, polynomiality_check)
 
 
 def q1(g, *b):

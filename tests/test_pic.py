@@ -8,13 +8,13 @@ from taulab.partitions import partitions_of
 from taulab.series import Series, Rat, FAMILY_P
 from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius,
                             h_onepart_series, h_unst_onepart, lp)
-from taulab.pic import (transform_p_to_tq, chvar_pic, lp2_h_unst_transformed,
+from taulab.hierarchy import hirota_residual
+from taulab.pic import (Laurent, transform_p_to_tq, chvar_pic,
                         bracket, genus_table, f_series, u_series, u_in_T,
-                        string_check, dilaton_check,
-                        lt_second_identity_check, u_hierarchy_residuals,
-                        psi_expansion_check, chvar_coeff, _q_exp)
+                        string_check, dilaton_check, u_hierarchy_residuals,
+                        chvar_coeff, _q_exp, _monomials_up_to_weight, _lowered, _bump)
 from taulab.hodge import transform_p_to_tu, elsv_chvar_coeff, _u_exp, h_simple_stable
-from oracles import expand_then_cancel
+from oracles import expand_then_cancel, derivative_transform_pic, derivative_inverse_check
 
 GOLDEN = {
     (0, 0, 0): F(1),
@@ -129,25 +129,24 @@ def test_genus4_transform_matches_brackets():
 
 PICTURES = {"q": (transform_p_to_tq, (chvar_coeff, _q_exp, 2)),
             "u": (transform_p_to_tu, (elsv_chvar_coeff, _u_exp, 3))}
-ORACLE_CASES = {  # name: (input series, w_cap, picture)
-    "q(10,6)": (lambda: h_onepart_series(10, 6) - h_unst_onepart(10, 6), None, "q"),
-    "lp2 q(9,5)": (lambda: lp(lp(h_onepart_series(9, 5))), None, "q"),
-    "u(8,10)": (lambda: h_simple_stable(8, 10), None, "u"),
-    "q(10,6) w_cap 7": (lambda: h_onepart_series(10, 6) - h_unst_onepart(10, 6), 7, "q"),
+ORACLE_CASES = {  # name: (input series, picture)
+    "q(10,6)": (lambda: h_onepart_series(10, 6) - h_unst_onepart(10, 6), "q"),
+    "lp2 q(9,5)": (lambda: lp(lp(h_onepart_series(9, 5))), "q"),
+    "u(8,10)": (lambda: h_simple_stable(8, 10), "u"),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
 def test_change_of_variables_matches_expand_then_cancel(case):
     # the per-target sum against the literal definition, term by term
-    build, w_cap, picture = case
+    build, picture = case
     H = build()
     transform, args = PICTURES[picture]
-    img = transform(H, w_cap)
-    want = expand_then_cancel(H, w_cap, *args)
+    img = transform(H)
+    want = expand_then_cancel(H, *args)
     assert img.terms and img.terms == want.terms
     assert (img.w_cap, img.m_cap) == (want.w_cap, want.m_cap)
-    assert img.w_cap == (H.cap_weight if w_cap is None else w_cap)
+    assert img.w_cap == H.cap_weight
 
 
 def test_lp2h_transform_gives_u_at_q_minus_one():
@@ -158,6 +157,17 @@ def test_lp2h_transform_gives_u_at_q_minus_one():
     got_U = img.q_slice(-1)
     want_U = u_series(got_U.cap_weight)
     assert got_U == want_U
+
+
+def lp2_h_unst_transformed(w_cap):
+    """Closed form of the transform of L_p^2 H_unst:
+    q^{-1} t_0 (t_1 + 1) + t_0^2, entered directly."""
+    terms = {
+        (-1, ((0, 1),)): Rat(1),
+        (-1, ((0, 1), (1, 1))): Rat(1),
+        (0, ((0, 2),)): Rat(1),
+    }
+    return Laurent(terms, w_cap, 1, 2, _q_exp)
 
 
 def test_lp2h_unst_closed_form():
@@ -206,6 +216,26 @@ def test_string_examples():
     assert bracket((1, 2)) == bracket((2,))
 
 
+def lt_second_identity_check(F):
+    """L_t (dF/dt_0) = 2 d^2F/dt_0 dt_1 + (1/sqrt(beta)) (d^2F/dt_0^2 - t_0)."""
+    W = F.cap_weight
+    G = F.partial(0)
+    for mono in _monomials_up_to_weight(W - 3):
+        weight = sum((d + 1) * e for d, e in mono.items())
+        lhs0 = Rat(weight) * G.coeff(0, mono)
+        rhs0 = 2 * (mono.get(0, 0) + 1) * (mono.get(1, 0) + 1) * \
+            F.coeff(0, _bump(_bump(mono, 0), 1))
+        if lhs0 != rhs0:
+            return False
+        lhs1 = _lowered(G, mono)
+        rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * F.coeff(0, _bump(mono, 0, 2))
+        if mono == {0: 1}:
+            rhs1 -= 1
+        if lhs1 != rhs1:
+            return False
+    return True
+
+
 def test_lt_identities():
     # L_t F = F + 2 dF/dt_1 + (1/sqrt(beta)) (dF/dt_0 - t_0^2/2), split into
     # the q^0 and q^{-1} parts: twice the dilaton equation, and the string
@@ -227,12 +257,25 @@ def test_u_in_T_weights():
 
 
 def test_u_hierarchy_residuals_vanish():
-    res = u_hierarchy_residuals(10, equations=((2, 2), (2, 3)),
-                             shifts=(Rat(0), Rat(1), Rat(5, 7)))
+    res = u_hierarchy_residuals(10)
+    # any constant shift c' solves the Hirota equations; c' = 5/7 beside 0 and 1
+    res.update((("hirota", ij, Rat(5, 7)), hirota_residual(*ij, u_in_T(10) + Rat(5, 7)))
+               for ij in ((2, 2), (2, 3)))
     for key, series in res.items():
         assert series.is_zero(), (key, series.pretty())
         kind, (i, j), _ = key
         assert series.cap_weight == 10 - (i + j)
+
+
+def psi_expansion_check(d):
+    """The alternating sum of 1/(1 - b psi) telescopes to psi^d + higher:
+    coefficient of psi^k is 0 for k < d and 1 for k = d."""
+    for k in range(d + 1):
+        s = sum(chvar_coeff(b, d) * Rat(b) ** k for b in range(1, d + 2))
+        want = Rat(1) if k == d else Rat(0)
+        if s != want:
+            return False
+    return True
 
 
 def test_psi_expansion():
@@ -241,7 +284,6 @@ def test_psi_expansion():
 
 
 def test_pic_derivative_transform():
-    from taulab.pic import derivative_transform_pic, derivative_inverse_check
     assert derivative_transform_pic(1) == [(0, 1, F(1))]
     assert derivative_transform_pic(2) == [(0, 1, F(1)), (1, 2, F(1))]
     assert derivative_transform_pic(3) == [(0, 1, F(1)), (1, 2, F(2)), (2, 3, F(2))]
