@@ -121,6 +121,10 @@ def bell_poly(dp):
 
 def kp_form(i, j):
     """KP_{i,j} expanded in the monomials m of d^m F."""
+    return _cached(("kp", i, j), _kp_form_raw, i, j)
+
+
+def _kp_form_raw(i, j):
     return sum((bell_poly(a) * bell_poly(b) * c for c, a, b in _hirota_pairs(i, j)),
                DPoly())
 

@@ -31,24 +31,16 @@ Conventions pinned here (each enforced by tests against displayed values):
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .series import Series, Rat, _cached, _make
+from .series import Series, Rat, _cached, _check_caps, _make
 from .diffops import evaluate, expand
 from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
                       h_unst_simple, _tensor_fit, _tensor_eval)
-from .pic import _change_variables, _monomials_up_to_weight, _mono_factorials
+from .pic import _change_variables, _monomials_up_to_weight
 
 
 # -- expansion constants --------------------------------------------------------
-
-
-def _check_caps(name, least, *caps):
-    """ValueError unless every cap is an int >= least (2.0 shares 2's memo key)."""
-    if not all(isinstance(c, int) and c >= least for c in caps):
-        raise ValueError("%s needs integers >= %d, got %s"
-                         % (name, least, ", ".join(map(repr, caps))))
 
 
 def a_coeff(d, k):
@@ -128,6 +120,7 @@ def f_moduli(k, W, M):
     stable series via
     F^0 = slice_0, F^1 = L_1 F^0 - slice_1, F^2 = slice_2 - L_2 F^0 + L_1 F^1.
     M = moduli_caps_for(W, k) keeps the z^k slice exact to weight W."""
+    _check_caps("f_moduli", 0, k, W, M)
     if not 0 <= k <= 2:
         raise ValueError("f_moduli has k = 0, 1, 2, got %d" % k)
 
@@ -488,8 +481,8 @@ def _accumulate(acc, items, scale):
 
 
 def _reduce(k, ds):
-    """<tau_ds lambda_k> as an affine form {primitive or None: coeff}, None
-    marking the constant.  A tau_0 beside other points is removed by the
+    """<tau_ds lambda_k> as an affine form {primitive or None: integer
+    coeff}, None marking the constant.  A tau_0 beside other points is removed by the
     string recursion, seeded at <tau_0^3> = 1, and then a tau_1 by the
     dilaton factor 2g - 2 + n; a bracket with neither is a primitive.  It
     reads no solved values, so one memo entry serves every solver."""
@@ -502,15 +495,49 @@ def _reduce(k, ds):
             return {}
         if n >= 2 and ds[0] == 0:
             rest = ds[1:]
-            out = {None: Rat(1)} if k == 0 and rest == (0, 0) else {}
+            out = {None: 1} if k == 0 and rest == (0, 0) else {}
             for i, v in enumerate(rest):
                 if v:
                     _accumulate(out, _reduce(k, rest[:i] + (v - 1,) + rest[i + 1:]).items(), 1)
             return out
         if n >= 2 and ds[0] == 1:
             return _accumulate({}, _reduce(k, ds[1:]).items(), 2 * g - 3 + n)
-        return {(k, ds): Rat(1)}
+        return {(k, ds): 1}
     return _cached(("reduce", k, ds), build)
+
+
+def _monomial_coeff(k, eta, mono):
+    """Coefficient of the monomial mono = ((d, e), ...) in d^eta F^{(k)}
+    before any value is substituted: <tau_eta prod tau_d^e lambda_k> /
+    prod e!, as an affine form.  Pure, so memoized as ``_reduce`` is."""
+    return _cached(("monomial", k, eta, mono), _monomial_coeff_raw, k, eta, mono)
+
+
+def _monomial_coeff_raw(k, eta, mono):
+    den = prod(factorial(e) for _, e in mono)
+    return {p: Rat(c, den)
+            for p, c in _reduce(k, eta + tuple(d for d, e in mono for _ in range(e))).items()}
+
+
+def _monomial_splits(mono):
+    """Every way to share the monomial mono = ((d, e), ...) between two
+    factors, as (t, l(t), |t|, mono / t, l, |mono / t|) with l the number of
+    points and |.| the index sum, in the order of the exponent vectors of t,
+    and bucketed by (|t| - l(t)) % 3: the grading of ``_deriv_coeff`` reads
+    a factor at t only from one bucket."""
+    return _cached(("splits", mono), _monomial_splits_raw, mono)
+
+
+def _monomial_splits_raw(mono):
+    splits = [((), 0, 0, (), 0, 0)]
+    for d, e in mono:
+        splits = [(t + ((d, x),) if x else t, lt + x, st + d * x,
+                   rest + ((d, e - x),) if x < e else rest, lr + e - x, sr + d * (e - x))
+                  for t, lt, st, rest, lr, sr in splits for x in range(e + 1)]
+    buckets = ([], [], [])
+    for split in splits:
+        buckets[(split[2] - split[1]) % 3].append(split)
+    return buckets
 
 
 class ModuliPDESolver:
@@ -530,44 +557,62 @@ class ModuliPDESolver:
     """
 
     def __init__(self, kmax=1, weight_cap=10):
+        _check_caps("ModuliPDESolver", 0, kmax, weight_cap)
         self.kmax = kmax
         self.weight_cap = weight_cap
         self.solved = {}
         self._ran = False
 
-    def _deriv_coeff(self, k, eta, mono):
-        """Coefficient of the monomial in d^eta F^{(k)}, as an affine form
-        in the primitives not yet solved."""
-        form = _reduce(k, list(eta) + [d for d, e in mono.items() for _ in range(e)])
-        if not form:
+    def _deriv_coeff(self, k, eta, mono, points, total):
+        """Coefficient of the monomial mono, with the given number of points
+        and index sum, in d^eta F^{(k)}, as an affine form in the primitives
+        not yet solved.  The grading alone rules out most of them: the
+        bracket needs 3g = k + (index sum) + 3 - (points) with g >= k."""
+        points += len(eta)
+        g, r = divmod(k + total + sum(eta) + 3 - points, 3)
+        if not points or r or g < k:
+            return {}
+        form = _monomial_coeff(k, eta, mono)
+        solved = self.solved
+        if not any(p in solved for p in form):
             return form
-        return _accumulate({}, ((None, c * self.solved[p]) if p in self.solved else (p, c)
-                                for p, c in form.items()), Rat(1, _mono_factorials(mono)))
+        const, out = form.get(None, 0), {}
+        for p, c in form.items():
+            if p in solved:
+                const += c * solved[p]
+            elif p is not None:
+                out[p] = c
+        if const:
+            out[None] = const
+        return out
 
     def equation_affine(self, eq, mono):
         """Affine form {primitive or None: coeff} of the equation's
         coefficient at the monomial, or None when a product of two
         unknown-bearing factors appears."""
-        total = {}
+        mono = tuple(sorted(mono.items()))
+        points, total = sum(e for _, e in mono), sum(d * e for d, e in mono)
+        splits = _monomial_splits(mono)
+        out = {}
         for key, c in eq.items():
             if len(key) == 1:
                 (slice_k, eta), = key
-                _accumulate(total, self._deriv_coeff(slice_k, eta, mono).items(), c)
+                _accumulate(out, self._deriv_coeff(slice_k, eta, mono, points, total).items(), c)
             elif len(key) == 2:
                 (k1, e1), (k2, e2) = key
-                idx = sorted(mono)
-                for takes in product(*[range(mono[d] + 1) for d in idx]):
-                    a = self._deriv_coeff(k1, e1, dict(zip(idx, takes)))
-                    b = self._deriv_coeff(k2, e2, {d: mono[d] - t for d, t in zip(idx, takes)})
+                for t, lt, st, rest, lr, sr in splits[(len(e1) - k1 - sum(e1)) % 3]:
+                    a = self._deriv_coeff(k1, e1, t, lt, st)
+                    b = a and self._deriv_coeff(k2, e2, rest, lr, sr)
+                    if not b:
+                        continue
                     if len(a) > (None in a):
                         if len(b) > (None in b):
                             return None
                         a, b = b, a
-                    if a and b:  # a is a nonzero constant
-                        _accumulate(total, b.items(), c * a[None])
+                    _accumulate(out, b.items(), c * a[None])  # a is a nonzero constant
             else:
                 raise NotImplementedError("equations with 3+ factors")
-        return total
+        return out
 
     def run(self):
         if self._ran:
@@ -597,11 +642,10 @@ class ModuliPDESolver:
 
     def bracket(self, k, ds):
         """<tau_ds lambda_k>: the constant term of d^ds F^{(k)}."""
-        if k < 0 or any(d < 0 for d in ds):
-            raise ValueError("a bracket needs k >= 0 and indices >= 0, got %d, %r"
-                             % (k, tuple(ds)))
+        ds = tuple(ds)
+        _check_caps("bracket", 0, k, *ds)
         self.run()
-        form = dict(self._deriv_coeff(k, ds, {}))
+        form = dict(self._deriv_coeff(k, tuple(sorted(ds)), (), 0, 0))
         const = form.pop(None, Rat(0))
         if form:
             raise ValueError("unsolved primitives %r" % (sorted(form),))

@@ -28,24 +28,25 @@ Routes:
     h = (1/(d prod b_i)) sum_j (-1)^j f_j^m [y^j] prod_i (1-(-y)^{b_i}) / (1+y)
     (``_hook_sum``, which pic's brackets share); for the simple kind
     the character sum counts possibly-disconnected covers, and the
-    connected values are the coefficients of its logarithm.  One memoized
-    table (``_connected_simple``) computes that logarithm for each multiset
-    s of parts, in rows indexed by j = k - (|s| - l(s)) up to a cap J: a
-    query reads J = 2g + 2n - 2, and h_simple_series(W, M) assembles its
-    rows at J = M.  The whole-series logarithm is a test oracle;
+    connected values are the coefficients of its logarithm.  One engine
+    (``_connected_rows``) computes that logarithm for each multiset s of
+    parts, in rows indexed by j = k - (|s| - l(s)) up to a cap J: a query
+    reads J = 2g + 2n - 2 (``_connected_simple``, memoized), and
+    h_simple_series(W, M) reads every partition's row at J = M - e(s) from
+    one pass.  The whole-series logarithm is a test oracle;
   * closed hook series (one-part only): coefficient extraction from
     sum_{a,b} (-1)^b s_{hook(a,b)} e^{f beta}.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 from math import comb, factorial, lcm, prod
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue)
-from .symfunc import character, dimension, schur_poly
-from .series import Series, Rat, FAMILY_P, _cached, _make, vm_weight
+from .symfunc import schur_poly, _column, _shape
+from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _make, vm_weight
 
 ONEPART = "onepart"
 SIMPLE = "simple"
@@ -178,26 +179,32 @@ def _cycles_of(perm):
 
 
 def _hook_sum(poly, d, m):
-    """sum_j (-1)^j f_j^m [y^j] poly / (1 + y), f_j = d (d - 1 - 2j) / 2: the
-    one-part character sum for poly = prod_i (1 - (-y)^{nu_i}), |nu| = d (see
-    the module docstring).  poly must be divisible by 1 + y; (-1)^j times the
-    quotient's y^j coefficient is the alternating prefix sum of poly to y^j."""
+    """2^m sum_j (-1)^j f_j^m [y^j] poly / (1 + y), f_j = d (d - 1 - 2j) / 2,
+    an integer: 2^m times the one-part character sum for
+    poly = prod_i (1 - (-y)^{nu_i}), |nu| = d (see the module docstring).
+    poly must be divisible by 1 + y; (-1)^j times the quotient's y^j
+    coefficient is the alternating prefix sum of poly to y^j."""
     acc = prefix = 0
     for j, c in enumerate(poly[:d]):
         prefix += -c if j % 2 else c
         acc += prefix * (d * (d - 1 - 2 * j)) ** m
-    return Rat(acc, 2 ** m)
+    return acc
 
 
-def _onepart_character_sum(nu, m):
-    """sum over hooks lambda of |nu| of chi_lambda((d)) f^m chi_lambda(nu)."""
+def _hook_poly(nu):
+    """prod_i (1 - (-y)^{nu_i}) as a coefficient list."""
     poly = [1]
     for b in nu:
         out = poly + [0] * b
         for j, c in enumerate(poly):  # times 1 - (-y)^b
             out[j + b] -= c if b % 2 == 0 else -c
         poly = out
-    return _hook_sum(poly, nu.size, m)
+    return poly
+
+
+def _onepart_character_sum(nu, m):
+    """sum over hooks lambda of |nu| of chi_lambda((d)) f^m chi_lambda(nu)."""
+    return Rat(_hook_sum(_hook_poly(nu), nu.size, m), 2 ** m)
 
 
 def hurwitz_frobenius(q):
@@ -212,12 +219,6 @@ def hurwitz_frobenius(q):
                                  m - d + len(nu))[1][-1], 2 ** m * factorial(d) * prod_b)
 
 
-def _dim_f2(size):
-    """(lambda, dim lambda, 2 f_lambda) for every partition lambda of size."""
-    return tuple((la, dimension(la), int(2 * cut_and_join_eigenvalue(la)))
-                 for la in partitions_of(size))
-
-
 def _connected_simple(vm, J):
     """Rows (Z, H) of the multiset s = vm = ((b, mult), ...), for j = 0..J.
 
@@ -227,47 +228,147 @@ def _connected_simple(vm, J):
     Z's is sum over lambda of |s| of dim(lambda) chi_lambda(s) (2f)^k, and
     H's is 2^k |s|! (product of the parts) times the connected number
     h_{g;s} with k = |s| + l(s) + 2g - 2 branch points, or 0 if no g fits.
-    Both vanish below k = e(s) (k transpositions leave at least |s| - k
-    cycles).  The number of parts l is a derivation, so DZ = Z DH gives
-    l(s) H_{k,s} = l(s) Z_{k,s} - sum l(t) H_{k',t} Z_{k-k',s-t} over
-    nonempty proper sub-multisets t of s; scaled, each product gains the
-    factor C(k, k') C(|s|, |t|) prod_b C(mult_b(s), mult_b(t)).  e is
-    additive, so j is too, and one cap J serves every sub-multiset.
+    Both are nonnegative, and vanish below k = e(s) (k transpositions leave
+    at least |s| - k cycles) and at odd j (k - e(s) = 2 l(s) + 2g - 2 for
+    H; for Z, the conjugate of lambda has the opposite f and multiplies
+    chi_lambda(s) by (-1)^e(s)).  The number of parts l is a derivation, so
+    DZ = Z DH gives l(s) H_{k,s} = l(s) Z_{k,s} - sum l(t) H_{k',t}
+    Z_{k-k',s-t} over nonempty proper sub-multisets t of s; scaled, each
+    product gains the factor C(k, k') C(|s|, |t|) prod_b C(mult_b(s),
+    mult_b(t)).  e is additive, so j is too, and one cap J serves every
+    sub-multiset.
+
+    Divided by k!, C(k, k') splits between the two factors, so the sum over
+    k' is a convolution in j; scaled by K! with k <= K, every entry is a
+    nonnegative integer.  So the even j of each row are packed into one
+    integer (``_pack``), with slots wide enough never to carry
+    (``_slot_bytes``), and each product is one multiplication.
     """
     return _cached(("simple", vm, J), _connected_simple_raw, vm, J)
 
 
 def _connected_simple_raw(vm, J):
-    values, mults = zip(*vm)
-    size = sum(b * c for b, c in vm)
-    n = sum(mults)
-    excess = size - n
-    mu = Partition(tuple(b for b, c in reversed(vm) for _ in range(c)))
-    Z = [0] * (J + 1)
-    for la, dim, f2 in _cached(("dim_f2", size), _dim_f2, size):
-        if c := character(la, mu):
-            c *= dim * f2 ** excess
-            for j in range(J + 1):
-                Z[j] += c
-                c *= f2
-    H = [n * z for z in Z]
-    # sub-multisets t as exponent vectors against the multiplicities of s
-    for t in product(*[range(c + 1) for c in mults]):
-        nt = sum(t)
-        if not 0 < nt < n:
-            continue
-        tsize = sum(b * x for b, x in zip(values, t))
-        Ht = _connected_simple(tuple((b, x) for b, x in zip(values, t) if x), J)[1]
-        Zu = _connected_simple(tuple((b, c - x) for b, c, x in zip(values, mults, t)
-                                     if c > x), J)[0]
-        w = nt * comb(size, tsize) * prod(map(comb, mults, t))
-        shift = tsize - nt
-        for j1, h in enumerate(Ht):
-            if h:
-                h *= w
-                for j2 in range(J + 1 - j1):
-                    H[j1 + j2] -= comb(excess + j1 + j2, shift + j1) * h * Zu[j2]
-    return tuple(Z), tuple(v // n for v in H)
+    subs = {t: J for t, _, _ in sorted(_splits(vm), key=lambda split: _size(split[0]))}
+    e = _excess(vm)
+    rows, nb = _connected_rows({**subs, vm: J}, e + J)
+    out = []
+    for slots in (_unpack(x, nb, J // 2 + 1) for x in rows[vm]):
+        row = [0] * (J + 1)
+        for i, x in enumerate(slots):
+            row[2 * i], r = divmod(x * factorial(e + 2 * i), factorial(e + J))
+            if r:
+                raise ValueError("the connected table left a remainder")
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _connected_rows(family, K):
+    """({vm: (packed Z, packed H)}, bytes per slot) at k <= K for the
+    multisets of family = {vm: J}, which lists every sub-multiset of a member
+    before it, with no smaller J (a sub-multiset has no larger excess).
+    Each row holds the even j <= J, is packed once, at one slot width, and
+    is cut to the slots of each multiset it enters."""
+    nb = _slot_bytes(max(map(_size, family), default=0), K)
+    lows = {}  # (size, parity of e): the least e of the family
+    for vm in family:
+        key = (_size(vm), _excess(vm) % 2)
+        lows[key] = min(lows.get(key, K), _excess(vm))
+    exp_rows, rows = {}, {}
+    for vm, J in family.items():
+        parts = tuple(b for b, c in reversed(vm) for _ in range(c))
+        count = J // 2 + 1
+        keep = (1 << 8 * nb * count) - 1
+        acc = 0
+        for t, u, w in _splits(vm):
+            acc += w * ((rows[t][1] & keep) * (rows[u][0] & keep))
+        z = _z_packed(parts, count, K, lows[_size(vm), _excess(vm) % 2], nb, exp_rows)
+        rows[vm] = (z, _pack(_log_slots(len(parts), z, acc, K, nb, count), nb))
+    return rows, nb
+
+
+def _size(vm):
+    return sum(b * c for b, c in vm)
+
+
+def _excess(vm):
+    return sum((b - 1) * c for b, c in vm)
+
+
+def _splits(vm):
+    """[(t, s - t, l(t) C(|s|, |t|) prod_b C(mult_b(s), mult_b(t)))] for the
+    nonempty proper sub-multisets t of s = vm."""
+    subs = [((), (), 1, 0, 0)]  # t, s - t, prod_b C(.,.), l(t), |t| so far
+    for b, c in vm:
+        subs = [(t + ((b, x),) if x else t, u + ((b, c - x),) if x < c else u,
+                 w * comb(c, x), nt + x, size + b * x)
+                for t, u, w, nt, size in subs for x in range(c + 1)]
+    total = subs[-1][4]  # the first entry is t = {}, the last t = s
+    return [(t, u, nt * comb(total, size) * w) for t, u, w, nt, size in subs[1:-1]]
+
+
+def _z_packed(parts, count, K, lo, nb, exp_rows):
+    """Z of the multiset s = parts at k = e, e + 2, ... (count entries),
+    e = e(s), each divided by k! and scaled by K!, packed from slot 0: the
+    sum over the column of s of chi_lambda(s) times the row of dim(lambda)
+    (2f)^k K! / k!.  exp_rows holds that row per mask, packed in absolute
+    values at k = lo, lo + 2, ..., K for the given lo <= e with e's parity;
+    as k - e is even, a negative f gives it the sign (-1)^e.  The sum's
+    slots are nonnegative and narrower than nb bytes (``_slot_bytes``), so
+    the signed rows add up to the packed Z."""
+    bits = 8 * nb
+    e = sum(parts) - len(parts)
+    keep = (1 << bits * count) - 1
+    scales = [(k, factorial(K) // factorial(k)) for k in range(lo, K + 1, 2)]
+    z = 0
+    for mask, c in _column(parts).items():
+        row = exp_rows.get((mask, lo))
+        if row is None:
+            dim, f2 = _shape(mask)
+            row = exp_rows[mask, lo] = (_pack([dim * abs(f2) ** k * scale for k, scale in scales],
+                                              nb), f2 < 0)
+        packed, negative = row
+        z += (-c if negative and e % 2 else c) * (packed >> bits * ((e - lo) // 2) & keep)
+    if z < 0:
+        raise ValueError("Z of %r came out negative" % (parts,))
+    return z
+
+
+def _slot_bytes(size, K):
+    """Bytes per slot of the packed rows of multisets of size <= size, for
+    k <= K.  A row entry at k, divided by k! and scaled by K!, is a
+    nonnegative integer.  Z's is at most size! (size (size - 1))^k K! / k!
+    (|chi| <= dim, sum dim^2 = size!, |2f| <= size (size - 1)) and H's is at
+    most Z's.  A slot of the summed products of a multiset s is at most
+    l(s) K! times s's Z slot, as H_s >= 0 (``_connected_simple``), so no
+    slot reaches size size! (K!)^2 max_k (size (size - 1))^k / k!."""
+    kf = factorial(K)
+    top = max((size * (size - 1)) ** k * (kf // factorial(k)) for k in range(K + 1))
+    return ((size * factorial(size) * kf * top).bit_length() + 7) // 8
+
+
+def _pack(slots, nb):
+    """The nonnegative slots as one integer, nb bytes each, slot 0 lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in slots), "little")
+
+
+def _unpack(x, nb, count):
+    """The first count slots of a packed integer."""
+    raw = (x & ((1 << 8 * nb * count) - 1)).to_bytes(nb * count, "little")
+    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, nb * count, nb)]
+
+
+def _log_slots(n, z, acc, K, nb, count):
+    """The first count scaled slots of H_s from those of the packed Z_s and
+    the packed sum acc of the weighted products: l(s) H = l(s) Z - acc / K!,
+    slot by slot, n = l(s).  A remainder or a negative entry raises."""
+    scale = n * factorial(K)
+    out = []
+    for z, p in zip(_unpack(z, nb, count), _unpack(acc, nb, count)):
+        h, r = divmod(scale * z - p, scale)
+        if r or h < 0:
+            raise ValueError("the connected table left a remainder")
+        out.append(h)
+    return out
 
 
 # -- generating series ---------------------------------------------------------
@@ -294,35 +395,47 @@ def _exp_schur_sum(weighted, cap_weight, cap_aux):
 def h_simple_series(cap_weight, cap_aux):
     """Connected simple series H = log sum (dim/d!) e^{beta f} s_lambda:
     coefficient of beta^m p_nu is h_{g;nu} / (m! |Aut(nu)|) with
-    m = d + n + 2g - 2, read from the connected table at J = cap_aux."""
+    m = d + n + 2g - 2, read from the connected table at K = cap_aux."""
+    _check_caps("h_simple_series", 0, cap_weight, cap_aux)
+
     def build():
-        terms = {}
-        for la in partitions_upto(cap_weight)[1:]:
-            excess, vm = la.size - len(la), tuple(sorted(la.multiplicities().items()))
-            row = _connected_simple(vm, cap_aux)[1] if excess <= cap_aux else ()
-            for k, h in enumerate(row[:cap_aux + 1 - excess], start=excess):
-                terms[k, vm] = Rat(h, factorial(la.size) * zee(la) * 2 ** k * factorial(k))
-        return Series(FAMILY_P, cap_weight, cap_aux, terms)
+        # h / (|s|! z_s 2^k k!) with h = slot k! / K!, over K! 2^K (W!)^2
+        K, top = cap_aux, factorial(cap_weight) ** 2
+        vms = (tuple(sorted(la.multiplicities().items()))
+               for la in partitions_upto(cap_weight)[1:])
+        family = {vm: K - _excess(vm) for vm in vms if _excess(vm) <= K}
+        rows, nb = _connected_rows(family, K)
+        num = {}
+        for vm, J in family.items():
+            e = _excess(vm)
+            scale = top // (factorial(_size(vm)) * prod(b ** c * factorial(c) for b, c in vm))
+            for i, h in enumerate(_unpack(rows[vm][1], nb, J // 2 + 1)):
+                if h:
+                    num[e + 2 * i, vm] = h * scale << K - e - 2 * i
+        return _make(FAMILY_P, cap_weight, K, num, factorial(K) * top << K)
     return _cached(("H_simple", cap_weight, cap_aux), build)
 
 
 def h_onepart_series(cap_weight, cap_aux):
     """One-part series H: coefficient of beta^m p_nu is
     h_{g;nu} / (m! |Aut(nu)| d) with m = 2g - 1 + n."""
+    _check_caps("h_onepart_series", 0, cap_weight, cap_aux)
+
     def build():
-        items = []
-        for d in range(1, cap_weight + 1):
+        # h_{g;nu} / (m! |Aut(nu)| d) = (hook sum) / (2^m m! d^2 z_nu), over
+        # 2^M M! lcm(1..W)^2 W!, as d^2 z_nu divides lcm(1..W)^2 W!
+        W, M = cap_weight, cap_aux
+        top = lcm(*range(1, W + 1)) ** 2 * factorial(W)
+        num = {}
+        for d in range(1, W + 1):
             for nu in partitions_of(d):
-                n = len(nu)
-                for m in range(cap_aux + 1):
-                    if (m + 1 - n) % 2 or m + 1 - n < 0:
-                        continue
-                    g = (m + 1 - n) // 2
-                    h = hurwitz_frobenius(HurwitzQuery(ONEPART, g, nu.parts))
-                    if h:
-                        items.append((m, nu.multiplicities(),
-                                      h / (factorial(m) * aut_order(nu) * d)))
-        return Series.from_terms(FAMILY_P, cap_weight, cap_aux, items)
+                n, poly = len(nu), _hook_poly(nu)
+                vm = tuple(sorted(nu.multiplicities().items()))
+                scale = top // (d * d * zee(nu))
+                for m in range(n - 1, M + 1, 2):
+                    if acc := _hook_sum(poly, d, m):
+                        num[m, vm] = acc * scale * (factorial(M) // factorial(m)) << M - m
+        return _make(FAMILY_P, W, M, num, factorial(M) * top << M)
     return _cached(("H_onepart", cap_weight, cap_aux), build)
 
 
@@ -344,21 +457,23 @@ def h_unst_simple(cap_weight, cap_aux):
     """Unstable part (g = 0, n <= 2) of the simple H, closed form.
 
     One-point coefficients are beta^{b-1} b^{b-2}/b!, where b = 1 reads
-    1^{-1}/1! = 1.
+    1^{-1}/1! = 1; two-point ones are
+    beta^{b1+b2} b1^b1 b2^b2 / (2 (b1 + b2) b1! b2!) over ordered pairs.
+    Every coefficient is an integer over den = 2 lcm(1..W) W!.
     """
-    items = [(0, {1: 1}, Rat(1))]
-    for b in range(2, cap_weight + 1):
+    W = cap_weight
+    den = 2 * lcm(*range(1, W + 1)) * factorial(W)
+    num = {(0, ((1, 1),)): den} if W else {}
+    for b in range(2, W + 1):
         if b - 1 <= cap_aux:
-            items.append((b - 1, {b: 1}, Rat(b ** (b - 2), factorial(b))))
-    for b1 in range(1, cap_weight):
-        for b2 in range(1, cap_weight - b1 + 1):
-            if b1 + b2 > cap_aux:
-                continue
-            vm = {b1: 1}
-            vm[b2] = vm.get(b2, 0) + 1
-            c = Rat(b1 ** b1 * b2 ** b2, (b1 + b2) * factorial(b1) * factorial(b2))
-            items.append((b1 + b2, vm, c / 2))
-    return Series.from_terms(FAMILY_P, cap_weight, cap_aux, items)
+            num[b - 1, ((b, 1),)] = b ** (b - 2) * (den // factorial(b))
+    for b1 in range(1, W):
+        for b2 in range(b1, W - b1 + 1):  # unordered, so b1 < b2 counts twice
+            if b1 + b2 <= cap_aux:
+                vm = ((b1, 2),) if b1 == b2 else ((b1, 1), (b2, 1))
+                num[b1 + b2, vm] = (b1 ** b1 * b2 ** b2 * (1 + (b1 < b2))
+                                    * (den // (2 * (b1 + b2) * factorial(b1) * factorial(b2))))
+    return _make(FAMILY_P, W, cap_aux, num, den)
 
 
 def lp(series):

@@ -206,7 +206,7 @@ def _bracket_raw(ds):
                         out[j] += e * c
                         out[j + b] += eb * c
         P = nxt
-    return sum(_hook_sum(ys, D, m) / (D * D) for D, ys in P.items()) / scale
+    return sum(Rat(_hook_sum(ys, D, m), D * D) for D, ys in P.items()) / (scale << m)
 
 
 def genus_table(g):
@@ -244,10 +244,13 @@ def _mono_factorials(mono):
 
 
 def _bracket_series(W, extra):
-    """Coefficient of prod t_d^{e_d} is <tau_extra prod tau_d^{e_d}> / prod e_d!."""
-    items = [(0, mono, bracket(extra + tuple(Counter(mono).elements()))
-              / _mono_factorials(mono)) for mono in _monomials_up_to_weight(W)]
-    return Series.from_terms(FAMILY_TQ, W, 0, items)
+    """Coefficient of prod t_d^{e_d} is <tau_extra prod tau_d^{e_d}> / prod e_d!,
+    as integers over one denominator."""
+    items = [(tuple(sorted(mono.items())), bracket(extra + tuple(Counter(mono).elements())),
+              _mono_factorials(mono)) for mono in _monomials_up_to_weight(W)]
+    den = lcm(*(b.denominator * f for _, b, f in items))
+    return _make(FAMILY_TQ, W, 0, {(0, vm): b.numerator * (den // (b.denominator * f))
+                                   for vm, b, f in items}, den)
 
 
 def f_series(W):

@@ -54,6 +54,14 @@ def _cached(key, build, *args):
     return got
 
 
+def _check_caps(name, least, *caps):
+    """ValueError unless every cap is an int >= least: a float would share
+    the memo key of the equal int, and a bool would read as 0 or 1."""
+    if not all(type(c) is int and c >= least for c in caps):
+        raise ValueError("%s needs integers >= %d, got %s"
+                         % (name, least, ", ".join(map(repr, caps))))
+
+
 def vm_from_dict(d):
     """Canonical variable-monomial from an {index: exponent} mapping."""
     items = tuple(sorted((i, e) for i, e in d.items() if e))

@@ -1,7 +1,9 @@
 """Symmetric group characters and Schur polynomials.
 
-Characters are computed by the Murnaghan-Nakayama rule on beta-sets and
-memoized under the "char" tag of the process-wide memo in ``series``.  Schur
+Characters are computed by the Murnaghan-Nakayama rule on beta-sets held as
+bit masks, one column at a time: ``_column(nu)`` maps the bead mask of every
+lambda of |nu| with chi_lambda(nu) != 0 to that character, and is memoized
+under the "column" tag of the process-wide memo in ``series``.  Schur
 polynomials use the classical normalization
 
     s_mu = sum over cycle types nu of chi_mu(nu) p_nu / z_nu,
@@ -12,7 +14,7 @@ identity p_d = sum_{a+b+1=d} (-1)^b s_{hook(a,b)} holds on the nose.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 from .partitions import partitions_of, zee
 from .series import Series, Rat, FAMILY_P, _cached
@@ -23,48 +25,70 @@ def character(mu, nu):
     irreducible representation labeled mu.  Exact integer."""
     if mu.size != nu.size:
         raise ValueError("sizes differ: |mu|=%d, |nu|=%d" % (mu.size, nu.size))
-    return _mn(mu.parts, nu.parts)
+    return _column(nu.parts).get(_beads(mu.parts, nu.size), 0)
 
 
-def _mn(mu, nu):
-    if not nu:
-        return 1
-    return _cached(("char", mu, nu), _mn_raw, mu, nu)
+def _beads(parts, n):
+    """Bead mask of a partition with n beads (n >= its length): bit
+    parts[i] + n - 1 - i for each row i, the empty rows included."""
+    mask = (1 << (n - len(parts))) - 1
+    for i, p in enumerate(parts):
+        mask |= 1 << (p + n - 1 - i)
+    return mask
 
 
-def _mn_raw(mu, nu):
-    strip = nu[0]
-    rest = nu[1:]
-    k = len(mu)
-    betas = [mu[i] + (k - 1 - i) for i in range(k)]
-    bset = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - strip
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in betas if nb < x < b)
-        newbetas = sorted((x for x in betas if x != b), reverse=True)
-        # insert nb keeping decreasing order, then convert back to parts
-        newbetas.append(nb)
-        newbetas.sort(reverse=True)
-        newmu = tuple(x - (k - 1 - i) for i, x in enumerate(newbetas))
-        newmu = tuple(x for x in newmu if x > 0)
-        total += (-1) ** height * _mn(newmu, rest)
-    return total
+def _column(parts):
+    """{bead mask with |nu| beads: chi_lambda(nu)} over the lambda of |nu|
+    whose character at nu = parts (weakly decreasing) is nonzero."""
+    return _cached(("column", parts), _column_raw, parts)
+
+
+def _column_raw(parts):
+    """Murnaghan-Nakayama, adding the strip parts[0] to the column of the
+    rest: a strip of length b moves a bead from x to an empty x + b, with the
+    sign of the number of beads it passes.  The rest's masks gain b beads at
+    the bottom first, so every mask has as many beads as boxes."""
+    if not parts:
+        return {0: 1}
+    b = parts[0]
+    low, between = (1 << b) - 1, (1 << (b - 1)) - 1
+    out = {}
+    for mask, c in _column(parts[1:]).items():
+        mask = mask << b | low
+        free = mask & ~(mask >> b)
+        while free:
+            bead = free & -free
+            free ^= bead
+            x = bead.bit_length()  # one above the bead
+            moved = mask ^ bead ^ bead << b
+            out[moved] = out.get(moved, 0) + (-c if (mask >> x & between).bit_count() & 1 else c)
+    return {m: c for m, c in out.items() if c}
+
+
+def _shape(mask):
+    """(dim lambda, 2 f(lambda)) of the partition with this bead mask, read
+    once per mask: dim by Frobenius' formula n! prod_{i<j} (b_i - b_j) /
+    prod_i b_i! over the beads of the nonempty rows, and 2f = sum over the
+    rows i >= 1 of lambda_i (lambda_i - 2i + 1)."""
+    return _cached(("shape", mask), _shape_raw, mask)
+
+
+def _shape_raw(mask):
+    mask >>= (~mask & (mask + 1)).bit_length() - 1  # the empty rows' beads
+    beads = []
+    while mask:
+        beads.append(mask.bit_length() - 1)
+        mask ^= 1 << beads[-1]
+    parts = [b - len(beads) + 1 + i for i, b in enumerate(beads)]
+    num = factorial(sum(parts)) * prod(prod(b - c for c in beads[i + 1:])
+                                        for i, b in enumerate(beads))
+    return (num // prod(map(factorial, beads)),
+            sum(p * (p - 2 * i - 1) for i, p in enumerate(parts)))
 
 
 def dimension(mu):
-    """Dimension of the irreducible representation, by hook lengths."""
-    parts = mu.parts
-    if not parts:
-        return 1
-    conj = mu.conjugate().parts
-    out = factorial(mu.size)
-    for i, p in enumerate(parts):
-        for j in range(p):
-            out //= (p - j) + (conj[j] - i) - 1
-    return out
+    """Dimension of the irreducible representation labeled mu."""
+    return _shape(_beads(mu.parts, mu.size))[0]
 
 
 def schur_poly(mu, cap_weight=None, cap_aux=0):

@@ -31,6 +31,16 @@
   through the Lagrange basis, rebuilt for every node.
 * ``kp_residual_exp``: KP_{i,j}(F) as Hir_{i,j}(e^F) e^{-2F}, through the
   series exponential, against the closed ``hierarchy.kp_residual``.
+* ``mn_character``: chi_mu(nu) by the recursive Murnaghan-Nakayama rule,
+  one (mu, nu) pair at a time, against the bead-mask columns of ``symfunc``.
+* ``hook_length_dimension``: dim(mu) by the hook length formula.
+* ``connected_simple_rows`` and ``connected_simple_series``: the connected
+  table with one ``character`` call per (lambda, s) pair and the sub-multiset
+  logarithm summed entry by entry, with a binomial per pair of entries, and
+  the series built from its rows at J = cap_aux.
+* ``EntrywiseSolver``: the PDE route building the reduction of every
+  (slice, eta, monomial) it reads and every split of each monomial, without
+  the grading test.
 
 Checks of stated identities that more than one test module runs:
 
@@ -47,15 +57,17 @@ Checks of stated identities that more than one test module runs:
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial, prod
 
 from taulab.diffops import DPoly, TOp, ZOp
 from taulab.hierarchy import cut_and_join, hirota_residual
-from taulab.hodge import a_coeff, conjugated_equation, solve_l
+from taulab.hodge import (a_coeff, conjugated_equation, solve_l, ModuliPDESolver,
+                          _accumulate, _reduce)
 from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius, _exp_schur_sum,
                             _tensor_fit, _tensor_eval)
-from taulab.partitions import Partition, partitions_upto, hook
-from taulab.pic import Laurent, _monomials_up_to_weight
+from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, zee,
+                               cut_and_join_eigenvalue)
+from taulab.pic import Laurent, _monomials_up_to_weight, _mono_factorials
 from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight, var_weight
 from taulab.symfunc import dimension, schur_poly
 
@@ -391,6 +403,125 @@ def kp_residual_exp(i, j, F):
     if F.constant_term():
         raise ValueError("KP residual needs zero constant term")
     return hirota_residual(i, j, F.exp()) * (F * Rat(-2)).exp()
+
+
+@lru_cache(maxsize=None)
+def mn_character(mu, nu):
+    """chi_mu(nu) for part tuples mu, nu of one size: strip a rim hook of
+    length nu[0] off mu in every way, on beta-sets, with the sign of its
+    height, and recur on the rest of nu."""
+    if not nu:
+        return 1
+    strip = nu[0]
+    rest = nu[1:]
+    k = len(mu)
+    betas = [mu[i] + (k - 1 - i) for i in range(k)]
+    bset = set(betas)
+    total = 0
+    for b in betas:
+        nb = b - strip
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in betas if nb < x < b)
+        newbetas = sorted((x for x in betas if x != b), reverse=True)
+        # insert nb keeping decreasing order, then convert back to parts
+        newbetas.append(nb)
+        newbetas.sort(reverse=True)
+        newmu = tuple(x - (k - 1 - i) for i, x in enumerate(newbetas))
+        newmu = tuple(x for x in newmu if x > 0)
+        total += (-1) ** height * mn_character(newmu, rest)
+    return total
+
+
+def hook_length_dimension(mu):
+    """dim(mu) = |mu|! / prod of the hook lengths."""
+    conj = mu.conjugate().parts
+    hooks = prod((p - j) + (conj[j] - i) - 1 for i, p in enumerate(mu.parts) for j in range(p))
+    return factorial(mu.size) // hooks
+
+
+@lru_cache(maxsize=None)
+def connected_simple_rows(vm, J):
+    """``hurwitz._connected_simple`` (same rows), one character per
+    (lambda, s) and one binomial per pair of entries."""
+    values, mults = zip(*vm)
+    size = sum(b * c for b, c in vm)
+    n = sum(mults)
+    excess = size - n
+    mu = tuple(b for b, c in reversed(vm) for _ in range(c))
+    Z = [0] * (J + 1)
+    for la in partitions_of(size):
+        if c := mn_character(la.parts, mu):
+            f2 = int(2 * cut_and_join_eigenvalue(la))
+            c *= hook_length_dimension(la) * f2 ** excess
+            for j in range(J + 1):
+                Z[j] += c
+                c *= f2
+    H = [n * z for z in Z]
+    # sub-multisets t as exponent vectors against the multiplicities of s
+    for t in product(*[range(c + 1) for c in mults]):
+        nt = sum(t)
+        if not 0 < nt < n:
+            continue
+        tsize = sum(b * x for b, x in zip(values, t))
+        Ht = connected_simple_rows(tuple((b, x) for b, x in zip(values, t) if x), J)[1]
+        Zu = connected_simple_rows(tuple((b, c - x) for b, c, x in zip(values, mults, t)
+                                         if c > x), J)[0]
+        w = nt * comb(size, tsize) * prod(map(comb, mults, t))
+        shift = tsize - nt
+        for j1, h in enumerate(Ht):
+            if h:
+                h *= w
+                for j2 in range(J + 1 - j1):
+                    H[j1 + j2] -= comb(excess + j1 + j2, shift + j1) * h * Zu[j2]
+    return tuple(Z), tuple(v // n for v in H)
+
+
+def connected_simple_series(cap_weight, cap_aux):
+    """``hurwitz.h_simple_series`` from the rows of ``connected_simple_rows``
+    at J = cap_aux."""
+    terms = {}
+    for la in partitions_upto(cap_weight)[1:]:
+        excess, vm = la.size - len(la), tuple(sorted(la.multiplicities().items()))
+        row = connected_simple_rows(vm, cap_aux)[1] if excess <= cap_aux else ()
+        for k, h in enumerate(row[:cap_aux + 1 - excess], start=excess):
+            terms[k, vm] = Rat(h, factorial(la.size) * zee(la) * 2 ** k * factorial(k))
+    return Series(FAMILY_P, cap_weight, cap_aux, terms)
+
+
+class EntrywiseSolver(ModuliPDESolver):
+    """``ModuliPDESolver`` reading every coefficient it meets: each one builds
+    its reduction's argument and scales by the monomial's factorials, and
+    every split of the monomial is read for both factors."""
+
+    def _entry(self, k, eta, mono):
+        form = _reduce(k, list(eta) + [d for d, e in mono.items() for _ in range(e)])
+        if not form:
+            return form
+        return _accumulate({}, ((None, c * self.solved[p]) if p in self.solved else (p, c)
+                                for p, c in form.items()), Rat(1, _mono_factorials(mono)))
+
+    def equation_affine(self, eq, mono):
+        total = {}
+        for key, c in eq.items():
+            if len(key) == 1:
+                (slice_k, eta), = key
+                _accumulate(total, self._entry(slice_k, eta, mono).items(), c)
+            elif len(key) == 2:
+                (k1, e1), (k2, e2) = key
+                idx = sorted(mono)
+                for takes in product(*[range(mono[d] + 1) for d in idx]):
+                    a = self._entry(k1, e1, dict(zip(idx, takes)))
+                    b = self._entry(k2, e2, {d: mono[d] - t for d, t in zip(idx, takes)})
+                    if len(a) > (None in a):
+                        if len(b) > (None in b):
+                            return None
+                        a, b = b, a
+                    if a and b:  # a is a nonzero constant
+                        _accumulate(total, b.items(), c * a[None])
+            else:
+                raise NotImplementedError("equations with 3+ factors")
+        return total
 
 
 # -- checks of stated identities ------------------------------------------------

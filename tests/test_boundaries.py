@@ -11,7 +11,7 @@ from taulab.hierarchy import cut_and_join
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
                           ModuliPDESolver, conjugated_equation, kdv_zpart_as_moduli_poly,
                           ck_report, exp_l_equals_L_check, solve_l)
-from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE
+from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series
 from oracles import (hook_arm_leg, hook_sum_identity_check, polynomiality_check,
                      derivative_transform_pic)
 
@@ -84,6 +84,21 @@ BAD_CALLS = {
                                           [(2.5,), (3.5,), (4.5,)], [(5.5,)]),
     "Partition((2.7,1))": (Partition, (2.7, 1)),
     "Partition((True,))": (Partition, (True,)),
+    # a negative or bool cap used to solve nothing, a float one to raise TypeError
+    "ModuliPDESolver(-1,10)": (ModuliPDESolver, -1, 10),
+    "ModuliPDESolver(1,-3)": (ModuliPDESolver, 1, -3),
+    "ModuliPDESolver(1,True)": (ModuliPDESolver, 1, True),
+    "ModuliPDESolver(1,2.5)": (ModuliPDESolver, 1, 2.5),
+    # a float index used to give 0, and True the value of tau_1
+    "bracket(0,(2.5,))": (ModuliPDESolver.bracket, ModuliPDESolver(0, 1), 0, (2.5,)),
+    "bracket(0,(True,True,True))": (ModuliPDESolver.bracket, ModuliPDESolver(0, 1), 0,
+                                    (True, True, True)),
+    # True used to build a weight-1 series, a float cap to raise TypeError
+    "h_simple_series(True,2)": (h_simple_series, True, 2),
+    "h_onepart_series(True,2)": (h_onepart_series, True, 2),
+    "h_simple_series(3.0,2)": (h_simple_series, 3.0, 2),
+    "h_simple_series(2,2.0)": (h_simple_series, 2, 2.0),
+    "f_moduli(0,10,19.0)": (f_moduli, 0, 10, 19.0),
 }
 
 

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from taulab import hodge
+from taulab import hodge, hurwitz
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
@@ -77,6 +77,22 @@ def test_pde_work_list_matches_full_rescan(kmax, w, reverse, calls, monkeypatch)
     want = full_rescan(_CountingSolver(kmax, w))
     assert list(solver.solved.items()) == list(want.solved.items())
     assert (solver.calls, want.calls) == calls
+
+
+@pytest.mark.parametrize("kmax, w", [(0, 10), (1, 10), (2, 8), (2, 10), (2, 12)])
+def test_pde_solver_matches_entrywise_route(kmax, w):
+    # reading only the coefficients the grading allows solves the same
+    # primitives, to the same values, in the same order
+    got = ModuliPDESolver(kmax, w).run()
+    want = oracles.EntrywiseSolver(kmax, w).run()
+    assert list(got.solved.items()) == list(want.solved.items())
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 1)])
+def test_hodge_table_matches_entrywise_connected_table(g, n, monkeypatch):
+    got = hurwitz_to_hodge(g, n)
+    monkeypatch.setattr(hurwitz, "_connected_simple", oracles.connected_simple_rows)
+    assert list(hurwitz_to_hodge(g, n).items()) == list(got.items())
 
 
 def test_reduction_is_pure_and_shared_by_solvers():

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from taulab import hurwitz
 from taulab.hodge import elsv_scaled_value
-from taulab.partitions import (Partition, partitions_of, aut_order, hook,
-                               cut_and_join_eigenvalue)
+from taulab.partitions import (Partition, partitions_of, partitions_upto, aut_order,
+                               hook, cut_and_join_eigenvalue)
 from taulab.symfunc import character
 from taulab.series import Series, FAMILY_P
 from taulab.hierarchy import cut_and_join, kp_residual
@@ -19,7 +19,8 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             _onepart_character_sum, _connected_simple,
                             _fit_1d, _tensor_fit)
 from oracles import (series_log, disconnected_simple_series,
-                     cut_and_join_simple_series, lagrange_fit_1d, polynomiality_check)
+                     cut_and_join_simple_series, lagrange_fit_1d, polynomiality_check,
+                     connected_simple_rows, connected_simple_series)
 
 
 def q1(g, *b):
@@ -269,6 +270,31 @@ def test_connected_table_rows_are_immutable_and_shared():
     # for p_1 p_2^2, j = 0 is k = e(s) = 2, below every genus, so H is 0
     # there; genus 0 sits at k = d + n - 2 = 6, j = 4, scaled by 2^k d! prod b
     assert H[0] == 0 and hurwitz_frobenius(qs(0, 2, 2, 1)) == F(H[4], 2 ** 6 * 120 * 4)
+
+
+@pytest.mark.parametrize("W, M", [(8, 12), (10, 19), (12, 22)])
+def test_simple_series_matches_entrywise_table(W, M):
+    # the packed table against the rows summed entry by entry: the same
+    # numerators, in the same order, over the same denominator
+    got, want = h_simple_series(W, M), connected_simple_series(W, M)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert list(got.num) == list(want.num)
+
+
+def test_single_profile_rows_match_entrywise_table():
+    for la in partitions_upto(10)[1:]:
+        vm = tuple(sorted(la.multiplicities().items()))
+        assert _connected_simple(vm, 12) == connected_simple_rows(vm, 12), vm
+
+
+def test_packed_logarithm_refuses_inexact_slots():
+    # l(s) H = l(s) Z - acc / K!, slot by slot, here with l(s) = 1, K = 2 and
+    # one-byte slots: a remainder or a negative slot raises, not rounds
+    z, nb = hurwitz._pack([3, 1], 1), 1
+    assert hurwitz._log_slots(1, z, hurwitz._pack([2, 0], nb), 2, nb, 2) == [2, 1]
+    for acc in ([1, 0], [8, 0], [2, 1]):
+        with pytest.raises(ValueError):
+            hurwitz._log_slots(1, z, hurwitz._pack(acc, nb), 2, nb, 2)
 
 
 def test_simple_genus0_hurwitz_formula():

@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import factorial
 
 from taulab.partitions import Partition, partitions_of, zee, class_size
-from taulab.symfunc import character, dimension, schur_poly, power_to_schur
+from taulab.symfunc import character, dimension, schur_poly, power_to_schur, _column
 from taulab.series import Series, Rat, FAMILY_P
-from oracles import power_monomial, hook_sum_identity_check, is_hook, hook_arm_leg
+from oracles import (power_monomial, hook_sum_identity_check, is_hook, hook_arm_leg,
+                     mn_character, hook_length_dimension)
 
 
 def test_character_degree_three():
@@ -19,6 +20,27 @@ def test_character_dimension_agreement():
         ones = Partition((1,) * d)
         for mu in partitions_of(d):
             assert character(mu, ones) == dimension(mu)
+
+
+def test_columns_match_recursive_characters():
+    # every (lambda, nu) with |nu| <= 10, zeros included, against the
+    # Murnaghan-Nakayama recursion one pair at a time; a column holds one
+    # mask of |nu| beads per lambda with a nonzero character, and no other
+    for d in range(11):
+        lambdas = partitions_of(d)
+        for nu in lambdas:
+            column = _column(nu.parts)
+            want = {la: mn_character(la.parts, nu.parts) for la in lambdas}
+            assert all(c and bin(mask).count("1") == d for mask, c in column.items())
+            assert len(column) == sum(1 for c in want.values() if c)
+            for la, c in want.items():
+                assert character(la, nu) == c, (la, nu)
+
+
+def test_dimension_matches_hook_lengths():
+    for d in range(15):
+        for mu in partitions_of(d):
+            assert dimension(mu) == hook_length_dimension(mu), mu
 
 
 def test_row_orthogonality():
