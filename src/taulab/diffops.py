@@ -8,8 +8,9 @@ transformed KP equation, its conjugation and the displayed KdV equations in
 
 ``evaluate`` is the one evaluator of polynomials in partial derivatives of
 one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
-through it.  Within a call it computes each derivative d^eta F once, as one
-partial derivative of d^{eta[:-1]} F, and drops that table on return.
+through it.  It fixes the residual's caps first, then runs every derivative,
+product and sum in one pass over packed integer monomials cut to those caps
+(slot bound in its docstring), and builds one Series at the end.
 
 Two flavors of operator are used:
 
@@ -23,18 +24,17 @@ Two flavors of operator are used:
     each monomial of an operator one such symbol.
 
 * ``TOp``: a normal-ordered operator sum c * t-monomial * derivative-monomial
-  in the t variables, with exact composition (contractions via Leibniz), and
-  ``ZOp``, its z-graded sums, with an exponential.  The library calls neither;
-  they stay because the benchmark harness (``perfbench/wrap.py``) wraps both
-  by name, and the operator-algebra test oracle of exp(l) = L builds on them.
+  in the t variables, and ``ZOp``, its z-graded sums.  The library calls
+  neither; they stay because the benchmark harness (``perfbench/wrap.py``)
+  wraps both by name.  Their composition and exponential, which only the
+  operator-algebra test oracle of exp(l) = L runs, live with that oracle.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb
+from math import comb, lcm, prod
 
-from .series import Series, Rat
+from .series import Rat, _make, _ratio, var_weight
 
 
 def expand(factors, image, cap=None):
@@ -60,33 +60,138 @@ def expand(factors, image, cap=None):
 def evaluate(poly, fs):
     """sum c * prod_r d^{eta_r} fs[s_r] for poly {((s_1, eta_1), ...): c}.
 
-    Each eta is a sorted index tuple and fs maps each slice s to a Series.
-    Keys that differ only in their last factor share one product of the rest.
-    The caps of the result are the least over the first series of fs and
-    every factor; a derivative heavier than its remaining cap is refused by
-    ``Series.partial``."""
+    Each eta is a sorted index tuple and fs maps each slice s to a Series of
+    one family.  The caps come first: weight W is the least of the first
+    series' cap and every factor's cap_weight - weight(eta), and aux A the
+    least cap_aux; a derivative heavier than its cap is refused by
+    ``Series.partial`` before any work.  Then one pass in packed integers:
+
+    * a monomial aux^a prod x_i^{e_i} of weight w is the int
+      a + sum e_i << (bits * weight(x_i)) + w << (bits * (W + H + 1)), where
+      H is the heaviest derivative weight.  No slot ever holds more than
+      max(W + H, A), so bits = that.bit_length() cannot carry: a product is
+      formed only for w1 + w2 <= W and a1 + a2 <= A, and a derivative only
+      lowers a slot that is >= 1;
+    * d^eta fs[s] is one partial of d^{eta[:-1]} fs[s], computed once per
+      call and kept to weight W plus the most that the rest of any eta it
+      leads to still takes off;
+    * numerators are integers over one denominator, the lcm of every key's
+      c.denominator times its factors' denominators, so each key's
+      coefficient is an integer multiple of its product.
+
+    Keys that differ only in their last factor share one product of the
+    rest, and terms are summed and multiplied in the order of the Series
+    arithmetic, so the result stores its terms in the same order as the
+    sum of the Series products."""
+    if not fs:
+        raise ValueError("evaluate needs at least one series")
     some = next(iter(fs.values()))
-    table = {}
+    fam = some.family
+    off = var_weight(fam, 0)  # the weight of variable i is i + off
+    W, A, den = some.cap_weight, some.cap_aux, 1
+    empty = {}  # (s, eta): the empty series at the caps of d^eta fs[s]
+
+    def caps(s, eta):
+        got = empty.get((s, eta))
+        if got is None:
+            if eta:
+                got = caps(s, eta[:-1]).partial(eta[-1])
+            else:
+                some._check_family(fs[s])
+                got = _make(fam, fs[s].cap_weight, fs[s].cap_aux, {}, 1)
+            empty[s, eta] = got
+        return got
+
+    for key, c in poly.items():
+        for s, eta in key:
+            z = caps(s, eta)
+            W, A = min(W, z.cap_weight), min(A, z.cap_aux)
+        den = lcm(den, _ratio(c)[1] * prod(fs[s].den for s, _ in key))
+    lost = {se: fs[se[0]].cap_weight - z.cap_weight for se, z in empty.items()}
+    H = max(lost.values(), default=0)
+    bits = max(W + H, A).bit_length()
+    mask = (1 << bits) - 1
+    shw = bits * (W + H + 1)
+    top = (W + 1) << shw  # k < top iff the weight of k is <= W
+    need = {}  # (s, eta): the weight to which d^eta fs[s] is kept
+    for (s, eta), w in lost.items():
+        for k in range(len(eta) + 1):
+            # eta[k:] still takes w - lost[s, eta[:k]] off d^{eta[:k]} fs[s]
+            need[s, eta[:k]] = max(need.get((s, eta[:k]), 0), W + w - lost[s, eta[:k]])
+    table, rows = {}, {}
 
     def derivative(s, eta):
         got = table.get((s, eta))
         if got is None:
-            got = derivative(s, eta[:-1]).partial(eta[-1]) if eta else fs[s]
-            table[(s, eta)] = got
+            cap = (need[s, eta] + 1) << shw
+            got = {}
+            if eta:
+                wv = eta[-1] + off
+                sh = bits * wv
+                step = (1 << sh) + (wv << shw)
+                for k, n in derivative(s, eta[:-1]).items():
+                    e = (k >> sh) & mask
+                    if e and k - step < cap:
+                        got[k - step] = e * n
+            else:
+                for (a, vm), n in fs[s].num.items():
+                    k, w = a, 0
+                    for i, e in vm:
+                        w += (i + off) * e
+                        k += e << (bits * (i + off))
+                    k += w << shw
+                    if a <= A and k < cap:
+                        got[k] = n
+            table[s, eta] = got
         return got
+
+    def times(piece, s, eta):
+        """piece * d^eta fs[s] within (W, A), in ``Series.__mul__``'s order."""
+        right = rows.get((s, eta))
+        if right is None:
+            right = rows[s, eta] = sorted(derivative(s, eta).items(),
+                                          key=lambda kn: kn[0] >> shw)
+        out = {}
+        for k1, n1 in piece.items():
+            room = top - (k1 >> shw << shw)
+            aroom = A - (k1 & mask)
+            for k2, n2 in right:
+                if k2 >= room:
+                    break
+                if k2 & mask <= aroom:
+                    out[k1 + k2] = out.get(k1 + k2, 0) + n1 * n2
+        return {k: n for k, n in out.items() if n}
+
+    def add(acc, terms, m):
+        """acc += m * terms below the weight cap, dropping what cancels."""
+        for k, n in terms:
+            if k < top:
+                v = acc.get(k, 0) + m * n
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
 
     buckets = {}
     for key, c in poly.items():
-        buckets.setdefault(key[:-1], []).append((c, key[-1:]))
-    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+        p, q = _ratio(c)
+        if p:
+            m = p * den // (q * prod(fs[s].den for s, _ in key))
+            buckets.setdefault(key[:-1], []).append((m, key[-1:]))
+    out = {}
     for prefix, lasts in buckets.items():
-        piece = Series.zero(some.family, some.cap_weight, some.cap_aux)
-        for c, last in lasts:
-            piece = piece + (derivative(*last[0]) * c if last else c)
+        piece = {}
+        for m, last in lasts:
+            add(piece, derivative(*last[0]).items() if last else ((0, 1),), m)
         for s, eta in prefix:
-            piece = piece * derivative(s, eta)
-        out = out + piece
-    return out
+            if not piece:
+                break
+            piece = times(piece, s, eta)
+        add(out, piece.items(), 1)
+    slots = [(bits * j, j - off) for j in range(1, W + 1)]
+    return _make(fam, W, A, {(k & mask, tuple((i, (k >> sh) & mask) for sh, i in slots
+                                             if (k >> sh) & mask)): n
+                             for k, n in out.items()}, den)
 
 
 def _evaluate_monomials(form, series):
@@ -211,10 +316,6 @@ class TOp:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def single(cls, tmono, dmono, c=1):
-        return cls({(tuple(sorted(tmono)), tuple(sorted(dmono))): Rat(c)})
-
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -234,47 +335,6 @@ class TOp:
     def is_zero(self):
         return not self.terms
 
-    def compose(self, other, index_cap=None):
-        """Operator composition self o other, normal ordered exactly."""
-        out = {}
-        for (tp, qd), ca in self.terms.items():
-            qcount = {}
-            for x in qd:
-                qcount[x] = qcount.get(x, 0) + 1
-            for (tr, sd), cb in other.terms.items():
-                rcount = {}
-                for x in tr:
-                    rcount[x] = rcount.get(x, 0) + 1
-                shared = [x for x in qcount if x in rcount]
-                # enumerate contraction multiplicities per shared index
-                ranges = [range(min(qcount[x], rcount[x]) + 1) for x in shared]
-                for combo in product(*ranges):
-                    contraction = dict(zip(shared, combo))
-                    coeff = ca * cb
-                    for x, j in contraction.items():
-                        q, r = qcount[x], rcount[x]
-                        fall = 1
-                        for t in range(j):
-                            fall *= (r - t)
-                        coeff *= comb(q, j) * fall
-                    if not coeff:
-                        continue
-                    newt = list(tp)
-                    for x in tr:
-                        newt.append(x)
-                    newd = list(sd)
-                    for x in qd:
-                        newd.append(x)
-                    for x, j in contraction.items():
-                        for _ in range(j):
-                            newt.remove(x)
-                            newd.remove(x)
-                    if index_cap is not None and any(x > index_cap for x in newt + newd):
-                        continue
-                    key = (tuple(sorted(newt)), tuple(sorted(newd)))
-                    out[key] = out.get(key, Rat(0)) + coeff
-        return TOp(out)
-
 
 class ZOp:
     """z-graded operator: {z_order: TOp}, order >= 0."""
@@ -285,13 +345,6 @@ class ZOp:
         self.grades = {k: v for k, v in (grades or {}).items()
                        if isinstance(v, TOp) and not v.is_zero()}
 
-    @classmethod
-    def identity(cls):
-        return cls({0: TOp.single((), (), 1)})
-
-    def grade(self, k):
-        return self.grades.get(k, TOp.zero())
-
     def __add__(self, other):
         out = dict(self.grades)
         for k, v in other.grades.items():
@@ -300,27 +353,3 @@ class ZOp:
 
     def scale(self, c):
         return ZOp({k: v.scale(c) for k, v in self.grades.items()})
-
-    def compose(self, other, zcap, index_cap=None):
-        out = {}
-        for k1, a in self.grades.items():
-            for k2, b in other.grades.items():
-                if k1 + k2 > zcap:
-                    continue
-                t = a.compose(b, index_cap)
-                if not t.is_zero():
-                    out[k1 + k2] = out.get(k1 + k2, TOp.zero()) + t
-        return ZOp(out)
-
-    def exp(self, zcap, index_cap=None):
-        """exp of an operator with no z^0 part."""
-        if 0 in self.grades:
-            raise ValueError("exp needs an operator with no z^0 part")
-        acc = ZOp.identity()
-        term = ZOp.identity()
-        for n in range(1, zcap + 1):
-            term = term.compose(self, zcap, index_cap).scale(Rat(1, n))
-            if not term.grades:
-                break
-            acc = acc + term
-        return acc

@@ -562,6 +562,7 @@ class ModuliPDESolver:
         self.weight_cap = weight_cap
         self.solved = {}
         self._ran = False
+        self._eq_terms = (None, None, None)
 
     def _deriv_coeff(self, k, eta, mono, points, total):
         """Coefficient of the monomial mono, with the given number of points
@@ -586,32 +587,46 @@ class ModuliPDESolver:
             out[None] = const
         return out
 
+    def _terms(self, eq):
+        """The equation's one- and two-factor terms, each bucketed by the
+        sum over its factors (k, eta) of k + |eta| - l(eta), mod 3; kept for
+        the last equation read.  By the grading of ``_deriv_coeff``, a
+        monomial with index sum |m| and l(m) points reads only the bucket
+        (l(m) - |m|) % 3: a two-factor term outside it has, for each split
+        the first factor allows, a second factor that is zero."""
+        if self._eq_terms[0] is not eq:
+            single, pairs = ([], [], []), ([], [], [])
+            for key, c in eq.items():
+                if len(key) > 2:
+                    raise NotImplementedError("equations with 3+ factors")
+                residue = sum(k + sum(eta) - len(eta) for k, eta in key) % 3
+                (single if len(key) == 1 else pairs)[residue].append((key, c))
+            self._eq_terms = (eq, single, pairs)
+        return self._eq_terms[1:]
+
     def equation_affine(self, eq, mono):
         """Affine form {primitive or None: coeff} of the equation's
         coefficient at the monomial, or None when a product of two
         unknown-bearing factors appears."""
         mono = tuple(sorted(mono.items()))
         points, total = sum(e for _, e in mono), sum(d * e for d, e in mono)
-        splits = _monomial_splits(mono)
+        single, pairs = self._terms(eq)
+        bucket = (points - total) % 3
         out = {}
-        for key, c in eq.items():
-            if len(key) == 1:
-                (slice_k, eta), = key
-                _accumulate(out, self._deriv_coeff(slice_k, eta, mono, points, total).items(), c)
-            elif len(key) == 2:
-                (k1, e1), (k2, e2) = key
-                for t, lt, st, rest, lr, sr in splits[(len(e1) - k1 - sum(e1)) % 3]:
-                    a = self._deriv_coeff(k1, e1, t, lt, st)
-                    b = a and self._deriv_coeff(k2, e2, rest, lr, sr)
-                    if not b:
-                        continue
-                    if len(a) > (None in a):
-                        if len(b) > (None in b):
-                            return None
-                        a, b = b, a
-                    _accumulate(out, b.items(), c * a[None])  # a is a nonzero constant
-            else:
-                raise NotImplementedError("equations with 3+ factors")
+        for ((slice_k, eta),), c in single[bucket]:
+            _accumulate(out, self._deriv_coeff(slice_k, eta, mono, points, total).items(), c)
+        splits = _monomial_splits(mono)
+        for ((k1, e1), (k2, e2)), c in pairs[bucket]:
+            for t, lt, st, rest, lr, sr in splits[(len(e1) - k1 - sum(e1)) % 3]:
+                a = self._deriv_coeff(k1, e1, t, lt, st)
+                b = a and self._deriv_coeff(k2, e2, rest, lr, sr)
+                if not b:
+                    continue
+                if len(a) > (None in a):
+                    if len(b) > (None in b):
+                        return None
+                    a, b = b, a
+                _accumulate(out, b.items(), c * a[None])  # a is a nonzero constant
         return out
 
     def run(self):

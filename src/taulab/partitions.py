@@ -63,16 +63,6 @@ class Partition:
     def size(self):
         return sum(self.parts)
 
-    def conjugate(self):
-        """Transpose of the diagram; an involution."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
-
     def corners(self):
         """All removable boxes as (i, part) pairs, i 1-based."""
         out = []
@@ -98,10 +88,6 @@ class Partition:
         parts = list(self.parts)
         parts[i - 1] += 1
         return Partition(sorted(parts, reverse=True))
-
-    def contents_sum(self):
-        """Sum of j - i over boxes (row i, column j), parts read as rows."""
-        return sum(p * (p + 1) // 2 - i * p for i, p in enumerate(self.parts, start=1))
 
     def multiplicities(self):
         mult = {}

@@ -49,7 +49,8 @@ from collections import Counter
 from math import comb, factorial, lcm, prod
 
 from .partitions import partitions_of
-from .series import Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _make
+from .series import (Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _make,
+                     _ratio, vm_weight)
 from .hurwitz import _hook_sum
 
 
@@ -179,9 +180,8 @@ def chvar_pic(series, q_floor=1):
 
 def bracket(indices):
     """<tau_{d_1} ... tau_{d_n}> for a multiset of nonnegative indices."""
+    _check_caps("bracket", 0, *indices)
     key = tuple(sorted(indices))
-    if key and key[0] < 0:
-        raise ValueError("bracket indices must be >= 0, got %r" % (key,))
     return _cached(("bracket", key), _bracket_raw, key)
 
 
@@ -212,8 +212,7 @@ def _bracket_raw(ds):
 def genus_table(g):
     """All brackets with every index >= 2 (the generators modulo the string
     and dilaton recursions) for the given genus, as {multiset: value}."""
-    if g < 0:
-        raise ValueError("genus must be >= 0, got %d" % g)
+    _check_caps("genus_table", 0, g)
     out = {}
     if g == 0:
         out[(0, 0, 0)] = bracket((0, 0, 0))
@@ -245,7 +244,12 @@ def _mono_factorials(mono):
 
 def _bracket_series(W, extra):
     """Coefficient of prod t_d^{e_d} is <tau_extra prod tau_d^{e_d}> / prod e_d!,
-    as integers over one denominator."""
+    as integers over one denominator; memoized."""
+    _check_caps("the bracket series", 0, W)
+    return _cached(("bracket_series", W, extra), _bracket_series_raw, W, extra)
+
+
+def _bracket_series_raw(W, extra):
     items = [(tuple(sorted(mono.items())), bracket(extra + tuple(Counter(mono).elements())),
               _mono_factorials(mono)) for mono in _monomials_up_to_weight(W)]
     den = lcm(*(b.denominator * f for _, b, f in items))
@@ -263,27 +267,16 @@ def u_series(W):
     return _bracket_series(W, (0, 0))
 
 
-# -- string / dilaton / L_t ------------------------------------------------------
+# -- string / dilaton ------------------------------------------------------------
 
 
-def _lowered(F, mono):
-    """Coefficient of the monomial in sum_{d >= 1} t_d dF/dt_{d-1}."""
-    acc = Rat(0)
-    for d in mono:
-        if d >= 1:
-            stripped = _bump(mono, d, -1)
-            acc += (stripped.get(d - 1, 0) + 1) * F.coeff(0, _bump(stripped, d - 1))
-    return acc
-
-
-def _bump(mono, d, by=1):
-    out = dict(mono)
-    out[d] = out.get(d, 0) + by
-    if out[d] == 0:
-        del out[d]
-    elif out[d] < 0:
-        return None
-    return out
+def _t_terms(F, name):
+    """(numerator, t-monomial, weight) of F's aux^0 terms; a family-P series
+    has no t variables and is refused."""
+    if F.family == FAMILY_P:
+        raise ValueError("%s needs a series in the t variables, got family %s"
+                         % (name, F.family))
+    return [(n, vm, vm_weight(F.family, vm)) for (a, vm), n in F.num.items() if not a]
 
 
 STRING_SOURCE_PIC = {((0, 2),): Rat(1, 2)}
@@ -291,34 +284,53 @@ STRING_SOURCE_PIC = {((0, 2),): Rat(1, 2)}
 
 def string_check(F, source=STRING_SOURCE_PIC):
     """dF/dt_0 = sum_{d>=1} t_d dF/dt_{d-1} + source, coefficient-wise on
-    every monomial whose dependency cone lies inside the caps.
+    every t-monomial of weight <= F.cap_weight - 1, whose coefficients read
+    F to its cap.
 
     The default source t_0^2/2 is the genus-zero three-point slot of the
     bracket series.  Lambda-class slices carry their own exceptional slots
     (e.g. the one-pointed genus-one value as a constant source); pass them
-    as {monomial-key: value}."""
-    W = F.cap_weight
-    source = source or {}
-    for mono in _monomials_up_to_weight(W - 1):
-        e0 = mono.get(0, 0)
-        lhs = (e0 + 1) * F.coeff(0, _bump(mono, 0))
-        rhs = source.get(tuple(sorted(mono.items())), Rat(0)) + _lowered(F, mono)
-        if lhs != rhs:
-            return False
-    return True
+    as {monomial-key: value}.  One pass over F's integer numerators: each
+    term t^vm feeds dF/dt_0 at vm / t_0 and t_{d+1} dF/dt_d at vm t_{d+1} / t_d."""
+    cap = F.cap_weight - 1  # the checked monomials
+    res = {}
+    for n, vm, w in _t_terms(F, "string_check"):
+        if vm and vm[0][0] == 0:
+            e = vm[0][1]
+            low = ((0, e - 1),) + vm[1:] if e > 1 else vm[1:]
+            res[low] = res.get(low, 0) + e * n
+        if w + 1 > cap:
+            continue
+        for pos, (d, e) in enumerate(vm):
+            low = vm[:pos] + ((d, e - 1),) if e > 1 else vm[:pos]
+            nxt = vm[pos + 1:]
+            if nxt and nxt[0][0] == d + 1:
+                mono = low + ((d + 1, nxt[0][1] + 1),) + nxt[1:]
+            else:
+                mono = low + ((d + 1, 1),) + nxt
+            res[mono] = res.get(mono, 0) - e * n
+    for mono, v in (source or {}).items():
+        if vm_weight(F.family, mono) <= cap:
+            p, q = _ratio(v)
+            res[mono] = res.get(mono, 0) * q - p * F.den
+    return not any(res.values())
 
 
 def dilaton_check(F):
-    """dF/dt_1 = 1/2 sum (d+1) t_d dF/dt_d - F/2, coefficient-wise."""
-    W = F.cap_weight
-    for mono in _monomials_up_to_weight(W - 2):
-        e1 = mono.get(1, 0)
-        lhs = (e1 + 1) * F.coeff(0, _bump(mono, 1))
-        weight = sum((d + 1) * e for d, e in mono.items())
-        rhs = Rat(weight, 2) * F.coeff(0, mono) - Rat(1, 2) * F.coeff(0, mono)
-        if lhs != rhs:
-            return False
-    return True
+    """dF/dt_1 = 1/2 sum (d+1) t_d dF/dt_d - F/2, coefficient-wise on every
+    t-monomial of weight <= F.cap_weight - 2.  Twice the equation, one pass
+    over F's integer numerators: t^vm feeds 2 dF/dt_1 at vm / t_1 and
+    (weight - 1) F at vm."""
+    res = {}
+    for n, vm, w in _t_terms(F, "dilaton_check"):
+        for pos, (d, e) in enumerate(vm):
+            if d == 1:
+                low = vm[:pos] + ((1, e - 1),) + vm[pos + 1:] if e > 1 else \
+                    vm[:pos] + vm[pos + 1:]
+                res[low] = res.get(low, 0) + 2 * e * n
+        if w <= F.cap_weight - 2:
+            res[vm] = res.get(vm, 0) - (w - 1) * n
+    return not any(res.values())
 
 
 # -- tau-function checks for U in the T variables ---------------------------

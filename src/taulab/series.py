@@ -10,7 +10,8 @@ Every series lives in one of three variable families:
   t_0, t_1, ... with weight(t_d) = d + 1.
 
 A monomial is stored as ``(aux_exponent, ((index, exponent), ...))`` with the
-variable pairs sorted by index and all exponents positive.  Truncation is
+variable pairs sorted by index and all exponents positive; ``Series`` refuses
+any other key, and caps that are not integers >= 0.  Truncation is
 eager: a series never stores a term whose weight exceeds ``cap_weight`` or
 whose auxiliary exponent exceeds ``cap_aux``, and never stores a zero
 coefficient.  Coefficients are integer numerators over one denominator, and
@@ -60,6 +61,16 @@ def _check_caps(name, least, *caps):
     if not all(type(c) is int and c >= least for c in caps):
         raise ValueError("%s needs integers >= %d, got %s"
                          % (name, least, ", ".join(map(repr, caps))))
+
+
+def _check_vm(family, vm):
+    """ValueError unless vm lists variables of the family by increasing
+    index, each with an integer exponent >= 1."""
+    low = 0 if family != FAMILY_P else 1
+    for i, e in vm:
+        if type(i) is not int or i < low or type(e) is not int or e < 1:
+            raise ValueError("%r is not a monomial of family %s" % (vm, family))
+        low = i + 1
 
 
 def vm_from_dict(d):
@@ -147,15 +158,13 @@ class Series:
     def __init__(self, family, cap_weight, cap_aux, terms=None):
         if family not in FAMILIES:
             raise ValueError("unknown family %r" % (family,))
-        if cap_weight < 0 or cap_aux < 0:
-            raise ValueError("caps must be >= 0, got weight %d, aux %d"
-                             % (cap_weight, cap_aux))
+        _check_caps("Series", 0, cap_weight, cap_aux)
         pairs = [(key, _ratio(c)) for key, c in (terms or {}).items()]
+        for aux, vm in (key for key, _ in pairs):
+            _check_caps("an auxiliary exponent", 0, aux)
+            _check_vm(family, vm)
         den = lcm(*(q for _, (_, q) in pairs))
         num = {key: p * (den // q) for key, (p, q) in pairs}
-        for (aux, _), n in num.items():
-            if n and aux < 0:
-                raise ValueError("negative auxiliary exponent %d" % aux)
         self.family, self.cap_weight, self.cap_aux = family, cap_weight, cap_aux
         self.num, self.den = _reduced(_within(family, cap_weight, cap_aux, num), den)
 
@@ -168,12 +177,6 @@ class Series:
     @classmethod
     def constant(cls, family, cap_weight, cap_aux, value):
         return cls(family, cap_weight, cap_aux, {(0, ()): value})
-
-    @classmethod
-    def variable(cls, family, index, cap_weight, cap_aux, coeff=1):
-        if index < (1 if family == FAMILY_P else 0):
-            raise ValueError("family %s has no variable %d" % (family, index))
-        return cls(family, cap_weight, cap_aux, {(0, ((index, 1),)): coeff})
 
     @classmethod
     def from_terms(cls, family, cap_weight, cap_aux, items):
@@ -206,12 +209,6 @@ class Series:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-    def aux_slice(self, j):
-        """Coefficient series of aux^j (the aux exponent is dropped)."""
-        return _make(self.family, self.cap_weight, self.cap_aux,
-                     {(0, vm): n for (aux, vm), n in self.num.items() if aux == j},
-                     self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -297,8 +294,6 @@ class Series:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.inverse()
         p, q = _ratio(other)
         return self * (Rat(q) / p)
 
@@ -344,6 +339,7 @@ class Series:
         reduced accordingly, and a variable heavier than the cap is refused.
         """
         fam = self.family
+        _check_vm(fam, ((index, 1),))
         wvar = var_weight(fam, index)
         if wvar > self.cap_weight:
             raise ValueError("d/d(variable %d) of weight %d exceeds the remaining "
@@ -357,20 +353,6 @@ class Series:
                     out[(aux, vm[:pos] + low + vm[pos + 1:])] = e * n
                     break
         return _make(fam, self.cap_weight - wvar, self.cap_aux, out, self.den)
-
-    def aux_shift(self, k):
-        """Multiply by aux^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("aux_shift needs k >= 0, got %d" % k)
-        return _make(self.family, self.cap_weight, self.cap_aux,
-                     {(aux + k, vm): n for (aux, vm), n in self.num.items()
-                      if aux + k <= self.cap_aux}, self.den)
-
-    def aux_partial(self):
-        """Formal derivative in the auxiliary variable."""
-        return _make(self.family, self.cap_weight, self.cap_aux,
-                     {(aux - 1, vm): aux * n for (aux, vm), n in self.num.items() if aux},
-                     self.den)
 
     def substitute(self, images, cap_weight=None, cap_aux=None):
         """Simultaneous substitution of finite series for main variables.
@@ -412,38 +394,6 @@ class Series:
                     break
             out = out + piece
         return out
-
-    # -- exp / inverse --------------------------------------------------
-
-    def exp(self):
-        """exp of a series with zero constant term."""
-        if self.constant_term():
-            raise ValueError("exp needs zero constant term")
-        one = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
-        acc = one
-        term = one
-        # each factor raises weight + aux by at least 1
-        for k in range(1, self.cap_weight + self.cap_aux + 1):
-            term = term * self * Rat(1, k)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
-
-    def inverse(self):
-        """Multiplicative inverse; constant term must be nonzero."""
-        c0 = self.constant_term()
-        if not c0:
-            raise ValueError("inverse needs nonzero constant term")
-        y = self / c0 - 1
-        acc = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
-        term = acc
-        for k in range(1, self.cap_weight + self.cap_aux + 1):
-            term = term * y
-            if term.is_zero():
-                break
-            acc = acc + term * (-1) ** k
-        return acc / c0
 
     # -- serialization ---------------------------------------------------
 

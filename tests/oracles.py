@@ -16,6 +16,12 @@
   and letting the image cancel.
 * ``term_by_term``: a polynomial in derivatives evaluated one product at a
   time, each factor its own chain of partials.
+* ``evaluate_by_series``: ``diffops.evaluate`` in ``Series`` arithmetic:
+  every derivative and product at the caps of its factors, cut to the
+  residual's caps only at the end.
+* ``string_check_by_coeff``, ``dilaton_check_by_coeff``, ``lowered`` and
+  ``bump``: the string and dilaton equations of ``pic`` checked one
+  t-monomial at a time, each coefficient read as a ``Fraction``.
 * ``a_alternating``: a(d, k) as the alternating ``Fraction`` sum.
 * ``L_grade_per_tuple``: the z^k part of L, one index tuple at a time.
 * ``build_L_grade``: the z^k part of L, normal ordered, summed per
@@ -42,6 +48,14 @@
   (slice, eta, monomial) it reads and every split of each monomial, without
   the grading test.
 
+Series, partition and operator methods that no library code calls:
+
+* ``variable``, ``series_exp``, ``series_inverse``, ``aux_slice``,
+  ``aux_shift`` and ``aux_partial`` on ``Series``;
+* ``conjugate`` and ``contents_sum`` on ``Partition``;
+* ``top_compose`` on ``TOp``, and ``zop_grade``, ``zop_compose`` and ``zop_exp``
+  on ``ZOp``.
+
 Checks of stated identities that more than one test module runs:
 
 * ``derivative_transform_pic`` and ``derivative_inverse_check``: d/dp_b in
@@ -67,9 +81,136 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius, _exp_schur
                             _tensor_fit, _tensor_eval)
 from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, zee,
                                cut_and_join_eigenvalue)
-from taulab.pic import Laurent, _monomials_up_to_weight, _mono_factorials
-from taulab.series import Series, Rat, FAMILY_P, vm_mul, vm_weight, var_weight
+from taulab.pic import (Laurent, STRING_SOURCE_PIC, _monomials_up_to_weight,
+                        _mono_factorials)
+from taulab.series import Series, Rat, FAMILY_P, _make, vm_mul, vm_weight, var_weight
 from taulab.symfunc import dimension, schur_poly
+
+
+def variable(family, index, cap_weight, cap_aux, coeff=1):
+    """The series coeff * x_index; an index that is not a variable of the
+    family is refused by ``Series``."""
+    return Series(family, cap_weight, cap_aux, {(0, ((index, 1),)): coeff})
+
+
+def series_exp(s):
+    """exp of a series with zero constant term."""
+    if s.constant_term():
+        raise ValueError("exp needs zero constant term")
+    acc = term = Series.constant(s.family, s.cap_weight, s.cap_aux, 1)
+    # each factor raises weight + aux by at least 1
+    for k in range(1, s.cap_weight + s.cap_aux + 1):
+        term = term * s * Rat(1, k)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def series_inverse(s):
+    """Multiplicative inverse; the constant term must be nonzero."""
+    c0 = s.constant_term()
+    if not c0:
+        raise ValueError("inverse needs nonzero constant term")
+    y = s / c0 - 1
+    acc = term = Series.constant(s.family, s.cap_weight, s.cap_aux, 1)
+    for k in range(1, s.cap_weight + s.cap_aux + 1):
+        term = term * y
+        if term.is_zero():
+            break
+        acc = acc + term * (-1) ** k
+    return acc / c0
+
+
+def aux_slice(s, j):
+    """Coefficient series of aux^j (the aux exponent is dropped)."""
+    return _make(s.family, s.cap_weight, s.cap_aux,
+                 {(0, vm): n for (aux, vm), n in s.num.items() if aux == j}, s.den)
+
+
+def aux_shift(s, k):
+    """Multiply by aux^k (k >= 0)."""
+    if k < 0:
+        raise ValueError("aux_shift needs k >= 0, got %d" % k)
+    return _make(s.family, s.cap_weight, s.cap_aux,
+                 {(aux + k, vm): n for (aux, vm), n in s.num.items()
+                  if aux + k <= s.cap_aux}, s.den)
+
+
+def aux_partial(s):
+    """Formal derivative in the auxiliary variable."""
+    return _make(s.family, s.cap_weight, s.cap_aux,
+                 {(aux - 1, vm): aux * n for (aux, vm), n in s.num.items() if aux},
+                 s.den)
+
+
+def conjugate(p):
+    """Transpose of the diagram of a Partition; an involution."""
+    cols = [0] * (p.parts[0] if p.parts else 0)
+    for part in p.parts:
+        for j in range(part):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def contents_sum(p):
+    """Sum of j - i over the boxes (row i, column j) of a Partition."""
+    return sum(x * (x + 1) // 2 - i * x for i, x in enumerate(p.parts, start=1))
+
+
+def top_compose(x, y, index_cap=None):
+    """The composition x o y of two TOps, normal ordered exactly: each shared
+    index contracts j times in every way, with Leibniz's C(q, j) r!/(r-j)!."""
+    out = {}
+    for (tp, qd), ca in x.terms.items():
+        qcount = {i: qd.count(i) for i in set(qd)}
+        for (tr, sd), cb in y.terms.items():
+            rcount = {i: tr.count(i) for i in set(tr)}
+            shared = [i for i in qcount if i in rcount]
+            for combo in product(*[range(min(qcount[i], rcount[i]) + 1) for i in shared]):
+                coeff = ca * cb
+                newt, newd = list(tp + tr), list(sd + qd)
+                for i, j in zip(shared, combo):
+                    coeff *= comb(qcount[i], j) * factorial(rcount[i]) // factorial(rcount[i] - j)
+                    for _ in range(j):
+                        newt.remove(i)
+                        newd.remove(i)
+                if not coeff or (index_cap is not None
+                                 and any(i > index_cap for i in newt + newd)):
+                    continue
+                key = (tuple(sorted(newt)), tuple(sorted(newd)))
+                out[key] = out.get(key, Rat(0)) + coeff
+    return TOp(out)
+
+
+def zop_grade(z, k):
+    """The z^k part of a ZOp."""
+    return z.grades.get(k, TOp.zero())
+
+
+def zop_compose(x, y, zcap, index_cap=None):
+    """The composition x o y of two ZOps, through z^zcap."""
+    out = {}
+    for k1, a in x.grades.items():
+        for k2, b in y.grades.items():
+            if k1 + k2 <= zcap:
+                t = top_compose(a, b, index_cap)
+                if not t.is_zero():
+                    out[k1 + k2] = out.get(k1 + k2, TOp.zero()) + t
+    return ZOp(out)
+
+
+def zop_exp(z, zcap, index_cap=None):
+    """exp of a ZOp with no z^0 part."""
+    if 0 in z.grades:
+        raise ValueError("exp needs an operator with no z^0 part")
+    acc = term = ZOp({0: TOp({((), ()): 1})})
+    for n in range(1, zcap + 1):
+        term = zop_compose(term, z, zcap, index_cap).scale(Rat(1, n))
+        if not term.grades:
+            break
+        acc = acc + term
+    return acc
 
 
 def series_log(s):
@@ -235,6 +376,83 @@ def expand_then_cancel(series, coeff, aux_exp, base):
                    base, aux_exp)
 
 
+def evaluate_by_series(poly, fs):
+    """sum c * prod_r d^{eta_r} fs[s_r] in Series arithmetic: each d^eta F is
+    one partial of d^{eta[:-1]} F at full caps, keys that differ only in their
+    last factor share one product of the rest, and the caps of the result
+    are the least over the first series of fs and every factor."""
+    some = next(iter(fs.values()))
+    table = {}
+
+    def derivative(s, eta):
+        got = table.get((s, eta))
+        if got is None:
+            got = derivative(s, eta[:-1]).partial(eta[-1]) if eta else fs[s]
+            table[(s, eta)] = got
+        return got
+
+    buckets = {}
+    for key, c in poly.items():
+        buckets.setdefault(key[:-1], []).append((c, key[-1:]))
+    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    for prefix, lasts in buckets.items():
+        piece = Series.zero(some.family, some.cap_weight, some.cap_aux)
+        for c, last in lasts:
+            piece = piece + (derivative(*last[0]) * c if last else c)
+        for s, eta in prefix:
+            piece = piece * derivative(s, eta)
+        out = out + piece
+    return out
+
+
+def bump(mono, d, by=1):
+    """The t-monomial {d: e} with the exponent of t_d raised by `by`; None
+    below zero."""
+    out = dict(mono)
+    out[d] = out.get(d, 0) + by
+    if out[d] == 0:
+        del out[d]
+    elif out[d] < 0:
+        return None
+    return out
+
+
+def lowered(F, mono):
+    """Coefficient of the monomial in sum_{d >= 1} t_d dF/dt_{d-1}."""
+    acc = Rat(0)
+    for d in mono:
+        if d >= 1:
+            stripped = bump(mono, d, -1)
+            acc += (stripped.get(d - 1, 0) + 1) * F.coeff(0, bump(stripped, d - 1))
+    return acc
+
+
+def string_check_by_coeff(F, source=STRING_SOURCE_PIC):
+    """``pic.string_check`` one t-monomial of weight <= W - 1 at a time."""
+    W = F.cap_weight
+    source = source or {}
+    for mono in _monomials_up_to_weight(W - 1):
+        e0 = mono.get(0, 0)
+        lhs = (e0 + 1) * F.coeff(0, bump(mono, 0))
+        rhs = source.get(tuple(sorted(mono.items())), Rat(0)) + lowered(F, mono)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def dilaton_check_by_coeff(F):
+    """``pic.dilaton_check`` one t-monomial of weight <= W - 2 at a time."""
+    W = F.cap_weight
+    for mono in _monomials_up_to_weight(W - 2):
+        e1 = mono.get(1, 0)
+        lhs = (e1 + 1) * F.coeff(0, bump(mono, 1))
+        weight = sum((d + 1) * e for d, e in mono.items())
+        rhs = Rat(weight, 2) * F.coeff(0, mono) - Rat(1, 2) * F.coeff(0, mono)
+        if lhs != rhs:
+            return False
+    return True
+
+
 def term_by_term(poly, fs):
     """sum c * prod d^eta fs[s], each factor its own chain of partials."""
     some = next(iter(fs.values()))
@@ -318,10 +536,10 @@ def l_operator(m):
 def exp_l_operator_route(zmax, index_cap):
     """exp(l), summed in the normal-ordered operator algebra, reproduces every
     coefficient of L through z^zmax on terms with all indices within the cap."""
-    expl = l_operator(solve_l(zmax, index_cap)).exp(zmax, index_cap)
+    expl = zop_exp(l_operator(solve_l(zmax, index_cap)), zmax, index_cap)
     for k in range(zmax + 1):
-        want = TOp.single((), (), 1) if k == 0 else build_L_grade(k, index_cap)
-        if expl.grade(k) != want:
+        want = TOp({((), ()): 1}) if k == 0 else build_L_grade(k, index_cap)
+        if zop_grade(expl, k) != want:
             return False
     return True
 
@@ -402,7 +620,7 @@ def kp_residual_exp(i, j, F):
     """KP_{i,j}(F) = Hir_{i,j}(e^F) * e^{-2F}.  F must have zero constant term."""
     if F.constant_term():
         raise ValueError("KP residual needs zero constant term")
-    return hirota_residual(i, j, F.exp()) * (F * Rat(-2)).exp()
+    return hirota_residual(i, j, series_exp(F)) * series_exp(F * Rat(-2))
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +653,7 @@ def mn_character(mu, nu):
 
 def hook_length_dimension(mu):
     """dim(mu) = |mu|! / prod of the hook lengths."""
-    conj = mu.conjugate().parts
+    conj = conjugate(mu).parts
     hooks = prod((p - j) + (conj[j] - i) - 1 for i, p in enumerate(mu.parts) for j in range(p))
     return factorial(mu.size) // hooks
 

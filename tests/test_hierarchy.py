@@ -5,10 +5,11 @@ import pytest
 from taulab.partitions import Partition, partitions_of, partitions_upto, cut_and_join_eigenvalue
 from taulab.symfunc import schur_poly
 from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
-from taulab.diffops import DPoly, evaluate, expand
-from taulab.hurwitz import h_onepart_series, lp
+from taulab.diffops import DPoly, evaluate, expand, _evaluate_monomials
+from taulab.hurwitz import h_onepart_series, h_simple_series, lp
 from taulab.hodge import (conjugated_equation, f_moduli, moduli_caps_for,
-                          kdv_zpart_as_moduli_poly)
+                          kdv_zpart_as_moduli_poly, KDV_EQUATIONS)
+from taulab.pic import u_in_T
 from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               lkp_residual, lkp_form, kp_form, kp_residual,
                               cut_and_join, corner_descent_check,
@@ -16,7 +17,8 @@ from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               hirota_s_tensor, weight_flow_equivalence_check,
                               bell_poly, _hirota_pairs, _leibniz, _bilinear)
 
-from oracles import bell_poly_by_set_partitions, term_by_term, kp_residual_exp
+from oracles import (variable, bell_poly_by_set_partitions, term_by_term, kp_residual_exp,
+                     evaluate_by_series)
 
 P = Partition
 
@@ -59,7 +61,7 @@ def test_apply_dmu_examples():
     p1sq = Series.from_terms(FAMILY_P, 6, 0, [(0, {1: 2}, 1)])
     assert DPoly.d(1).apply(p1sq).coeff(vm={1: 1}) == 2
     assert d_mu(P((2,))).apply(p1sq) == 1
-    p2 = Series.variable(FAMILY_P, 2, 6, 0)
+    p2 = variable(FAMILY_P, 2, 6, 0)
     assert d_mu(P((1, 1))).apply(p2) == -1
 
 
@@ -252,9 +254,9 @@ def test_lkp_is_hirota_difference():
 
 
 def test_cut_and_join_examples():
-    p1 = Series.variable(FAMILY_P, 1, 6, 0)
+    p1 = variable(FAMILY_P, 1, 6, 0)
     assert cut_and_join(p1).is_zero()
-    p2 = Series.variable(FAMILY_P, 2, 6, 0)
+    p2 = variable(FAMILY_P, 2, 6, 0)
     assert cut_and_join(p2) == Series.from_terms(FAMILY_P, 6, 0, [(0, {1: 2}, 1)])
 
 
@@ -382,3 +384,64 @@ def test_hirota_residual_caps_and_refusals():
             else:
                 res = hirota_residual(i, j, tau)
                 assert res.is_zero() and res.cap_weight == cap
+
+
+def assert_identical(got, want):
+    """Same caps, the same (num, den) and the same key order."""
+    assert (got.family, got.cap_weight, got.cap_aux) == (want.family, want.cap_weight,
+                                                          want.cap_aux)
+    assert got.den == want.den and list(got.num.items()) == list(want.num.items())
+
+
+def _monomial_poly(form):
+    return {tuple((0, m) for m in key): c for key, c in form.terms.items()}
+
+
+RESIDUAL_INPUTS = {
+    "onepart(8,4)": lambda: h_onepart_series(8, 4),
+    "simple(7,5)": lambda: h_simple_series(7, 5),
+    "onepart(8,4)+1/3": lambda: h_onepart_series(8, 4) + F(1, 3),
+}
+
+
+@pytest.mark.parametrize("name", RESIDUAL_INPUTS)
+def test_packed_residuals_match_series_oracle(name):
+    # the packed pass cuts every derivative and product to the residual's
+    # caps; the oracle cuts only at the end, and gives the same series
+    s = RESIDUAL_INPUTS[name]()
+    nonzero = 0
+    for ij in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        for residual, form in ((hirota_residual, hirota_form(*ij)),
+                               (lkp_residual, lkp_op(*ij).lift()),
+                               (None, kp_form(*ij))):
+            want = evaluate_by_series(_monomial_poly(form), {0: s})
+            got = (residual(*ij, s) if residual else _evaluate_monomials(form, s))
+            assert_identical(got, want)
+            nonzero += not want.is_zero()
+    assert nonzero >= 6
+
+
+def test_packed_residuals_match_oracle_on_u_kdv_and_wide_slots():
+    ut = u_in_T(10) + 1
+    for ij in ((2, 2), (2, 3)):
+        assert_identical(hirota_residual(*ij, ut),
+                         evaluate_by_series(_monomial_poly(hirota_form(*ij)), {0: ut}))
+    # p_1^10 beta^18: the aux slot is the widest, 5 bits
+    wide = h_simple_series(10, 19)
+    got = hirota_residual(2, 2, wide)
+    assert_identical(got, evaluate_by_series(_monomial_poly(hirota_form(2, 2)), {0: wide}))
+    assert max(aux for aux, _ in got.num) >= 16
+    fs = {k: f_moduli(k, 8, moduli_caps_for(8, 2)) for k in range(3)}
+    for name in KDV_EQUATIONS:
+        for zk in KDV_EQUATIONS[name]:
+            poly = kdv_zpart_as_moduli_poly(name, zk, zk)
+            sub = {k: fs[k] for k in range(zk + 1)}
+            want = evaluate_by_series(poly, sub)
+            assert want.is_zero()
+            assert_identical(evaluate(poly, sub), want)
+    # F01 on a perturbed F^(0) has a nonzero residual
+    f0 = fs[0] + Series(FAMILY_TQ, 8, 0, {(0, ((0, 2), (1, 1))): F(1, 5), (0, ((2, 1),)): 3})
+    poly = kdv_zpart_as_moduli_poly("F01", 0, 0)
+    want = evaluate_by_series(poly, {0: f0})
+    assert not want.is_zero()
+    assert_identical(evaluate(poly, {0: f0}), want)

@@ -2,7 +2,10 @@
 or class in ``src/taulab`` is either exported through ``taulab._EXPORTS`` or
 referenced by a caller: another library function (a reference inside its own
 body does not count), a demo, or the benchmark's session, launcher or
-reference maker.  A name that only the tests reach belongs in the tests.
+reference maker.  Every public method of a public class, dunders aside, is
+referenced by such a caller outside its own body; exporting the class does
+not exempt its methods.  A name that only the tests reach belongs in the
+tests.
 
 The check reads source with ``ast`` and imports nothing but ``taulab``."""
 
@@ -55,5 +58,35 @@ def unreferenced():
                   and not readers.get(name, set()) - {(module, name)})
 
 
+def unread_methods():
+    """The public methods of the library's public classes that no caller reads
+    outside their own body, sorted as 'module.Class.method'."""
+    methods = set()  # (module, class, method)
+    readers = {}  # name: {(module, top-level name, method name or None)}
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        module = fname[:-3]
+        for stmt in _parse(os.path.join(SRC, fname)).body:
+            owner = getattr(stmt, "name", None)
+            parts = [(None, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [(getattr(sub, "name", None), sub) for sub in stmt.body]
+                if not owner.startswith("_"):
+                    methods.update((module, owner, name) for name, sub in parts
+                                   if isinstance(sub, ast.FunctionDef)
+                                   and not name.startswith("_"))
+            for method, node in parts:
+                for name in _names(node):
+                    readers.setdefault(name, set()).add((module, owner, method))
+    outside = {name for path in CALLERS for name in _names(_parse(path))}
+    return sorted("%s.%s.%s" % m for m in methods
+                  if m[2] not in outside and not readers.get(m[2], set()) - {m})
+
+
 def test_every_public_definition_has_a_caller():
     assert unreferenced() == []
+
+
+def test_every_public_method_has_a_caller():
+    assert unread_methods() == []

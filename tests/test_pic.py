@@ -5,16 +5,18 @@ from math import factorial
 import pytest
 
 from taulab.partitions import partitions_of
-from taulab.series import Series, Rat, FAMILY_P
+from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
 from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius,
                             h_onepart_series, h_unst_onepart, lp)
 from taulab.hierarchy import hirota_residual
 from taulab.pic import (Laurent, transform_p_to_tq, chvar_pic,
                         bracket, genus_table, f_series, u_series, u_in_T,
                         string_check, dilaton_check, u_hierarchy_residuals,
-                        chvar_coeff, _q_exp, _monomials_up_to_weight, _lowered, _bump)
-from taulab.hodge import transform_p_to_tu, elsv_chvar_coeff, _u_exp, h_simple_stable
-from oracles import expand_then_cancel, derivative_transform_pic, derivative_inverse_check
+                        chvar_coeff, _q_exp, _monomials_up_to_weight)
+from taulab.hodge import (transform_p_to_tu, elsv_chvar_coeff, _u_exp, h_simple_stable, f_moduli,
+                          moduli_caps_for, hurwitz_to_hodge)
+from oracles import (variable, bump, lowered, expand_then_cancel, derivative_transform_pic,
+                     derivative_inverse_check, string_check_by_coeff, dilaton_check_by_coeff)
 
 GOLDEN = {
     (0, 0, 0): F(1),
@@ -85,7 +87,7 @@ def test_genus_table():
 
 def test_transform_image_of_p1():
     # image of p_1 alone: q^{-1} t_0 - q^{-2} t_1 + 1/2 q^{-3} t_2 - ...
-    p1 = Series.variable(FAMILY_P, 1, 6, 0)
+    p1 = variable(FAMILY_P, 1, 6, 0)
     img = transform_p_to_tq(p1)
     assert img.terms[(-1, ((0, 1),))] == 1
     assert img.terms[(-2, ((1, 1),))] == -1
@@ -197,7 +199,7 @@ def test_transform_staircase_slices():
 
 def test_chvar_rejects_bad_input():
     # the raw one-point series transforms to negative q powers
-    p1 = Series.variable(FAMILY_P, 1, 6, 0)
+    p1 = variable(FAMILY_P, 1, 6, 0)
     with pytest.raises(ValueError):
         chvar_pic(p1, q_floor=1)
 
@@ -208,6 +210,32 @@ def test_string_dilaton():
         Fser = f_series(W)
         assert string_check(Fser)
         assert dilaton_check(Fser)
+
+
+def _verdicts(F, source=None):
+    got = (string_check(F) if source is None else string_check(F, source), dilaton_check(F))
+    want = (string_check_by_coeff(F) if source is None else string_check_by_coeff(F, source),
+            dilaton_check_by_coeff(F))
+    assert got == want, F
+    return got
+
+
+def test_string_dilaton_match_coefficient_oracle():
+    for W in range(13):
+        assert _verdicts(f_series(W)) == (True, True), W
+    W, M = 10, moduli_caps_for(10, 1)
+    f1, t11 = f_moduli(1, W, M), hurwitz_to_hodge(1, 1)
+    assert _verdicts(f1, {(): t11[(1, (0,))]})[0]
+    assert _verdicts(f_moduli(0, W, M))[0]
+    # one coefficient off, at every monomial up to the cap: the top weight
+    # is read by dF/dt_0 alone, so a region one weight short misses it; a
+    # top monomial with neither t_0 nor t_1 is read by neither check
+    Fser = f_series(7)
+    seen = set()
+    for mono in _monomials_up_to_weight(7):
+        bad = Fser + Series(FAMILY_TQ, 7, 0, {(0, tuple(sorted(mono.items()))): F(1, 7)})
+        seen.add(_verdicts(bad))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_string_examples():
@@ -224,11 +252,11 @@ def lt_second_identity_check(F):
         weight = sum((d + 1) * e for d, e in mono.items())
         lhs0 = Rat(weight) * G.coeff(0, mono)
         rhs0 = 2 * (mono.get(0, 0) + 1) * (mono.get(1, 0) + 1) * \
-            F.coeff(0, _bump(_bump(mono, 0), 1))
+            F.coeff(0, bump(bump(mono, 0), 1))
         if lhs0 != rhs0:
             return False
-        lhs1 = _lowered(G, mono)
-        rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * F.coeff(0, _bump(mono, 0, 2))
+        lhs1 = lowered(G, mono)
+        rhs1 = (mono.get(0, 0) + 2) * (mono.get(0, 0) + 1) * F.coeff(0, bump(mono, 0, 2))
         if mono == {0: 1}:
             rhs1 -= 1
         if lhs1 != rhs1:
@@ -246,7 +274,7 @@ def test_lt_identities():
     # a wrong constant breaks only the q^0 part, a wrong t_0 only the q^{-1}
     for vm in ((), ((0, 1),)):
         bad = Fser + Series(Fser.family, Fser.cap_weight, 0, {(0, vm): F(1)})
-        assert not (string_check(bad) and dilaton_check(bad)), vm
+        assert not all(_verdicts(bad)), vm
 
 
 def test_u_in_T_weights():

@@ -4,7 +4,7 @@ from math import factorial
 from taulab.partitions import Partition, partitions_of, zee, class_size
 from taulab.symfunc import character, dimension, schur_poly, power_to_schur, _column
 from taulab.series import Series, Rat, FAMILY_P
-from oracles import (power_monomial, hook_sum_identity_check, is_hook, hook_arm_leg,
+from oracles import (series_exp, power_monomial, hook_sum_identity_check, is_hook, hook_arm_leg,
                      mn_character, hook_length_dimension)
 
 
@@ -112,7 +112,7 @@ def test_hook_sum_identity():
 
 def _exp_beta(rate, beta_order):
     """e^{rate * beta} to the given beta order."""
-    return Series.from_terms(FAMILY_P, 0, beta_order, [(1, {}, rate)]).exp()
+    return series_exp(Series.from_terms(FAMILY_P, 0, beta_order, [(1, {}, rate)]))
 
 
 def _row_entry(i, zexp, c, beta_order):
