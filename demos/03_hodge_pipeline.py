@@ -1,6 +1,6 @@
 """Hodge integrals three ways.
 
-1. Grid interpolation of scaled simple Hurwitz numbers.
+1. Lattice interpolation of scaled simple Hurwitz numbers.
 2. Slices of the change-of-variables transform, unpacked with the
    index-lowering operator L.
 3. The conjugated finite equations plus string/dilaton, seeded only at

@@ -12,7 +12,7 @@ and ``taulab.X`` imports the module that defines X.  The main entry points:
   change of variables, string/dilaton checks, and tau-function residuals.
 * ``hierarchy``: partition operators D_mu, Hirota / KP / linearized KP
   residuals, the cut-and-join operator and the corner-bite calculus.
-* ``hodge``: single-lambda Hodge integrals from simple numbers by grid
+* ``hodge``: single-lambda Hodge integrals from simple numbers by lattice
   interpolation, by the change-of-variables transform, and by the
   conjugated finite equations; the L / l operator calculus.
 * ``cli``: the ``tau-lab`` command line front end.

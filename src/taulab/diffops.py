@@ -3,8 +3,8 @@
 ``expand`` is the one routine that multiplies out a symbol substitution:
 the product over factors of a sum of graded symbol tuples.  DPoly products
 and the binomial change of derivative variables call it, and so do the
-transformed KP equation, its conjugation and the displayed KdV equations in
-``hodge``.
+transformed KP equation, its conjugation, the displayed KdV equations and
+the operator L (``apply_L``) in ``hodge``.
 
 ``evaluate`` is the one evaluator of polynomials in partial derivatives of
 one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
@@ -42,8 +42,9 @@ def expand(factors, image, cap=None):
 
     image(f) lists (grade, symbols, coeff) and is called once per factor.
     Grades add and a grade above cap is dropped; the key is the sorted
-    concatenation of the chosen symbol tuples; zero coefficients drop out."""
-    acc = {(0, ()): Rat(1)}
+    concatenation of the chosen symbol tuples; zero coefficients drop out.
+    The empty product is the integer 1, so integer images give integers."""
+    acc = {(0, ()): 1}
     for f in factors:
         step = {}
         terms = image(f)

@@ -18,25 +18,30 @@ Conventions pinned here (each enforced by tests against displayed values):
   stable series equals L applied to sum_k (-z)^k F^{(k)}.  L = :exp(A): is
   the normal-ordered exponential of the lowering matrix A[n][n+k] =
   z^k a(n, k), so it is the substitution t -> (1 + A)^T t, and ``apply_L``
-  applies it as that substitution.  The first-order l whose matrix is
-  M = log(1 + A) (finite, since A raises the z-degree) is a linear vector
-  field, so exp(l) substitutes by exp(M): L = exp(l) exactly when
-  exp(M) = 1 + A (``exp_l_equals_L_check``).  Conjugation acts on each
-  derivative as e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
+  multiplies that substitution out by ``diffops.expand``, one monomial at a
+  time.  The first-order l whose matrix is M = log(1 + A) (finite, since A
+  raises the z-degree) is a linear vector field, so exp(l) substitutes by
+  exp(M): L = exp(l) exactly when exp(M) = 1 + A (``exp_l_equals_L_check``).
+  Conjugation acts on each derivative as
+  e^{-l} d_i e^{l} = d_i + sum_k z^k a(i, k) d_{i+k}.
 
 * The transformed KP equation, its conjugation and the displayed KdV
   equations over the bold series sum (-z)^k F^{(k)} are each multiplied
   out by ``diffops.expand``.
+
+* The Hodge table is fitted on the principal lattice: by ELSV the scaled
+  simple numbers are a polynomial of total degree 3g-3+n
+  (``hurwitz_to_hodge``).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import comb, factorial, prod
 
-from .series import Series, Rat, _cached, _check_caps, _make
+from .series import Rat, FAMILY_P, _cached, _check_caps, _make
 from .diffops import evaluate, expand
-from .hurwitz import (HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series,
-                      h_unst_simple, _tensor_fit, _tensor_eval)
+from .hurwitz import HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series, h_unst_simple
 from .pic import _change_variables, _monomials_up_to_weight
 
 
@@ -140,20 +145,26 @@ def f_moduli(k, W, M):
 
 def apply_L(k, f):
     """z^k part of L f for a series f in the t variables alone: the z^k slice
-    of the substitution t_m -> t_m + sum_{j >= 1} z^j a(m - j, j) t_{m-j},
-    which lowers the weight by k, so it is exact to cap_weight - k."""
+    of the substitution t_m -> sum_{j >= 0} z^j a(m - j, j) t_{m-j}, which
+    lowers the weight by k, so it is exact to cap_weight - k.  Each monomial
+    of f is multiplied out by ``diffops.expand`` in integers, capped at z^k."""
+    _check_caps("apply_L", 0, k)
     w = f.cap_weight - k
     if w < 0:
         raise ValueError("L_%d lowers the weight by %d, below the cap %d"
                          % (k, k, f.cap_weight))
-    if any(aux for aux, _ in f.num):
+    if f.family == FAMILY_P or any(aux for aux, _ in f.num):
         raise ValueError("L acts on series in the t variables alone")
-    images = {m: Series.from_terms(f.family, w, k, [(j, ((m - j, 1),), a_coeff(m - j, j))
-                                                     for j in range(min(m, k) + 1)])
+    images = {m: [(j, (m - j,), a_coeff(m - j, j).numerator) for j in range(min(m, k) + 1)]
               for m in range(f.cap_weight)}
-    image = f.substitute(images, cap_weight=w, cap_aux=k)
-    return _make(f.family, w, f.cap_aux,
-                 {(0, vm): n for (aux, vm), n in image.num.items() if aux == k}, image.den)
+    num = {}
+    for (_, vm), n in f.num.items():
+        for (z, ms), c in expand([m for m, e in vm for _ in range(e)], images.__getitem__,
+                                 k).items():
+            if z == k:
+                key = (0, tuple((m, len(list(run))) for m, run in groupby(ms)))
+                num[key] = num.get(key, 0) + n * c
+    return _make(f.family, w, f.cap_aux, num, f.den)
 
 
 def _row_series(n, kmax, entry, coeff):
@@ -254,22 +265,55 @@ def elsv_scaled_value(g, bs):
 
 
 def hurwitz_to_hodge(g, n):
-    """Solve the grid interpolation for all brackets <prod tau_{d_i} lambda_k>,
+    """Solve the lattice interpolation for all brackets <prod tau_{d_i} lambda_k>,
     0 <= k <= g, with the given (g, n); returns {(k, sorted d-tuple): value}.
 
-    The scaled counts are polynomials of per-variable degree 3g-3+n; the
-    grid is b_i in 1..3g-2+n with the point (3g-2+n+1, ..) held out and
-    verified.  An off-grading coefficient, an asymmetric solve or a failed
-    held-out point raises ValueError; so does a cap that is not an integer.
+    By ELSV the scaled count P(a) = elsv_scaled_value(g, a + 1) is a
+    polynomial of total degree dim = 3g-3+n, so it is fixed by its values on
+    the principal lattice {a in N^n : |a| <= dim}, and its coefficient at
+    prod_i C(a_i, e_i) is the forward difference Delta^e P(0) (Newton-Gregory;
+    Gasca-Sauer 2000).  The values are taken on |a| <= dim + 1, one
+    difference pass per axis, and every difference of order dim + 1 must be
+    zero.  A per-axis change of basis from C(b - 1, e) to powers of b then
+    gives the coefficients.  A nonzero difference of order dim + 1, an
+    off-grading coefficient or an asymmetric solve raises ValueError; so does
+    a cap that is not an integer.
     """
-    if not (isinstance(g, int) and isinstance(n, int)):
+    if type(g) is not int or type(n) is not int:
         _check_caps("hurwitz_to_hodge", 0, g, n)
     dim = 3 * g - 3 + n
     if g < 0 or n < 1 or dim < 0:
         raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
                          "and 3g - 3 + n >= 0" % (g, n))
-    B = dim + 1
-    coeffs = _tensor_fit([range(1, B + 1)] * n, lambda bs: elsv_scaled_value(g, bs))
+    points = [()]
+    for _ in range(n):
+        points = [a + (x,) for a in points for x in range(dim + 2 - sum(a))]
+    diff = {a: elsv_scaled_value(g, tuple(x + 1 for x in a)) for a in points}
+    for i in range(n):
+        # each line along axis i: its values become Delta_i^{a_i} at a_i = 0
+        for a in points:
+            if a[i]:
+                continue
+            line = [a[:i] + (x,) + a[i + 1:] for x in range(dim + 2 - sum(a))]
+            vals = [diff[p] for p in line]
+            for j in range(1, len(vals)):
+                for m in range(len(vals) - 1, j - 1, -1):
+                    vals[m] -= vals[m - 1]
+            diff.update(zip(line, vals))
+    if any(diff[a] for a in points if sum(a) > dim):
+        raise ValueError("a difference of order %d is not zero" % (dim + 1))
+    # C(b - 1, e) = prod_{i=1..e} (b - i) / i as a coefficient list in b
+    basis = [[Rat(1)]]
+    for e in range(1, dim + 1):
+        basis.append([(lo - e * hi) / e for lo, hi in zip([0] + basis[-1], basis[-1] + [0])])
+    coeffs = {a: c for a, c in diff.items() if c}
+    for i in range(n):
+        out = {}
+        for a, c in coeffs.items():
+            for j, s in enumerate(basis[a[i]]):
+                key = a[:i] + (j,) + a[i + 1:]
+                out[key] = out.get(key, 0) + c * s
+        coeffs = {a: c for a, c in out.items() if c}
     table = {}
     for exps, c in coeffs.items():
         k = dim - sum(exps)
@@ -281,10 +325,6 @@ def hurwitz_to_hodge(g, n):
         if prev is not None and prev != value:
             raise ValueError("asymmetric solve at %r" % (key,))
         table[key] = value
-    # held-out validation
-    probe = tuple([B + 1] * n)
-    if _tensor_eval(coeffs, probe) != elsv_scaled_value(g, probe):
-        raise ValueError("held-out grid point failed")
     return table
 
 
@@ -350,8 +390,7 @@ def conjugated_equation(i, j, k):
     Implemented for (i, j) = (2, 2); other equations contain first-order
     derivative terms whose unstable corrections are not polynomial
     operators."""
-    if k < 0:
-        raise ValueError("the z^k coefficient needs k >= 0, got %d" % k)
+    _check_caps("conjugated_equation", 0, k)
     if (i, j) != (2, 2):
         raise NotImplementedError(
             "conjugated equations are provided for (2,2) only; "
@@ -447,7 +486,8 @@ KDV_EQUATIONS = {
 def kdv_zpart_as_moduli_poly(name, zk, kmax):
     """Expand the z^zk coefficient of a displayed equation over the bold
     series sum (-z)^k F^{(k)}: returns {multiset of (slice, eta): coeff}."""
-    if name not in KDV_EQUATIONS or zk < 0 or kmax < 0:
+    _check_caps("kdv_zpart_as_moduli_poly", 0, zk, kmax)
+    if name not in KDV_EQUATIONS:
         raise ValueError("no equation %r at z^%d, slices <= %d" % (name, zk, kmax))
 
     def build():

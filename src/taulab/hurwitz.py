@@ -513,54 +513,3 @@ def hurwitz(q, method="frobenius"):
         return hurwitz_closed(q)
     raise ValueError("unknown method %r" % (method,))
 
-
-# -- exact grid fits -----------------------------------------------------------
-
-
-def _fit_1d(points):
-    """Exact polynomial through (x, y) points with distinct x, as a coefficient
-    list: Newton's divided differences, expanded by Horner's rule."""
-    xs = [x for x, _ in points]
-    c = [y for _, y in points]
-    for j in range(1, len(c)):
-        for i in range(len(c) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = []
-    for x, ck in zip(reversed(xs), reversed(c)):  # coeffs * (X - x) + ck
-        coeffs = [a - x * b for a, b in zip([ck] + coeffs, coeffs + [0])]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _tensor_fit(axes, value):
-    """Exact polynomial through value(point) on the grid axes[0] x axes[1]
-    x ..., by 1-d interpolation along each axis in turn (Newton's divided
-    differences, ``_fit_1d``); returns {exponent tuple: coeff} without zero
-    coefficients."""
-    def fit_rec(prefix):
-        if len(prefix) == len(axes):
-            return {(): value(prefix)}
-        per_x = [(Rat(x), fit_rec(prefix + (x,))) for x in axes[len(prefix)]]
-        keys = set()
-        for _, sub in per_x:
-            keys.update(sub)
-        out = {}
-        for key in keys:
-            pts = [(x, sub.get(key, Rat(0))) for x, sub in per_x]
-            for e, c in enumerate(_fit_1d(pts)):
-                if c:
-                    out[(e,) + key] = c
-        return out
-    return fit_rec(())
-
-
-def _tensor_eval(coeffs, point):
-    """Evaluate a _tensor_fit result at a point."""
-    acc = Rat(0)
-    for exps, c in coeffs.items():
-        term = c
-        for x, e in zip(point, exps):
-            term *= Rat(x) ** e
-        acc += term
-    return acc

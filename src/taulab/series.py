@@ -354,47 +354,6 @@ class Series:
                     break
         return _make(fam, self.cap_weight - wvar, self.cap_aux, out, self.den)
 
-    def substitute(self, images, cap_weight=None, cap_aux=None):
-        """Simultaneous substitution of finite series for main variables.
-
-        ``images`` maps variable indices to Series in this series' family; any
-        variable without an image must not occur, and the auxiliary variable
-        is kept.  The result has the given caps, by default this series'
-        caps.  Every image must be free of constant terms (each image term
-        has weight + aux >= 1); this is the triangularity that keeps the
-        truncated computation finite and is checked up front.  Exactness on
-        the retained range is the caller's responsibility: images must be
-        supplied complete up to the target caps.
-        """
-        fam = self.family
-        w = self.cap_weight if cap_weight is None else cap_weight
-        a = self.cap_aux if cap_aux is None else cap_aux
-        for i, img in images.items():
-            if img.family != fam:
-                raise ValueError("image of variable %d is in family %s, not %s"
-                                 % (i, img.family, fam))
-            if (0, ()) in img.num:
-                raise ValueError("image of variable %d has a constant term; "
-                                 "substitution grading is not triangular" % i)
-        images = {i: _make(fam, w, a, _within(fam, w, a, img.num), img.den)
-                  for i, img in images.items()}
-        out = Series.zero(fam, w, a)
-        for (aux, vm), n in self.num.items():
-            if aux > a:
-                continue
-            piece = _make(fam, w, a, {(aux, ()): n}, self.den)
-            for i, e in vm:
-                if i not in images:
-                    raise ValueError("no image for variable index %d" % i)
-                for _ in range(e):
-                    piece = piece * images[i]
-                    if piece.is_zero():
-                        break
-                if piece.is_zero():
-                    break
-            out = out + piece
-        return out
-
     # -- serialization ---------------------------------------------------
 
     def to_jsonable(self):

@@ -33,8 +33,13 @@
   equation on every sweep.
 * ``bell_poly_by_set_partitions``: Faa di Bruno's expansion summed over
   every set partition of each monomial's positions, one at a time.
-* ``lagrange_fit_1d``: the 1-d exact polynomial fit of ``hurwitz._tensor_fit``
-  through the Lagrange basis, rebuilt for every node.
+* ``hodge_by_tensor_grid``: the Hodge table fitted on the tensor grid of
+  per-variable degree 3g-3+n (``tensor_fit``, 1-d Newton fits ``fit_1d``
+  along each axis), verified at one held-out point (``tensor_eval``).
+* ``lagrange_fit_1d``: the 1-d exact polynomial fit of ``fit_1d`` through
+  the Lagrange basis, rebuilt for every node.
+* ``apply_L_by_substitution``: the operator L applied by ``substitute``,
+  multiplying Series images of the t variables term by term.
 * ``kp_residual_exp``: KP_{i,j}(F) as Hir_{i,j}(e^F) e^{-2F}, through the
   series exponential, against the closed ``hierarchy.kp_residual``.
 * ``mn_character``: chi_mu(nu) by the recursive Murnaghan-Nakayama rule,
@@ -51,7 +56,7 @@
 Series, partition and operator methods that no library code calls:
 
 * ``variable``, ``series_exp``, ``series_inverse``, ``aux_slice``,
-  ``aux_shift`` and ``aux_partial`` on ``Series``;
+  ``aux_shift``, ``aux_partial`` and ``substitute`` on ``Series``;
 * ``conjugate`` and ``contents_sum`` on ``Partition``;
 * ``top_compose`` on ``TOp``, and ``zop_grade``, ``zop_compose`` and ``zop_exp``
   on ``ZOp``.
@@ -75,10 +80,9 @@ from math import comb, factorial, prod
 
 from taulab.diffops import DPoly, TOp, ZOp
 from taulab.hierarchy import cut_and_join, hirota_residual
-from taulab.hodge import (a_coeff, conjugated_equation, solve_l, ModuliPDESolver,
-                          _accumulate, _reduce)
-from taulab.hurwitz import (HurwitzQuery, ONEPART, hurwitz_frobenius, _exp_schur_sum,
-                            _tensor_fit, _tensor_eval)
+from taulab.hodge import (a_coeff, conjugated_equation, solve_l, elsv_scaled_value,
+                          ModuliPDESolver, _accumulate, _reduce)
+from taulab.hurwitz import HurwitzQuery, ONEPART, hurwitz_frobenius, _exp_schur_sum
 from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, zee,
                                cut_and_join_eigenvalue)
 from taulab.pic import (Laurent, STRING_SOURCE_PIC, _monomials_up_to_weight,
@@ -142,6 +146,48 @@ def aux_partial(s):
     return _make(s.family, s.cap_weight, s.cap_aux,
                  {(aux - 1, vm): aux * n for (aux, vm), n in s.num.items() if aux},
                  s.den)
+
+
+def substitute(s, images, cap_weight=None, cap_aux=None):
+    """Simultaneous substitution of finite series for the main variables of s.
+
+    ``images`` maps variable indices to Series in s's family; any variable
+    without an image must not occur, and the auxiliary variable is kept.  The
+    result has the given caps, by default s's caps.  Every image must be free
+    of constant terms (each image term has weight + aux >= 1); this is the
+    triangularity that keeps the truncated computation finite and is checked
+    up front.  Exactness on the retained range is the caller's
+    responsibility: images must be supplied complete up to the target caps.
+    """
+    fam = s.family
+    w = s.cap_weight if cap_weight is None else cap_weight
+    a = s.cap_aux if cap_aux is None else cap_aux
+    for i, img in images.items():
+        if img.family != fam:
+            raise ValueError("image of variable %d is in family %s, not %s"
+                             % (i, img.family, fam))
+        if (0, ()) in img.num:
+            raise ValueError("image of variable %d has a constant term; "
+                             "substitution grading is not triangular" % i)
+    images = {i: _make(fam, w, a, {k: n for k, n in img.num.items()
+                                   if k[0] <= a and vm_weight(fam, k[1]) <= w}, img.den)
+              for i, img in images.items()}
+    out = Series.zero(fam, w, a)
+    for (aux, vm), n in s.num.items():
+        if aux > a:
+            continue
+        piece = _make(fam, w, a, {(aux, ()): n}, s.den)
+        for i, e in vm:
+            if i not in images:
+                raise ValueError("no image for variable index %d" % i)
+            for _ in range(e):
+                piece = piece * images[i]
+                if piece.is_zero():
+                    break
+            if piece.is_zero():
+                break
+        out = out + piece
+    return out
 
 
 def conjugate(p):
@@ -479,6 +525,21 @@ def a_alternating(d, k):
     return acc
 
 
+def apply_L_by_substitution(k, f):
+    """``hodge.apply_L`` through ``substitute``: the images of t_m are
+    Series in z = aux, multiplied out term by term in Series products, and
+    the z^k slice is kept."""
+    w = f.cap_weight - k
+    if w < 0 or any(aux for aux, _ in f.num):
+        raise ValueError("L_%d does not apply to %r" % (k, f))
+    images = {m: Series.from_terms(f.family, w, k, [(j, ((m - j, 1),), a_coeff(m - j, j))
+                                                     for j in range(min(m, k) + 1)])
+              for m in range(f.cap_weight)}
+    image = substitute(f, images, cap_weight=w, cap_aux=k)
+    return _make(f.family, w, f.cap_aux,
+                 {(0, vm): n for (aux, vm), n in image.num.items() if aux == k}, image.den)
+
+
 def L_grade_per_tuple(k, index_cap):
     """z^k part of L: over ordered compositions (k_1..k_r) of k and index
     tuples (n_1..n_r), (1/r!) prod a(n_i, k_i) t_{n_i} d/dt_{n_i + k_i}."""
@@ -606,6 +667,76 @@ def lagrange_fit_1d(points):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def fit_1d(points):
+    """Exact polynomial through (x, y) points with distinct x, as a coefficient
+    list: Newton's divided differences, expanded by Horner's rule."""
+    xs = [x for x, _ in points]
+    c = [y for _, y in points]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = []
+    for x, ck in zip(reversed(xs), reversed(c)):  # coeffs * (X - x) + ck
+        coeffs = [a - x * b for a, b in zip([ck] + coeffs, coeffs + [0])]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def tensor_fit(axes, value):
+    """Exact polynomial through value(point) on the grid axes[0] x axes[1]
+    x ..., by 1-d interpolation along each axis in turn (``fit_1d``);
+    returns {exponent tuple: coeff} without zero coefficients."""
+    def fit_rec(prefix):
+        if len(prefix) == len(axes):
+            return {(): value(prefix)}
+        per_x = [(Rat(x), fit_rec(prefix + (x,))) for x in axes[len(prefix)]]
+        keys = set()
+        for _, sub in per_x:
+            keys.update(sub)
+        out = {}
+        for key in keys:
+            pts = [(x, sub.get(key, Rat(0))) for x, sub in per_x]
+            for e, c in enumerate(fit_1d(pts)):
+                if c:
+                    out[(e,) + key] = c
+        return out
+    return fit_rec(())
+
+
+def tensor_eval(coeffs, point):
+    """Evaluate a ``tensor_fit`` result at a point."""
+    acc = Rat(0)
+    for exps, c in coeffs.items():
+        term = c
+        for x, e in zip(point, exps):
+            term *= Rat(x) ** e
+        acc += term
+    return acc
+
+
+def hodge_by_tensor_grid(g, n):
+    """``hodge.hurwitz_to_hodge`` on the tensor grid b_i in 1..dim + 1,
+    dim = 3g - 3 + n, per-variable degree dim, with the point
+    (dim + 2, ..., dim + 2) held out and verified."""
+    dim = 3 * g - 3 + n
+    B = dim + 1
+    coeffs = tensor_fit([range(1, B + 1)] * n, lambda bs: elsv_scaled_value(g, bs))
+    table = {}
+    for exps, c in coeffs.items():
+        k = dim - sum(exps)
+        if k < 0 or k > g:
+            raise ValueError("off-grading coefficient at %r: %r" % (exps, c))
+        key = (k, tuple(sorted(exps)))
+        value = c * Rat((-1) ** k)
+        if table.setdefault(key, value) != value:
+            raise ValueError("asymmetric solve at %r" % (key,))
+    probe = tuple([B + 1] * n)
+    if tensor_eval(coeffs, probe) != elsv_scaled_value(g, probe):
+        raise ValueError("held-out grid point failed")
+    return table
 
 
 def _poly_mul_linear(coeffs, const):
@@ -822,8 +953,8 @@ def polynomiality_check(g, n, window, held_out):
     if set(held_out) & set(window):
         raise ValueError("a held-out point lies in the window")
     table = {b: value(b) for b in window}
-    coeffs = _tensor_fit(axes, table.__getitem__)
-    ok = all(_tensor_eval(coeffs, b) == value(b) for b in held_out)
+    coeffs = tensor_fit(axes, table.__getitem__)
+    ok = all(tensor_eval(coeffs, b) == value(b) for b in held_out)
     if n == 1:
         top = max((exps[0] for exps in coeffs), default=-1)
         coeffs = [coeffs.get((e,), Rat(0)) for e in range(top + 1)]

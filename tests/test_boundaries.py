@@ -10,7 +10,7 @@ from taulab.diffops import TOp, ZOp, evaluate
 from taulab.hierarchy import cut_and_join
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
                           ModuliPDESolver, conjugated_equation, kdv_zpart_as_moduli_poly,
-                          ck_report, exp_l_equals_L_check, solve_l)
+                          kdv_check, ck_report, exp_l_equals_L_check, solve_l, apply_L)
 from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series
 from taulab.pic import (bracket, f_series, u_in_T, genus_table, u_hierarchy_residuals,
                         string_check, dilaton_check)
@@ -19,6 +19,7 @@ from oracles import (variable, aux_shift, zop_exp, hook_arm_leg, hook_sum_identi
 
 P1 = variable(FAMILY_P, 1, 4, 2)
 P3 = Series(FAMILY_P, 3, 0, {(0, ((1, 3),)): 1})
+T0 = Series(FAMILY_TQ, 4, 0, {(0, ((0, 1),)): 1})
 
 BAD_CALLS = {
     "partitions_of(-1)": (partitions_of, -1),
@@ -32,6 +33,22 @@ BAD_CALLS = {
     # a float cap used to raise TypeError
     "hurwitz_to_hodge(1.0,1)": (hurwitz_to_hodge, 1.0, 1),
     "hurwitz_to_hodge(1,1.0)": (hurwitz_to_hodge, 1, 1.0),
+    # a bool used to pass the isinstance test: (2, True) gave the (2, 1) table,
+    # and (True, 2) was refused only later, by HurwitzQuery
+    "hurwitz_to_hodge(2,True)": (hurwitz_to_hodge, 2, True),
+    "hurwitz_to_hodge(True,2)": (hurwitz_to_hodge, True, 2),
+    # a float used to raise TypeError, a bool or a float to be stored under its memo key
+    "conjugated_equation(2,2,1.0)": (conjugated_equation, 2, 2, 1.0),
+    "conjugated_equation(2,2,True)": (conjugated_equation, 2, 2, True),
+    "kdv_zpart(F01,1.0,1)": (kdv_zpart_as_moduli_poly, "F01", 1.0, 1),
+    "kdv_zpart(F01,True,1)": (kdv_zpart_as_moduli_poly, "F01", True, 1),
+    "kdv_zpart(F01,0,1.5)": (kdv_zpart_as_moduli_poly, "F01", 0, 1.5),
+    "kdv_check(F01,1.0)": (kdv_check, "F01", 1.0, {0: T0}),
+    # refused up front: expanded without the check, k = -1 gives an empty
+    # series at cap_weight + 1
+    "apply_L(-1)": (apply_L, -1, T0),
+    "apply_L(1.5)": (apply_L, 1.5, T0),
+    "apply_L(True)": (apply_L, True, T0),
     # a malformed window used to raise KeyError or IndexError; a check with
     # nothing held out, or held out inside the window, verified nothing
     "polynomiality_check(not a grid)": (polynomiality_check, 1, 2, [(1, 1), (2, 2)], [(3, 3)]),

@@ -69,7 +69,7 @@ def test_dvv_goldens():
 
 
 HODGE_SHAPES = [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
-                (3, 1)]
+                (3, 1), (4, 2), (4, 3)]
 
 
 def test_hodge_lambda0_slice_matches_dvv():
@@ -80,12 +80,13 @@ def test_hodge_lambda0_slice_matches_dvv():
                 assert sum(ds) == 3 * g - 3 + n
                 assert v == dvv(ds), (g, ds)
                 compared += 1
-    assert compared == 20  # every sorted index tuple of the nine shapes
+    assert compared == 45  # every sorted index tuple of the eleven shapes
 
 
 def test_cli_genus3_hodge_matches_dvv(capsys):
-    # the whole (3, 3) grid: 1,000 simple numbers of degree up to 30, plus
-    # the held-out point at degree 33
+    # the whole (3, 3) table: the principal lattice b_1 + b_2 + b_3 <= 13,
+    # 286 simple numbers of degree up to 13, whose top layer of differences
+    # must vanish
     code = main(["hodge", "--genus", "3", "--indices", "3,3,3", "--k", "0"])
     assert (code, capsys.readouterr().out.strip()) == (0, "583/96768")
     assert dvv((3, 3, 3)) == F(583, 96768)

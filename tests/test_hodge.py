@@ -96,6 +96,42 @@ def test_hodge_table_matches_entrywise_connected_table(g, n, monkeypatch):
     assert list(hurwitz_to_hodge(g, n).items()) == list(got.items())
 
 
+@pytest.mark.parametrize("g, n", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                  (2, 3), (3, 1)])
+def test_hodge_table_matches_tensor_route(g, n):
+    # the principal lattice and the tensor grid with its held-out point give
+    # the same table; its dict order differs once n >= 2
+    assert hurwitz_to_hodge(g, n) == oracles.hodge_by_tensor_grid(g, n)
+
+
+@pytest.mark.parametrize("bs", [(1, 1), (3, 4), (7, 1), (2, 6)])
+def test_hodge_table_refuses_a_perturbed_lattice_value(bs, monkeypatch):
+    # (2, 2) reads b_1 + b_2 <= 8: (3, 4) lies inside the fitted lattice, (7, 1)
+    # and (2, 6) on the layer whose differences must vanish
+    value = hodge.elsv_scaled_value
+    monkeypatch.setattr(hodge, "elsv_scaled_value",
+                        lambda g, b: value(g, b) + (F(1, 7) if b == bs else 0))
+    with pytest.raises(ValueError, match="difference of order 6"):
+        hurwitz_to_hodge(2, 2)
+
+
+def test_hodge_lambda_1_2_entries_match_transform_route():
+    # <prod tau_d lambda_k> = |Aut(ds)| times the coefficient of prod t_d in F^(k)
+    W = 12
+    fs = {k: f_moduli(k, W, moduli_caps_for(W, 2)) for k in (1, 2)}
+    compared = 0
+    for n in (2, 3):
+        for (k, ds), v in hurwitz_to_hodge(3, n).items():
+            if k in fs:
+                aut = 1
+                for d in set(ds):
+                    aut *= factorial(ds.count(d))
+                assert sum(d + 1 for d in ds) <= fs[k].cap_weight
+                assert fs[k].coeff(0, {d: ds.count(d) for d in ds}) * aut == v, (k, ds)
+                compared += 1
+    assert compared == 26
+
+
 def test_reduction_is_pure_and_shared_by_solvers():
     # solved values are substituted when a reduction is read and never stored
     # in it, so a second solver reusing the memoized reductions solves the same
@@ -195,6 +231,19 @@ def test_apply_L_matches_build_L_terms():
             assert not got.is_zero()
     with pytest.raises(ValueError):  # aux would mix with z
         apply_L(1, Series.from_terms(FAMILY_TQ, 4, 1, [(1, {0: 1}, 1)]))
+    with pytest.raises(ValueError):  # family P has no t variables
+        apply_L(1, variable(FAMILY_P, 1, 4, 0))
+
+
+@pytest.mark.parametrize("W", [8, 10, 12, 14])
+def test_apply_L_matches_substitution_oracle(W):
+    M = moduli_caps_for(W, 2)
+    f0, f1 = f_moduli(0, W, M), f_moduli(1, W, M)
+    for k, f in ((1, f0), (2, f0), (1, f1), (2, f1)):
+        got, want = apply_L(k, f), oracles.apply_L_by_substitution(k, f)
+        assert (got.num, got.den) == (want.num, want.den), (k, W)
+        assert list(got.num) == list(want.num), (k, W)
+        assert (got.cap_weight, got.cap_aux) == (want.cap_weight, want.cap_aux)
 
 
 def test_solve_l_values():
@@ -423,7 +472,8 @@ def test_pde_route_at_z2_matches_elsv_solve():
     assert solver.bracket(2, (2,)) == _lambda_g_top(2) == F(7, 5760)
 
 
-@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (4, 2),
+                                  (4, 3)])
 def test_lambda_g_theorem(g, n):
     # <prod tau_{d_i} lambda_g> = C(2g-3+n; d) <tau_{2g-2} lambda_g>
     # (Getzler-Pandharipande), on every lambda_g entry of the table

@@ -16,11 +16,11 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             hurwitz_frobenius, hurwitz_closed,
                             h_onepart_series, h_simple_series,
                             h_unst_onepart, h_unst_simple, hook_series, lp,
-                            _onepart_character_sum, _connected_simple,
-                            _fit_1d, _tensor_fit)
+                            _onepart_character_sum, _connected_simple)
+import oracles
 from oracles import (aux_partial, aux_slice, series_log, disconnected_simple_series,
-                     cut_and_join_simple_series, lagrange_fit_1d, polynomiality_check,
-                     connected_simple_rows, connected_simple_series)
+                     cut_and_join_simple_series, fit_1d, lagrange_fit_1d, tensor_fit,
+                     polynomiality_check, connected_simple_rows, connected_simple_series)
 
 
 def q1(g, *b):
@@ -212,16 +212,16 @@ def _fit_points(draw):
 @example([(F(-4), F(0)), (F(1), F(0)), (F(9), F(0))])
 @example([(F(-3), F(2)), (F(0), F(-1)), (F(5), F(4)), (F(11), F(1, 3))])
 def test_divided_differences_match_lagrange(points):
-    assert _fit_1d(points) == lagrange_fit_1d(points)
+    assert fit_1d(points) == lagrange_fit_1d(points)
 
 
 @pytest.mark.parametrize("g, n", [(2, 2), (3, 1)])
 def test_tensor_fit_matches_lagrange_oracle(g, n, monkeypatch):
-    # the grids of hurwitz_to_hodge(g, n): b_i in 1..3g-2+n
+    # the grids of the tensor route to the Hodge tables: b_i in 1..3g-2+n
     axes = [range(1, 3 * g - 1 + n)] * n
-    fit = _tensor_fit(axes, partial(elsv_scaled_value, g))
-    monkeypatch.setattr(hurwitz, "_fit_1d", lagrange_fit_1d)
-    slow = _tensor_fit(axes, partial(elsv_scaled_value, g))
+    fit = tensor_fit(axes, partial(elsv_scaled_value, g))
+    monkeypatch.setattr(oracles, "fit_1d", lagrange_fit_1d)
+    slow = tensor_fit(axes, partial(elsv_scaled_value, g))
     assert fit == slow
     assert list(fit.items()) == list(slow.items())
 
