@@ -70,6 +70,10 @@ def cmd_hodge(args):
     ds = _parse_ints(args.indices)
     if any(d < 0 for d in ds):
         raise ValueError("hodge indices must be >= 0, got %r" % (ds,))
+    dim = hodge.stable_dim(args.genus, len(ds))
+    if sum(ds) + args.k != dim or args.k > args.genus:
+        print(0)  # the table holds only k <= g and sum(ds) + k = dim
+        return 0
     table = hodge.hurwitz_to_hodge(args.genus, len(ds))
     print(table.get((args.k, tuple(sorted(ds))), 0))
     return 0

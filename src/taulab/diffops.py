@@ -8,9 +8,10 @@ the operator L (``apply_L``) in ``hodge``.
 
 ``evaluate`` is the one evaluator of polynomials in partial derivatives of
 one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
-through it.  It fixes the residual's caps first, then runs every derivative,
-product and sum in one pass over packed integer monomials cut to those caps
-(slot bound in its docstring), and builds one Series at the end.
+through it, and so does ``Series.__mul__``: no other library code multiplies
+or differentiates series.  It fixes the residual's caps first, then runs
+every derivative, product and sum in one pass over packed integer monomials
+cut to those caps (slot bound in its docstring), and builds one Series.
 
 Two flavors of operator are used:
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from math import comb, lcm, prod
 
-from .series import Rat, _make, _ratio, var_weight
+from .series import Rat, _check_family, _check_vm, _make, _ratio, var_weight
 
 
 def expand(factors, image, cap=None):
@@ -64,8 +65,10 @@ def evaluate(poly, fs):
     Each eta is a sorted index tuple and fs maps each slice s to a Series of
     one family.  The caps come first: weight W is the least of the first
     series' cap and every factor's cap_weight - weight(eta), and aux A the
-    least cap_aux; a derivative heavier than its cap is refused by
-    ``Series.partial`` before any work.  Then one pass in packed integers:
+    least cap_aux, both found by arithmetic on the caps.  A derivative in
+    an index that is not a variable of the family, or heavier than the
+    weight cap the derivatives before it leave, is refused before any work.
+    Then one pass in packed integers:
 
     * a monomial aux^a prod x_i^{e_i} of weight w is the int
       a + sum e_i << (bits * weight(x_i)) + w << (bits * (W + H + 1)), where
@@ -81,34 +84,30 @@ def evaluate(poly, fs):
       coefficient is an integer multiple of its product.
 
     Keys that differ only in their last factor share one product of the
-    rest, and terms are summed and multiplied in the order of the Series
-    arithmetic, so the result stores its terms in the same order as the
-    sum of the Series products."""
+    rest.  A product takes the left terms in order, each against the right
+    terms by increasing weight, and a sum appends new keys in order, so the
+    result stores its terms in the order of the products and sums taken one
+    at a time.  ``Series.__mul__`` is this function on one product."""
     if not fs:
         raise ValueError("evaluate needs at least one series")
     some = next(iter(fs.values()))
     fam = some.family
     off = var_weight(fam, 0)  # the weight of variable i is i + off
     W, A, den = some.cap_weight, some.cap_aux, 1
-    empty = {}  # (s, eta): the empty series at the caps of d^eta fs[s]
-
-    def caps(s, eta):
-        got = empty.get((s, eta))
-        if got is None:
-            if eta:
-                got = caps(s, eta[:-1]).partial(eta[-1])
-            else:
-                some._check_family(fs[s])
-                got = _make(fam, fs[s].cap_weight, fs[s].cap_aux, {}, 1)
-            empty[s, eta] = got
-        return got
-
+    lost = {}  # (s, eta): weight(eta), what d^eta takes off fs[s].cap_weight
     for key, c in poly.items():
         for s, eta in key:
-            z = caps(s, eta)
-            W, A = min(W, z.cap_weight), min(A, z.cap_aux)
+            f, w = fs[s], 0
+            _check_family(some, f)
+            lost[s, ()] = 0
+            for k, i in enumerate(eta, 1):
+                _check_vm(fam, ((i, 1),))
+                if i + off > f.cap_weight - w:
+                    raise ValueError("d/d(variable %d) of weight %d exceeds the remaining "
+                                     "weight cap %d" % (i, i + off, f.cap_weight - w))
+                w = lost[s, eta[:k]] = w + i + off
+            W, A = min(W, f.cap_weight - w), min(A, f.cap_aux)
         den = lcm(den, _ratio(c)[1] * prod(fs[s].den for s, _ in key))
-    lost = {se: fs[se[0]].cap_weight - z.cap_weight for se, z in empty.items()}
     H = max(lost.values(), default=0)
     bits = max(W + H, A).bit_length()
     mask = (1 << bits) - 1
@@ -147,7 +146,8 @@ def evaluate(poly, fs):
         return got
 
     def times(piece, s, eta):
-        """piece * d^eta fs[s] within (W, A), in ``Series.__mul__``'s order."""
+        """piece * d^eta fs[s] within (W, A): piece's terms in order, each
+        against the factor's by increasing weight."""
         right = rows.get((s, eta))
         if right is None:
             right = rows[s, eta] = sorted(derivative(s, eta).items(),

@@ -264,6 +264,18 @@ def elsv_scaled_value(g, bs):
     return h / scale
 
 
+def stable_dim(g, n):
+    """dim = 3g - 3 + n of a stable (g, n); ValueError for an unstable (g, n)
+    and for a g or n that is not an integer."""
+    if type(g) is not int or type(n) is not int:
+        _check_caps("hurwitz_to_hodge", 0, g, n)
+    dim = 3 * g - 3 + n
+    if g < 0 or n < 1 or dim < 0:
+        raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
+                         "and 3g - 3 + n >= 0" % (g, n))
+    return dim
+
+
 def hurwitz_to_hodge(g, n):
     """Solve the lattice interpolation for all brackets <prod tau_{d_i} lambda_k>,
     0 <= k <= g, with the given (g, n); returns {(k, sorted d-tuple): value}.
@@ -279,12 +291,7 @@ def hurwitz_to_hodge(g, n):
     off-grading coefficient or an asymmetric solve raises ValueError; so does
     a cap that is not an integer.
     """
-    if type(g) is not int or type(n) is not int:
-        _check_caps("hurwitz_to_hodge", 0, g, n)
-    dim = 3 * g - 3 + n
-    if g < 0 or n < 1 or dim < 0:
-        raise ValueError("(g, n) = (%d, %d) is not stable: need g >= 0, n >= 1 "
-                         "and 3g - 3 + n >= 0" % (g, n))
+    dim = stable_dim(g, n)
     points = [()]
     for _ in range(n):
         points = [a + (x,) for a in points for x in range(dim + 2 - sum(a))]
@@ -337,13 +344,14 @@ def khat_22():
 
     The second derivatives of the unstable part are constants
     u(a,b) = beta^{a+b} a^a b^b / ((a+b) a! b!); the pure-constant part
-    cancels identically and is asserted to."""
+    cancels identically, and a surviving one raises ValueError."""
     from .hierarchy import kp_form
 
     def image(eta):
         # S_eta + u_eta; the unstable part is quadratic, so u_eta vanishes
         # for third and higher derivatives
-        assert len(eta) >= 2, "first-derivative terms are not supported"
+        if len(eta) < 2:
+            raise ValueError("first-derivative terms are not supported")
         if len(eta) > 2:
             return [(0, (eta,), 1)]
         a, b = eta
@@ -355,8 +363,8 @@ def khat_22():
         for key, v in expand(etas, image).items():
             out[key] = out.get(key, Rat(0)) + c * v
     out = {k: v for k, v in out.items() if v}
-    # no surviving pure-constant term
-    assert not any(not etas for (_, etas) in out)
+    if any(not etas for (_, etas) in out):
+        raise ValueError("the pure-constant part of KP_{2,2} did not cancel")
     return out
 
 
@@ -377,7 +385,8 @@ def kpbar_22():
             raw[key] = raw.get(key, Rat(0)) + c * v
     raw = {k: v for k, v in raw.items() if v}
     base = min(u for u, _ in raw)
-    assert all((u - base) % 2 == 0 for u, _ in raw)
+    if any((u - base) % 2 for u, _ in raw):
+        raise ValueError("the u powers of KP_{2,2} in the t picture differ in parity")
     return {((u - base) // 2, etas): c for (u, etas), c in raw.items()}
 
 

@@ -15,10 +15,11 @@ any other key, and caps that are not integers >= 0.  Truncation is
 eager: a series never stores a term whose weight exceeds ``cap_weight`` or
 whose auxiliary exponent exceeds ``cap_aux``, and never stores a zero
 coefficient.  Coefficients are integer numerators over one denominator, and
-the arithmetic reduces each result once, not each term.  Every coefficient
-handed out (``terms``, ``coeff``, ``to_jsonable``) is an exact ``Fraction``;
-coefficients and scalars taken in must be ``int`` or ``Fraction``.  There is
-no floating point anywhere."""
+the arithmetic reduces each result once, not each term; a product of two
+series (and so ``**``) is one ``diffops.evaluate`` call, as are derivatives.
+Every coefficient handed out (``terms``, ``coeff``, ``to_jsonable``) is an
+exact ``Fraction``; coefficients and scalars taken in must be ``int`` or
+``Fraction``.  There is no floating point anywhere."""
 
 from __future__ import annotations
 
@@ -81,17 +82,6 @@ def vm_from_dict(d):
     return items
 
 
-def vm_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for i, e in b:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
-
-
 def vm_weight(family, vm):
     shift = 0 if family == FAMILY_P else 1
     w = 0
@@ -119,6 +109,11 @@ def _reduced(num, den):
         num = {k: n // g for k, n in num.items() if n}
         den //= g
     return num, den
+
+
+def _check_family(x, y):
+    if x.family != y.family:
+        raise ValueError("mismatched families %s, %s" % (x.family, y.family))
 
 
 def _make(family, cap_weight, cap_aux, num, den):
@@ -212,15 +207,11 @@ class Series:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_family(self, other):
-        if self.family != other.family:
-            raise ValueError("mismatched families %s, %s" % (self.family, other.family))
-
     def __add__(self, other):
         if not isinstance(other, Series):
             p, q = _ratio(other)
             other = _make(self.family, self.cap_weight, self.cap_aux, {(0, ()): p}, q)
-        self._check_family(other)
+        _check_family(self, other)
         fam = self.family
         w = min(self.cap_weight, other.cap_weight)
         a = min(self.cap_aux, other.cap_aux)
@@ -250,34 +241,11 @@ class Series:
             p, q = _ratio(other)
             return _make(self.family, self.cap_weight, self.cap_aux,
                          {k: n * p for k, n in self.num.items()}, self.den * q)
-        self._check_family(other)
-        w = min(self.cap_weight, other.cap_weight)
-        a = min(self.cap_aux, other.cap_aux)
-        fam = self.family
-        out = {}
-        # bucket the right factor by weight so high-weight pairs are skipped
-        # without touching them
-        buckets = {}
-        for (aux2, vm2), c2 in other.num.items():
-            w2 = vm_weight(fam, vm2)
-            if w2 <= w:
-                buckets.setdefault(w2, []).append((aux2, vm2, c2))
-        weights = sorted(buckets)
-        for (aux1, vm1), c1 in self.num.items():
-            w1 = vm_weight(fam, vm1)
-            room = w - w1
-            if room < 0:
-                continue
-            aroom = a - aux1
-            for w2 in weights:
-                if w2 > room:
-                    break
-                for aux2, vm2, c2 in buckets[w2]:
-                    if aux2 > aroom:
-                        continue
-                    key = (aux1 + aux2, vm_mul(vm1, vm2))
-                    out[key] = out.get(key, 0) + c1 * c2
-        return _make(fam, w, a, out, self.den * other.den)
+        _check_family(self, other)
+        # imported here because diffops imports this module; evaluate stays in
+        # diffops so that a process that never imports diffops never compiles it
+        from .diffops import evaluate
+        return evaluate({((0, ()), (1, ())): 1}, {0: other, 1: self})
 
     __rmul__ = __mul__
 
@@ -305,6 +273,8 @@ class Series:
                 and self.num == other.num)
 
     def __hash__(self):
+        if self.num.keys() <= {(0, ())}:  # equal to its Fraction value
+            return hash(Rat(self.num.get((0, ()), 0), self.den))
         return hash((self.family, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
@@ -329,30 +299,6 @@ class Series:
             mono = "*".join(factors) if factors else "1"
             bits.append("%s*%s" % (c, mono))
         return " + ".join(bits)
-
-    # -- calculus ------------------------------------------------------
-
-    def partial(self, index):
-        """Formal derivative in the main variable with the given index.
-
-        The result is exact only to cap_weight - weight(var); the caps are
-        reduced accordingly, and a variable heavier than the cap is refused.
-        """
-        fam = self.family
-        _check_vm(fam, ((index, 1),))
-        wvar = var_weight(fam, index)
-        if wvar > self.cap_weight:
-            raise ValueError("d/d(variable %d) of weight %d exceeds the remaining "
-                             "weight cap %d" % (index, wvar, self.cap_weight))
-        out = {}
-        # distinct monomials have distinct derivatives, so nothing adds up
-        for (aux, vm), n in self.num.items():
-            for pos, (i, e) in enumerate(vm):
-                if i == index:
-                    low = ((i, e - 1),) if e > 1 else ()
-                    out[(aux, vm[:pos] + low + vm[pos + 1:])] = e * n
-                    break
-        return _make(fam, self.cap_weight - wvar, self.cap_aux, out, self.den)
 
     # -- serialization ---------------------------------------------------
 

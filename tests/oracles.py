@@ -3,8 +3,10 @@
 * ``series_log``: the logarithm of a whole truncated series, term by term.
 * ``fraction_mul``, ``fraction_add``, ``fraction_scale``,
   ``fraction_partial``: the ``Series`` product, sum, scalar product and
-  partial derivative computed term by term in ``Fraction``s.  Each returns
-  ``(terms, cap_weight, cap_aux)``, terms without zeros in insertion order.
+  partial derivative computed term by term in ``Fraction``s, with no call
+  to ``diffops.evaluate``, which the library's product and derivative run
+  on.  Each returns ``(terms, cap_weight, cap_aux)``, terms without zeros in
+  insertion order; ``vm_mul`` multiplies their variable monomials.
 * ``disconnected_simple_series``: Z = sum over lambda of (dim/d!)
   e^{beta f} s_lambda, whose logarithm is the connected simple series.
 * ``cut_and_join_simple_series``: the connected simple series from the
@@ -16,9 +18,11 @@
   and letting the image cancel.
 * ``term_by_term``: a polynomial in derivatives evaluated one product at a
   time, each factor its own chain of partials.
-* ``evaluate_by_series``: ``diffops.evaluate`` in ``Series`` arithmetic:
-  every derivative and product at the caps of its factors, cut to the
-  residual's caps only at the end.
+* ``evaluate_by_series``: ``diffops.evaluate`` in ``Series`` sums: every
+  derivative and product at the caps of its factors, cut to the residual's
+  caps only at the end.
+  Both take products and derivatives from ``fraction_mul`` and
+  ``fraction_partial``, so neither runs ``evaluate``.
 * ``string_check_by_coeff``, ``dilaton_check_by_coeff``, ``lowered`` and
   ``bump``: the string and dilaton equations of ``pic`` checked one
   t-monomial at a time, each coefficient read as a ``Fraction``.
@@ -56,7 +60,9 @@
 Series, partition and operator methods that no library code calls:
 
 * ``variable``, ``series_exp``, ``series_inverse``, ``aux_slice``,
-  ``aux_shift``, ``aux_partial`` and ``substitute`` on ``Series``;
+  ``aux_shift``, ``aux_partial`` and ``substitute`` on ``Series``, and
+  ``partial``, the derivative in one main variable as one ``evaluate``
+  call;
 * ``conjugate`` and ``contents_sum`` on ``Partition``;
 * ``top_compose`` on ``TOp``, and ``zop_grade``, ``zop_compose`` and ``zop_exp``
   on ``ZOp``.
@@ -78,7 +84,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 
-from taulab.diffops import DPoly, TOp, ZOp
+from taulab.diffops import DPoly, TOp, ZOp, evaluate
 from taulab.hierarchy import cut_and_join, hirota_residual
 from taulab.hodge import (a_coeff, conjugated_equation, solve_l, elsv_scaled_value,
                           ModuliPDESolver, _accumulate, _reduce)
@@ -87,8 +93,28 @@ from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, 
                                cut_and_join_eigenvalue)
 from taulab.pic import (Laurent, STRING_SOURCE_PIC, _monomials_up_to_weight,
                         _mono_factorials)
-from taulab.series import Series, Rat, FAMILY_P, _make, vm_mul, vm_weight, var_weight
+from taulab.series import Series, Rat, FAMILY_P, _make, vm_weight, var_weight
 from taulab.symfunc import dimension, schur_poly
+
+
+def vm_mul(a, b):
+    """The product of two variable monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    acc = dict(a)
+    for i, e in b:
+        acc[i] = acc.get(i, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def partial(s, index):
+    """The formal derivative of s in the main variable with the given index,
+    exact to cap_weight - weight(variable): one ``evaluate`` call, which
+    refuses an index that is not a variable of the family and a variable
+    heavier than the weight cap."""
+    return evaluate({((0, (index,)),): 1}, {0: s})
 
 
 def variable(family, index, cap_weight, cap_aux, coeff=1):
@@ -336,6 +362,12 @@ def fraction_partial(x, index):
     return _kept(x, out, x.cap_weight - var_weight(x.family, index), x.cap_aux)
 
 
+def _series(family, kept):
+    """The Series of a ``fraction_*`` result (terms, cap_weight, cap_aux)."""
+    terms, w, a = kept
+    return Series(family, w, a, terms)
+
+
 def disconnected_simple_series(cap_weight, cap_aux):
     """sum over partitions lambda of (dim/d!) e^{beta f_lambda} s_lambda."""
     return _exp_schur_sum(((la, F(dimension(la), factorial(la.size)))
@@ -423,7 +455,8 @@ def expand_then_cancel(series, coeff, aux_exp, base):
 
 
 def evaluate_by_series(poly, fs):
-    """sum c * prod_r d^{eta_r} fs[s_r] in Series arithmetic: each d^eta F is
+    """sum c * prod_r d^{eta_r} fs[s_r] in Series sums, with products and
+    derivatives by ``fraction_mul`` and ``fraction_partial``: each d^eta F is
     one partial of d^{eta[:-1]} F at full caps, keys that differ only in their
     last factor share one product of the rest, and the caps of the result
     are the least over the first series of fs and every factor."""
@@ -433,7 +466,8 @@ def evaluate_by_series(poly, fs):
     def derivative(s, eta):
         got = table.get((s, eta))
         if got is None:
-            got = derivative(s, eta[:-1]).partial(eta[-1]) if eta else fs[s]
+            got = (_series(some.family, fraction_partial(derivative(s, eta[:-1]), eta[-1]))
+                   if eta else fs[s])
             table[(s, eta)] = got
         return got
 
@@ -446,7 +480,7 @@ def evaluate_by_series(poly, fs):
         for c, last in lasts:
             piece = piece + (derivative(*last[0]) * c if last else c)
         for s, eta in prefix:
-            piece = piece * derivative(s, eta)
+            piece = _series(some.family, fraction_mul(piece, derivative(s, eta)))
         out = out + piece
     return out
 
@@ -500,7 +534,8 @@ def dilaton_check_by_coeff(F):
 
 
 def term_by_term(poly, fs):
-    """sum c * prod d^eta fs[s], each factor its own chain of partials."""
+    """sum c * prod d^eta fs[s], each factor its own chain of
+    ``fraction_partial``, multiplied in by ``fraction_mul``."""
     some = next(iter(fs.values()))
     out = Series.zero(some.family, some.cap_weight, some.cap_aux)
     for key, c in poly.items():
@@ -508,8 +543,8 @@ def term_by_term(poly, fs):
         for s, eta in key:
             factor = fs[s]
             for i in eta:
-                factor = factor.partial(i)
-            piece = piece * factor
+                factor = _series(some.family, fraction_partial(factor, i))
+            piece = _series(some.family, fraction_mul(piece, factor))
         out = out + piece
     return out
 

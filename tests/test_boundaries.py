@@ -14,8 +14,8 @@ from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_
 from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series
 from taulab.pic import (bracket, f_series, u_in_T, genus_table, u_hierarchy_residuals,
                         string_check, dilaton_check)
-from oracles import (variable, aux_shift, zop_exp, hook_arm_leg, hook_sum_identity_check,
-                     polynomiality_check, derivative_transform_pic)
+from oracles import (variable, aux_shift, partial, zop_exp, hook_arm_leg,
+                     hook_sum_identity_check, polynomiality_check, derivative_transform_pic)
 
 P1 = variable(FAMILY_P, 1, 4, 2)
 P3 = Series(FAMILY_P, 3, 0, {(0, ((1, 3),)): 1})
@@ -94,6 +94,7 @@ BAD_CALLS = {
     "P1-0.1": (Series.__sub__, P1, 0.1),
     "P1/0.1": (Series.__truediv__, P1, 0.1),
     "P1==0.1": (Series.__eq__, P1, 0.1),
+    "P1*T0": (Series.__mul__, P1, T0),
     # int() used to truncate a float part and read a bool as 0 or 1: (2.7,)
     # gave the value of (2,), and this fit passed on values taken at 2, 3, 4
     "HurwitzQuery(profile=(2.7,))": (HurwitzQuery, ONEPART, 1, (2.7,)),
@@ -129,10 +130,10 @@ BAD_CALLS = {
     "Series(cap 2.5)": (Series, FAMILY_P, 2.5, 0),
     "Series(cap True)": (Series, FAMILY_P, True, 0),
     # partial(-1) used to give 0 with cap_weight 4, partial(0) 0 in family P
-    "partial(-1)": (Series.partial, P3, -1),
-    "partial(P,0)": (Series.partial, P3, 0),
-    "partial(1.0)": (Series.partial, P3, 1.0),
-    "partial(True)": (Series.partial, P3, True),
+    "partial(-1)": (partial, P3, -1),
+    "partial(P,0)": (partial, P3, 0),
+    "partial(1.0)": (partial, P3, 1.0),
+    "partial(True)": (partial, P3, True),
     # 2.0 used to share the memo key of 2, and True read as 1
     "bracket((2.0,))": (bracket, (2.0,)),
     "bracket((True,)*3)": (bracket, (True, True, True)),

@@ -133,6 +133,23 @@ def test_hodge_command(capsys):
     assert (code, out) == (0, "1/24")
 
 
+def test_hodge_answers_zero_off_grading_without_a_table(monkeypatch, capsys):
+    # an entry exists only for k <= g and sum(ds) + k = 3g - 3 + n
+    from taulab import hodge
+
+    def refuse(g, n):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(hodge, "hurwitz_to_hodge", refuse)
+    for argv in ("--genus 4 --indices 0,0,0", "--genus 3 --indices 3,3,3 --k 4",
+                 "--genus 1 --indices 0,0,0 --k 3"):
+        assert run_cli("hodge", *argv.split(), capsys=capsys) == (0, "0")
+    # stability is checked before grading
+    code = main(["hodge", "--genus", "0", "--indices", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("error:") == 1 and "is not stable" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bracket"])  # missing --indices

@@ -351,6 +351,23 @@ def test_evaluate_matches_term_by_term_partials():
     assert not want.is_zero()
 
 
+def test_series_oracles_do_not_run_evaluate(monkeypatch):
+    # Series products run on evaluate; the oracles multiply and differentiate
+    # through fraction_mul and fraction_partial, so they stay independent
+    from taulab import diffops
+    poly, fs = shared_prefix_case()
+    want = evaluate(poly, fs)
+
+    def refuse(poly, fs):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(diffops, "evaluate", refuse)
+    for oracle in (evaluate_by_series, term_by_term):
+        got = oracle(poly, fs)
+        assert got.terms == want.terms and not got.is_zero()
+        assert (got.cap_weight, got.cap_aux) == (want.cap_weight, want.cap_aux)
+
+
 def test_evaluate_matches_term_by_term_on_hirota_and_kdv():
     # Hir_{2,2} and Hir_{2,3} share leading factors across their pairs; the
     # perturbed tau and the swapped slices give nonzero values to compare

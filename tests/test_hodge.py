@@ -220,7 +220,7 @@ def test_apply_L_matches_build_L_terms():
                     continue
                 piece = f
                 for d in dm:
-                    piece = piece.partial(d)
+                    piece = oracles.partial(piece, d)
                 piece = Series(FAMILY_TQ, w - k, f.cap_aux, piece.terms) * c
                 for t in tm:
                     piece = piece * variable(FAMILY_TQ, t, w - k, f.cap_aux)
@@ -329,6 +329,23 @@ def test_kpbar_22_golden():
         (1, ((1, 1),)): F(4),
         (1, ((0, 2),)): F(-9),
     }
+
+
+def test_khat_and_kpbar_refuse_broken_invariants_with_value_error(monkeypatch):
+    # raised, not asserted, so python -O keeps the checks
+    from taulab import hierarchy
+    from taulab.diffops import DPoly
+    monkeypatch.setattr(hierarchy, "kp_form", lambda i, j: DPoly({((1,), (1, 1)): 1}))
+    with pytest.raises(ValueError, match="first-derivative terms are not supported"):
+        khat_22()
+    # u_{1,1} = beta^2 / 2 is left alone by the second-derivative term
+    monkeypatch.setattr(hierarchy, "kp_form", lambda i, j: DPoly({((1, 1),): 1}))
+    with pytest.raises(ValueError, match="did not cancel"):
+        khat_22()
+    # d/dp_1 carries u^4, d/dp_2 u^7 or u^9: no common parity
+    monkeypatch.setattr(hodge, "khat_22", lambda: {(0, ((1,),)): F(1), (0, ((2,),)): F(1)})
+    with pytest.raises(ValueError, match="differ in parity"):
+        kpbar_22()
 
 
 def test_conjugated_equation_z0():

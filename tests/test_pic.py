@@ -15,8 +15,9 @@ from taulab.pic import (Laurent, transform_p_to_tq, chvar_pic,
                         chvar_coeff, _q_exp, _monomials_up_to_weight)
 from taulab.hodge import (transform_p_to_tu, elsv_chvar_coeff, _u_exp, h_simple_stable, f_moduli,
                           moduli_caps_for, hurwitz_to_hodge)
-from oracles import (variable, bump, lowered, expand_then_cancel, derivative_transform_pic,
-                     derivative_inverse_check, string_check_by_coeff, dilaton_check_by_coeff)
+from oracles import (variable, partial, bump, lowered, expand_then_cancel,
+                     derivative_transform_pic, derivative_inverse_check, string_check_by_coeff,
+                     dilaton_check_by_coeff)
 
 GOLDEN = {
     (0, 0, 0): F(1),
@@ -247,7 +248,7 @@ def test_string_examples():
 def lt_second_identity_check(F):
     """L_t (dF/dt_0) = 2 d^2F/dt_0 dt_1 + (1/sqrt(beta)) (d^2F/dt_0^2 - t_0)."""
     W = F.cap_weight
-    G = F.partial(0)
+    G = partial(F, 0)
     for mono in _monomials_up_to_weight(W - 3):
         weight = sum((d + 1) * e for d, e in mono.items())
         lhs0 = Rat(weight) * G.coeff(0, mono)

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulab import series
+from taulab.diffops import evaluate
 from taulab.series import (Series, Rat, FAMILY_P, FAMILY_TQ, FAMILIES, _cached,
                            var_weight)
 from oracles import (variable, series_exp, series_inverse, aux_slice, aux_shift, series_log,
-                     fraction_mul, fraction_add, fraction_scale, fraction_partial, substitute)
+                     fraction_mul, fraction_add, fraction_scale, fraction_partial, substitute,
+                     partial)
 
 
 def P(cap_w=8, cap_a=4):
@@ -42,25 +45,33 @@ def test_mul_examples():
 
 def test_partial_examples():
     p2 = variable(FAMILY_P, 2, 8, 0)
-    assert (p2 * p2).partial(2).coeff(vm={2: 1}) == 2
+    assert partial(p2 * p2, 2).coeff(vm={2: 1}) == 2
     t = lambda d: variable(FAMILY_TQ, d, 8, 0)
-    assert (t(0) * t(1)).partial(0) == t(1)
-    assert variable(FAMILY_P, 2, 8, 0).partial(1).is_zero()
+    assert partial(t(0) * t(1), 0) == t(1)
+    assert partial(variable(FAMILY_P, 2, 8, 0), 1).is_zero()
     # exact to cap - weight(var): at cap 2 only the constant term of d/dp_2 is
     # known, and at cap 1 nothing is
-    d = variable(FAMILY_P, 2, 2, 0).partial(2)
+    d = partial(variable(FAMILY_P, 2, 2, 0), 2)
     assert d.cap_weight == 0 and d == 1
-    with pytest.raises(ValueError):
-        variable(FAMILY_P, 2, 1, 0).partial(2)
+    heavy = re.escape("d/d(variable 2) of weight 2 exceeds the remaining weight cap 1")
+    with pytest.raises(ValueError, match=heavy):
+        partial(variable(FAMILY_P, 2, 1, 0), 2)
+    # the second derivative of a chain meets the cap the first one left
+    with pytest.raises(ValueError, match=heavy):
+        evaluate({((0, (2, 2)),): 1}, {0: variable(FAMILY_P, 2, 3, 0)})
+    with pytest.raises(ValueError, match=re.escape("((0, 1),) is not a monomial of family P")):
+        partial(variable(FAMILY_P, 2, 3, 0), 0)
 
 
 def test_family_mismatch():
     a = variable(FAMILY_P, 1, 4, 0)
     b = variable(FAMILY_TQ, 1, 4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mismatched families P, T_Q$"):
         a + b
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mismatched families P, T_Q$"):
         a * b
+    with pytest.raises(ValueError, match="^mismatched families T_Q, P$"):
+        b * a
 
 
 def test_substitute_identity_and_zero():
@@ -129,8 +140,8 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(series_strategy(), series_strategy())
 def test_leibniz(a, b):
-    lhs = (a * b).partial(1)
-    rhs = a.partial(1) * b + a * b.partial(1)
+    lhs = partial(a * b, 1)
+    rhs = partial(a, 1) * b + a * partial(b, 1)
     assert lhs == rhs
 
 
@@ -198,7 +209,7 @@ def test_kernel_matches_fraction_oracle(pair, c):
     low = 1 if x.family == FAMILY_P else 0
     for index in range(low, low + 4):
         if var_weight(x.family, index) <= x.cap_weight:
-            assert_matches(x.partial(index), fraction_partial(x, index))
+            assert_matches(partial(x, index), fraction_partial(x, index))
 
 
 def test_equal_series_store_one_canonical_form():
@@ -210,8 +221,20 @@ def test_equal_series_store_one_canonical_form():
     half = Series.constant(FAMILY_P, 4, 2, Rat(1, 2))
     one = half + half
     assert one == 1 and (one.num, one.den) == ({(0, ()): 1}, 1)
-    for s in (a, b, one, a - b, x * 6, (x * 4).partial(0)):
+    for s in (a, b, one, a - b, x * 6, partial(x * 4, 0)):
         assert_canonical(s)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_constant_series_hash_as_their_value(family):
+    # a series equal to a number must land in the same set and dict slot
+    for value in (3, Fraction(-2, 7), 0):
+        for s in (Series.constant(family, 4, 2, value), Series.constant(family, 0, 0, value)):
+            assert s == value and hash(s) == hash(value)
+            assert value in {s} and s in {value} and len({s, value}) == 1
+            assert {value: "v"}[s] == "v" and {s: "s"}[value] == "s"
+    zero = Series.zero(family, 5, 1)
+    assert 0 in {zero} and Fraction(0) in {zero: 1} and len({zero, 0}) == 1
 
 
 def test_from_jsonable_normalizes_a_negative_denominator():
