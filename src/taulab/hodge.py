@@ -15,7 +15,8 @@ Conventions pinned here (each enforced by tests against displayed values):
 
 * The regrouping operator is L = 1 + z L_1 + z^2 L_2 + ... with first-order
   parts sum_n a_{n,n+k} t_n d/dt_{n+k} (index-lowering).  The transformed
-  stable series equals L applied to sum_k (-z)^k F^{(k)}.  L = :exp(A): is
+  stable series equals L applied to sum_k (-z)^k F^{(k)}, so its z^k slice
+  gives F^{(k)} for every k (``f_moduli``).  L = :exp(A): is
   the normal-ordered exponential of the lowering matrix A[n][n+k] =
   z^k a(n, k), so it is the substitution t -> (1 + A)^T t, and ``apply_L``
   multiplies that substitution out by ``diffops.expand``, one monomial at a
@@ -121,22 +122,18 @@ def transformed_stable(W, M):
 
 
 def f_moduli(k, W, M):
-    """F^{(k)} extracted from the z^k = u^{2k} slices of the transformed
-    stable series via
-    F^0 = slice_0, F^1 = L_1 F^0 - slice_1, F^2 = slice_2 - L_2 F^0 + L_1 F^1.
+    """F^{(k)}, any integer k >= 0, solved from the z^k = u^{2k} slice
+    slice_{2k} = sum_{j=0..k} (-1)^{k-j} L_j F^{(k-j)} (L_0 = 1) of the
+    transformed stable series: F^{(k)} = (-1)^k slice_{2k}
+    + sum_{j=1..k} (-1)^{j+1} L_j F^{(k-j)}, summed from j = k down.
     M = moduli_caps_for(W, k) keeps the z^k slice exact to weight W."""
     _check_caps("f_moduli", 0, k, W, M)
-    if not 0 <= k <= 2:
-        raise ValueError("f_moduli has k = 0, 1, 2, got %d" % k)
 
     def build():
-        img = transformed_stable(W, M)
-        if k == 0:
-            return img.slice(0)
-        f0 = f_moduli(0, W, M)
-        if k == 1:
-            return apply_L(1, f0) - img.slice(2)
-        return img.slice(4) - apply_L(2, f0) + apply_L(1, f_moduli(1, W, M))
+        out = (-1) ** k * transformed_stable(W, M).slice(2 * k)
+        for j in range(k, 0, -1):
+            out = out + (-1) ** (j + 1) * apply_L(j, f_moduli(k - j, W, M))
+        return out
     return _cached(("F", k, W, M), build)
 
 

@@ -71,7 +71,10 @@ class Laurent:
 
     def slice(self, j):
         """t-polynomial at aux^j, as a family T_Q series with aux 0, exact
-        to the largest weight whose monomials all lie on the staircase."""
+        to the largest weight whose monomials all lie on the staircase;
+        ValueError when even its constant lies above the staircase."""
+        if j > self.base * self.m_cap:
+            raise ValueError("aux^%d is above the staircase, aux <= %d" % (j, self.base * self.m_cap))
         # worst[w]: the largest sum top(d_i) over t-monomials of weight w
         worst = [0]
         for w in range(1, self.w_cap + 1):

@@ -28,8 +28,14 @@ BAD_CALLS = {
     "hook_arm_leg(2,2)": (hook_arm_leg, Partition((2, 2))),
     "a_coeff(-1,0)": (a_coeff, -1, 0),
     "a_coeff(0,-1)": (a_coeff, 0, -1),
-    "f_moduli(3,6)": (f_moduli, 3, 6, 11),
     "f_moduli(-1,6)": (f_moduli, -1, 6, 11),
+    # any int k >= 0 has a slice; a float or a bool k would share its memo key
+    "f_moduli(1.0,6)": (f_moduli, 1.0, 6, 11),
+    "f_moduli(True,6)": (f_moduli, True, 6, 11),
+    # nothing is exact: L_7 lowers the weight below the cap 6, and z^17 = u^34
+    # lies above the staircase u <= 33 of beta^11
+    "f_moduli(7,6)": (f_moduli, 7, 6, 11),
+    "f_moduli(17,6)": (f_moduli, 17, 6, 11),
     # a float cap used to raise TypeError
     "hurwitz_to_hodge(1.0,1)": (hurwitz_to_hodge, 1.0, 1),
     "hurwitz_to_hodge(1,1.0)": (hurwitz_to_hodge, 1, 1.0),

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taulab.cli import VERIFIERS, VERIFY_OPTIONS, build_parser, main
 
@@ -384,22 +384,11 @@ def argvs(draw):
     return argv
 
 
-def _slow(argv):
-    """A valid genus-3 hodge call solves a 10^3-point grid (about 30 s); its
-    argument handling is the same as at genus 2."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:
-        return False
-    return args.command == "hodge" and args.genus >= 3
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argvs())
 def test_random_argv_keeps_exit_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        assume(not _slow(argv))
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage error

@@ -115,21 +115,29 @@ def test_hodge_table_refuses_a_perturbed_lattice_value(bs, monkeypatch):
         hurwitz_to_hodge(2, 2)
 
 
+# caps for F^(0..4) exact to weight 14: the second route for the genus-3 and
+# genus-4 tables and for the z^3 conjugated equation
+M14 = moduli_caps_for(14, 4)
+
+
 def test_hodge_lambda_1_2_entries_match_transform_route():
-    # <prod tau_d lambda_k> = |Aut(ds)| times the coefficient of prod t_d in F^(k)
-    W = 12
-    fs = {k: f_moduli(k, W, moduli_caps_for(W, 2)) for k in (1, 2)}
+    # <prod tau_d lambda_k> = |Aut(ds)| times the coefficient of prod t_d in F^(k),
+    # for every k <= 4 entry of the shapes the weight-14 slices cover
+    fs = {k: f_moduli(k, 14, M14) for k in range(5)}
+    assert [f.cap_weight for f in fs.values()] == [14, 13, 12, 11, 10]
     compared = 0
-    for n in (2, 3):
-        for (k, ds), v in hurwitz_to_hodge(3, n).items():
-            if k in fs:
-                aut = 1
-                for d in set(ds):
-                    aut *= factorial(ds.count(d))
-                assert sum(d + 1 for d in ds) <= fs[k].cap_weight
-                assert fs[k].coeff(0, {d: ds.count(d) for d in ds}) * aut == v, (k, ds)
-                compared += 1
-    assert compared == 26
+    for g, n in ((3, 2), (3, 3), (4, 1), (4, 2), (5, 1)):
+        for (k, ds), v in hurwitz_to_hodge(g, n).items():
+            if k not in fs:
+                assert (g, n, k, ds) == (5, 1, 5, (8,))  # <tau_8 lambda_5> needs z^5
+                continue
+            assert sum(d + 1 for d in ds) <= fs[k].cap_weight, (g, n, k, ds)
+            aut = 1
+            for d in set(ds):
+                aut *= factorial(ds.count(d))
+            assert fs[k].coeff(0, {d: ds.count(d) for d in ds}) * aut == v, (g, n, k, ds)
+            compared += 1
+    assert compared == 16 + 37 + 5 + 26 + 5
 
 
 def test_reduction_is_pure_and_shared_by_solvers():
@@ -410,11 +418,12 @@ def test_conjugated_residuals_vanish_on_extracted_series():
 
 
 def test_conjugated_residual_vanishes_at_z2():
-    # no displayed golden exists at z^2; the extracted series pin it there
-    fs = {k: f_moduli(k, W, M) for k in range(3)}
-    r2 = evaluate(conjugated_equation(2, 2, 2), fs)
-    assert r2.is_zero()
-    assert r2.cap_weight == 4
+    # no displayed golden exists at z^2 or z^3; the extracted series pin them
+    for z, w, m, cap_weight in ((2, W, M, 4), (3, 14, M14, 7)):
+        fs = {k: f_moduli(k, w, m) for k in range(z + 1)}
+        r = evaluate(conjugated_equation(2, 2, z), fs)
+        assert r.is_zero(), z
+        assert r.cap_weight == cap_weight, z
 
 
 def test_kdv_equations():

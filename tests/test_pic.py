@@ -193,6 +193,11 @@ def test_transform_staircase_slices():
     img = chvar_pic(h_onepart_series(W, M) - h_unst_onepart(W, M), q_floor=1)
     assert [img.q_slice(j).cap_weight for j in range(-1, 6)] == \
         [12, 12, 12, 12, 11, 10, 9]
+    # q^14 = beta^7 is exact only in its constant; above it nothing is, so an
+    # empty slice would be no answer
+    assert img.q_slice(2 * M).cap_weight == 0
+    with pytest.raises(ValueError, match="above the staircase"):
+        img.q_slice(2 * M + 1)
     # a non-P input is rejected
     with pytest.raises(ValueError):
         transform_p_to_tq(img.q_slice(1))
