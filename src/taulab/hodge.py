@@ -42,7 +42,7 @@ from math import comb, factorial, prod
 
 from .series import Rat, FAMILY_P, _cached, _check_caps, _make
 from .diffops import evaluate, expand
-from .hurwitz import HurwitzQuery, SIMPLE, hurwitz_frobenius, h_simple_series, h_unst_simple
+from .hurwitz import _simple_numbers, h_simple_series, h_unst_simple
 from .pic import _change_variables, _monomials_up_to_weight
 
 
@@ -251,16 +251,6 @@ def ck_report(kmax, nmax=4):
 # -- ELSV linear solve -------------------------------------------------------------
 
 
-def elsv_scaled_value(g, bs):
-    """h_{g;b} / (m! prod b_i^{b_i}/b_i!), the polynomial part of the count."""
-    q = HurwitzQuery(SIMPLE, g, bs)
-    h = hurwitz_frobenius(q)
-    scale = Rat(factorial(q.branch_points))
-    for b in bs:
-        scale *= Rat(b ** b, factorial(b))
-    return h / scale
-
-
 def stable_dim(g, n):
     """dim = 3g - 3 + n of a stable (g, n); ValueError for an unstable (g, n)
     and for a g or n that is not an integer."""
@@ -277,22 +267,26 @@ def hurwitz_to_hodge(g, n):
     """Solve the lattice interpolation for all brackets <prod tau_{d_i} lambda_k>,
     0 <= k <= g, with the given (g, n); returns {(k, sorted d-tuple): value}.
 
-    By ELSV the scaled count P(a) = elsv_scaled_value(g, a + 1) is a
-    polynomial of total degree dim = 3g-3+n, so it is fixed by its values on
-    the principal lattice {a in N^n : |a| <= dim}, and its coefficient at
-    prod_i C(a_i, e_i) is the forward difference Delta^e P(0) (Newton-Gregory;
-    Gasca-Sauer 2000).  The values are taken on |a| <= dim + 1, one
-    difference pass per axis, and every difference of order dim + 1 must be
-    zero.  A per-axis change of basis from C(b - 1, e) to powers of b then
-    gives the coefficients.  A nonzero difference of order dim + 1, an
-    off-grading coefficient or an asymmetric solve raises ValueError; so does
-    a cap that is not an integer.
+    By ELSV the scaled count P(a) = h_{g;b} / (m! prod b_i^{b_i}/b_i!) at
+    b = a + 1, m = |b| + n + 2g - 2, is a polynomial of total degree
+    dim = 3g-3+n, so it is fixed by its values on the principal lattice
+    {a in N^n : |a| <= dim}, and its coefficient at prod_i C(a_i, e_i) is the
+    forward difference Delta^e P(0) (Newton-Gregory; Gasca-Sauer 2000).  The
+    values are taken on |a| <= dim + 1, from one connected table
+    (``_simple_numbers``), one difference pass per axis, and every
+    difference of order dim + 1 must be zero.  A per-axis change of basis
+    from C(b - 1, e) to powers of b then gives the coefficients.  A nonzero
+    difference of order dim + 1, an off-grading coefficient or an asymmetric
+    solve raises ValueError; so does a cap that is not an integer.
     """
     dim = stable_dim(g, n)
     points = [()]
     for _ in range(n):
         points = [a + (x,) for a in points for x in range(dim + 2 - sum(a))]
-    diff = {a: elsv_scaled_value(g, tuple(x + 1 for x in a)) for a in points}
+    profiles = [tuple(x + 1 for x in a) for a in points]
+    diff = {a: h * prod(map(factorial, b)) / (factorial(sum(b) + n + 2 * g - 2)
+                                               * prod(x ** x for x in b))
+            for a, b, h in zip(points, profiles, _simple_numbers(g, profiles))}
     for i in range(n):
         # each line along axis i: its values become Delta_i^{a_i} at a_i = 0
         for a in points:

@@ -29,11 +29,12 @@ Routes:
     (``_hook_sum``, which pic's brackets share); for the simple kind
     the character sum counts possibly-disconnected covers, and the
     connected values are the coefficients of its logarithm.  One engine
-    (``_connected_rows``) computes that logarithm for each multiset s of
-    parts, in rows indexed by j = k - (|s| - l(s)) up to a cap J: a query
-    reads J = 2g + 2n - 2 (``_connected_simple``, memoized), and
-    h_simple_series(W, M) reads every partition's row at J = M - e(s) from
-    one pass.  The whole-series logarithm is a test oracle;
+    (``_connected_rows``) computes that logarithm for each multiset s of a
+    family closed under sub-multisets, in rows indexed by j = k - (|s| -
+    l(s)) up to a cap J, in one pass per call: one memoized table gives the
+    numbers of a query or of a whole Hodge lattice at J = 2g + 2n - 2
+    (``_simple_numbers``), and h_simple_series(W, M) reads every partition's
+    row at J = M - e(s).  The whole-series logarithm is a test oracle;
   * closed hook series (one-part only): coefficient extraction from
     sum_{a,b} (-1)^b s_{hook(a,b)} e^{f beta}.
 """
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb, factorial, lcm, prod
+from types import MappingProxyType
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue)
@@ -122,8 +124,6 @@ def hurwitz_bruteforce(q):
     d, m = q.degree, q.branch_points
     if d > 5 or m > 7:
         raise ValueError("brute force limited to degree <= 5, branch points <= 7")
-    if m < 0:
-        return Rat(0)
     target = q.cycle_type
     transpositions = [(i, j) for i in range(d) for j in range(i + 1, d)]
     full = (tuple(range(d)),)
@@ -209,71 +209,79 @@ def _onepart_character_sum(nu, m):
 
 def hurwitz_frobenius(q):
     """Character-sum route; one-part directly, simple from the connected table."""
-    d, m = q.degree, q.branch_points
-    if m < 0:
-        return Rat(0)
-    nu, prod_b = q.cycle_type, prod(q.profile)
     if q.kind == ONEPART:
-        return _onepart_character_sum(nu, m) / (d * prod_b)
-    return Rat(_connected_simple(tuple(sorted(nu.multiplicities().items())),
-                                 m - d + len(nu))[1][-1], 2 ** m * factorial(d) * prod_b)
+        return _onepart_character_sum(q.cycle_type, q.branch_points) / (q.degree * prod(q.profile))
+    return _simple_numbers(q.genus, [q.profile])[0]
 
 
-def _connected_simple(vm, J):
-    """Rows (Z, H) of the multiset s = vm = ((b, mult), ...), for j = 0..J.
+def _simple_numbers(g, profiles):
+    """[h_{g;b} for b in profiles], the simple numbers of genus g, from one
+    connected table: the H entry of b at J = 2g + 2 l(b) - 2 is
+    2^m |b|! (prod b) h_{g;b}, with m = |b| + l(b) + 2g - 2 = |b| + J - l(b)."""
+    members = [(tuple((x, b.count(x)) for x in sorted(set(b))), 2 * g + 2 * len(b) - 2)
+               for b in profiles]
+    entries = _connected_simple(tuple(dict.fromkeys(members)))
+    return [Rat(entries[vm, J], 2 ** (sum(b) + J - len(b)) * factorial(sum(b)) * prod(b))
+            for (vm, J), b in zip(members, profiles)]
 
-    Entry j holds the coefficient at beta^k p_s, k = e(s) + j with
-    e(s) = |s| - l(s), of Z = sum (dim/d!) e^{beta f} s_lambda and of
-    H = log Z, each times k! 2^k |s|! z_s, which makes both integers:
-    Z's is sum over lambda of |s| of dim(lambda) chi_lambda(s) (2f)^k, and
-    H's is 2^k |s|! (product of the parts) times the connected number
-    h_{g;s} with k = |s| + l(s) + 2g - 2 branch points, or 0 if no g fits.
-    Both are nonnegative, and vanish below k = e(s) (k transpositions leave
-    at least |s| - k cycles) and at odd j (k - e(s) = 2 l(s) + 2g - 2 for
-    H; for Z, the conjugate of lambda has the opposite f and multiplies
+
+def _connected_simple(members):
+    """{(vm, J): H entry of the multiset vm at j = J} (``_connected_rows``)
+    for a tuple of members (vm, J), J even; read-only, memoized per tuple.
+    The members and their sub-multisets, each with the largest J of a member
+    that contains it, share one ``_connected_rows`` call at K = max(e(vm) +
+    J).  A slot holds its entry times K! / k!, k = e(vm) + J, so each member
+    divides once, and a remainder raises."""
+    def build():
+        family = {}
+        for vm, J in members:
+            for t in [vm] + [t for t, _, _ in _splits(vm)]:
+                family[t] = max(family.get(t, J), J)
+        K = max(_excess(vm) + J for vm, J in members)
+        rows = _connected_rows(dict(sorted(family.items(), key=lambda item: _size(item[0]))), K)
+        out = {}
+        for vm, J in members:
+            out[vm, J], r = divmod(rows[vm][J // 2], factorial(K) // factorial(_excess(vm) + J))
+            if r:
+                raise ValueError("the connected table left a remainder")
+        return MappingProxyType(out)
+    return _cached(("simple", members), build)
+
+
+def _connected_rows(family, K):
+    """{vm: H slots} for the multisets of family = {vm: J}, which lists every
+    sub-multiset of a member before it, with no smaller J (a sub-multiset has
+    no larger excess).  Slot i of s = vm is at j = 2i <= J, k = e(s) + j <= K
+    with e(s) = |s| - l(s).
+
+    Take the coefficients at beta^k p_s of Z = sum (dim/d!) e^{beta f}
+    s_lambda and of H = log Z, each times k! 2^k |s|! z_s, which makes both
+    integers: Z's is sum over lambda of |s| of dim(lambda) chi_lambda(s)
+    (2f)^k, and H's is 2^k |s|! (product of the parts) times the connected
+    number h_{g;s} with k = |s| + l(s) + 2g - 2 branch points, or 0 if no g
+    fits.  Both are nonnegative, and vanish below k = e(s) (k transpositions
+    leave at least |s| - k cycles) and at odd j (k - e(s) = 2 l(s) + 2g - 2
+    for H; for Z, the conjugate of lambda has the opposite f and multiplies
     chi_lambda(s) by (-1)^e(s)).  The number of parts l is a derivation, so
     DZ = Z DH gives l(s) H_{k,s} = l(s) Z_{k,s} - sum l(t) H_{k',t}
     Z_{k-k',s-t} over nonempty proper sub-multisets t of s; scaled, each
     product gains the factor C(k, k') C(|s|, |t|) prod_b C(mult_b(s),
-    mult_b(t)).  e is additive, so j is too, and one cap J serves every
+    mult_b(t)).  e is additive, so j is too, and a cap J serves every
     sub-multiset.
 
     Divided by k!, C(k, k') splits between the two factors, so the sum over
-    k' is a convolution in j; scaled by K! with k <= K, every entry is a
-    nonnegative integer.  So the even j of each row are packed into one
-    integer (``_pack``), with slots wide enough never to carry
-    (``_slot_bytes``), and each product is one multiplication.
+    k' is a convolution in j; scaled by K!, every entry is a nonnegative
+    integer, and that is what a slot holds.  So the Z and H slots of each row
+    are packed into integers (``_pack``) once, at one width that never
+    carries (``_slot_bytes``), and cut to the slots of each multiset they
+    enter: each product is one multiplication.
     """
-    return _cached(("simple", vm, J), _connected_simple_raw, vm, J)
-
-
-def _connected_simple_raw(vm, J):
-    subs = {t: J for t, _, _ in sorted(_splits(vm), key=lambda split: _size(split[0]))}
-    e = _excess(vm)
-    rows, nb = _connected_rows({**subs, vm: J}, e + J)
-    out = []
-    for slots in (_unpack(x, nb, J // 2 + 1) for x in rows[vm]):
-        row = [0] * (J + 1)
-        for i, x in enumerate(slots):
-            row[2 * i], r = divmod(x * factorial(e + 2 * i), factorial(e + J))
-            if r:
-                raise ValueError("the connected table left a remainder")
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _connected_rows(family, K):
-    """({vm: (packed Z, packed H)}, bytes per slot) at k <= K for the
-    multisets of family = {vm: J}, which lists every sub-multiset of a member
-    before it, with no smaller J (a sub-multiset has no larger excess).
-    Each row holds the even j <= J, is packed once, at one slot width, and
-    is cut to the slots of each multiset it enters."""
     nb = _slot_bytes(max(map(_size, family), default=0), K)
     lows = {}  # (size, parity of e): the least e of the family
     for vm in family:
         key = (_size(vm), _excess(vm) % 2)
         lows[key] = min(lows.get(key, K), _excess(vm))
-    exp_rows, rows = {}, {}
+    exp_rows, rows, out = {}, {}, {}
     for vm, J in family.items():
         parts = tuple(b for b, c in reversed(vm) for _ in range(c))
         count = J // 2 + 1
@@ -282,8 +290,9 @@ def _connected_rows(family, K):
         for t, u, w in _splits(vm):
             acc += w * ((rows[t][1] & keep) * (rows[u][0] & keep))
         z = _z_packed(parts, count, K, lows[_size(vm), _excess(vm) % 2], nb, exp_rows)
-        rows[vm] = (z, _pack(_log_slots(len(parts), z, acc, K, nb, count), nb))
-    return rows, nb
+        out[vm] = _log_slots(len(parts), z, acc, K, nb, count)
+        rows[vm] = (z, _pack(out[vm], nb))
+    return out
 
 
 def _size(vm):
@@ -339,7 +348,7 @@ def _slot_bytes(size, K):
     nonnegative integer.  Z's is at most size! (size (size - 1))^k K! / k!
     (|chi| <= dim, sum dim^2 = size!, |2f| <= size (size - 1)) and H's is at
     most Z's.  A slot of the summed products of a multiset s is at most
-    l(s) K! times s's Z slot, as H_s >= 0 (``_connected_simple``), so no
+    l(s) K! times s's Z slot, as H_s >= 0 (``_connected_rows``), so no
     slot reaches size size! (K!)^2 max_k (size (size - 1))^k / k!."""
     kf = factorial(K)
     top = max((size * (size - 1)) ** k * (kf // factorial(k)) for k in range(K + 1))
@@ -404,12 +413,12 @@ def h_simple_series(cap_weight, cap_aux):
         vms = (tuple(sorted(la.multiplicities().items()))
                for la in partitions_upto(cap_weight)[1:])
         family = {vm: K - _excess(vm) for vm in vms if _excess(vm) <= K}
-        rows, nb = _connected_rows(family, K)
+        rows = _connected_rows(family, K)
         num = {}
-        for vm, J in family.items():
+        for vm in family:
             e = _excess(vm)
             scale = top // (factorial(_size(vm)) * prod(b ** c * factorial(c) for b, c in vm))
-            for i, h in enumerate(_unpack(rows[vm][1], nb, J // 2 + 1)):
+            for i, h in enumerate(rows[vm]):
                 if h:
                     num[e + 2 * i, vm] = h * scale << K - e - 2 * i
         return _make(FAMILY_P, cap_weight, K, num, factorial(K) * top << K)
@@ -497,8 +506,6 @@ def hurwitz_closed(q):
     if q.kind != ONEPART:
         raise ValueError("the hook closed form applies to one-part numbers only")
     d, m = q.degree, q.branch_points
-    if m < 0:
-        return Rat(0)
     nu = q.cycle_type
     coeff = hook_series(d, m).coeff(aux=m, vm=nu.multiplicities())
     return coeff * factorial(m) * aut_order(nu) / d

@@ -76,10 +76,7 @@ def _check_vm(family, vm):
 
 def vm_from_dict(d):
     """Canonical variable-monomial from an {index: exponent} mapping."""
-    items = tuple(sorted((i, e) for i, e in d.items() if e))
-    if any(e < 0 for _, e in items):
-        raise ValueError("negative exponent in %r" % (items,))
-    return items
+    return tuple(sorted((i, e) for i, e in d.items() if e))
 
 
 def vm_weight(family, vm):
@@ -194,6 +191,8 @@ class Series:
     def coeff(self, aux=0, vm=()):
         if isinstance(vm, dict):
             vm = vm_from_dict(vm)
+        _check_caps("an auxiliary exponent", 0, aux)
+        _check_vm(self.family, vm)
         return Rat(self.num.get((aux, vm), 0), self.den)
 
     def is_zero(self):

@@ -37,9 +37,13 @@
   equation on every sweep.
 * ``bell_poly_by_set_partitions``: Faa di Bruno's expansion summed over
   every set partition of each monomial's positions, one at a time.
+* ``elsv_scaled_value``: the scaled simple number that the Hodge table
+  fits, one profile at a time, each from its own single-profile
+  ``hurwitz_frobenius`` query rather than one table for a whole lattice.
 * ``hodge_by_tensor_grid``: the Hodge table fitted on the tensor grid of
   per-variable degree 3g-3+n (``tensor_fit``, 1-d Newton fits ``fit_1d``
-  along each axis), verified at one held-out point (``tensor_eval``).
+  along each axis, on ``elsv_scaled_value``), verified at one held-out
+  point (``tensor_eval``).
 * ``lagrange_fit_1d``: the 1-d exact polynomial fit of ``fit_1d`` through
   the Lagrange basis, rebuilt for every node.
 * ``apply_L_by_substitution``: the operator L applied by ``substitute``,
@@ -86,9 +90,9 @@ from math import comb, factorial, prod
 
 from taulab.diffops import DPoly, TOp, ZOp, evaluate
 from taulab.hierarchy import cut_and_join, hirota_residual
-from taulab.hodge import (a_coeff, conjugated_equation, solve_l, elsv_scaled_value,
-                          ModuliPDESolver, _accumulate, _reduce)
-from taulab.hurwitz import HurwitzQuery, ONEPART, hurwitz_frobenius, _exp_schur_sum
+from taulab.hodge import (a_coeff, conjugated_equation, solve_l, ModuliPDESolver,
+                          _accumulate, _reduce)
+from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, hurwitz_frobenius, _exp_schur_sum
 from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, zee,
                                cut_and_join_eigenvalue)
 from taulab.pic import (Laurent, STRING_SOURCE_PIC, _monomials_up_to_weight,
@@ -750,6 +754,17 @@ def tensor_eval(coeffs, point):
             term *= Rat(x) ** e
         acc += term
     return acc
+
+
+def elsv_scaled_value(g, bs):
+    """h_{g;b} / (m! prod b_i^{b_i}/b_i!), the polynomial part of the count,
+    from one single-profile ``hurwitz_frobenius`` query."""
+    q = HurwitzQuery(SIMPLE, g, bs)
+    h = hurwitz_frobenius(q)
+    scale = Rat(factorial(q.branch_points))
+    for b in bs:
+        scale *= Rat(b ** b, factorial(b))
+    return h / scale
 
 
 def hodge_by_tensor_grid(g, n):

@@ -19,6 +19,7 @@ from oracles import (variable, aux_shift, partial, zop_exp, hook_arm_leg,
 
 P1 = variable(FAMILY_P, 1, 4, 2)
 P3 = Series(FAMILY_P, 3, 0, {(0, ((1, 3),)): 1})
+H44 = h_simple_series(4, 4)
 T0 = Series(FAMILY_TQ, 4, 0, {(0, ((0, 1),)): 1})
 
 BAD_CALLS = {
@@ -133,6 +134,12 @@ BAD_CALLS = {
     "Series(T_Q,index -1)": (Series, FAMILY_TQ, 5, 0, {(0, ((-1, 1),)): 1}),
     "Series(P,index 0)": (Series, FAMILY_P, 5, 0, {(0, ((0, 1),)): 1}),
     # a float cap used to be kept, a bool one read as 0 or 1
+    # coeff used to look such a key up as given and answer 0, or for 2.0 the
+    # value at 2: beta^3 p_1 p_2 is 2/3 but read 0 unsorted, and the constant 7
+    # read 0 under p_1^0
+    "coeff(unsorted key)": (Series.coeff, H44, 3, ((2, 1), (1, 1))),
+    "coeff(zero exponent)": (Series.coeff, Series.constant(FAMILY_P, 3, 3, 7), 0, ((1, 0),)),
+    "coeff(float exponent)": (Series.coeff, H44, 3, {1: 2.0}),
     "Series(cap 2.5)": (Series, FAMILY_P, 2.5, 0),
     "Series(cap True)": (Series, FAMILY_P, True, 0),
     # partial(-1) used to give 0 with cap_weight 4, partial(0) 0 in family P

@@ -1,15 +1,16 @@
 from fractions import Fraction as F
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
 
-from taulab import hodge, hurwitz
+from taulab import hodge, hurwitz, series
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.hodge import (a_coeff, elsv_chvar_coeff, transform_p_to_tu,
                           chvar_elsv, derivative_transform_elsv, h_simple_stable,
                           moduli_caps_for, f_moduli, apply_L, solve_l,
                           exp_l_equals_L_check, ck_report,
-                          LISTED_CK, elsv_scaled_value, hurwitz_to_hodge,
+                          LISTED_CK, hurwitz_to_hodge,
                           khat_22, kpbar_22, conjugated_equation, kdv_check,
                           kdv_zpart_as_moduli_poly, ModuliPDESolver)
 from taulab.diffops import evaluate
@@ -18,7 +19,7 @@ from taulab.pic import string_check
 import oracles
 from oracles import (variable, zop_exp, zop_grade, a_alternating, L_grade_per_tuple,
                      build_L_grade, full_rescan, exp_l_operator_route, l_operator,
-                     derivative_inverse_check)
+                     derivative_inverse_check, elsv_scaled_value)
 
 # caps shared by the heavier extraction tests
 W = 10
@@ -92,8 +93,33 @@ def test_pde_solver_matches_entrywise_route(kmax, w):
 @pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 1)])
 def test_hodge_table_matches_entrywise_connected_table(g, n, monkeypatch):
     got = hurwitz_to_hodge(g, n)
-    monkeypatch.setattr(hurwitz, "_connected_simple", oracles.connected_simple_rows)
+    monkeypatch.setattr(hurwitz, "_connected_simple", lambda members: {
+        (vm, J): oracles.connected_simple_rows(vm, J)[1][J] for vm, J in members})
     assert list(hurwitz_to_hodge(g, n).items()) == list(got.items())
+
+
+def test_hodge_table_builds_one_connected_table(monkeypatch):
+    # the whole lattice of (3, 3), b_1 + b_2 + b_3 <= 13, and every
+    # sub-multiset of its profiles make one family, built once at
+    # J = 2g + 2n - 2 = 10 and K = 10 + the largest excess |b| - n = 10
+    monkeypatch.setattr(series, "_memo", {})
+    calls = []
+    rows = hurwitz._connected_rows
+
+    def counting(family, K):
+        calls.append((dict(family), K))
+        return rows(family, K)
+    monkeypatch.setattr(hurwitz, "_connected_rows", counting)
+    hurwitz_to_hodge(3, 3)
+    want = set()
+    for b in product(range(1, 12), repeat=3):
+        if sum(b) <= 13:
+            for r in range(1, 4):
+                for t in combinations(b, r):
+                    want.add(tuple((x, t.count(x)) for x in sorted(set(t))))
+    (family, K), = calls
+    assert set(family) == want and set(family.values()) == {10} and K == 20
+    assert [key[0] for key in series._memo].count("simple") == 1
 
 
 @pytest.mark.parametrize("g, n", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
@@ -108,9 +134,9 @@ def test_hodge_table_matches_tensor_route(g, n):
 def test_hodge_table_refuses_a_perturbed_lattice_value(bs, monkeypatch):
     # (2, 2) reads b_1 + b_2 <= 8: (3, 4) lies inside the fitted lattice, (7, 1)
     # and (2, 6) on the layer whose differences must vanish
-    value = hodge.elsv_scaled_value
-    monkeypatch.setattr(hodge, "elsv_scaled_value",
-                        lambda g, b: value(g, b) + (F(1, 7) if b == bs else 0))
+    numbers = hodge._simple_numbers
+    monkeypatch.setattr(hodge, "_simple_numbers", lambda g, profiles: [
+        h + (F(1, 7) if b == bs else 0) for b, h in zip(profiles, numbers(g, profiles))])
     with pytest.raises(ValueError, match="difference of order 6"):
         hurwitz_to_hodge(2, 2)
 

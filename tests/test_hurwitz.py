@@ -5,8 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taulab import hurwitz
-from taulab.hodge import elsv_scaled_value
+from taulab import hurwitz, series
 from taulab.partitions import (Partition, partitions_of, partitions_upto, aut_order,
                                hook, cut_and_join_eigenvalue)
 from taulab.symfunc import character
@@ -20,7 +19,8 @@ from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
 import oracles
 from oracles import (aux_partial, aux_slice, series_log, disconnected_simple_series,
                      cut_and_join_simple_series, fit_1d, lagrange_fit_1d, tensor_fit,
-                     polynomiality_check, connected_simple_rows, connected_simple_series)
+                     polynomiality_check, connected_simple_rows, connected_simple_series,
+                     elsv_scaled_value)
 
 
 def q1(g, *b):
@@ -263,13 +263,32 @@ def test_simple_series_matches_cut_and_join_equation():
 
 
 def test_connected_table_rows_are_immutable_and_shared():
-    # one memo entry per (multiset, cap), holding tuples
-    Z, H = _connected_simple(((1, 1), (2, 2)), 6)
-    assert type(Z) is tuple and type(H) is tuple and len(H) == 7
-    assert _connected_simple(((2, 1),), 6) is _connected_simple(((2, 1),), 6)
+    # one read-only memo entry per call, shared by a repeat call
+    vm = ((1, 1), (2, 2))
+    members = ((vm, 0), (vm, 4), (((2, 1),), 6))
+    H = _connected_simple(members)
+    assert H is _connected_simple(members) and list(H) == list(members)
+    with pytest.raises(TypeError):
+        H[vm, 0] = 1
     # for p_1 p_2^2, j = 0 is k = e(s) = 2, below every genus, so H is 0
     # there; genus 0 sits at k = d + n - 2 = 6, j = 4, scaled by 2^k d! prod b
-    assert H[0] == 0 and hurwitz_frobenius(qs(0, 2, 2, 1)) == F(H[4], 2 ** 6 * 120 * 4)
+    assert H[vm, 0] == 0 and hurwitz_frobenius(qs(0, 2, 2, 1)) == F(H[vm, 4], 2 ** 6 * 120 * 4)
+
+
+def test_connected_table_refuses_a_remainder(monkeypatch):
+    # a member below K reads its slot times K! / k!: one unit more leaves a
+    # remainder, which raises rather than rounds; on an empty memo, so the
+    # table is built here
+    monkeypatch.setattr(series, "_memo", {})
+    rows = hurwitz._connected_rows
+
+    def bumped(family, K):
+        out = rows(family, K)
+        out[((1, 1),)][0] += 1
+        return out
+    monkeypatch.setattr(hurwitz, "_connected_rows", bumped)
+    with pytest.raises(ValueError, match="remainder"):
+        _connected_simple(((((1, 1),), 0), (((1, 1), (2, 1)), 4)))
 
 
 @pytest.mark.parametrize("W, M", [(8, 12), (10, 19), (12, 22)])
@@ -282,9 +301,13 @@ def test_simple_series_matches_entrywise_table(W, M):
 
 
 def test_single_profile_rows_match_entrywise_table():
+    # one call per multiset reads every even j <= 12: its sub-multisets take
+    # the largest J, and each member is divided back from its own slot
     for la in partitions_upto(10)[1:]:
         vm = tuple(sorted(la.multiplicities().items()))
-        assert _connected_simple(vm, 12) == connected_simple_rows(vm, 12), vm
+        H = connected_simple_rows(vm, 12)[1]
+        got = _connected_simple(tuple((vm, j) for j in range(0, 13, 2)))
+        assert got == {(vm, j): H[j] for j in range(0, 13, 2)}, vm
 
 
 def test_packed_logarithm_refuses_inexact_slots():
