@@ -77,8 +77,7 @@ def evaluate(poly, fs):
       formed only for w1 + w2 <= W and a1 + a2 <= A, and a derivative only
       lowers a slot that is >= 1;
     * d^eta fs[s] is one partial of d^{eta[:-1]} fs[s], computed once per
-      call and kept to weight W plus the most that the rest of any eta it
-      leads to still takes off;
+      call and kept to weight W + H, enough for every eta it leads to;
     * numerators are integers over one denominator, the lcm of every key's
       c.denominator times its factors' denominators, so each key's
       coefficient is an integer multiple of its product.
@@ -93,37 +92,29 @@ def evaluate(poly, fs):
     some = next(iter(fs.values()))
     fam = some.family
     off = var_weight(fam, 0)  # the weight of variable i is i + off
-    W, A, den = some.cap_weight, some.cap_aux, 1
-    lost = {}  # (s, eta): weight(eta), what d^eta takes off fs[s].cap_weight
+    W, A, H, den = some.cap_weight, some.cap_aux, 0, 1
     for key, c in poly.items():
         for s, eta in key:
             f, w = fs[s], 0
             _check_family(some, f)
-            lost[s, ()] = 0
-            for k, i in enumerate(eta, 1):
+            for i in eta:
                 _check_vm(fam, ((i, 1),))
                 if i + off > f.cap_weight - w:
                     raise ValueError("d/d(variable %d) of weight %d exceeds the remaining "
                                      "weight cap %d" % (i, i + off, f.cap_weight - w))
-                w = lost[s, eta[:k]] = w + i + off
-            W, A = min(W, f.cap_weight - w), min(A, f.cap_aux)
+                w += i + off
+            W, A, H = min(W, f.cap_weight - w), min(A, f.cap_aux), max(H, w)
         den = lcm(den, _ratio(c)[1] * prod(fs[s].den for s, _ in key))
-    H = max(lost.values(), default=0)
     bits = max(W + H, A).bit_length()
     mask = (1 << bits) - 1
     shw = bits * (W + H + 1)
     top = (W + 1) << shw  # k < top iff the weight of k is <= W
-    need = {}  # (s, eta): the weight to which d^eta fs[s] is kept
-    for (s, eta), w in lost.items():
-        for k in range(len(eta) + 1):
-            # eta[k:] still takes w - lost[s, eta[:k]] off d^{eta[:k]} fs[s]
-            need[s, eta[:k]] = max(need.get((s, eta[:k]), 0), W + w - lost[s, eta[:k]])
-    table, rows = {}, {}
+    cap = (W + H + 1) << shw  # k < cap iff the weight of k is <= W + H
+    table = {}
 
     def derivative(s, eta):
         got = table.get((s, eta))
         if got is None:
-            cap = (need[s, eta] + 1) << shw
             got = {}
             if eta:
                 wv = eta[-1] + off
@@ -148,10 +139,7 @@ def evaluate(poly, fs):
     def times(piece, s, eta):
         """piece * d^eta fs[s] within (W, A): piece's terms in order, each
         against the factor's by increasing weight."""
-        right = rows.get((s, eta))
-        if right is None:
-            right = rows[s, eta] = sorted(derivative(s, eta).items(),
-                                          key=lambda kn: kn[0] >> shw)
+        right = sorted(derivative(s, eta).items(), key=lambda kn: kn[0] >> shw)
         out = {}
         for k1, n1 in piece.items():
             room = top - (k1 >> shw << shw)

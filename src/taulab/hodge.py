@@ -105,13 +105,12 @@ def derivative_transform_elsv(b):
 
 
 def h_simple_stable(W, M):
-    def build():
-        return h_simple_series(W, M) - h_unst_simple(W, M)
-    return _cached(("H_st", W, M), build)
+    return h_simple_series(W, M) - h_unst_simple(W, M)
 
 
 def moduli_caps_for(W, kmax):
     """Auxiliary cap needed so the z^k slices are exact to weight W."""
+    _check_caps("moduli_caps_for", 0, W, kmax)
     return (2 * kmax + max(5 * (W - 1) + 4, 4 * W) + 2) // 3 + 1
 
 
@@ -483,26 +482,32 @@ KDV_EQUATIONS = {
 }
 
 
-def kdv_zpart_as_moduli_poly(name, zk, kmax):
+def kdv_zpart_as_moduli_poly(name, zk):
     """Expand the z^zk coefficient of a displayed equation over the bold
-    series sum (-z)^k F^{(k)}: returns {multiset of (slice, eta): coeff}."""
-    _check_caps("kdv_zpart_as_moduli_poly", 0, zk, kmax)
+    series sum (-z)^k F^{(k)}: returns {multiset of (slice, eta): coeff}.
+    The slices of each term sum with its z power to zk, so every slice
+    0..zk may enter."""
+    _check_caps("kdv_zpart_as_moduli_poly", 0, zk)
     if name not in KDV_EQUATIONS:
-        raise ValueError("no equation %r at z^%d, slices <= %d" % (name, zk, kmax))
+        raise ValueError("no equation %r at z^%d" % (name, zk))
 
     def build():
         eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
               for etas, c in terms.items()}
         # the displayed equations act on F itself: the identity conjugation
-        out = _distribute(eq, zk, lambda i: [(0, (i,), 1)])
-        return {key: v for key, v in out.items() if all(s <= kmax for s, _ in key)}
-    return _cached(("kdvz", name, zk, kmax), build)
+        return _distribute(eq, zk, lambda i: [(0, (i,), 1)])
+    return _cached(("kdvz", name, zk), build)
 
 
 def kdv_check(name, zk, fs):
-    """Verify the z^zk part of a displayed equation on the given moduli
-    series; returns the residual (zero on the exactly-checked region)."""
-    return evaluate(kdv_zpart_as_moduli_poly(name, zk, max(fs)), fs)
+    """Verify the z^zk part of a displayed equation on the moduli series
+    fs = {k: F^{(k)}}, which must hold every slice 0..zk; returns the
+    residual (zero on the exactly-checked region)."""
+    poly = kdv_zpart_as_moduli_poly(name, zk)
+    if any(k not in fs for k in range(zk + 1)):
+        raise ValueError("kdv_check %s at z^%d reads F^(k) for every k = 0..%d, got k in %r"
+                         % (name, zk, zk, list(fs)))
+    return evaluate(poly, fs)
 
 
 # -- PDE route: solve bracket values from the equations alone ------------------------
@@ -615,8 +620,6 @@ class ModuliPDESolver:
             return {}
         form = _monomial_coeff(k, eta, mono)
         solved = self.solved
-        if not any(p in solved for p in form):
-            return form
         const, out = form.get(None, 0), {}
         for p, c in form.items():
             if p in solved:
@@ -700,7 +703,7 @@ class ModuliPDESolver:
         ds = tuple(ds)
         _check_caps("bracket", 0, k, *ds)
         self.run()
-        form = dict(self._deriv_coeff(k, tuple(sorted(ds)), (), 0, 0))
+        form = self._deriv_coeff(k, tuple(sorted(ds)), (), 0, 0)
         const = form.pop(None, Rat(0))
         if form:
             raise ValueError("unsolved primitives %r" % (sorted(form),))

@@ -289,7 +289,7 @@ def _connected_rows(family, K):
         acc = 0
         for t, u, w in _splits(vm):
             acc += w * ((rows[t][1] & keep) * (rows[u][0] & keep))
-        z = _z_packed(parts, count, K, lows[_size(vm), _excess(vm) % 2], nb, exp_rows)
+        z = _z_packed(parts, K, lows[_size(vm), _excess(vm) % 2], nb, exp_rows)
         out[vm] = _log_slots(len(parts), z, acc, K, nb, count)
         rows[vm] = (z, _pack(out[vm], nb))
     return out
@@ -315,9 +315,9 @@ def _splits(vm):
     return [(t, u, nt * comb(total, size) * w) for t, u, w, nt, size in subs[1:-1]]
 
 
-def _z_packed(parts, count, K, lo, nb, exp_rows):
-    """Z of the multiset s = parts at k = e, e + 2, ... (count entries),
-    e = e(s), each divided by k! and scaled by K!, packed from slot 0: the
+def _z_packed(parts, K, lo, nb, exp_rows):
+    """Z of the multiset s = parts at k = e, e + 2, ..., <= K, e = e(s),
+    each divided by k! and scaled by K!, packed from slot 0: the
     sum over the column of s of chi_lambda(s) times the row of dim(lambda)
     (2f)^k K! / k!.  exp_rows holds that row per mask, packed in absolute
     values at k = lo, lo + 2, ..., K for the given lo <= e with e's parity;
@@ -326,7 +326,6 @@ def _z_packed(parts, count, K, lo, nb, exp_rows):
     the signed rows add up to the packed Z."""
     bits = 8 * nb
     e = sum(parts) - len(parts)
-    keep = (1 << bits * count) - 1
     scales = [(k, factorial(K) // factorial(k)) for k in range(lo, K + 1, 2)]
     z = 0
     for mask, c in _column(parts).items():
@@ -336,7 +335,7 @@ def _z_packed(parts, count, K, lo, nb, exp_rows):
             row = exp_rows[mask, lo] = (_pack([dim * abs(f2) ** k * scale for k, scale in scales],
                                               nb), f2 < 0)
         packed, negative = row
-        z += (-c if negative and e % 2 else c) * (packed >> bits * ((e - lo) // 2) & keep)
+        z += (-c if negative and e % 2 else c) * (packed >> bits * ((e - lo) // 2))
     if z < 0:
         raise ValueError("Z of %r came out negative" % (parts,))
     return z
@@ -470,6 +469,7 @@ def h_unst_simple(cap_weight, cap_aux):
     beta^{b1+b2} b1^b1 b2^b2 / (2 (b1 + b2) b1! b2!) over ordered pairs.
     Every coefficient is an integer over den = 2 lcm(1..W) W!.
     """
+    _check_caps("h_unst_simple", 0, cap_weight, cap_aux)
     W = cap_weight
     den = 2 * lcm(*range(1, W + 1)) * factorial(W)
     num = {(0, ((1, 1),)): den} if W else {}
@@ -494,6 +494,8 @@ def lp(series):
 
 def hook_series(cap_weight, cap_aux):
     """sum_{a,b >= 0} (-1)^b s_{hook(a,b)} e^{f beta}; equals L_p^2 H."""
+    _check_caps("hook_series", 0, cap_weight, cap_aux)
+
     def build():
         return _exp_schur_sum(((hook(d - 1 - b, b), Rat((-1) ** b))
                                for d in range(1, cap_weight + 1) for b in range(d)),

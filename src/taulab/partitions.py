@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .series import _cached
+from .series import _cached, _check_caps
 
 
 class Partition:
@@ -72,8 +72,13 @@ class Partition:
                 out.append((i + 1, self.parts[i]))
         return out
 
+    def _check_row(self, i):
+        if type(i) is not int or not 1 <= i <= len(self.parts):
+            raise ValueError("%r has no row %r" % (self, i))
+
     def remove_corner(self, i):
         """Partition with the corner in row i (1-based) erased."""
+        self._check_row(i)
         if (i, self.parts[i - 1]) not in self.corners():
             raise ValueError("row %d is not a corner of %r" % (i, self.parts))
         parts = list(self.parts)
@@ -85,6 +90,7 @@ class Partition:
     def add_to_part(self, i):
         """Increase part i (1-based, must exist) by one; used for cycle-type
         bumps.  The result is re-sorted since cycle types are multisets."""
+        self._check_row(i)
         parts = list(self.parts)
         parts[i - 1] += 1
         return Partition(sorted(parts, reverse=True))
@@ -98,8 +104,7 @@ class Partition:
 
 def partitions_of(d):
     """All partitions of d, reverse-lexicographic, deterministic."""
-    if d < 0:
-        raise ValueError("cannot partition %d" % d)
+    _check_caps("partitions_of", 0, d)
     return [Partition(p) for p in _parts_tuples(d, d)]
 
 
@@ -118,6 +123,7 @@ def _parts_tuples_raw(d, maxpart):
 
 
 def partitions_upto(d):
+    _check_caps("partitions_upto", 0, d)
     out = []
     for k in range(d + 1):
         out.extend(partitions_of(k))
@@ -156,6 +162,5 @@ def cut_and_join_eigenvalue(p):
 
 def hook(a, b):
     """Diagram with one arm of length a and leg of length b: (a+1, 1^b)."""
-    if a < 0 or b < 0:
-        raise ValueError("hook arm and leg must be >= 0, got %d, %d" % (a, b))
+    _check_caps("hook", 0, a, b)
     return Partition((a + 1,) + (1,) * b)

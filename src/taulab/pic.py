@@ -141,8 +141,7 @@ def _change_variables(series, coeff, aux_exp, base):
                     key = (bs[:i] + (b,) + bs[i:], e + a)
                     nxt[key] = nxt.get(key, 0) + v * c
             k = tm[-1][1] + 1 if tm and tm[-1][0] == d else 1
-            visit({key: v for key, v in nxt.items() if v},
-                  tm[:len(tm) - (k > 1)] + ((d, k),), w + d + 1, scale * s * k,
+            visit(nxt, tm[:len(tm) - (k > 1)] + ((d, k),), w + d + 1, scale * s * k,
                   top - aux_exp(d + 1, d))
 
     visit({((), 0): 1}, (), 0, 1, 0)
@@ -274,12 +273,13 @@ def u_series(W):
 
 
 def _t_terms(F, name):
-    """(numerator, t-monomial, weight) of F's aux^0 terms; a family-P series
-    has no t variables and is refused."""
-    if F.family == FAMILY_P:
-        raise ValueError("%s needs a series in the t variables, got family %s"
-                         % (name, F.family))
-    return [(n, vm, vm_weight(F.family, vm)) for (a, vm), n in F.num.items() if not a]
+    """(numerator, t-monomial, weight) of F's terms.  A family-P series has
+    no t variables, and neither check reads an aux power, so a series with
+    an aux term is refused too."""
+    if F.family == FAMILY_P or any(a for a, _ in F.num):
+        raise ValueError("%s needs a series in the t variables alone, got family %s "
+                         "with aux cap %d" % (name, F.family, F.cap_aux))
+    return [(n, vm, vm_weight(F.family, vm)) for (_, vm), n in F.num.items()]
 
 
 STRING_SOURCE_PIC = {((0, 2),): Rat(1, 2)}

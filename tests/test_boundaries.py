@@ -4,14 +4,16 @@ under ``python -O``."""
 
 import pytest
 
-from taulab.partitions import Partition, partitions_of, hook
+from taulab.partitions import Partition, partitions_of, partitions_upto, hook
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.diffops import TOp, ZOp, evaluate
 from taulab.hierarchy import cut_and_join
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
                           ModuliPDESolver, conjugated_equation, kdv_zpart_as_moduli_poly,
-                          kdv_check, ck_report, exp_l_equals_L_check, solve_l, apply_L)
-from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series
+                          kdv_check, ck_report, exp_l_equals_L_check, solve_l, apply_L,
+                          moduli_caps_for)
+from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series,
+                            h_unst_simple, hook_series)
 from taulab.pic import (bracket, f_series, u_in_T, genus_table, u_hierarchy_residuals,
                         string_check, dilaton_check)
 from oracles import (variable, aux_shift, partial, zop_exp, hook_arm_leg,
@@ -21,6 +23,7 @@ P1 = variable(FAMILY_P, 1, 4, 2)
 P3 = Series(FAMILY_P, 3, 0, {(0, ((1, 3),)): 1})
 H44 = h_simple_series(4, 4)
 T0 = Series(FAMILY_TQ, 4, 0, {(0, ((0, 1),)): 1})
+T10 = Series(FAMILY_TQ, 10, 0, {(0, ((0, 1),)): 1})  # its weight cap admits d^8, as F01 at z^2 needs
 
 BAD_CALLS = {
     "partitions_of(-1)": (partitions_of, -1),
@@ -47,10 +50,14 @@ BAD_CALLS = {
     # a float used to raise TypeError, a bool or a float to be stored under its memo key
     "conjugated_equation(2,2,1.0)": (conjugated_equation, 2, 2, 1.0),
     "conjugated_equation(2,2,True)": (conjugated_equation, 2, 2, True),
-    "kdv_zpart(F01,1.0,1)": (kdv_zpart_as_moduli_poly, "F01", 1.0, 1),
-    "kdv_zpart(F01,True,1)": (kdv_zpart_as_moduli_poly, "F01", True, 1),
-    "kdv_zpart(F01,0,1.5)": (kdv_zpart_as_moduli_poly, "F01", 0, 1.5),
+    "kdv_zpart(F01,1.0,1)": (kdv_zpart_as_moduli_poly, "F01", 1.0),
+    "kdv_zpart(F01,True,1)": (kdv_zpart_as_moduli_poly, "F01", True),
     "kdv_check(F01,1.0)": (kdv_check, "F01", 1.0, {0: T0}),
+    # z^zk reads every slice 0..zk: without slice 2 the residual read zero, without
+    # slice 1 a true equation left a residual, and without slice 0 a KeyError
+    "kdv_check(F01,2,{0,1})": (kdv_check, "F01", 2, {0: T10, 1: T10}),
+    "kdv_check(F01,1,{0})": (kdv_check, "F01", 1, {0: T10}),
+    "kdv_check(F01,1,{1})": (kdv_check, "F01", 1, {1: T10}),
     # refused up front: expanded without the check, k = -1 gives an empty
     # series at cap_weight + 1
     "apply_L(-1)": (apply_L, -1, T0),
@@ -77,9 +84,8 @@ BAD_CALLS = {
     "bracket(0,(-1,2))": (ModuliPDESolver.bracket, ModuliPDESolver(0, 1), 0, (-1, 2)),
     "bracket(-1,(0,0,0))": (ModuliPDESolver.bracket, ModuliPDESolver(0, 1), -1, (0, 0, 0)),
     "conjugated_equation(2,2,-1)": (conjugated_equation, 2, 2, -1),
-    "kdv_zpart(F01,-1,0)": (kdv_zpart_as_moduli_poly, "F01", -1, 0),
-    "kdv_zpart(F01,0,-1)": (kdv_zpart_as_moduli_poly, "F01", 0, -1),
-    "kdv_zpart(nope,0,0)": (kdv_zpart_as_moduli_poly, "nope", 0, 0),
+    "kdv_zpart(F01,-1,0)": (kdv_zpart_as_moduli_poly, "F01", -1),
+    "kdv_zpart(nope,0,0)": (kdv_zpart_as_moduli_poly, "nope", 0),
     "ck_report(0)": (ck_report, 0),
     "ck_report(2,nmax=-1)": (ck_report, 2, -1),
     "exp_l_equals_L_check(-1,3)": (exp_l_equals_L_check, -1, 3),
@@ -160,6 +166,26 @@ BAD_CALLS = {
     # a family-P series has no t variables; both checks used to return False
     "string_check(P)": (string_check, P3),
     "dilaton_check(P)": (dilaton_check, P3),
+    # neither check reads an aux power: both used to pass on any aux term
+    "string_check(aux term)": (string_check, Series(FAMILY_TQ, 4, 2, {(1, ((0, 2),)): 7}), {}),
+    "dilaton_check(aux term)": (dilaton_check, Series(FAMILY_TQ, 4, 2, {(1, ((1, 1),)): 1})),
+    # a negative cap used to be kept, a float one to raise TypeError or return a float
+    "hook_series(-1,2)": (hook_series, -1, 2),
+    "hook_series(2.0,2)": (hook_series, 2.0, 2),
+    "h_unst_simple(3,-1)": (h_unst_simple, 3, -1),
+    "h_unst_simple(2.5,1)": (h_unst_simple, 2.5, 1),
+    "moduli_caps_for(2.0,2)": (moduli_caps_for, 2.0, 2),
+    "moduli_caps_for(-1,2)": (moduli_caps_for, -1, 2),
+    # 2.0 used to share the memo key of 2 and True read as 1; upto(-1) gave []
+    "partitions_of(2.0)": (partitions_of, 2.0),
+    "partitions_of(True)": (partitions_of, True),
+    "partitions_upto(-1)": (partitions_upto, -1),
+    "hook(True,0)": (hook, True, 0),
+    # row 0 and row -1 used to bump the last part, row 5 to raise IndexError
+    "add_to_part(0)": (Partition.add_to_part, Partition((2, 1)), 0),
+    "add_to_part(-1)": (Partition.add_to_part, Partition((3, 1)), -1),
+    "add_to_part(5)": (Partition.add_to_part, Partition((3, 1)), 5),
+    "remove_corner(5)": (Partition.remove_corner, Partition((3, 1)), 5),
     # used to raise StopIteration
     "evaluate({},{})": (evaluate, {}, {}),
 }

@@ -188,6 +188,7 @@ def test_clean_error_for_invalid_method_combination(capsys):
     "bracket-table --genus -1",
     "hodge --genus 1 --indices 1 --k -1",
     "series --build simple-h --cap-weight -1",
+    "series --build hooks --cap-weight -1",
     # the bracket series have no aux variable: --cap-aux used to be ignored
     "series --build f --cap-weight 4 --cap-aux 5",
     "series --build u --cap-aux 0",

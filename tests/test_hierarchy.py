@@ -377,7 +377,7 @@ def test_evaluate_matches_term_by_term_on_hirota_and_kdv():
                in hirota_form(i, j).terms.items()}, {0: t})
              for i, j in ((2, 2), (2, 3)) for t in (tau, bumped)]
     fs = {s: f_moduli(s, 10, moduli_caps_for(10, 1)) for s in range(2)}
-    poly = kdv_zpart_as_moduli_poly("F02", 1, 1)
+    poly = kdv_zpart_as_moduli_poly("F02", 1)
     cases += [(poly, fs), (poly, {0: fs[1], 1: fs[0]})]
     zero = []
     for poly, fs in cases:
@@ -451,14 +451,14 @@ def test_packed_residuals_match_oracle_on_u_kdv_and_wide_slots():
     fs = {k: f_moduli(k, 8, moduli_caps_for(8, 2)) for k in range(3)}
     for name in KDV_EQUATIONS:
         for zk in KDV_EQUATIONS[name]:
-            poly = kdv_zpart_as_moduli_poly(name, zk, zk)
+            poly = kdv_zpart_as_moduli_poly(name, zk)
             sub = {k: fs[k] for k in range(zk + 1)}
             want = evaluate_by_series(poly, sub)
             assert want.is_zero()
             assert_identical(evaluate(poly, sub), want)
     # F01 on a perturbed F^(0) has a nonzero residual
     f0 = fs[0] + Series(FAMILY_TQ, 8, 0, {(0, ((0, 2), (1, 1))): F(1, 5), (0, ((2, 1),)): 3})
-    poly = kdv_zpart_as_moduli_poly("F01", 0, 0)
+    poly = kdv_zpart_as_moduli_poly("F01", 0)
     want = evaluate_by_series(poly, {0: f0})
     assert not want.is_zero()
     assert_identical(evaluate(poly, {0: f0}), want)

@@ -180,12 +180,12 @@ def test_reduction_is_pure_and_shared_by_solvers():
 
 
 def test_kdv_zpart_is_memoised_and_left_alone():
-    poly = kdv_zpart_as_moduli_poly("F01", 1, 1)
-    assert kdv_zpart_as_moduli_poly("F01", 1, 1) is poly
+    poly = kdv_zpart_as_moduli_poly("F01", 1)
+    assert kdv_zpart_as_moduli_poly("F01", 1) is poly
     before = dict(poly)
     fs = {s: f_moduli(s, W, M) for s in range(2)}
     assert kdv_check("F01", 1, fs).is_zero()
-    assert kdv_zpart_as_moduli_poly("F01", 1, 1) is poly and poly == before
+    assert kdv_zpart_as_moduli_poly("F01", 1) is poly and poly == before
 
 
 def test_transform_images_of_p():
