@@ -23,7 +23,7 @@ from importlib import import_module
 # the public names of each home module, in the order of __all__; hurwitz()
 # stays in taulab.hurwitz, so that taulab.hurwitz is the submodule
 _EXPORTS = {
-    "series": ("Series", "Rat", "FAMILY_P", "FAMILY_TQ", "FAMILY_TU"),
+    "series": ("Series", "Rat", "FAMILY_P", "FAMILY_TQ"),
     "partitions": ("Partition", "partitions_of", "partitions_upto", "aut_order",
                    "zee", "class_size", "hook", "cut_and_join_eigenvalue"),
     "symfunc": ("character", "dimension", "schur_poly", "power_to_schur"),

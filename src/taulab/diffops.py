@@ -1,10 +1,10 @@
 """Finite differential operators.
 
-``expand`` is the one routine that multiplies out a symbol substitution:
-the product over factors of a sum of graded symbol tuples.  DPoly products
-and the binomial change of derivative variables call it, and so do the
-transformed KP equation, its conjugation, the displayed KdV equations and
-the operator L (``apply_L``) in ``hodge``.
+``expand`` is the one routine that multiplies out a symbol substitution,
+sum c * prod over factors of a sum of graded symbol tuples, for a whole
+polynomial in one call: DPoly products, the binomial change of derivative
+variables, and in ``hodge`` the transformed KP equation, its conjugation,
+the displayed KdV equations and the operator L (``apply_L``).
 
 ``evaluate`` is the one evaluator of polynomials in partial derivatives of
 one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
@@ -38,25 +38,28 @@ from math import comb, lcm, prod
 from .series import Rat, _check_family, _check_vm, _make, _ratio, var_weight
 
 
-def expand(factors, image, cap=None):
-    """Multiply out prod over factors f of sum image(f): {(grade, key): coeff}.
+def expand(terms, image, cap=None):
+    """sum c * prod_f sum image(f) over terms (grade, factors, c): {(grade, key): coeff}.
 
-    image(f) lists (grade, symbols, coeff) and is called once per factor.
-    Grades add and a grade above cap is dropped; the key is the sorted
-    concatenation of the chosen symbol tuples; zero coefficients drop out.
-    The empty product is the integer 1, so integer images give integers."""
-    acc = {(0, ()): 1}
-    for f in factors:
-        step = {}
-        terms = image(f)
-        for (g0, key0), c0 in acc.items():
-            for g, syms, c in terms:
-                if cap is not None and g0 + g > cap:
-                    continue
-                key = (g0 + g, tuple(sorted(key0 + syms)))
-                step[key] = step.get(key, 0) + c0 * c
-        acc = step
-    return {key: c for key, c in acc.items() if c}
+    image(f) lists (grade, symbols, coeff) and is called once per factor of each
+    term.  A term's product starts at its grade, grades add and a grade above cap
+    is dropped; the key is the sorted concatenation of the chosen symbol tuples.
+    Each product is taken in the images' own coefficients (integer images give
+    integers) and scaled by c once per key; zero sums drop out."""
+    out = {}
+    for g0, factors, c in terms:
+        acc = {(g0, ()): 1} if cap is None or g0 <= cap else {}
+        for f in factors:
+            step, images = {}, image(f)
+            for (ga, key0), ca in acc.items():
+                for g, syms, ci in images:
+                    if cap is None or ga + g <= cap:
+                        key = (ga + g, tuple(sorted(key0 + syms)))
+                        step[key] = step.get(key, 0) + ca * ci
+            acc = step
+        for key, v in acc.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 def evaluate(poly, fs):
@@ -227,7 +230,8 @@ class DPoly:
     def __mul__(self, other):
         if isinstance(other, DPoly):
             return _dpoly({mono: c for (_, mono), c in expand(
-                (self, other), lambda p: [(0, m, k) for m, k in p.terms.items()]).items()})
+                [(0, (self, other), 1)],
+                lambda p: [(0, m, k) for m, k in p.terms.items()]).items()})
         c = Rat(other)
         return _dpoly({k: v * c for k, v in self.terms.items()} if c else {})
 
@@ -275,12 +279,8 @@ class DPoly:
         this change of variables equals beta^{n/2} e^{S/sqrt(beta)} on
         quasihomogeneous polynomials.
         """
-        out = {}
-        for mono, c in self.terms.items():
-            for key, v in expand(mono, lambda i: [(k, (k,), comb(i - 1, k - 1))
-                                                  for k in range(1, i + 1)]).items():
-                out[key] = out.get(key, Rat(0)) + c * v
-        return {k: v for k, v in out.items() if v}
+        return expand(((0, mono, c) for mono, c in self.terms.items()),
+                      lambda i: [(k, (k,), comb(i - 1, k - 1)) for k in range(1, i + 1)])
 
 
 # -- normal-ordered t-variable operators --------------------------------------

@@ -19,8 +19,8 @@ Conventions pinned here (each enforced by tests against displayed values):
   gives F^{(k)} for every k (``f_moduli``).  L = :exp(A): is
   the normal-ordered exponential of the lowering matrix A[n][n+k] =
   z^k a(n, k), so it is the substitution t -> (1 + A)^T t, and ``apply_L``
-  multiplies that substitution out by ``diffops.expand``, one monomial at a
-  time.  The first-order l whose matrix is M = log(1 + A) (finite, since A
+  multiplies that substitution out by ``diffops.expand``, every monomial in
+  one call.  The first-order l whose matrix is M = log(1 + A) (finite, since A
   raises the z-degree) is a linear vector field, so exp(l) substitutes by
   exp(M): L = exp(l) exactly when exp(M) = 1 + A (``exp_l_equals_L_check``).
   Conjugation acts on each derivative as
@@ -142,8 +142,8 @@ def f_moduli(k, W, M):
 def apply_L(k, f):
     """z^k part of L f for a series f in the t variables alone: the z^k slice
     of the substitution t_m -> sum_{j >= 0} z^j a(m - j, j) t_{m-j}, which
-    lowers the weight by k, so it is exact to cap_weight - k.  Each monomial
-    of f is multiplied out by ``diffops.expand`` in integers, capped at z^k."""
+    lowers the weight by k, so it is exact to cap_weight - k.  f is multiplied
+    out by one ``diffops.expand`` call in integers, capped at z^k."""
     _check_caps("apply_L", 0, k)
     w = f.cap_weight - k
     if w < 0:
@@ -153,14 +153,11 @@ def apply_L(k, f):
         raise ValueError("L acts on series in the t variables alone")
     images = {m: [(j, (m - j,), a_coeff(m - j, j).numerator) for j in range(min(m, k) + 1)]
               for m in range(f.cap_weight)}
-    num = {}
-    for (_, vm), n in f.num.items():
-        for (z, ms), c in expand([m for m, e in vm for _ in range(e)], images.__getitem__,
-                                 k).items():
-            if z == k:
-                key = (0, tuple((m, len(list(run))) for m, run in groupby(ms)))
-                num[key] = num.get(key, 0) + n * c
-    return _make(f.family, w, f.cap_aux, num, f.den)
+    got = expand(((0, [m for m, e in vm for _ in range(e)], n) for (_, vm), n in f.num.items()),
+                 images.__getitem__, k)
+    return _make(f.family, w, f.cap_aux,
+                 {(0, tuple((m, len(list(run))) for m, run in groupby(ms))): c
+                  for (z, ms), c in got.items() if z == k}, f.den)
 
 
 def _row_series(n, kmax, entry, coeff):
@@ -348,11 +345,7 @@ def khat_22():
         return [(0, (eta,), 1),
                 (a + b, (), Rat(a ** a * b ** b, (a + b) * factorial(a) * factorial(b)))]
 
-    out = {}
-    for etas, c in kp_form(2, 2).terms.items():
-        for key, v in expand(etas, image).items():
-            out[key] = out.get(key, Rat(0)) + c * v
-    out = {k: v for k, v in out.items() if v}
+    out = expand(((0, etas, c) for etas, c in kp_form(2, 2).terms.items()), image)
     if any(not etas for (_, etas) in out):
         raise ValueError("the pure-constant part of KP_{2,2} did not cancel")
     return out
@@ -363,17 +356,12 @@ def kpbar_22():
     power: {(z, t_etas): coeff}.  Matches the displayed form."""
     def image(eta):
         # d^eta/dp through the derivative transform, graded by the u power
-        inner = expand(eta, lambda b: [(u, (d,), c) for d, u, c
-                                       in derivative_transform_elsv(b)])
+        inner = expand([(0, eta, 1)], lambda b: [(u, (d,), c) for d, u, c
+                                                 in derivative_transform_elsv(b)])
         return [(u, (teta,), c) for (u, teta), c in inner.items()]
 
-    raw = {}
-    for (bexp, etas), c in khat_22().items():
-        # beta^bexp carries u^{3 bexp}
-        for (u, tetas), v in expand(etas, image).items():
-            key = (3 * bexp + u, tetas)
-            raw[key] = raw.get(key, Rat(0)) + c * v
-    raw = {k: v for k, v in raw.items() if v}
+    # beta^bexp carries u^{3 bexp}
+    raw = expand(((3 * bexp, etas, c) for (bexp, etas), c in khat_22().items()), image)
     base = min(u for u, _ in raw)
     if any((u - base) % 2 for u, _ in raw):
         raise ValueError("the u powers of KP_{2,2} in the t picture differ in parity")
@@ -407,16 +395,12 @@ def _distribute(eq, k, conj):
     index i has the z-graded image conj(i) = [(z, (i',), coeff)], expanded
     over the bold series sum (-z)^s F^{(s)}: {multiset of (s, eta'): coeff}."""
     def image(eta):
-        graded = expand(eta, conj, k)
+        graded = expand([(0, eta, 1)], conj, k)
         return [(z + s, ((s, dm),), c * (-1) ** s) for z in range(k + 1)
                 for s in range(k - z + 1) for (zz, dm), c in graded.items() if zz == z]
 
-    out = {}
-    for (z0, etas), c in eq.items():
-        for (z, key), v in expand(etas, image, k - z0).items():
-            if z == k - z0:
-                out[key] = out.get(key, Rat(0)) + c * v
-    return {key: v for key, v in out.items() if v}
+    return {key: v for (z, key), v in expand(((z0, etas, c) for (z0, etas), c in eq.items()),
+                                              image, k).items() if z == k}
 
 
 # -- displayed hierarchy equations on the moduli series ------------------------------

@@ -449,6 +449,7 @@ def h_onepart_series(cap_weight, cap_aux):
 
 def h_unst_onepart(cap_weight, cap_aux):
     """Unstable part (g = 0, n <= 2) of the one-part H, closed form."""
+    _check_caps("h_unst_onepart", 0, cap_weight, cap_aux)
     items = []
     for b in range(1, cap_weight + 1):
         items.append((0, {b: 1}, Rat(1, b * b)))

@@ -1,13 +1,11 @@
 """Truncated sparse multivariate power series over exact rationals.
 
-Every series lives in one of three variable families:
+Every series lives in one of two variable families:
 
 * ``P``:   auxiliary variable beta, main variables p_1, p_2, ... with
   weight(p_b) = b.
 * ``T_Q``: auxiliary variable q (q^2 = beta), main variables t_0, t_1, ...
   with weight(t_d) = d + 1.
-* ``T_U``: auxiliary variable u (u^3 = beta, z = u^2), main variables
-  t_0, t_1, ... with weight(t_d) = d + 1.
 
 A monomial is stored as ``(aux_exponent, ((index, exponent), ...))`` with the
 variable pairs sorted by index and all exponents positive; ``Series`` refuses
@@ -16,7 +14,7 @@ eager: a series never stores a term whose weight exceeds ``cap_weight`` or
 whose auxiliary exponent exceeds ``cap_aux``, and never stores a zero
 coefficient.  Coefficients are integer numerators over one denominator, and
 the arithmetic reduces each result once, not each term; a product of two
-series (and so ``**``) is one ``diffops.evaluate`` call, as are derivatives.
+series is one ``diffops.evaluate`` call, as are derivatives.
 Every coefficient handed out (``terms``, ``coeff``, ``to_jsonable``) is an
 exact ``Fraction``; coefficients and scalars taken in must be ``int`` or
 ``Fraction``.  There is no floating point anywhere."""
@@ -32,8 +30,7 @@ Rat = Fraction
 
 FAMILY_P = "P"
 FAMILY_TQ = "T_Q"
-FAMILY_TU = "T_U"
-FAMILIES = (FAMILY_P, FAMILY_TQ, FAMILY_TU)
+FAMILIES = (FAMILY_P, FAMILY_TQ)
 
 # The process-wide memo of every layer.  Each key starts with a tag naming
 # its use ("char", "bracket", "d_mu", "H_simple", ...), so uses cannot
@@ -167,10 +164,6 @@ class Series:
         return cls(family, cap_weight, cap_aux)
 
     @classmethod
-    def constant(cls, family, cap_weight, cap_aux, value):
-        return cls(family, cap_weight, cap_aux, {(0, ()): value})
-
-    @classmethod
     def from_terms(cls, family, cap_weight, cap_aux, items):
         """items: iterable of (aux, {index: exp} or vm tuple, coeff)."""
         terms = {}
@@ -248,18 +241,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers need an integer n >= 0, got %r" % (n,))
-        result = Series.constant(self.family, self.cap_weight, self.cap_aux, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __truediv__(self, other):
         p, q = _ratio(other)
         return self * (Rat(q) / p)
@@ -285,7 +266,7 @@ class Series:
         """Readable rendering of every term, deterministic order."""
         if not self.num:
             return "0"
-        names = {FAMILY_P: ("beta", "p"), FAMILY_TQ: ("q", "t"), FAMILY_TU: ("u", "t")}
+        names = {FAMILY_P: ("beta", "p"), FAMILY_TQ: ("q", "t")}
         auxn, varn = names[self.family]
         bits = []
         for (aux, vm), c in self.sorted_terms():
@@ -304,8 +285,8 @@ class Series:
     def to_jsonable(self):
         """JSON object with exponent vectors (aux, slot1, slot2, ...).
 
-        Slot i holds p_i (family P) or t_{i-1} (families T_*), matching the
-        canonical variable order (beta|q|u, p_1/t_0, p_2/t_1, ...).
+        Slot i holds p_i (family P) or t_{i-1} (family T_Q), matching the
+        canonical variable order (beta|q, p_1/t_0, p_2/t_1, ...).
         """
         width = 0
         for _, vm in self.num:

@@ -63,7 +63,7 @@
 
 Series, partition and operator methods that no library code calls:
 
-* ``variable``, ``series_exp``, ``series_inverse``, ``aux_slice``,
+* ``constant``, ``variable``, ``series_exp``, ``series_inverse``, ``aux_slice``,
   ``aux_shift``, ``aux_partial`` and ``substitute`` on ``Series``, and
   ``partial``, the derivative in one main variable as one ``evaluate``
   call;
@@ -121,6 +121,11 @@ def partial(s, index):
     return evaluate({((0, (index,)),): 1}, {0: s})
 
 
+def constant(family, cap_weight, cap_aux, value):
+    """The series equal to value."""
+    return Series(family, cap_weight, cap_aux, {(0, ()): value})
+
+
 def variable(family, index, cap_weight, cap_aux, coeff=1):
     """The series coeff * x_index; an index that is not a variable of the
     family is refused by ``Series``."""
@@ -131,7 +136,7 @@ def series_exp(s):
     """exp of a series with zero constant term."""
     if s.constant_term():
         raise ValueError("exp needs zero constant term")
-    acc = term = Series.constant(s.family, s.cap_weight, s.cap_aux, 1)
+    acc = term = constant(s.family, s.cap_weight, s.cap_aux, 1)
     # each factor raises weight + aux by at least 1
     for k in range(1, s.cap_weight + s.cap_aux + 1):
         term = term * s * Rat(1, k)
@@ -147,7 +152,7 @@ def series_inverse(s):
     if not c0:
         raise ValueError("inverse needs nonzero constant term")
     y = s / c0 - 1
-    acc = term = Series.constant(s.family, s.cap_weight, s.cap_aux, 1)
+    acc = term = constant(s.family, s.cap_weight, s.cap_aux, 1)
     for k in range(1, s.cap_weight + s.cap_aux + 1):
         term = term * y
         if term.is_zero():
@@ -295,7 +300,7 @@ def series_log(s):
         raise ValueError("log needs constant term 1")
     x = s - 1
     acc = Series.zero(s.family, s.cap_weight, s.cap_aux)
-    term = Series.constant(s.family, s.cap_weight, s.cap_aux, 1)
+    term = constant(s.family, s.cap_weight, s.cap_aux, 1)
     for k in range(1, s.cap_weight + s.cap_aux + 1):
         term = term * x
         if term.is_zero():
@@ -543,7 +548,7 @@ def term_by_term(poly, fs):
     some = next(iter(fs.values()))
     out = Series.zero(some.family, some.cap_weight, some.cap_aux)
     for key, c in poly.items():
-        piece = Series.constant(some.family, some.cap_weight, some.cap_aux, c)
+        piece = constant(some.family, some.cap_weight, some.cap_aux, c)
         for s, eta in key:
             factor = fs[s]
             for i in eta:

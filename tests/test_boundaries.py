@@ -7,16 +7,17 @@ import pytest
 from taulab.partitions import Partition, partitions_of, partitions_upto, hook
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.diffops import TOp, ZOp, evaluate
-from taulab.hierarchy import cut_and_join
+from taulab.symfunc import character, schur_poly
+from taulab.hierarchy import cut_and_join, character_identity_check
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
                           ModuliPDESolver, conjugated_equation, kdv_zpart_as_moduli_poly,
                           kdv_check, ck_report, exp_l_equals_L_check, solve_l, apply_L,
                           moduli_caps_for)
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series,
-                            h_unst_simple, hook_series)
+                            h_unst_simple, h_unst_onepart, hook_series, hurwitz)
 from taulab.pic import (bracket, f_series, u_in_T, genus_table, u_hierarchy_residuals,
                         string_check, dilaton_check)
-from oracles import (variable, aux_shift, partial, zop_exp, hook_arm_leg,
+from oracles import (constant, variable, aux_shift, partial, zop_exp, hook_arm_leg,
                      hook_sum_identity_check, polynomiality_check, derivative_transform_pic)
 
 P1 = variable(FAMILY_P, 1, 4, 2)
@@ -74,8 +75,6 @@ BAD_CALLS = {
     "derivative_transform_elsv(0)": (derivative_transform_elsv, 0),
     "variable(P,0)": (variable, FAMILY_P, 0, 4, 0),
     "variable(T_Q,-1)": (variable, FAMILY_TQ, -1, 4, 0),
-    # under -O a negative power used to loop forever (-1 >> 1 == -1)
-    "pow(-1)": (Series.__pow__, P1, -1),
     "aux_shift(-2)": (aux_shift, P1, -2),
     "cut_and_join(T_Q)": (cut_and_join, variable(FAMILY_TQ, 0, 4, 0)),
     "ZOp.exp(z^0 part)": (zop_exp, ZOp({0: TOp({((), ()): 1})}), 2),
@@ -98,7 +97,7 @@ BAD_CALLS = {
     "ck_report(2.0,3)": (ck_report, 2.0, 3),
     # a float used to be stored as its binary value, 0.1 as 3602879701896397/2^55
     "Series(terms=0.1)": (Series, FAMILY_P, 4, 2, {(0, ()): 0.1}),
-    "constant(0.1)": (Series.constant, FAMILY_P, 4, 2, 0.1),
+    "constant(0.1)": (constant, FAMILY_P, 4, 2, 0.1),
     "variable(coeff=0.1)": (variable, FAMILY_P, 1, 4, 2, 0.1),
     "from_terms(0.1)": (Series.from_terms, FAMILY_P, 4, 2, [(0, {1: 1}, 0.1)]),
     "P1*0.1": (Series.__mul__, P1, 0.1),
@@ -144,7 +143,7 @@ BAD_CALLS = {
     # value at 2: beta^3 p_1 p_2 is 2/3 but read 0 unsorted, and the constant 7
     # read 0 under p_1^0
     "coeff(unsorted key)": (Series.coeff, H44, 3, ((2, 1), (1, 1))),
-    "coeff(zero exponent)": (Series.coeff, Series.constant(FAMILY_P, 3, 3, 7), 0, ((1, 0),)),
+    "coeff(zero exponent)": (Series.coeff, constant(FAMILY_P, 3, 3, 7), 0, ((1, 0),)),
     "coeff(float exponent)": (Series.coeff, H44, 3, {1: 2.0}),
     "Series(cap 2.5)": (Series, FAMILY_P, 2.5, 0),
     "Series(cap True)": (Series, FAMILY_P, True, 0),
@@ -174,6 +173,7 @@ BAD_CALLS = {
     "hook_series(2.0,2)": (hook_series, 2.0, 2),
     "h_unst_simple(3,-1)": (h_unst_simple, 3, -1),
     "h_unst_simple(2.5,1)": (h_unst_simple, 2.5, 1),
+    "h_unst_onepart(2.0,1)": (h_unst_onepart, 2.0, 1),
     "moduli_caps_for(2.0,2)": (moduli_caps_for, 2.0, 2),
     "moduli_caps_for(-1,2)": (moduli_caps_for, -1, 2),
     # 2.0 used to share the memo key of 2 and True read as 1; upto(-1) gave []
@@ -188,6 +188,13 @@ BAD_CALLS = {
     "remove_corner(5)": (Partition.remove_corner, Partition((3, 1)), 5),
     # used to raise StopIteration
     "evaluate({},{})": (evaluate, {}, {}),
+    # refusals that no other test reached
+    "Series(family X)": (Series, "X", 2, 2),
+    "character((2),(1))": (character, Partition((2,)), Partition((1,))),
+    "schur_poly((3),2)": (schur_poly, Partition((3,)), 2),
+    "character_identity_check((2),(2))": (character_identity_check, Partition((2,)),
+                                          Partition((2,))),
+    "hurwitz(method=x)": (hurwitz, HurwitzQuery(ONEPART, 0, (2,)), "x"),
 }
 
 

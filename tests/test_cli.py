@@ -240,6 +240,9 @@ SERIES_FILE_DEFECTS = {
     "caps a string": _series_file(caps="4,2"),
     "int coeff": _series_file(row={"exp": [0, 2], "coeff": 1}),
     "int exp": _series_file(row={"exp": 2, "coeff": "1/2"}),
+    "empty exp": _series_file(row={"exp": [], "coeff": "1/2"}),
+    "coeff without denominator": _series_file(row={"exp": [0, 2], "coeff": "1"}),
+    "coeff not a number": _series_file(row={"exp": [0, 2], "coeff": "1/x"}),
     "fractional cap": _series_file(caps={"weight": 4.5, "aux": 2}),
     "boolean cap": _series_file(caps={"weight": True, "aux": 2}),
     "missing caps": {"family": "P", "terms": [{"exp": [0, 2], "coeff": "1/2"}]},

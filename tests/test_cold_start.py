@@ -86,7 +86,7 @@ def test_star_import_binds_each_name_to_its_home_object():
 
 def test_public_names_in_order():
     assert taulab.__all__ == [
-        "Series", "Rat", "FAMILY_P", "FAMILY_TQ", "FAMILY_TU",
+        "Series", "Rat", "FAMILY_P", "FAMILY_TQ",
         "Partition", "partitions_of", "partitions_upto", "aut_order", "zee",
         "class_size", "hook", "cut_and_join_eigenvalue",
         "character", "dimension", "schur_poly", "power_to_schur",

@@ -17,8 +17,8 @@ from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               hirota_s_tensor, weight_flow_equivalence_check,
                               bell_poly, _hirota_pairs, _leibniz, _bilinear)
 
-from oracles import (variable, bell_poly_by_set_partitions, term_by_term, kp_residual_exp,
-                     evaluate_by_series)
+from oracles import (constant, variable, bell_poly_by_set_partitions, term_by_term,
+                     kp_residual_exp, evaluate_by_series)
 
 P = Partition
 
@@ -38,23 +38,47 @@ def test_dmu_displayed_list():
 
 
 def test_expand():
-    assert expand([], lambda f: [(1, (f,), 2)]) == {(0, ()): 1}
-    assert expand([], lambda f: [], cap=0) == {(0, ()): 1}
+    def one(factors):
+        return [(0, factors, 1)]
+
+    assert expand([], lambda f: [(1, (f,), 2)]) == {}
+    assert expand(one([]), lambda f: [(1, (f,), 2)]) == {(0, ()): 1}
+    assert expand(one([]), lambda f: [], cap=0) == {(0, ()): 1}
     # (d_2 + q d_1)(d_1 - q d_2): the q^1 terms d_1 d_1 and -d_2 d_2 stay
     # apart, and the two d_1 d_2 products (grade 0 and grade 2) too
     image = {"a": [(0, (2,), 1), (1, (1,), 1)], "b": [(0, (1,), 1), (1, (2,), -1)]}
-    got = expand("ab", image.get)
+    got = expand(one("ab"), image.get)
     assert got == {(0, (1, 2)): 1, (1, (2, 2)): -1, (1, (1, 1)): 1, (2, (1, 2)): -1}
-    assert expand("ab", image.get, cap=1) == {k: v for k, v in got.items() if k[0] <= 1}
-    assert expand("ab", image.get, cap=0) == {(0, (1, 2)): 1}
+    assert expand(one("ab"), image.get, cap=1) == {k: v for k, v in got.items() if k[0] <= 1}
+    assert expand(one("ab"), image.get, cap=0) == {(0, (1, 2)): 1}
     # keys are sorted concatenations of the chosen symbol tuples
-    assert expand((3, 1), lambda i: [(0, (i, 0), 1)]) == {(0, (0, 0, 1, 3)): 1}
+    assert expand(one((3, 1)), lambda i: [(0, (i, 0), 1)]) == {(0, (0, 0, 1, 3)): 1}
     # (d_1 + d_2)(d_1 - d_2) = d_1^2 - d_2^2: the cross terms cancel and drop out
-    got = expand("+-", lambda s: [(0, (1,), 1), (0, (2,), 1 if s == "+" else -1)])
+    got = expand(one("+-"), lambda s: [(0, (1,), 1), (0, (2,), 1 if s == "+" else -1)])
     assert got == {(0, (1, 1)): 1, (0, (2, 2)): -1}
+    # 3a + b - 3a = b: two whole terms cancel and drop out
+    assert expand([(0, "a", 3), (0, "b", 1), (0, "a", -3)], image.get) == \
+        {(0, (1,)): 1, (1, (2,)): -1}
+    assert expand([(0, "ab", 2), (0, "ab", -2)], image.get) == {}
+    # a term's product starts at its grade, and cap bounds the sum
+    assert expand([(2, "ab", 1)], image.get, cap=3) == \
+        {(z + 2, key): v for (z, key), v in expand(one("ab"), image.get, cap=1).items()}
+    assert expand([(2, "a", 1), (3, (), 5), (0, "b", 1)], image.get, cap=2) == \
+        {(2, (2,)): 1, (0, (1,)): 1, (1, (2,)): -1}
+    # integer images under a Fraction coefficient stay exact, and two
+    # Fraction multiples of one product sum back to it
+    third = expand([(0, "ab", F(1, 3))], image.get)
+    assert third == {k: F(v, 3) for k, v in expand(one("ab"), image.get).items()}
+    assert all(type(v) is F for v in third.values())
+    assert expand([(0, "ab", F(1, 3)), (0, "ab", F(2, 3))], image.get) == \
+        expand(one("ab"), image.get)
+    # image is called once per factor of each term
     calls = []
-    expand("xyz", lambda f: calls.append(f) or [(0, (), 1), (1, (f,), 1)], cap=1)
+    expand(one("xyz"), lambda f: calls.append(f) or [(0, (), 1), (1, (f,), 1)], cap=1)
     assert calls == ["x", "y", "z"]
+    calls = []
+    expand([(0, "xy", 1), (1, "xz", F(1, 2))], lambda f: calls.append(f) or [(0, (f,), 1)])
+    assert calls == ["x", "y", "x", "z"]
 
 
 def test_apply_dmu_examples():
@@ -241,7 +265,7 @@ def test_kp_of_zero():
 
 
 def test_hirota_of_constant():
-    one = Series.constant(FAMILY_P, 8, 0, 1)
+    one = constant(FAMILY_P, 8, 0, 1)
     assert hirota_residual(2, 2, one).is_zero()
     assert hirota_residual(2, 3, one).is_zero()
 

@@ -17,7 +17,7 @@ from taulab.diffops import evaluate
 from taulab.pic import string_check
 
 import oracles
-from oracles import (variable, zop_exp, zop_grade, a_alternating, L_grade_per_tuple,
+from oracles import (constant, variable, zop_exp, zop_grade, a_alternating, L_grade_per_tuple,
                      build_L_grade, full_rescan, exp_l_operator_route, l_operator,
                      derivative_inverse_check, elsv_scaled_value)
 
@@ -232,7 +232,7 @@ def test_build_L_displayed_slots():
     assert L1.terms[((0,), (1,))] == 1  # a_{0,1} = 1
     assert L1.terms[((1,), (2,))] == 3  # a_{1,2} = 3
     with pytest.raises(ValueError):  # L_1 lowers the weight by 1
-        apply_L(1, Series.constant(FAMILY_TQ, 0, 0, 1))
+        apply_L(1, constant(FAMILY_TQ, 0, 0, 1))
     L2 = build_L_grade(2, 8)
     assert L2.terms[((0,), (2,))] == 1          # a_{0,2} = 1
     assert L2.terms[((0, 0), (1, 1))] == F(1, 2)  # 1/2 a_{0,1}^2

@@ -4,8 +4,8 @@ from math import factorial
 from taulab.partitions import Partition, partitions_of, zee, class_size
 from taulab.symfunc import character, dimension, schur_poly, power_to_schur, _column
 from taulab.series import Series, Rat, FAMILY_P
-from oracles import (series_exp, power_monomial, hook_sum_identity_check, is_hook, hook_arm_leg,
-                     mn_character, hook_length_dimension)
+from oracles import (constant, series_exp, power_monomial, hook_sum_identity_check, is_hook,
+                     hook_arm_leg, mn_character, hook_length_dimension)
 
 
 def test_character_degree_three():
@@ -119,11 +119,11 @@ def _row_entry(i, zexp, c, beta_order):
     """Coefficient of z^zexp in row i, as a series in beta."""
     if i == 1:
         if zexp == 1:
-            return Series.constant(FAMILY_P, 0, beta_order, c)
+            return constant(FAMILY_P, 0, beta_order, c)
         if zexp <= 0:
             return _exp_beta(Rat(-zexp * (1 - zexp), 2), beta_order)
     elif zexp == i:
-        return Series.constant(FAMILY_P, 0, beta_order, 1)
+        return constant(FAMILY_P, 0, beta_order, 1)
     elif zexp == i - 1:
         return -_exp_beta(Rat(1 - i), beta_order)
     return Series.zero(FAMILY_P, 0, beta_order)
@@ -148,7 +148,7 @@ def _det(matrix):
     """Determinant of a matrix of series, by expansion along the first
     remaining row with memoization on column subsets."""
     n = len(matrix)
-    one = Series.constant(FAMILY_P, 0, matrix[0][0].cap_aux, 1)
+    one = constant(FAMILY_P, 0, matrix[0][0].cap_aux, 1)
     memo = {}
 
     def go(row, cols):
