@@ -27,7 +27,7 @@ _EXPORTS = {
     "partitions": ("Partition", "partitions_of", "partitions_upto", "aut_order",
                    "zee", "class_size", "hook", "cut_and_join_eigenvalue"),
     "symfunc": ("character", "dimension", "schur_poly", "power_to_schur"),
-    "diffops": ("DPoly", "TOp", "ZOp"),
+    "diffops": ("TOp", "ZOp"),
     "hurwitz": ("HurwitzQuery", "ONEPART", "SIMPLE", "hurwitz_bruteforce",
                 "hurwitz_frobenius", "hurwitz_closed", "h_onepart_series",
                 "h_simple_series"),

@@ -1,10 +1,18 @@
 """Finite differential operators.
 
+A polynomial in commuting symbols is a plain dict {sorted symbol tuple:
+nonzero coeff}.  The symbols are derivative indices i (the d_i of weight i:
+D_mu, a constant-coefficient operator on series), derivative monomials m
+(sorted index tuples standing for d^m of a series: the Hirota, KP and LKP
+forms of ``hierarchy``, and ``hodge``'s equations, which key them with a
+grade).
+
 ``expand`` is the one routine that multiplies out a symbol substitution,
 sum c * prod over factors of a sum of graded symbol tuples, for a whole
-polynomial in one call: DPoly products, the binomial change of derivative
-variables, and in ``hodge`` the transformed KP equation, its conjugation,
-the displayed KdV equations and the operator L (``apply_L``).
+polynomial in one call: every product of the Hirota and KP forms, the
+binomial change of derivative variables, and in ``hodge`` the transformed
+KP equation, its conjugation, the displayed KdV equations and the operator
+L (``apply_L``).  ``_accumulate`` is the one linear combination.
 
 ``evaluate`` is the one evaluator of polynomials in partial derivatives of
 one or more series: every Hirota, KP, LKP, KdV and conjugated residual goes
@@ -13,27 +21,16 @@ or differentiates series.  It fixes the residual's caps first, then runs
 every derivative, product and sum in one pass over packed integer monomials
 cut to those caps (slot bound in its docstring), and builds one Series.
 
-Two flavors of operator are used:
-
-* ``DPoly``: the one sparse polynomial with rational coefficients in
-  commuting symbols, which are either
-  - derivative indices i, the symbols d_i (weight i): the polynomial, D_mu
-    for one, is then a constant-coefficient operator on series (``apply``),
-    and the S operator of the corner-bite calculus acts on it; or
-  - derivative monomials m, sorted index tuples that stand for d^m of a
-    series (D^m tau in a Hirota form, d^m F in a KP form); ``lift`` makes
-    each monomial of an operator one such symbol.
-
-* ``TOp``: a normal-ordered operator sum c * t-monomial * derivative-monomial
-  in the t variables, and ``ZOp``, its z-graded sums.  The library calls
-  neither; they stay because the benchmark harness (``perfbench/wrap.py``)
-  wraps both by name.  Their composition and exponential, which only the
-  operator-algebra test oracle of exp(l) = L runs, live with that oracle.
+``TOp`` is a normal-ordered operator sum c * t-monomial * derivative-monomial
+in the t variables, and ``ZOp`` its z-graded sums.  The library calls
+neither; they stay because the benchmark harness (``perfbench/wrap.py``)
+wraps both by name.  Their scaling, composition and exponential, which only
+the operator-algebra test oracle of exp(l) = L runs, live with that oracle.
 """
 
 from __future__ import annotations
 
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from .series import Rat, _check_family, _check_vm, _make, _ratio, var_weight
 
@@ -60,6 +57,19 @@ def expand(terms, image, cap=None):
         for key, v in acc.items():
             out[key] = out.get(key, 0) + c * v
     return {key: v for key, v in out.items() if v}
+
+
+def _accumulate(acc, items, scale):
+    """acc += scale * items for {key: coeff} items, dropping the coefficients
+    that become zero; returns acc.  The one linear combination of polynomials
+    (and of the affine forms of ``hodge``'s PDE route)."""
+    for key, c in items:
+        v = acc.get(key, 0) + scale * c
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def evaluate(poly, fs):
@@ -186,103 +196,6 @@ def evaluate(poly, fs):
                              for k, n in out.items()}, den)
 
 
-def _evaluate_monomials(form, series):
-    """``evaluate`` of a DPoly in derivative monomials m, each read as d^m series."""
-    return evaluate({tuple((0, m) for m in key): c for key, c in form.terms.items()},
-                    {0: series})
-
-
-def _dpoly(terms):
-    """The DPoly of normal terms: sorted keys, nonzero Fraction values."""
-    p = object.__new__(DPoly)
-    p.terms = terms
-    return p
-
-
-class DPoly:
-    """Sparse polynomial: sorted symbol tuples -> nonzero Fractions (see above)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for mono, c in (terms or {}).items():
-            c = Rat(c)
-            if c:
-                key = tuple(sorted(mono))
-                clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def d(cls, i):
-        return cls({(i,): Rat(1)})
-
-    def lift(self):
-        """sum c * [m]: each monomial m of this polynomial as one symbol."""
-        return _dpoly({(mono,): c for mono, c in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return _dpoly({k: v for k, v in out.items() if v})
-
-    def __mul__(self, other):
-        if isinstance(other, DPoly):
-            return _dpoly({mono: c for (_, mono), c in expand(
-                [(0, (self, other), 1)],
-                lambda p: [(0, m, k) for m, k in p.terms.items()]).items()})
-        c = Rat(other)
-        return _dpoly({k: v * c for k, v in self.terms.items()} if c else {})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, DPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "DPoly(0)"
-        bits = []
-        for mono, c in sorted(self.terms.items()):
-            name = "*".join("d%d" % x if isinstance(x, int) else
-                            "d(%s)" % ",".join(map(str, x)) for x in mono) or "1"
-            bits.append("%s*%s" % (c, name))
-        return "DPoly(%s)" % " + ".join(bits)
-
-    def is_zero(self):
-        return not self.terms
-
-    def apply(self, series):
-        """This operator, in index symbols, applied to series."""
-        return _evaluate_monomials(self.lift(), series)
-
-    def s_action(self):
-        """S = sum_i i d_i d/dd_{i+1}, acting on the polynomial."""
-        out = {}
-        for mono, c in self.terms.items():
-            seen = set()
-            for x in mono:
-                if x in seen or x < 2:
-                    continue
-                seen.add(x)
-                e = mono.count(x)
-                at = mono.index(x)
-                new = tuple(sorted(mono[:at] + mono[at + 1:] + (x - 1,)))
-                out[new] = out.get(new, Rat(0)) + c * e * (x - 1)
-        return DPoly(out)
-
-    def subst_binomial_q(self):
-        """Substitute d_i -> sum_{k=1..i} C(i-1, k-1) q^k delta_k.
-
-        Returns {(q_exponent, delta_monomial): coeff}; used to verify that
-        this change of variables equals beta^{n/2} e^{S/sqrt(beta)} on
-        quasihomogeneous polynomials.
-        """
-        return expand(((0, mono, c) for mono, c in self.terms.items()),
-                      lambda i: [(k, (k,), comb(i - 1, k - 1)) for k in range(1, i + 1)])
-
-
 # -- normal-ordered t-variable operators --------------------------------------
 
 
@@ -311,10 +224,6 @@ class TOp:
             out[k] = out.get(k, Rat(0)) + v
         return TOp(out)
 
-    def scale(self, c):
-        c = Rat(c)
-        return TOp({k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, TOp) and self.terms == other.terms
 
@@ -339,6 +248,3 @@ class ZOp:
         for k, v in other.grades.items():
             out[k] = out.get(k, TOp.zero()) + v
         return ZOp(out)
-
-    def scale(self, c):
-        return ZOp({k: v.scale(c) for k, v in self.grades.items()})

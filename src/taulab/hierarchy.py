@@ -10,48 +10,61 @@ Hir_{i,j}(tau) = D_{()}tau * D_{(j,i)}tau - D_{(i-1)}tau * D_{(j,1)}tau
 KP_{i,j}(F) = Hir_{i,j}(e^F) / e^{2F}; LKP_{i,j} is its linear part, which
 works out to the single operator D_{(j,i)}.
 
-Each form is a ``DPoly`` in derivative monomials m: D^m tau in
-``hirota_form``, d^m F in ``kp_form``, ``lkp_form`` and ``bell_poly``.
-``diffops.evaluate`` computes every residual, through the one bridge
-``diffops._evaluate_monomials``: Hir and closed KP directly, LKP as
-``DPoly.apply`` of the operator D_{(j,i)}.
+Every polynomial here is a plain dict {sorted symbol tuple: nonzero
+Fraction}, the form ``diffops.expand`` multiplies out and ``hodge`` reads.
+The symbols of D_mu (``d_mu``, ``lkp_op``) are derivative indices i, the
+d_i of weight i, and S = sum_i i d_i d/dd_{i+1} (``s_action``) acts on
+them.  The symbols of the Hirota, KP and LKP forms are derivative monomials
+m, sorted index tuples: D^m tau in ``hirota_form``, d^m F in ``kp_form``,
+``lkp_form`` and ``bell_poly``.  Each product of such polynomials is one
+``expand`` call, each linear combination one ``diffops._accumulate``, and
+``diffops.evaluate`` computes every residual through ``_residual``: Hir and
+closed KP directly, LKP on D_{(j,i)} with each monomial made one symbol.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
-from .series import Rat, FAMILY_P, _cached, _make
-from .diffops import DPoly, _evaluate_monomials
+from .series import Rat, FAMILY_P, _cached, _check_caps, _make
+from .diffops import _accumulate, evaluate, expand
 
 
 def d_mu(mu):
+    if not isinstance(mu, Partition):
+        raise ValueError("d_mu needs a Partition, got %r" % (mu,))
+
     def build():
         terms = {}
         for la in partitions_of(mu.size):
             c = character(mu, la)
             if c:
-                terms[la.parts] = Rat(c, aut_order(la))
-        return DPoly(terms)
+                terms[tuple(sorted(la.parts))] = Rat(c, aut_order(la))
+        return terms
     return _cached(("d_mu", mu.parts), build)
 
 
 def _check_ij(i, j):
-    if not 2 <= i <= j:
+    _check_caps("a Hirota index", 2, i, j)
+    if i > j:
         raise ValueError("need 2 <= i <= j, got i = %d, j = %d" % (i, j))
 
 
 def _hirota_pairs(i, j):
     """The three factor pairs (c, D_a, D_b) of Hir_{i,j} = sum c (D_a tau)(D_b tau)."""
-    _check_ij(i, j)
     return [(1, d_mu(Partition(())), d_mu(Partition((j, i)))),
             (-1, d_mu(Partition((i - 1,))), d_mu(Partition((j, 1)))),
             (1, d_mu(Partition((j,))), d_mu(Partition((i - 1, 1))))]
 
 
 def _bilinear(pairs):
-    """sum c * lift(a) * lift(b) over the pairs (c, a, b)."""
-    return sum((a.lift() * b.lift() * c for c, a, b in pairs), DPoly())
+    """sum c * a * b over the pairs (c, a, b) of polynomials in the d_i, each
+    monomial m of a or b made one symbol: a form in the D^m tau."""
+    out = expand(((0, (a, b), c) for c, a, b in pairs),
+                 lambda p: [(0, (m,), k) for m, k in p.items()])
+    return {key: v for (_, key), v in out.items()}
 
 
 def _leibniz(pairs, op):
@@ -59,13 +72,19 @@ def _leibniz(pairs, op):
     return [(c, op(a), b) for c, a, b in pairs] + [(c, a, op(b)) for c, a, b in pairs]
 
 
+def _residual(form, F):
+    """``evaluate`` of a form in derivative monomials m, each read as d^m F."""
+    return evaluate({tuple((0, m) for m in key): c for key, c in form.items()}, {0: F})
+
+
 def hirota_form(i, j):
-    """Hir_{i,j} as a DPoly in the monomials m, each standing for D^m tau."""
-    return _cached(("hirota", i, j), _bilinear, _hirota_pairs(i, j))
+    """Hir_{i,j} in the monomials m, each standing for D^m tau."""
+    _check_ij(i, j)
+    return _cached(("hirota", i, j), lambda: _bilinear(_hirota_pairs(i, j)))
 
 
 def hirota_residual(i, j, tau):
-    return _evaluate_monomials(hirota_form(i, j), tau)
+    return _residual(hirota_form(i, j), tau)
 
 
 def lkp_op(i, j):
@@ -75,7 +94,7 @@ def lkp_op(i, j):
 
 
 def lkp_residual(i, j, F):
-    return lkp_op(i, j).apply(F)
+    return _residual({(m,): c for m, c in lkp_op(i, j).items()}, F)
 
 
 def kp_residual(i, j, F):
@@ -84,7 +103,7 @@ def kp_residual(i, j, F):
     term."""
     if F.constant_term():
         raise ValueError("KP residual needs zero constant term")
-    return _evaluate_monomials(kp_form(i, j), F)
+    return _residual(kp_form(i, j), F)
 
 
 # -- KP closed forms: polynomials in derivatives of F -------------------------
@@ -113,25 +132,27 @@ def _set_partition_classes(items):
 def bell_poly(dp):
     """e^{-F} (dp applied to e^F), in the monomials m of d^m F (Faa di Bruno)."""
     out = {}
-    for mono, c in dp.terms.items():
+    for mono, c in dp.items():
         for key, (_, n) in _set_partition_classes(list(mono)).items():
-            out[key] = out.get(key, Rat(0)) + c * n
-    return DPoly(out)
+            out[key] = out.get(key, 0) + c * n
+    return {k: v for k, v in out.items() if v}
 
 
 def kp_form(i, j):
     """KP_{i,j} expanded in the monomials m of d^m F."""
+    _check_ij(i, j)
     return _cached(("kp", i, j), _kp_form_raw, i, j)
 
 
 def _kp_form_raw(i, j):
-    return sum((bell_poly(a) * bell_poly(b) * c for c, a, b in _hirota_pairs(i, j)),
-               DPoly())
+    out = expand(((0, (bell_poly(a), bell_poly(b)), c) for c, a, b in _hirota_pairs(i, j)),
+                 lambda p: [(0, m, k) for m, k in p.items()])
+    return {key: v for (_, key), v in out.items()}
 
 
 def lkp_form(i, j):
     """Terms of kp_form with exactly one derivative factor."""
-    return DPoly({k: v for k, v in kp_form(i, j).terms.items() if len(k) == 1})
+    return {k: v for k, v in kp_form(i, j).items() if len(k) == 1}
 
 
 # -- cut-and-join --------------------------------------------------------------
@@ -179,12 +200,27 @@ def cut_and_join(s):
 # -- corner calculus -----------------------------------------------------------
 
 
+def s_action(dp):
+    """S = sum_i i d_i d/dd_{i+1}, acting on a polynomial in the d_i."""
+    out = {}
+    for mono, c in dp.items():
+        seen = set()
+        for x in mono:
+            if x in seen or x < 2:
+                continue
+            seen.add(x)
+            at = mono.index(x)
+            new = tuple(sorted(mono[:at] + mono[at + 1:] + (x - 1,)))
+            out[new] = out.get(new, 0) + c * mono.count(x) * (x - 1)
+    return {k: v for k, v in out.items() if v}
+
+
 def corner_descent_check(mu):
     """S D_mu == sum over corners (i, mu_i) of (mu_i - i) D_{mu - box_i}."""
-    lhs = d_mu(mu).s_action()
-    rhs = DPoly()
+    lhs = s_action(d_mu(mu))
+    rhs = {}
     for i, part in mu.corners():
-        rhs = rhs + d_mu(mu.remove_corner(i)) * Rat(part - i)
+        _accumulate(rhs, d_mu(mu.remove_corner(i)).items(), part - i)
     return lhs == rhs
 
 
@@ -202,7 +238,8 @@ def character_identity_check(mu, la):
 
 def hirota_s_tensor(i, j):
     """(S (x) 1 + 1 (x) S) Hir_{i,j}: S applied to each factor D_a, D_b."""
-    return _bilinear(_leibniz(_hirota_pairs(i, j), DPoly.s_action))
+    _check_ij(i, j)
+    return _bilinear(_leibniz(_hirota_pairs(i, j), s_action))
 
 
 def hirota_descent_check(i, j):
@@ -213,28 +250,26 @@ def hirota_descent_check(i, j):
       i == j: (i-2) Hir_{i-1,i}
     A term whose coefficient is 0 or whose indices leave 2 <= i <= j drops.
     """
-    lower = [(i - 2, i - 1, j), (j - 1, i, j - 1)]
-    return hirota_s_tensor(i, j) == sum((hirota_form(a, b) * c for c, a, b in lower
-                                         if c and a <= b), DPoly())
+    rhs = {}
+    for c, a, b in [(i - 2, i - 1, j), (j - 1, i, j - 1)]:
+        if c and a <= b:
+            _accumulate(rhs, hirota_form(a, b).items(), c)
+    return hirota_s_tensor(i, j) == rhs
 
 
 def weight_flow_equivalence_check(mu):
-    """The binomial change of derivative variables agrees with
-    beta^{n/2} e^{S/sqrt(beta)} on D_mu (n = |mu|), in integer q = sqrt(beta)
-    exponents."""
+    """The binomial change of derivative variables
+    d_i -> sum_{k=1..i} C(i-1, k-1) q^k delta_k agrees with
+    beta^{n/2} e^{S/sqrt(beta)} on D_mu (n = |mu|), as {(q exponent,
+    delta monomial): coeff} in integer q = sqrt(beta) exponents."""
     dp = d_mu(mu)
-    n = mu.size
-    lhs = dp.subst_binomial_q()
+    lhs = expand(((0, mono, c) for mono, c in dp.items()),
+                 lambda i: [(k, (k,), comb(i - 1, k - 1)) for k in range(1, i + 1)])
     rhs = {}
-    cur = dp
-    k = 0
-    fact = 1
-    while not cur.is_zero():
-        for mono, c in cur.terms.items():
-            key = (n - k, mono)
-            rhs[key] = rhs.get(key, Rat(0)) + c / fact
-        cur = cur.s_action()
+    k, fact = 0, 1
+    while dp:
+        _accumulate(rhs, (((mu.size - k, mono), c) for mono, c in dp.items()), Rat(1, fact))
+        dp = s_action(dp)
         k += 1
         fact *= k
-    rhs = {k: v for k, v in rhs.items() if v}
     return lhs == rhs

@@ -28,7 +28,9 @@ Conventions pinned here (each enforced by tests against displayed values):
 
 * The transformed KP equation, its conjugation and the displayed KdV
   equations over the bold series sum (-z)^k F^{(k)} are each multiplied
-  out by ``diffops.expand``.
+  out by ``diffops.expand``.  Each is a plain dict {symbols: coeff}, the
+  form ``hierarchy.kp_form(2, 2)``, their source, already has; the PDE
+  route sums its affine forms with ``diffops._accumulate``.
 
 * The Hodge table is fitted on the principal lattice: by ELSV the scaled
   simple numbers are a polynomial of total degree 3g-3+n
@@ -41,7 +43,7 @@ from itertools import groupby
 from math import comb, factorial, prod
 
 from .series import Rat, FAMILY_P, _cached, _check_caps, _make
-from .diffops import evaluate, expand
+from .diffops import _accumulate, evaluate, expand
 from .hurwitz import _simple_numbers, h_simple_series, h_unst_simple
 from .pic import _change_variables, _monomials_up_to_weight
 
@@ -115,6 +117,8 @@ def moduli_caps_for(W, kmax):
 
 
 def transformed_stable(W, M):
+    _check_caps("transformed_stable", 0, W, M)
+
     def build():
         return chvar_elsv(h_simple_stable(W, M))
     return _cached(("LbF", W, M), build)
@@ -345,7 +349,7 @@ def khat_22():
         return [(0, (eta,), 1),
                 (a + b, (), Rat(a ** a * b ** b, (a + b) * factorial(a) * factorial(b)))]
 
-    out = expand(((0, etas, c) for etas, c in kp_form(2, 2).terms.items()), image)
+    out = expand(((0, etas, c) for etas, c in kp_form(2, 2).items()), image)
     if any(not etas for (_, etas) in out):
         raise ValueError("the pure-constant part of KP_{2,2} did not cancel")
     return out
@@ -377,7 +381,7 @@ def conjugated_equation(i, j, k):
     Implemented for (i, j) = (2, 2); other equations contain first-order
     derivative terms whose unstable corrections are not polynomial
     operators."""
-    _check_caps("conjugated_equation", 0, k)
+    _check_caps("conjugated_equation", 0, i, j, k)
     if (i, j) != (2, 2):
         raise NotImplementedError(
             "conjugated equations are provided for (2,2) only; "
@@ -495,18 +499,6 @@ def kdv_check(name, zk, fs):
 
 
 # -- PDE route: solve bracket values from the equations alone ------------------------
-
-
-def _accumulate(acc, items, scale):
-    """acc += scale * items for affine forms {primitive or None: coeff},
-    dropping the coefficients that become zero; returns acc."""
-    for key, c in items:
-        v = acc.get(key, 0) + scale * c
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 def _reduce(k, ds):

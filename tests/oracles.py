@@ -68,8 +68,8 @@ Series, partition and operator methods that no library code calls:
   ``partial``, the derivative in one main variable as one ``evaluate``
   call;
 * ``conjugate`` and ``contents_sum`` on ``Partition``;
-* ``top_compose`` on ``TOp``, and ``zop_grade``, ``zop_compose`` and ``zop_exp``
-  on ``ZOp``.
+* ``top_compose`` on ``TOp``, and ``zop_grade``, ``zop_scale``, ``zop_compose``
+  and ``zop_exp`` on ``ZOp``.
 
 Checks of stated identities that more than one test module runs:
 
@@ -88,10 +88,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 
-from taulab.diffops import DPoly, TOp, ZOp, evaluate
+from taulab.diffops import TOp, ZOp, _accumulate, evaluate
 from taulab.hierarchy import cut_and_join, hirota_residual
-from taulab.hodge import (a_coeff, conjugated_equation, solve_l, ModuliPDESolver,
-                          _accumulate, _reduce)
+from taulab.hodge import a_coeff, conjugated_equation, solve_l, ModuliPDESolver, _reduce
 from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, hurwitz_frobenius, _exp_schur_sum
 from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, zee,
                                cut_and_join_eigenvalue)
@@ -269,6 +268,11 @@ def zop_grade(z, k):
     return z.grades.get(k, TOp.zero())
 
 
+def zop_scale(z, c):
+    """c times a ZOp."""
+    return ZOp({k: TOp({key: v * c for key, v in t.terms.items()}) for k, t in z.grades.items()})
+
+
 def zop_compose(x, y, zcap, index_cap=None):
     """The composition x o y of two ZOps, through z^zcap."""
     out = {}
@@ -287,7 +291,7 @@ def zop_exp(z, zcap, index_cap=None):
         raise ValueError("exp needs an operator with no z^0 part")
     acc = term = ZOp({0: TOp({((), ()): 1})})
     for n in range(1, zcap + 1):
-        term = zop_compose(term, z, zcap, index_cap).scale(Rat(1, n))
+        term = zop_scale(zop_compose(term, z, zcap, index_cap), Rat(1, n))
         if not term.grades:
             break
         acc = acc + term
@@ -687,11 +691,11 @@ def set_partitions(items):
 def bell_poly_by_set_partitions(dp):
     """``hierarchy.bell_poly`` with one step per set partition."""
     out = {}
-    for mono, c in dp.terms.items():
+    for mono, c in dp.items():
         for part in set_partitions(list(mono)):
             key = tuple(sorted(tuple(sorted(block)) for block in part))
-            out[key] = out.get(key, Rat(0)) + c
-    return DPoly(out)
+            out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}
 
 
 def lagrange_fit_1d(points):

@@ -5,14 +5,16 @@ under ``python -O``."""
 import pytest
 
 from taulab.partitions import Partition, partitions_of, partitions_upto, hook
+from taulab import series
 from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.diffops import TOp, ZOp, evaluate
 from taulab.symfunc import character, schur_poly
-from taulab.hierarchy import cut_and_join, character_identity_check
+from taulab.hierarchy import (cut_and_join, character_identity_check, corner_descent_check,
+                              d_mu, hirota_form, kp_form, lkp_form)
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
                           ModuliPDESolver, conjugated_equation, kdv_zpart_as_moduli_poly,
                           kdv_check, ck_report, exp_l_equals_L_check, solve_l, apply_L,
-                          moduli_caps_for)
+                          moduli_caps_for, transformed_stable)
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series,
                             h_unst_simple, h_unst_onepart, hook_series, hurwitz)
 from taulab.pic import (bracket, f_series, u_in_T, genus_table, u_hierarchy_residuals,
@@ -195,6 +197,27 @@ BAD_CALLS = {
     "character_identity_check((2),(2))": (character_identity_check, Partition((2,)),
                                           Partition((2,))),
     "hurwitz(method=x)": (hurwitz, HurwitzQuery(ONEPART, 0, (2,)), "x"),
+    # used to raise AttributeError
+    "d_mu(2)": (d_mu, 2),
+    "d_mu((2,1))": (d_mu, (2, 1)),
+    "corner_descent_check(2)": (corner_descent_check, 2),
+}
+
+# a float or a bool argument shares the memo key of the equal int: each row is
+# refused on an empty memo and again once the int call has filled that key
+MEMO_CALLS = {
+    # these used to answer from the memo once (2, 2) was in it
+    "kp_form(2.0,2)": (kp_form, (2.0, 2), (2, 2)),
+    "lkp_form(2,2.0)": (lkp_form, (2, 2.0), (2, 2)),
+    "transformed_stable(2.0,2)": (transformed_stable, (2.0, 2), (2, 2)),
+    # refused only because the Hirota pairs, built on every call, read 2.0
+    "hirota_form(2.0,2)": (hirota_form, (2.0, 2), (2, 2)),
+    # refused only by the range check, as 1
+    "kp_form(True,2)": (kp_form, (True, 2), (2, 2)),
+    "hirota_form(2,True)": (hirota_form, (2, True), (2, 2)),
+    # the float row used to answer cold, the bool one to raise NotImplementedError
+    "conjugated_equation(2.0,2,2)": (conjugated_equation, (2.0, 2, 2), (2, 2, 2)),
+    "conjugated_equation(True,2,2)": (conjugated_equation, (True, 2, 2), (2, 2, 2)),
 }
 
 
@@ -203,3 +226,13 @@ def test_entry_point_raises_value_error(call):
     fn, *args = call
     with pytest.raises(ValueError):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn, bad, good", MEMO_CALLS.values(), ids=MEMO_CALLS.keys())
+def test_memoized_entry_point_refuses_cold_and_warm(fn, bad, good, monkeypatch):
+    monkeypatch.setattr(series, "_memo", {})
+    with pytest.raises(ValueError):
+        fn(*bad)
+    fn(*good)
+    with pytest.raises(ValueError):
+        fn(*bad)

@@ -90,7 +90,7 @@ def test_public_names_in_order():
         "Partition", "partitions_of", "partitions_upto", "aut_order", "zee",
         "class_size", "hook", "cut_and_join_eigenvalue",
         "character", "dimension", "schur_poly", "power_to_schur",
-        "DPoly", "TOp", "ZOp",
+        "TOp", "ZOp",
         "HurwitzQuery", "ONEPART", "SIMPLE", "hurwitz_bruteforce",
         "hurwitz_frobenius", "hurwitz_closed", "h_onepart_series",
         "h_simple_series",

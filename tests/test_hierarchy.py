@@ -5,7 +5,7 @@ import pytest
 from taulab.partitions import Partition, partitions_of, partitions_upto, cut_and_join_eigenvalue
 from taulab.symfunc import schur_poly
 from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
-from taulab.diffops import DPoly, evaluate, expand, _evaluate_monomials
+from taulab.diffops import _accumulate, evaluate, expand
 from taulab.hurwitz import h_onepart_series, h_simple_series, lp
 from taulab.hodge import (conjugated_equation, f_moduli, moduli_caps_for,
                           kdv_zpart_as_moduli_poly, KDV_EQUATIONS)
@@ -15,7 +15,8 @@ from taulab.hierarchy import (d_mu, hirota_form, hirota_residual, lkp_op,
                               cut_and_join, corner_descent_check,
                               character_identity_check, hirota_descent_check,
                               hirota_s_tensor, weight_flow_equivalence_check,
-                              bell_poly, _hirota_pairs, _leibniz, _bilinear)
+                              bell_poly, s_action, _hirota_pairs, _leibniz, _bilinear,
+                              _residual)
 
 from oracles import (constant, variable, bell_poly_by_set_partitions, term_by_term,
                      kp_residual_exp, evaluate_by_series)
@@ -24,7 +25,12 @@ P = Partition
 
 
 def dp(*monos_coeffs):
-    return DPoly({m: c for m, c in monos_coeffs})
+    return {m: F(c) for m, c in monos_coeffs}
+
+
+def apply_op(op, series):
+    """The operator op, a polynomial in the d_i, applied to series."""
+    return _residual({(m,): c for m, c in op.items()}, series)
 
 
 def test_dmu_displayed_list():
@@ -83,14 +89,14 @@ def test_expand():
 
 def test_apply_dmu_examples():
     p1sq = Series.from_terms(FAMILY_P, 6, 0, [(0, {1: 2}, 1)])
-    assert DPoly.d(1).apply(p1sq).coeff(vm={1: 1}) == 2
-    assert d_mu(P((2,))).apply(p1sq) == 1
+    assert apply_op({(1,): F(1)}, p1sq).coeff(vm={1: 1}) == 2
+    assert apply_op(d_mu(P((2,))), p1sq) == 1
     p2 = variable(FAMILY_P, 2, 6, 0)
-    assert d_mu(P((1, 1))).apply(p2) == -1
+    assert apply_op(d_mu(P((1, 1))), p2) == -1
 
 
 def test_hirota_22_displayed():
-    got = hirota_form(2, 2).terms
+    got = hirota_form(2, 2)
     want = {
         ((), (2, 2)): F(1),
         ((2,), (2,)): F(-1),
@@ -104,7 +110,7 @@ def test_hirota_22_displayed():
 
 
 def test_hirota_23_displayed():
-    got = hirota_form(2, 3).terms
+    got = hirota_form(2, 3)
     want = {
         ((), (2, 3)): F(1),
         ((2,), (3,)): F(-1),
@@ -130,13 +136,13 @@ def test_hirota_23_displayed():
 
 
 def test_kp_lkp_22_displayed():
-    assert kp_form(2, 2).terms == {
+    assert kp_form(2, 2) == {
         ((2, 2),): F(1),
         ((1, 3),): F(-1),
         ((1, 1), (1, 1)): F(1, 2),
         ((1, 1, 1, 1),): F(1, 12),
     }
-    assert lkp_form(2, 2).terms == {
+    assert lkp_form(2, 2) == {
         ((2, 2),): F(1),
         ((1, 3),): F(-1),
         ((1, 1, 1, 1),): F(1, 12),
@@ -150,7 +156,7 @@ def test_kp_lkp_23_displayed():
     # 1/2 F_1 KP_{2,2} (equivalent modulo the hierarchy); the reduction
     # identity is asserted below and reconstructs the printed table
     literal = kp_form(2, 3)
-    assert literal.terms == {
+    assert literal == {
         ((2, 3),): F(1),
         ((1, 4),): F(-1),
         ((1, 1), (1, 2)): F(1),
@@ -164,7 +170,8 @@ def test_kp_lkp_23_displayed():
         ((1, 1), (1, 1, 1)): F(1, 2),
         ((1, 1, 1, 1, 1),): F(1, 24),
     }
-    half_f1_kp22 = DPoly({((1,),): F(1)}) * kp_form(2, 2) * F(-1, 2)
+    half_f1_kp22 = {tuple(sorted(key + ((1,),))): c * F(-1, 2)
+                    for key, c in kp_form(2, 2).items()}
     printed = {
         ((2, 3),): F(1),
         ((1, 4),): F(-1),
@@ -179,8 +186,8 @@ def test_kp_lkp_23_displayed():
         ((1, 1), (1, 1, 1)): F(1, 2),
         ((1, 1, 1, 1, 1),): F(1, 24),
     }
-    assert (literal + half_f1_kp22).terms == printed
-    assert lkp_form(2, 3).terms == {
+    assert _accumulate(dict(literal), half_f1_kp22.items(), 1) == printed
+    assert lkp_form(2, 3) == {
         ((2, 3),): F(1),
         ((1, 4),): F(-1),
         ((1, 1, 1, 2),): F(1, 6),
@@ -192,12 +199,13 @@ def test_kp_lkp_23_displayed():
 
 def simplified_hirota_23():
     """Hir_{2,3} - 1/2 d(Hir_{2,2})/dp_1 as a bilinear form."""
-    d_p1 = _leibniz(_hirota_pairs(2, 2), DPoly.d(1).__mul__)
+    d_p1 = _leibniz(_hirota_pairs(2, 2),
+                    lambda p: {tuple(sorted(m + (1,))): c for m, c in p.items()})
     return _bilinear(_hirota_pairs(2, 3) + [(c * Rat(-1, 2), a, b) for c, a, b in d_p1])
 
 
 def test_simplified_hierarchy_23():
-    got = simplified_hirota_23().terms
+    got = simplified_hirota_23()
     want = {
         ((), (2, 3)): F(1),
         ((2,), (3,)): F(-1),
@@ -212,16 +220,16 @@ def test_simplified_hierarchy_23():
 
 
 def test_bell_poly_small():
-    assert bell_poly(DPoly.d(1)).terms == {((1,),): F(1)}
-    assert bell_poly(DPoly({(1, 2): 1})).terms == {((1, 2),): F(1), ((1,), (2,)): F(1)}
-    got = bell_poly(DPoly({(1, 1, 1): 1})).terms
+    assert bell_poly({(1,): F(1)}) == {((1,),): F(1)}
+    assert bell_poly({(1, 2): F(1)}) == {((1, 2),): F(1), ((1,), (2,)): F(1)}
+    got = bell_poly({(1, 1, 1): F(1)})
     assert got == {((1, 1, 1),): F(1), ((1,), (1, 1)): F(3), ((1,), (1,), (1,)): F(1)}
 
 
 def test_bell_poly_merges_equal_set_partitions():
     # d_1^12: the B(12) = 4,213,597 set partitions of 12 equal positions fall
     # into p(12) = 77 keys, one per partition of 12
-    got = bell_poly(DPoly({(1,) * 12: 1})).terms
+    got = bell_poly({(1,) * 12: F(1)})
     assert len(got) == 77 and sum(got.values()) == 4213597
     assert sorted(tuple(map(len, k)) for k in got) == sorted(
         tuple(sorted(mu.parts)) for mu in partitions_of(12))
@@ -230,13 +238,14 @@ def test_bell_poly_merges_equal_set_partitions():
 def test_bell_poly_matches_set_partition_oracle():
     # values and dict order, for each D_mu with |mu| <= 6 and each KP form up to (4, 4)
     for mu in partitions_upto(6):
-        want = bell_poly_by_set_partitions(d_mu(mu)).terms
-        assert list(bell_poly(d_mu(mu)).terms.items()) == list(want.items())
+        want = bell_poly_by_set_partitions(d_mu(mu))
+        assert list(bell_poly(d_mu(mu)).items()) == list(want.items())
     for i in range(2, 5):
         for j in range(i, 5):
-            want = sum((bell_poly_by_set_partitions(a) * bell_poly_by_set_partitions(b) * c
-                        for c, a, b in _hirota_pairs(i, j)), DPoly())
-            assert list(kp_form(i, j).terms.items()) == list(want.terms.items())
+            want = expand(((0, (bell_poly_by_set_partitions(a), bell_poly_by_set_partitions(b)),
+                            c) for c, a, b in _hirota_pairs(i, j)),
+                          lambda p: [(0, m, k) for m, k in p.items()])
+            assert list(kp_form(i, j).items()) == [(m, c) for (_, m), c in want.items()]
 
 
 def random_cubic_F():
@@ -293,17 +302,29 @@ def test_cut_and_join_eigenvectors():
 
 
 def test_s_operator_examples():
-    assert d_mu(P((2,))).s_action() == DPoly.d(1)
-    assert d_mu(P((1, 1))).s_action() == DPoly.d(1) * Rat(-1)
-    assert d_mu(P(())).s_action().is_zero()
-    assert d_mu(P((2, 1))).s_action() == DPoly({(2,): -2})
+    assert s_action(d_mu(P((2,)))) == {(1,): F(1)}
+    assert s_action(d_mu(P((1, 1)))) == {(1,): F(-1)}
+    assert s_action(d_mu(P(()))) == {}
+    assert s_action(d_mu(P((2, 1)))) == {(2,): F(-2)}
 
 
-def test_dpoly_repr_names_both_kinds_of_symbol():
-    assert repr(DPoly({(1, 2): F(1, 2)})) == "DPoly(1/2*d1*d2)"
-    assert repr(hirota_form(2, 2) * 0) == "DPoly(0)"
-    assert (repr(DPoly({((), (1, 1)): 1, ((2,), (2,)): -1}))
-            == "DPoly(1*d()*d(1,1) + -1*d(2)*d(2))")
+def test_forms_are_memoised_and_left_alone():
+    # the memo hands out the dicts themselves: no check may change one
+    ijs = [(i, j) for i in range(2, 5) for j in range(i, 5)]
+    mus = partitions_upto(6)
+    held = [(hirota_form, ij) for ij in ijs] + [(kp_form, ij) for ij in ijs]
+    held += [(d_mu, (mu,)) for mu in mus]
+    before = [(fn, args, fn(*args), list(fn(*args).items())) for fn, args in held]
+    s = h_onepart_series(8, 4)
+    for ij in ijs:
+        hirota_residual(*ij, s + 1)
+        kp_residual(*ij, s)
+        lkp_residual(*ij, s)
+        assert hirota_descent_check(*ij)
+    for mu in mus:
+        assert corner_descent_check(mu) and weight_flow_equivalence_check(mu)
+    for fn, args, form, items in before:
+        assert fn(*args) is form and list(form.items()) == items, (fn.__name__, args)
 
 
 def test_corner_descent_exhaustive():
@@ -322,15 +343,15 @@ def test_character_identity_exhaustive():
 
 
 def test_hirota_descent():
-    lhs22 = hirota_s_tensor(2, 2).terms
+    lhs22 = hirota_s_tensor(2, 2)
     assert lhs22 == {}
     assert hirota_descent_check(2, 2)
-    lhs23 = hirota_s_tensor(2, 3).terms
-    want23 = (hirota_form(2, 2) * 2).terms
+    lhs23 = hirota_s_tensor(2, 3)
+    want23 = {k: 2 * c for k, c in hirota_form(2, 2).items()}
     assert lhs23 == want23
     assert hirota_descent_check(2, 3)
-    lhs33 = hirota_s_tensor(3, 3).terms
-    want33 = hirota_form(2, 3).terms
+    lhs33 = hirota_s_tensor(3, 3)
+    want33 = hirota_form(2, 3)
     assert lhs33 == want33
     assert hirota_descent_check(3, 3)
     for i in range(2, 6):
@@ -398,7 +419,7 @@ def test_evaluate_matches_term_by_term_on_hirota_and_kdv():
     tau = lp(lp(h_onepart_series(10, 6))) + 1
     bumped = tau + Series.from_terms(FAMILY_P, 10, 6, [(1, {1: 1, 3: 1}, F(2, 3))])
     cases = [({((0, m1), (0, m2)): c for (m1, m2), c
-               in hirota_form(i, j).terms.items()}, {0: t})
+               in hirota_form(i, j).items()}, {0: t})
              for i, j in ((2, 2), (2, 3)) for t in (tau, bumped)]
     fs = {s: f_moduli(s, 10, moduli_caps_for(10, 1)) for s in range(2)}
     poly = kdv_zpart_as_moduli_poly("F02", 1)
@@ -435,7 +456,7 @@ def assert_identical(got, want):
 
 
 def _monomial_poly(form):
-    return {tuple((0, m) for m in key): c for key, c in form.terms.items()}
+    return {tuple((0, m) for m in key): c for key, c in form.items()}
 
 
 RESIDUAL_INPUTS = {
@@ -453,10 +474,10 @@ def test_packed_residuals_match_series_oracle(name):
     nonzero = 0
     for ij in ((2, 2), (2, 3), (3, 3), (2, 4)):
         for residual, form in ((hirota_residual, hirota_form(*ij)),
-                               (lkp_residual, lkp_op(*ij).lift()),
+                               (lkp_residual, {(m,): c for m, c in lkp_op(*ij).items()}),
                                (None, kp_form(*ij))):
             want = evaluate_by_series(_monomial_poly(form), {0: s})
-            got = (residual(*ij, s) if residual else _evaluate_monomials(form, s))
+            got = residual(*ij, s) if residual else _residual(form, s)
             assert_identical(got, want)
             nonzero += not want.is_zero()
     assert nonzero >= 6

@@ -368,12 +368,11 @@ def test_kpbar_22_golden():
 def test_khat_and_kpbar_refuse_broken_invariants_with_value_error(monkeypatch):
     # raised, not asserted, so python -O keeps the checks
     from taulab import hierarchy
-    from taulab.diffops import DPoly
-    monkeypatch.setattr(hierarchy, "kp_form", lambda i, j: DPoly({((1,), (1, 1)): 1}))
+    monkeypatch.setattr(hierarchy, "kp_form", lambda i, j: {((1,), (1, 1)): F(1)})
     with pytest.raises(ValueError, match="first-derivative terms are not supported"):
         khat_22()
     # u_{1,1} = beta^2 / 2 is left alone by the second-derivative term
-    monkeypatch.setattr(hierarchy, "kp_form", lambda i, j: DPoly({((1, 1),): 1}))
+    monkeypatch.setattr(hierarchy, "kp_form", lambda i, j: {((1, 1),): F(1)})
     with pytest.raises(ValueError, match="did not cancel"):
         khat_22()
     # d/dp_1 carries u^4, d/dp_2 u^7 or u^9: no common parity

@@ -3,9 +3,10 @@ or class in ``src/taulab`` is either exported through ``taulab._EXPORTS`` or
 referenced by a caller: another library function (a reference inside its own
 body does not count), a demo, or the benchmark's session, launcher or
 reference maker.  Every public method of a public class, dunders aside, is
-referenced by such a caller outside its own body; exporting the class does
-not exempt its methods.  A name that only the tests reach belongs in the
-tests.
+read by such a caller outside its own body, as an attribute (``x.name``) or
+as a class-body alias (``lowest_nonzero_q = lowest``); a variable that only
+shares the method's name does not count, and exporting the class does not
+exempt its methods.  A name that only the tests reach belongs in the tests.
 
 The check reads source with ``ast`` and imports nothing but ``taulab``."""
 
@@ -36,6 +37,17 @@ def _names(node):
             yield sub.attr
 
 
+def _method_reads(node, alias):
+    """The method names node reads: every attribute read x.name, and with
+    alias, for a class-body alias such as ``lowest_nonzero_q = lowest``, the
+    bare names it reads too."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif alias and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+
+
 def unreferenced():
     """The public definitions of the library that no caller reads, sorted as
     'module.name'."""
@@ -60,7 +72,8 @@ def unreferenced():
 
 def unread_methods():
     """The public methods of the library's public classes that no caller reads
-    outside their own body, sorted as 'module.Class.method'."""
+    outside their own body, as an attribute or a class-body alias, sorted as
+    'module.Class.method'."""
     methods = set()  # (module, class, method)
     readers = {}  # name: {(module, top-level name, method name or None)}
     for fname in sorted(os.listdir(SRC)):
@@ -77,9 +90,10 @@ def unread_methods():
                                    if isinstance(sub, ast.FunctionDef)
                                    and not name.startswith("_"))
             for method, node in parts:
-                for name in _names(node):
+                alias = node is not stmt and not isinstance(node, ast.FunctionDef)
+                for name in _method_reads(node, alias):
                     readers.setdefault(name, set()).add((module, owner, method))
-    outside = {name for path in CALLERS for name in _names(_parse(path))}
+    outside = {name for path in CALLERS for name in _method_reads(_parse(path), False)}
     return sorted("%s.%s.%s" % m for m in methods
                   if m[2] not in outside and not readers.get(m[2], set()) - {m})
 
