@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .series import Rat, _check_family, _check_vm, _make, _ratio, var_weight
+from .series import Rat, Series, _check_family, _check_vm, _make, _ratio, var_weight
 
 
 def expand(terms, image, cap=None):
@@ -100,8 +100,8 @@ def evaluate(poly, fs):
     terms by increasing weight, and a sum appends new keys in order, so the
     result stores its terms in the order of the products and sums taken one
     at a time.  ``Series.__mul__`` is this function on one product."""
-    if not fs:
-        raise ValueError("evaluate needs at least one series")
+    if not fs or not all(isinstance(f, Series) for f in fs.values()):
+        raise ValueError("evaluate needs one or more Series, got %r" % (fs,))
     some = next(iter(fs.values()))
     fam = some.family
     off = var_weight(fam, 0)  # the weight of variable i is i + off

@@ -28,7 +28,7 @@ from math import comb
 
 from .partitions import Partition, partitions_of, aut_order
 from .symfunc import character
-from .series import Rat, FAMILY_P, _cached, _check_caps, _make
+from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _make
 from .diffops import _accumulate, evaluate, expand
 
 
@@ -101,7 +101,7 @@ def kp_residual(i, j, F):
     """KP_{i,j}(F) = Hir_{i,j}(e^F) e^{-2F}, evaluated as the closed
     polynomial ``kp_form`` in derivatives of F.  F must have zero constant
     term."""
-    if F.constant_term():
+    if isinstance(F, Series) and F.constant_term():  # else ``evaluate`` refuses F
         raise ValueError("KP residual needs zero constant term")
     return _residual(kp_form(i, j), F)
 
@@ -227,8 +227,8 @@ def corner_descent_check(mu):
 def character_identity_check(mu, la):
     """sum over corners (mu_i - i) chi_{mu - box_i}(la)
        == sum_i la_i chi_mu(la + 1_i), for |la| = |mu| - 1."""
-    if la.size != mu.size - 1:
-        raise ValueError("need |lambda| = |mu| - 1")
+    if not (isinstance(mu, Partition) and isinstance(la, Partition) and la.size == mu.size - 1):
+        raise ValueError("need Partitions with |lambda| = |mu| - 1, got %r, %r" % (mu, la))
     lhs = sum((part - i) * character(mu.remove_corner(i), la)
               for i, part in mu.corners())
     rhs = sum(la[i - 1] * character(mu, la.add_to_part(i))

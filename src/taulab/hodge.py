@@ -42,9 +42,10 @@ from __future__ import annotations
 from itertools import groupby
 from math import comb, factorial, prod
 
-from .series import Rat, FAMILY_P, _cached, _check_caps, _make
+from .partitions import _sub_multisets
+from .series import Rat, FAMILY_P, _cached, _check_caps, _make, vm_weight
 from .diffops import _accumulate, evaluate, expand
-from .hurwitz import _simple_numbers, h_simple_series, h_unst_simple
+from .hurwitz import _simple_numbers, h_simple_series
 from .pic import _change_variables, _monomials_up_to_weight
 
 
@@ -71,6 +72,8 @@ def _a_raw(d, k):
 
 def elsv_chvar_coeff(b, d):
     """Coefficient of t_d in the image of p_b (u power handled separately)."""
+    _check_caps("elsv_chvar_coeff", 1, b)
+    _check_caps("elsv_chvar_coeff", 0, d)
     if d < b - 1:
         return Rat(0)
     return Rat((-1) ** (d - b + 1), factorial(d - b + 1) * b ** (b - 1))
@@ -97,8 +100,7 @@ def chvar_elsv(series):
 def derivative_transform_elsv(b):
     """d/dp_b as sum over d < b of coeff u^{3b+2d+1} d/dt_d;
     returns [(d, u_exponent, coeff)]."""
-    if b < 1:
-        raise ValueError("p_b needs b >= 1, got %d" % b)
+    _check_caps("derivative_transform_elsv", 1, b)
     return [(d, -_u_exp(b, d), Rat(b ** (b - 1), factorial(b - 1 - d)))
             for d in range(b)]
 
@@ -107,7 +109,13 @@ def derivative_transform_elsv(b):
 
 
 def h_simple_stable(W, M):
-    return h_simple_series(W, M) - h_unst_simple(W, M)
+    """``h_simple_series(W, M)`` without its unstable terms beta^m p^b, g = 0
+    and n = l(b) <= 2, found by their grading m = |b| + n + 2g - 2: the table
+    holds them already, so no closed form of them is built to subtract."""
+    H = h_simple_series(W, M)
+    num = {(m, vm): c for (m, vm), c in H.num.items()
+           if (n := sum(e for _, e in vm)) > 2 or m != vm_weight(FAMILY_P, vm) + n - 2}
+    return _make(FAMILY_P, W, M, num, H.den)
 
 
 def moduli_caps_for(W, kmax):
@@ -550,14 +558,11 @@ def _monomial_splits(mono):
 
 
 def _monomial_splits_raw(mono):
-    splits = [((), 0, 0, (), 0, 0)]
-    for d, e in mono:
-        splits = [(t + ((d, x),) if x else t, lt + x, st + d * x,
-                   rest + ((d, e - x),) if x < e else rest, lr + e - x, sr + d * (e - x))
-                  for t, lt, st, rest, lr, sr in splits for x in range(e + 1)]
+    subs = _sub_multisets(mono)  # the last entry is t = mono
+    points, total = subs[-1][3:]
     buckets = ([], [], [])
-    for split in splits:
-        buckets[(split[2] - split[1]) % 3].append(split)
+    for t, rest, _, lt, st in subs:
+        buckets[(st - lt) % 3].append((t, lt, st, rest, points - lt, total - st))
     return buckets
 
 

@@ -26,15 +26,16 @@ Routes:
     prod_i (1 - (-y)^{nu_i}) / (1 + y), the content sum f_j = d (d-1-2j) / 2
     of hook(d-1-j, j) and chi_{hook(d-1-j, j)}((d)) = (-1)^j this reads
     h = (1/(d prod b_i)) sum_j (-1)^j f_j^m [y^j] prod_i (1-(-y)^{b_i}) / (1+y)
-    (``_hook_sum``, which pic's brackets share); for the simple kind
-    the character sum counts possibly-disconnected covers, and the
+    (``partitions._hook_sum``, which pic's brackets read too); for the simple
+    kind the character sum counts possibly-disconnected covers, and the
     connected values are the coefficients of its logarithm.  One engine
     (``_connected_rows``) computes that logarithm for each multiset s of a
-    family closed under sub-multisets, in rows indexed by j = k - (|s| -
-    l(s)) up to a cap J, in one pass per call: one memoized table gives the
-    numbers of a query or of a whole Hodge lattice at J = 2g + 2n - 2
-    (``_simple_numbers``), and h_simple_series(W, M) reads every partition's
-    row at J = M - e(s).  The whole-series logarithm is a test oracle;
+    family closed under sub-multisets (``partitions._sub_multisets``), in
+    rows indexed by j = k - (|s| - l(s)) up to a cap J, in one pass per call:
+    one memoized table gives the numbers of a query or of a whole Hodge
+    lattice at J = 2g + 2n - 2 (``_simple_numbers``), and
+    h_simple_series(W, M) reads every partition's row at J = M - e(s).  The
+    whole-series logarithm is a test oracle;
   * closed hook series (one-part only): coefficient extraction from
     sum_{a,b} (-1)^b s_{hook(a,b)} e^{f beta}.
 """
@@ -46,7 +47,8 @@ from math import comb, factorial, lcm, prod
 from types import MappingProxyType
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
-                         zee, hook, cut_and_join_eigenvalue)
+                         zee, hook, cut_and_join_eigenvalue, _hook_poly, _hook_sum,
+                         _sub_multisets)
 from .symfunc import schur_poly, _column, _shape
 from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _make, vm_weight
 
@@ -178,39 +180,11 @@ def _cycles_of(perm):
 # -- character sums ------------------------------------------------------------
 
 
-def _hook_sum(poly, d, m):
-    """2^m sum_j (-1)^j f_j^m [y^j] poly / (1 + y), f_j = d (d - 1 - 2j) / 2,
-    an integer: 2^m times the one-part character sum for
-    poly = prod_i (1 - (-y)^{nu_i}), |nu| = d (see the module docstring).
-    poly must be divisible by 1 + y; (-1)^j times the quotient's y^j
-    coefficient is the alternating prefix sum of poly to y^j."""
-    acc = prefix = 0
-    for j, c in enumerate(poly[:d]):
-        prefix += -c if j % 2 else c
-        acc += prefix * (d * (d - 1 - 2 * j)) ** m
-    return acc
-
-
-def _hook_poly(nu):
-    """prod_i (1 - (-y)^{nu_i}) as a coefficient list."""
-    poly = [1]
-    for b in nu:
-        out = poly + [0] * b
-        for j, c in enumerate(poly):  # times 1 - (-y)^b
-            out[j + b] -= c if b % 2 == 0 else -c
-        poly = out
-    return poly
-
-
-def _onepart_character_sum(nu, m):
-    """sum over hooks lambda of |nu| of chi_lambda((d)) f^m chi_lambda(nu)."""
-    return Rat(_hook_sum(_hook_poly(nu), nu.size, m), 2 ** m)
-
-
 def hurwitz_frobenius(q):
     """Character-sum route; one-part directly, simple from the connected table."""
-    if q.kind == ONEPART:
-        return _onepart_character_sum(q.cycle_type, q.branch_points) / (q.degree * prod(q.profile))
+    if q.kind == ONEPART:  # _hook_sum is 2^m times the module docstring's hook sum
+        m = q.branch_points
+        return Rat(_hook_sum(_hook_poly(q.profile), q.degree, m), q.degree * prod(q.profile) << m)
     return _simple_numbers(q.genus, [q.profile])[0]
 
 
@@ -235,7 +209,7 @@ def _connected_simple(members):
     def build():
         family = {}
         for vm, J in members:
-            for t in [vm] + [t for t, _, _ in _splits(vm)]:
+            for t in [vm] + [t for t, *_ in _sub_multisets(vm)[1:-1]]:
                 family[t] = max(family.get(t, J), J)
         K = max(_excess(vm) + J for vm, J in members)
         rows = _connected_rows(dict(sorted(family.items(), key=lambda item: _size(item[0]))), K)
@@ -286,9 +260,9 @@ def _connected_rows(family, K):
         parts = tuple(b for b, c in reversed(vm) for _ in range(c))
         count = J // 2 + 1
         keep = (1 << 8 * nb * count) - 1
-        acc = 0
-        for t, u, w in _splits(vm):
-            acc += w * ((rows[t][1] & keep) * (rows[u][0] & keep))
+        acc, total = 0, _size(vm)
+        for t, u, w, nt, size in _sub_multisets(vm)[1:-1]:  # t nonempty and proper
+            acc += nt * comb(total, size) * w * ((rows[t][1] & keep) * (rows[u][0] & keep))
         z = _z_packed(parts, K, lows[_size(vm), _excess(vm) % 2], nb, exp_rows)
         out[vm] = _log_slots(len(parts), z, acc, K, nb, count)
         rows[vm] = (z, _pack(out[vm], nb))
@@ -301,18 +275,6 @@ def _size(vm):
 
 def _excess(vm):
     return sum((b - 1) * c for b, c in vm)
-
-
-def _splits(vm):
-    """[(t, s - t, l(t) C(|s|, |t|) prod_b C(mult_b(s), mult_b(t)))] for the
-    nonempty proper sub-multisets t of s = vm."""
-    subs = [((), (), 1, 0, 0)]  # t, s - t, prod_b C(.,.), l(t), |t| so far
-    for b, c in vm:
-        subs = [(t + ((b, x),) if x else t, u + ((b, c - x),) if x < c else u,
-                 w * comb(c, x), nt + x, size + b * x)
-                for t, u, w, nt, size in subs for x in range(c + 1)]
-    total = subs[-1][4]  # the first entry is t = {}, the last t = s
-    return [(t, u, nt * comb(total, size) * w) for t, u, w, nt, size in subs[1:-1]]
 
 
 def _z_packed(parts, K, lo, nb, exp_rows):
@@ -460,30 +422,6 @@ def h_unst_onepart(cap_weight, cap_aux):
                 vm[b2] = vm.get(b2, 0) + 1
                 items.append((1, vm, Rat(1, 2 * (b1 + b2))))
     return Series.from_terms(FAMILY_P, cap_weight, cap_aux, items)
-
-
-def h_unst_simple(cap_weight, cap_aux):
-    """Unstable part (g = 0, n <= 2) of the simple H, closed form.
-
-    One-point coefficients are beta^{b-1} b^{b-2}/b!, where b = 1 reads
-    1^{-1}/1! = 1; two-point ones are
-    beta^{b1+b2} b1^b1 b2^b2 / (2 (b1 + b2) b1! b2!) over ordered pairs.
-    Every coefficient is an integer over den = 2 lcm(1..W) W!.
-    """
-    _check_caps("h_unst_simple", 0, cap_weight, cap_aux)
-    W = cap_weight
-    den = 2 * lcm(*range(1, W + 1)) * factorial(W)
-    num = {(0, ((1, 1),)): den} if W else {}
-    for b in range(2, W + 1):
-        if b - 1 <= cap_aux:
-            num[b - 1, ((b, 1),)] = b ** (b - 2) * (den // factorial(b))
-    for b1 in range(1, W):
-        for b2 in range(b1, W - b1 + 1):  # unordered, so b1 < b2 counts twice
-            if b1 + b2 <= cap_aux:
-                vm = ((b1, 2),) if b1 == b2 else ((b1, 1), (b2, 1))
-                num[b1 + b2, vm] = (b1 ** b1 * b2 ** b2 * (1 + (b1 < b2))
-                                    * (den // (2 * (b1 + b2) * factorial(b1) * factorial(b2))))
-    return _make(FAMILY_P, W, cap_aux, num, den)
 
 
 def lp(series):

@@ -7,12 +7,15 @@ cut-and-join eigenvalue formula below is the same algebraic expression
 whichever way the parts are read, and the orientation of the whole library
 is pinned by the eigenvector test A(s_lambda) = f(lambda) s_lambda together
 with the hook-sum identity (see symfunc).
+
+The hook-character sum (``_hook_poly``, ``_hook_sum``) and the sub-multiset
+enumerator (``_sub_multisets``) live here, once, for hurwitz, pic and hodge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .series import _cached, _check_caps
 
@@ -164,3 +167,40 @@ def hook(a, b):
     """Diagram with one arm of length a and leg of length b: (a+1, 1^b)."""
     _check_caps("hook", 0, a, b)
     return Partition((a + 1,) + (1,) * b)
+
+
+def _hook_poly(nu):
+    """prod_i (1 - (-y)^{nu_i}) as a coefficient list."""
+    poly = [1]
+    for b in nu:
+        out = poly + [0] * b
+        for j, c in enumerate(poly):  # times 1 - (-y)^b
+            out[j + b] -= c if b % 2 == 0 else -c
+        poly = out
+    return poly
+
+
+def _hook_sum(poly, d, m):
+    """2^m sum_j (-1)^j f_j^m [y^j] poly / (1 + y), f_j = d (d - 1 - 2j) / 2,
+    an integer: 2^m times the one-part character sum for
+    poly = prod_i (1 - (-y)^{nu_i}), |nu| = d (see ``hurwitz``).
+    poly must be divisible by 1 + y; (-1)^j times the quotient's y^j
+    coefficient is the alternating prefix sum of poly to y^j."""
+    acc = prefix = 0
+    for j, c in enumerate(poly[:d]):
+        prefix += -c if j % 2 else c
+        acc += prefix * (d * (d - 1 - 2 * j)) ** m
+    return acc
+
+
+def _sub_multisets(vm):
+    """[(t, s - t, prod_b C(mult_b(s), mult_b(t)), l(t), |t|)] for every
+    sub-multiset t of s = vm = ((b, mult_b(s)), ...), b increasing, keyed as
+    vm is, in the lexicographic order of the exponent vectors of t: t = {}
+    first, t = s last.  |t| = sum_b b mult_b(t)."""
+    subs = [((), (), 1, 0, 0)]
+    for b, c in vm:
+        subs = [(t + ((b, x),) if x else t, u + ((b, c - x),) if x < c else u,
+                 w * comb(c, x), nt + x, size + b * x)
+                for t, u, w, nt, size in subs for x in range(c + 1)]
+    return subs

@@ -35,7 +35,8 @@ The bracket itself is defined combinatorially:
         prod (-1)^{d_i - b_i + 1} / ((d_i - b_i + 1)! (b_i - 1)!)
         * h_{g; b} / ((2g - 1 + n)! sum b_i),
 with 4g = sum d_i - n + 3 (zero if no such integer g >= 0 exists).
-With the hook form of h_{g; b} (see hurwitz) and c(b, d) / b =
+With the hook form of h_{g; b} (see hurwitz: the sum over j below is the
+hook-character sum ``partitions._hook_sum``) and c(b, d) / b =
 (-1)^{d+1-b} C(d+1, b) / (d+1)!, the sum over b is linear and factors into
     P(x, y) = prod_i sum_{b=1}^{d_i+1} (-1)^{d_i+1-b} C(d_i+1, b) x^b (1 - (-y)^b),
     <...> = sum_D (1/D^2) sum_j (-1)^j f_j^m [x^D y^j] P / (1 + y)
@@ -48,10 +49,9 @@ from bisect import bisect_right
 from collections import Counter
 from math import comb, factorial, lcm, prod
 
-from .partitions import partitions_of
+from .partitions import partitions_of, _hook_sum
 from .series import (Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _make,
                      _ratio, vm_weight)
-from .hurwitz import _hook_sum
 
 
 class Laurent:
@@ -150,6 +150,8 @@ def _change_variables(series, coeff, aux_exp, base):
 
 def chvar_coeff(b, d):
     """Coefficient of t_d in the image of p_b (without the q power)."""
+    _check_caps("chvar_coeff", 1, b)
+    _check_caps("chvar_coeff", 0, d)
     if d < b - 1:
         return Rat(0)
     return Rat((-1) ** (d - b + 1), factorial(d - b + 1) * factorial(b - 1))

@@ -85,6 +85,9 @@ def vm_weight(family, vm):
 
 
 def var_weight(family, index):
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    _check_caps("var_weight", 0, index)
     return index if family == FAMILY_P else index + 1
 
 
@@ -288,18 +291,14 @@ class Series:
         Slot i holds p_i (family P) or t_{i-1} (family T_Q), matching the
         canonical variable order (beta|q, p_1/t_0, p_2/t_1, ...).
         """
-        width = 0
-        for _, vm in self.num:
-            for i, _ in vm:
-                slot = i if self.family == FAMILY_P else i + 1
-                width = max(width, slot)
+        off = var_weight(self.family, 0)  # slot i + off holds variable i
+        width = max((i + off for _, vm in self.num for i, _ in vm), default=0)
         rows = []
         for (aux, vm), c in self.terms.items():
             vec = [0] * (width + 1)
             vec[0] = aux
             for i, e in vm:
-                slot = i if self.family == FAMILY_P else i + 1
-                vec[slot] = e
+                vec[i + off] = e
             rows.append({"exp": vec, "coeff": "%d/%d" % (c.numerator, c.denominator)})
         rows.sort(key=lambda r: r["exp"])
         return {"family": self.family,

@@ -57,6 +57,12 @@
   table with one ``character`` call per (lambda, s) pair and the sub-multiset
   logarithm summed entry by entry, with a binomial per pair of entries, and
   the series built from its rows at J = cap_aux.
+* ``h_unst_simple``: the unstable (g = 0, n <= 2) part of the connected
+  simple series in closed form, against the terms of the table that
+  ``hodge.h_simple_stable`` drops.
+* ``sub_multiset_splits`` and ``monomial_splits_by_bucket``: the
+  sub-multiset splits of the connected table and of the PDE route, each
+  written out on its own rather than through ``partitions._sub_multisets``.
 * ``EntrywiseSolver``: the PDE route building the reduction of every
   (slice, eta, monomial) it reads and every split of each monomial, without
   the grading test.
@@ -86,7 +92,7 @@ Checks of stated identities that more than one test module runs:
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from taulab.diffops import TOp, ZOp, _accumulate, evaluate
 from taulab.hierarchy import cut_and_join, hirota_residual
@@ -96,7 +102,7 @@ from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, 
                                cut_and_join_eigenvalue)
 from taulab.pic import (Laurent, STRING_SOURCE_PIC, _monomials_up_to_weight,
                         _mono_factorials)
-from taulab.series import Series, Rat, FAMILY_P, _make, vm_weight, var_weight
+from taulab.series import Series, Rat, FAMILY_P, _check_caps, _make, vm_weight, var_weight
 from taulab.symfunc import dimension, schur_poly
 
 
@@ -895,6 +901,57 @@ def connected_simple_series(cap_weight, cap_aux):
         for k, h in enumerate(row[:cap_aux + 1 - excess], start=excess):
             terms[k, vm] = Rat(h, factorial(la.size) * zee(la) * 2 ** k * factorial(k))
     return Series(FAMILY_P, cap_weight, cap_aux, terms)
+
+
+def h_unst_simple(cap_weight, cap_aux):
+    """Unstable part (g = 0, n <= 2) of the simple H, closed form.
+
+    One-point coefficients are beta^{b-1} b^{b-2}/b!, where b = 1 reads
+    1^{-1}/1! = 1; two-point ones are
+    beta^{b1+b2} b1^b1 b2^b2 / (2 (b1 + b2) b1! b2!) over ordered pairs.
+    Every coefficient is an integer over den = 2 lcm(1..W) W!.
+    """
+    _check_caps("h_unst_simple", 0, cap_weight, cap_aux)
+    W = cap_weight
+    den = 2 * lcm(*range(1, W + 1)) * factorial(W)
+    num = {(0, ((1, 1),)): den} if W else {}
+    for b in range(2, W + 1):
+        if b - 1 <= cap_aux:
+            num[b - 1, ((b, 1),)] = b ** (b - 2) * (den // factorial(b))
+    for b1 in range(1, W):
+        for b2 in range(b1, W - b1 + 1):  # unordered, so b1 < b2 counts twice
+            if b1 + b2 <= cap_aux:
+                vm = ((b1, 2),) if b1 == b2 else ((b1, 1), (b2, 1))
+                num[b1 + b2, vm] = (b1 ** b1 * b2 ** b2 * (1 + (b1 < b2))
+                                    * (den // (2 * (b1 + b2) * factorial(b1) * factorial(b2))))
+    return _make(FAMILY_P, W, cap_aux, num, den)
+
+
+def sub_multiset_splits(vm):
+    """[(t, s - t, l(t) C(|s|, |t|) prod_b C(mult_b(s), mult_b(t)))] for the
+    nonempty proper sub-multisets t of s = vm."""
+    subs = [((), (), 1, 0, 0)]  # t, s - t, prod_b C(.,.), l(t), |t| so far
+    for b, c in vm:
+        subs = [(t + ((b, x),) if x else t, u + ((b, c - x),) if x < c else u,
+                 w * comb(c, x), nt + x, size + b * x)
+                for t, u, w, nt, size in subs for x in range(c + 1)]
+    total = subs[-1][4]  # the first entry is t = {}, the last t = s
+    return [(t, u, nt * comb(total, size) * w) for t, u, w, nt, size in subs[1:-1]]
+
+
+def monomial_splits_by_bucket(mono):
+    """Every way to share the monomial mono = ((d, e), ...) between two
+    factors, as (t, l(t), |t|, mono / t, l, |mono / t|), in the order of the
+    exponent vectors of t, bucketed by (|t| - l(t)) % 3."""
+    splits = [((), 0, 0, (), 0, 0)]
+    for d, e in mono:
+        splits = [(t + ((d, x),) if x else t, lt + x, st + d * x,
+                   rest + ((d, e - x),) if x < e else rest, lr + e - x, sr + d * (e - x))
+                  for t, lt, st, rest, lr, sr in splits for x in range(e + 1)]
+    buckets = ([], [], [])
+    for split in splits:
+        buckets[(split[2] - split[1]) % 3].append(split)
+    return buckets
 
 
 class EntrywiseSolver(ModuliPDESolver):

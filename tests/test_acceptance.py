@@ -21,7 +21,7 @@ from taulab import hurwitz as hw
 from taulab import pic
 from taulab import hodge
 from oracles import (aux_slice, hook_sum_identity_check, partial, polynomiality_check,
-                     substitute)
+                     substitute, h_unst_simple)
 
 
 def _line(n, text):
@@ -76,7 +76,7 @@ def test_acceptance_3_unstable_goldens():
     for (aux, vm), c in unst1.terms.items():
         assert H1.coeff(aux, dict(vm)) == c, (aux, vm)
     H2 = hw.h_simple_series(W, W + 1)
-    unst2 = hw.h_unst_simple(W, W + 1)
+    unst2 = h_unst_simple(W, W + 1)
     for (aux, vm), c in unst2.terms.items():
         n = sum(e for _, e in vm)
         d = sum(i * e for i, e in vm)

@@ -10,15 +10,16 @@ from taulab.series import Series, FAMILY_P, FAMILY_TQ
 from taulab.diffops import TOp, ZOp, evaluate
 from taulab.symfunc import character, schur_poly
 from taulab.hierarchy import (cut_and_join, character_identity_check, corner_descent_check,
-                              d_mu, hirota_form, kp_form, lkp_form)
-from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, hurwitz_to_hodge,
-                          ModuliPDESolver, conjugated_equation, kdv_zpart_as_moduli_poly,
-                          kdv_check, ck_report, exp_l_equals_L_check, solve_l, apply_L,
-                          moduli_caps_for, transformed_stable)
+                              d_mu, hirota_form, kp_form, lkp_form, hirota_residual,
+                              kp_residual, lkp_residual)
+from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, elsv_chvar_coeff,
+                          hurwitz_to_hodge, ModuliPDESolver, conjugated_equation,
+                          kdv_zpart_as_moduli_poly, kdv_check, ck_report, exp_l_equals_L_check,
+                          solve_l, apply_L, moduli_caps_for, transformed_stable)
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series,
-                            h_unst_simple, h_unst_onepart, hook_series, hurwitz)
-from taulab.pic import (bracket, f_series, u_in_T, genus_table, u_hierarchy_residuals,
-                        string_check, dilaton_check)
+                            h_unst_onepart, hook_series, hurwitz)
+from taulab.pic import (bracket, chvar_coeff, f_series, u_in_T, genus_table,
+                        u_hierarchy_residuals, string_check, dilaton_check)
 from oracles import (constant, variable, aux_shift, partial, zop_exp, hook_arm_leg,
                      hook_sum_identity_check, polynomiality_check, derivative_transform_pic)
 
@@ -173,8 +174,6 @@ BAD_CALLS = {
     # a negative cap used to be kept, a float one to raise TypeError or return a float
     "hook_series(-1,2)": (hook_series, -1, 2),
     "hook_series(2.0,2)": (hook_series, 2.0, 2),
-    "h_unst_simple(3,-1)": (h_unst_simple, 3, -1),
-    "h_unst_simple(2.5,1)": (h_unst_simple, 2.5, 1),
     "h_unst_onepart(2.0,1)": (h_unst_onepart, 2.0, 1),
     "moduli_caps_for(2.0,2)": (moduli_caps_for, 2.0, 2),
     "moduli_caps_for(-1,2)": (moduli_caps_for, -1, 2),
@@ -201,6 +200,17 @@ BAD_CALLS = {
     "d_mu(2)": (d_mu, 2),
     "d_mu((2,1))": (d_mu, (2, 1)),
     "corner_descent_check(2)": (corner_descent_check, 2),
+    "kp_residual(2,2,0)": (kp_residual, 2, 2, 0),
+    "hirota_residual(2,2,0)": (hirota_residual, 2, 2, 0),
+    "lkp_residual(2,2,0)": (lkp_residual, 2, 2, 0),
+    "character_identity_check((2,),(1))": (character_identity_check, (2,), Partition((1,))),
+    # True used to read as 1, and a float to raise TypeError
+    "chvar_coeff(True,2)": (chvar_coeff, True, 2),
+    "chvar_coeff(2.0,2)": (chvar_coeff, 2.0, 2),
+    "elsv_chvar_coeff(2.0,2)": (elsv_chvar_coeff, 2.0, 2),
+    "derivative_transform_elsv(2.0)": (derivative_transform_elsv, 2.0),
+    # an unknown family used to read as T_Q
+    "var_weight(-1,2)": (series.var_weight, -1, 2),
 }
 
 # a float or a bool argument shares the memo key of the equal int: each row is

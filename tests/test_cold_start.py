@@ -52,9 +52,10 @@ def test_char_and_schur_load_only_their_modules(argv):
      {"pic", "hodge", "diffops", "hierarchy"}),
     ("series --build lp2h --cap-weight 4 --cap-aux 3",
      {"pic", "hodge", "diffops", "hierarchy"}),
-    ("bracket --indices 2,3,3", {"hodge", "diffops", "hierarchy"}),
+    # brackets read the hook-character sum in partitions, not hurwitz
+    ("bracket --indices 2,3,3", {"hodge", "diffops", "hierarchy", "hurwitz", "symfunc"}),
     # u-tau computes Hirota residuals, so it needs hierarchy and diffops
-    ("verify u-tau", {"hodge"}),
+    ("verify u-tau", {"hodge", "hurwitz"}),
     ("verify corner --max-size 4", {"hodge", "pic"}),
     ("hodge --genus 1 --indices 1", {"hierarchy"}),
 ])

@@ -201,6 +201,15 @@ def test_transform_images_of_p():
     assert elsv_chvar_coeff(2, 2) == F(-1, 2)
 
 
+@pytest.mark.parametrize("W, M", [(4, 4), (8, 14), (10, 19)])
+def test_stable_part_is_the_table_without_the_closed_unstable_part(W, M):
+    # the grading filter keeps exactly what subtracting the closed form keeps,
+    # down to the stored numerators, denominator and term order
+    got = h_simple_stable(W, M)
+    want = hurwitz.h_simple_series(W, M) - oracles.h_unst_simple(W, M)
+    assert (got.num, got.den, list(got.num)) == (want.num, want.den, list(want.num))
+
+
 def test_transform_stable_is_even_nonnegative():
     img = chvar_elsv(h_simple_stable(8, 14))
     assert img.lowest() >= 0

@@ -7,20 +7,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from taulab import hurwitz, series
 from taulab.partitions import (Partition, partitions_of, partitions_upto, aut_order,
-                               hook, cut_and_join_eigenvalue)
+                               hook, cut_and_join_eigenvalue, _hook_poly, _hook_sum)
 from taulab.symfunc import character
 from taulab.series import Series, FAMILY_P
 from taulab.hierarchy import cut_and_join, kp_residual
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             hurwitz_frobenius, hurwitz_closed,
                             h_onepart_series, h_simple_series,
-                            h_unst_onepart, h_unst_simple, hook_series, lp,
-                            _onepart_character_sum, _connected_simple)
+                            h_unst_onepart, hook_series, lp,
+                            _connected_simple)
 import oracles
 from oracles import (aux_partial, aux_slice, series_log, disconnected_simple_series,
                      cut_and_join_simple_series, fit_1d, lagrange_fit_1d, tensor_fit,
                      polynomiality_check, connected_simple_rows, connected_simple_series,
-                     elsv_scaled_value)
+                     elsv_scaled_value, h_unst_simple)
 
 
 def q1(g, *b):
@@ -100,7 +100,7 @@ def test_hook_polynomial_matches_murnaghan_nakayama():
             chis = [character(la, nu) for la in hooks]
             for m in range(D):
                 want = sum(s * f ** m * c for s, f, c in zip(signs, fs, chis))
-                assert _onepart_character_sum(nu, m) == want, (nu, m)
+                assert F(_hook_sum(_hook_poly(nu), D, m), 2 ** m) == want, (nu, m)
 
 
 def test_h_onepart_unstable_restriction():

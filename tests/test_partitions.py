@@ -1,12 +1,14 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from taulab.partitions import (Partition, partitions_of, partitions_upto,
                                aut_order, zee, class_size,
-                               cut_and_join_eigenvalue, hook)
-from oracles import conjugate, contents_sum, is_hook, hook_arm_leg
+                               cut_and_join_eigenvalue, hook, _sub_multisets)
+from taulab.hodge import _monomial_splits
+from oracles import (conjugate, contents_sum, is_hook, hook_arm_leg, sub_multiset_splits,
+                     monomial_splits_by_bucket)
 
 
 def test_partitions_of_small():
@@ -108,3 +110,21 @@ def test_hook():
     assert hook(0, 2) == Partition((1, 1, 1))
     assert is_hook(hook(3, 2)) and hook_arm_leg(hook(3, 2)) == (3, 2)
     assert not is_hook(Partition((2, 2)))
+
+
+def test_sub_multiset_splits_match_both_written_out_enumerations():
+    # every multiset of size <= 8, over indices >= 1 (p-monomials) and, one
+    # lower, over indices >= 0 (t-monomials): the connected table's weighted
+    # splits, as ``hurwitz._connected_rows`` forms them, and the PDE route's
+    # buckets keep their order, weights and buckets
+    count = 0
+    for la in partitions_upto(8):
+        for shift in (0, 1):
+            vm = tuple(sorted((b - shift, e) for b, e in la.multiplicities().items()))
+            total = sum(b * e for b, e in vm)
+            splits = [(t, u, nt * comb(total, size) * w)
+                      for t, u, w, nt, size in _sub_multisets(vm)[1:-1]]
+            assert splits == sub_multiset_splits(vm), vm
+            assert _monomial_splits(vm) == monomial_splits_by_bucket(vm), vm
+            count += 1
+    assert count == 2 * len(partitions_upto(8))
