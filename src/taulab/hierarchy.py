@@ -26,15 +26,14 @@ from __future__ import annotations
 
 from math import comb
 
-from .partitions import Partition, partitions_of, aut_order
+from .partitions import Partition, partitions_of, aut_order, _check_partition
 from .symfunc import character
 from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _make
 from .diffops import _accumulate, evaluate, expand
 
 
 def d_mu(mu):
-    if not isinstance(mu, Partition):
-        raise ValueError("d_mu needs a Partition, got %r" % (mu,))
+    _check_partition("d_mu", mu)
 
     def build():
         terms = {}
@@ -160,8 +159,8 @@ def lkp_form(i, j):
 
 def cut_and_join(s):
     """A = 1/2 sum_{i,j} [(i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j]."""
-    if s.family != FAMILY_P:
-        raise ValueError("cut-and-join acts on family-P series, got %s" % s.family)
+    if not isinstance(s, Series) or s.family != FAMILY_P:
+        raise ValueError("cut-and-join acts on family-P series, got %r" % (s,))
     out = {}
 
     def bump(aux, vmdict, c):
@@ -250,6 +249,7 @@ def hirota_descent_check(i, j):
       i == j: (i-2) Hir_{i-1,i}
     A term whose coefficient is 0 or whose indices leave 2 <= i <= j drops.
     """
+    _check_ij(i, j)
     rhs = {}
     for c, a, b in [(i - 2, i - 1, j), (j - 1, i, j - 1)]:
         if c and a <= b:

@@ -486,13 +486,10 @@ def kdv_zpart_as_moduli_poly(name, zk):
     _check_caps("kdv_zpart_as_moduli_poly", 0, zk)
     if name not in KDV_EQUATIONS:
         raise ValueError("no equation %r at z^%d" % (name, zk))
-
-    def build():
-        eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
-              for etas, c in terms.items()}
-        # the displayed equations act on F itself: the identity conjugation
-        return _distribute(eq, zk, lambda i: [(0, (i,), 1)])
-    return _cached(("kdvz", name, zk), build)
+    eq = {(z0, etas): c for z0, terms in KDV_EQUATIONS[name].items()
+          for etas, c in terms.items()}
+    # the displayed equations act on F itself: the identity conjugation
+    return _distribute(eq, zk, lambda i: [(0, (i,), 1)])
 
 
 def kdv_check(name, zk, fs):
@@ -554,10 +551,6 @@ def _monomial_splits(mono):
     points and |.| the index sum, in the order of the exponent vectors of t,
     and bucketed by (|t| - l(t)) % 3: the grading of ``_deriv_coeff`` reads
     a factor at t only from one bucket."""
-    return _cached(("splits", mono), _monomial_splits_raw, mono)
-
-
-def _monomial_splits_raw(mono):
     subs = _sub_multisets(mono)  # the last entry is t = mono
     points, total = subs[-1][3:]
     buckets = ([], [], [])

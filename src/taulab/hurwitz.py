@@ -32,8 +32,8 @@ Routes:
     (``_connected_rows``) computes that logarithm for each multiset s of a
     family closed under sub-multisets (``partitions._sub_multisets``), in
     rows indexed by j = k - (|s| - l(s)) up to a cap J, in one pass per call:
-    one memoized table gives the numbers of a query or of a whole Hodge
-    lattice at J = 2g + 2n - 2 (``_simple_numbers``), and
+    one table, built per call, gives the numbers of a query or of a whole
+    Hodge lattice at J = 2g + 2n - 2 (``_simple_numbers``), and
     h_simple_series(W, M) reads every partition's row at J = M - e(s).  The
     whole-series logarithm is a test oracle;
   * closed hook series (one-part only): coefficient extraction from
@@ -44,13 +44,12 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb, factorial, lcm, prod
-from types import MappingProxyType
 
 from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue, _hook_poly, _hook_sum,
                          _sub_multisets)
 from .symfunc import schur_poly, _column, _shape
-from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _make, vm_weight
+from .series import Series, Rat, FAMILY_P, _check_caps, _make, vm_weight
 
 ONEPART = "onepart"
 SIMPLE = "simple"
@@ -101,6 +100,11 @@ class HurwitzQuery:
         return "HurwitzQuery(%s, g=%d, b=%r)" % (self.kind, self.genus, self.profile)
 
 
+def _check_query(name, q):
+    if not isinstance(q, HurwitzQuery):
+        raise ValueError("%s needs a HurwitzQuery, got %r" % (name, q))
+
+
 # -- brute force ---------------------------------------------------------------
 
 
@@ -123,6 +127,7 @@ def _merge_blocks(blocks, i, j):
 
 def hurwitz_bruteforce(q):
     """Exact count by explicit factorization enumeration; desk scale only."""
+    _check_query("hurwitz_bruteforce", q)
     d, m = q.degree, q.branch_points
     if d > 5 or m > 7:
         raise ValueError("brute force limited to degree <= 5, branch points <= 7")
@@ -182,6 +187,7 @@ def _cycles_of(perm):
 
 def hurwitz_frobenius(q):
     """Character-sum route; one-part directly, simple from the connected table."""
+    _check_query("hurwitz_frobenius", q)
     if q.kind == ONEPART:  # _hook_sum is 2^m times the module docstring's hook sum
         m = q.branch_points
         return Rat(_hook_sum(_hook_poly(q.profile), q.degree, m), q.degree * prod(q.profile) << m)
@@ -190,36 +196,28 @@ def hurwitz_frobenius(q):
 
 def _simple_numbers(g, profiles):
     """[h_{g;b} for b in profiles], the simple numbers of genus g, from one
-    connected table: the H entry of b at J = 2g + 2 l(b) - 2 is
-    2^m |b|! (prod b) h_{g;b}, with m = |b| + l(b) + 2g - 2 = |b| + J - l(b)."""
+    ``_connected_rows`` call.  The multiset vm of b is a member at
+    J = 2g + 2 l(b) - 2, each sub-multiset of a member enters at the largest
+    J of a member that contains it, and the call is at K = max(e(vm) + J).
+    The H entry of b at j = J is 2^m |b|! (prod b) h_{g;b}, with
+    m = |b| + l(b) + 2g - 2 = |b| + J - l(b); its slot holds that entry times
+    K! / k!, k = e(vm) + J, so each member divides once, and a remainder
+    raises.  No later call reads the table, so it is not memoized."""
     members = [(tuple((x, b.count(x)) for x in sorted(set(b))), 2 * g + 2 * len(b) - 2)
                for b in profiles]
-    entries = _connected_simple(tuple(dict.fromkeys(members)))
-    return [Rat(entries[vm, J], 2 ** (sum(b) + J - len(b)) * factorial(sum(b)) * prod(b))
-            for (vm, J), b in zip(members, profiles)]
-
-
-def _connected_simple(members):
-    """{(vm, J): H entry of the multiset vm at j = J} (``_connected_rows``)
-    for a tuple of members (vm, J), J even; read-only, memoized per tuple.
-    The members and their sub-multisets, each with the largest J of a member
-    that contains it, share one ``_connected_rows`` call at K = max(e(vm) +
-    J).  A slot holds its entry times K! / k!, k = e(vm) + J, so each member
-    divides once, and a remainder raises."""
-    def build():
-        family = {}
-        for vm, J in members:
-            for t in [vm] + [t for t, *_ in _sub_multisets(vm)[1:-1]]:
-                family[t] = max(family.get(t, J), J)
-        K = max(_excess(vm) + J for vm, J in members)
-        rows = _connected_rows(dict(sorted(family.items(), key=lambda item: _size(item[0]))), K)
-        out = {}
-        for vm, J in members:
-            out[vm, J], r = divmod(rows[vm][J // 2], factorial(K) // factorial(_excess(vm) + J))
-            if r:
-                raise ValueError("the connected table left a remainder")
-        return MappingProxyType(out)
-    return _cached(("simple", members), build)
+    family = {}
+    for vm, J in members:
+        for t in [vm] + [t for t, *_ in _sub_multisets(vm)[1:-1]]:
+            family[t] = max(family.get(t, J), J)
+    K = max(_excess(vm) + J for vm, J in members)
+    rows = _connected_rows(dict(sorted(family.items(), key=lambda item: _size(item[0]))), K)
+    out = []
+    for (vm, J), b in zip(members, profiles):
+        h, r = divmod(rows[vm][J // 2], factorial(K) // factorial(_excess(vm) + J))
+        if r:
+            raise ValueError("the connected table left a remainder")
+        out.append(Rat(h, 2 ** (sum(b) + J - len(b)) * factorial(sum(b)) * prod(b)))
+    return out
 
 
 def _connected_rows(family, K):
@@ -367,46 +365,40 @@ def h_simple_series(cap_weight, cap_aux):
     coefficient of beta^m p_nu is h_{g;nu} / (m! |Aut(nu)|) with
     m = d + n + 2g - 2, read from the connected table at K = cap_aux."""
     _check_caps("h_simple_series", 0, cap_weight, cap_aux)
-
-    def build():
-        # h / (|s|! z_s 2^k k!) with h = slot k! / K!, over K! 2^K (W!)^2
-        K, top = cap_aux, factorial(cap_weight) ** 2
-        vms = (tuple(sorted(la.multiplicities().items()))
-               for la in partitions_upto(cap_weight)[1:])
-        family = {vm: K - _excess(vm) for vm in vms if _excess(vm) <= K}
-        rows = _connected_rows(family, K)
-        num = {}
-        for vm in family:
-            e = _excess(vm)
-            scale = top // (factorial(_size(vm)) * prod(b ** c * factorial(c) for b, c in vm))
-            for i, h in enumerate(rows[vm]):
-                if h:
-                    num[e + 2 * i, vm] = h * scale << K - e - 2 * i
-        return _make(FAMILY_P, cap_weight, K, num, factorial(K) * top << K)
-    return _cached(("H_simple", cap_weight, cap_aux), build)
+    # h / (|s|! z_s 2^k k!) with h = slot k! / K!, over K! 2^K (W!)^2
+    K, top = cap_aux, factorial(cap_weight) ** 2
+    vms = (tuple(sorted(la.multiplicities().items()))
+           for la in partitions_upto(cap_weight)[1:])
+    family = {vm: K - _excess(vm) for vm in vms if _excess(vm) <= K}
+    rows = _connected_rows(family, K)
+    num = {}
+    for vm in family:
+        e = _excess(vm)
+        scale = top // (factorial(_size(vm)) * prod(b ** c * factorial(c) for b, c in vm))
+        for i, h in enumerate(rows[vm]):
+            if h:
+                num[e + 2 * i, vm] = h * scale << K - e - 2 * i
+    return _make(FAMILY_P, cap_weight, K, num, factorial(K) * top << K)
 
 
 def h_onepart_series(cap_weight, cap_aux):
     """One-part series H: coefficient of beta^m p_nu is
     h_{g;nu} / (m! |Aut(nu)| d) with m = 2g - 1 + n."""
     _check_caps("h_onepart_series", 0, cap_weight, cap_aux)
-
-    def build():
-        # h_{g;nu} / (m! |Aut(nu)| d) = (hook sum) / (2^m m! d^2 z_nu), over
-        # 2^M M! lcm(1..W)^2 W!, as d^2 z_nu divides lcm(1..W)^2 W!
-        W, M = cap_weight, cap_aux
-        top = lcm(*range(1, W + 1)) ** 2 * factorial(W)
-        num = {}
-        for d in range(1, W + 1):
-            for nu in partitions_of(d):
-                n, poly = len(nu), _hook_poly(nu)
-                vm = tuple(sorted(nu.multiplicities().items()))
-                scale = top // (d * d * zee(nu))
-                for m in range(n - 1, M + 1, 2):
-                    if acc := _hook_sum(poly, d, m):
-                        num[m, vm] = acc * scale * (factorial(M) // factorial(m)) << M - m
-        return _make(FAMILY_P, W, M, num, factorial(M) * top << M)
-    return _cached(("H_onepart", cap_weight, cap_aux), build)
+    # h_{g;nu} / (m! |Aut(nu)| d) = (hook sum) / (2^m m! d^2 z_nu), over
+    # 2^M M! lcm(1..W)^2 W!, as d^2 z_nu divides lcm(1..W)^2 W!
+    W, M = cap_weight, cap_aux
+    top = lcm(*range(1, W + 1)) ** 2 * factorial(W)
+    num = {}
+    for d in range(1, W + 1):
+        for nu in partitions_of(d):
+            n, poly = len(nu), _hook_poly(nu)
+            vm = tuple(sorted(nu.multiplicities().items()))
+            scale = top // (d * d * zee(nu))
+            for m in range(n - 1, M + 1, 2):
+                if acc := _hook_sum(poly, d, m):
+                    num[m, vm] = acc * scale * (factorial(M) // factorial(m)) << M - m
+    return _make(FAMILY_P, W, M, num, factorial(M) * top << M)
 
 
 def h_unst_onepart(cap_weight, cap_aux):
@@ -434,16 +426,14 @@ def lp(series):
 def hook_series(cap_weight, cap_aux):
     """sum_{a,b >= 0} (-1)^b s_{hook(a,b)} e^{f beta}; equals L_p^2 H."""
     _check_caps("hook_series", 0, cap_weight, cap_aux)
-
-    def build():
-        return _exp_schur_sum(((hook(d - 1 - b, b), Rat((-1) ** b))
-                               for d in range(1, cap_weight + 1) for b in range(d)),
-                              cap_weight, cap_aux)
-    return _cached(("hooks", cap_weight, cap_aux), build)
+    return _exp_schur_sum(((hook(d - 1 - b, b), Rat((-1) ** b))
+                           for d in range(1, cap_weight + 1) for b in range(d)),
+                          cap_weight, cap_aux)
 
 
 def hurwitz_closed(q):
     """One-part value extracted from the hook closed-form series."""
+    _check_query("hurwitz_closed", q)
     if q.kind != ONEPART:
         raise ValueError("the hook closed form applies to one-part numbers only")
     d, m = q.degree, q.branch_points

@@ -105,6 +105,13 @@ class Partition:
         return mult
 
 
+def _check_partition(name, *ps):
+    """ValueError unless every argument is a Partition: a tuple or a string
+    would otherwise fail later, on an attribute it lacks."""
+    if not all(isinstance(p, Partition) for p in ps):
+        raise ValueError("%s needs Partitions, got %s" % (name, ", ".join(map(repr, ps))))
+
+
 def partitions_of(d):
     """All partitions of d, reverse-lexicographic, deterministic."""
     _check_caps("partitions_of", 0, d)
@@ -135,6 +142,7 @@ def partitions_upto(d):
 
 def aut_order(p):
     """Number of permutations of the parts preserving their values."""
+    _check_partition("aut_order", p)
     out = 1
     for m in p.multiplicities().values():
         out *= factorial(m)
@@ -143,6 +151,7 @@ def aut_order(p):
 
 def zee(p):
     """Centralizer order of the conjugacy class with cycle type p."""
+    _check_partition("zee", p)
     out = aut_order(p)
     for x in p.parts:
         out *= x
@@ -150,6 +159,7 @@ def zee(p):
 
 
 def class_size(p):
+    _check_partition("class_size", p)
     return factorial(p.size) // zee(p)
 
 
@@ -160,6 +170,7 @@ def cut_and_join_eigenvalue(p):
     the eigenvalue of the cut-and-join operator on the Schur polynomial
     labeled by the same parts (pinned by tests).
     """
+    _check_partition("cut_and_join_eigenvalue", p)
     return Fraction(sum(x * (x - 2 * i + 1) for i, x in enumerate(p.parts, start=1)), 2)
 
 

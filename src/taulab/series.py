@@ -33,10 +33,12 @@ FAMILY_TQ = "T_Q"
 FAMILIES = (FAMILY_P, FAMILY_TQ)
 
 # The process-wide memo of every layer.  Each key starts with a tag naming
-# its use ("char", "bracket", "d_mu", "H_simple", ...), so uses cannot
-# collide.  Values are immutable once stored.  A hit takes no lock; a miss
-# builds under one re-entrant lock, so each key is built once and a nested
-# build runs in the thread that holds it.  A build that raises stores nothing.
+# its use ("column", "bracket", "d_mu", "reduce", ...), so uses cannot
+# collide; a tag stays only while some workload reads its entries again
+# (tests/test_series.py lists the tags).  Values are immutable once stored.
+# A hit takes no lock; a miss builds under one re-entrant lock, so each key
+# is built once and a nested build runs in the thread that holds it.  A
+# build that raises stores nothing.
 _memo = {}
 _memo_lock = threading.RLock()
 
@@ -161,10 +163,6 @@ class Series:
         self.num, self.den = _reduced(_within(family, cap_weight, cap_aux, num), den)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, family, cap_weight, cap_aux):
-        return cls(family, cap_weight, cap_aux)
 
     @classmethod
     def from_terms(cls, family, cap_weight, cap_aux, items):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from math import factorial, prod
 
-from .partitions import partitions_of, zee
+from .partitions import partitions_of, zee, _check_partition
 from .series import Series, Rat, FAMILY_P, _cached
 
 
 def character(mu, nu):
     """chi_mu(nu): character of the class with cycle type nu in the
     irreducible representation labeled mu.  Exact integer."""
+    _check_partition("character", mu, nu)
     if mu.size != nu.size:
         raise ValueError("sizes differ: |mu|=%d, |nu|=%d" % (mu.size, nu.size))
     return _column(nu.parts).get(_beads(mu.parts, nu.size), 0)
@@ -88,11 +89,13 @@ def _shape_raw(mask):
 
 def dimension(mu):
     """Dimension of the irreducible representation labeled mu."""
+    _check_partition("dimension", mu)
     return _shape(_beads(mu.parts, mu.size))[0]
 
 
 def schur_poly(mu, cap_weight=None, cap_aux=0):
     """Schur polynomial of mu in power sums, as a family-P series."""
+    _check_partition("schur_poly", mu)
     d = mu.size
     w = d if cap_weight is None else cap_weight
     if d > w:
@@ -108,5 +111,6 @@ def schur_poly(mu, cap_weight=None, cap_aux=0):
 
 def power_to_schur(nu):
     """Expansion p_nu = sum_mu chi_mu(nu) s_mu, returned as {mu: coeff}."""
+    _check_partition("power_to_schur", nu)
     return {mu: Rat(character(mu, nu))
             for mu in partitions_of(nu.size) if character(mu, nu)}

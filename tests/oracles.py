@@ -212,7 +212,7 @@ def substitute(s, images, cap_weight=None, cap_aux=None):
     images = {i: _make(fam, w, a, {k: n for k, n in img.num.items()
                                    if k[0] <= a and vm_weight(fam, k[1]) <= w}, img.den)
               for i, img in images.items()}
-    out = Series.zero(fam, w, a)
+    out = Series(fam, w, a)
     for (aux, vm), n in s.num.items():
         if aux > a:
             continue
@@ -309,7 +309,7 @@ def series_log(s):
     if s.constant_term() != 1:
         raise ValueError("log needs constant term 1")
     x = s - 1
-    acc = Series.zero(s.family, s.cap_weight, s.cap_aux)
+    acc = Series(s.family, s.cap_weight, s.cap_aux)
     term = constant(s.family, s.cap_weight, s.cap_aux, 1)
     for k in range(1, s.cap_weight + s.cap_aux + 1):
         term = term * x
@@ -493,9 +493,9 @@ def evaluate_by_series(poly, fs):
     buckets = {}
     for key, c in poly.items():
         buckets.setdefault(key[:-1], []).append((c, key[-1:]))
-    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    out = Series(some.family, some.cap_weight, some.cap_aux)
     for prefix, lasts in buckets.items():
-        piece = Series.zero(some.family, some.cap_weight, some.cap_aux)
+        piece = Series(some.family, some.cap_weight, some.cap_aux)
         for c, last in lasts:
             piece = piece + (derivative(*last[0]) * c if last else c)
         for s, eta in prefix:
@@ -556,7 +556,7 @@ def term_by_term(poly, fs):
     """sum c * prod d^eta fs[s], each factor its own chain of
     ``fraction_partial``, multiplied in by ``fraction_mul``."""
     some = next(iter(fs.values()))
-    out = Series.zero(some.family, some.cap_weight, some.cap_aux)
+    out = Series(some.family, some.cap_weight, some.cap_aux)
     for key, c in poly.items():
         piece = constant(some.family, some.cap_weight, some.cap_aux, c)
         for s, eta in key:
@@ -856,8 +856,9 @@ def hook_length_dimension(mu):
 
 @lru_cache(maxsize=None)
 def connected_simple_rows(vm, J):
-    """``hurwitz._connected_simple`` (same rows), one character per
-    (lambda, s) and one binomial per pair of entries."""
+    """The Z and H rows of ``hurwitz._connected_rows`` at every j <= J,
+    without the K! / k! scaling of its slots: one character per (lambda, s)
+    and one binomial per pair of entries."""
     values, mults = zip(*vm)
     size = sum(b * c for b, c in vm)
     n = sum(mults)
@@ -1026,7 +1027,7 @@ def hook_sum_identity_check(d):
     """True iff p_d = sum_{a+b+1=d} (-1)^b s_{hook(a,b)}."""
     if d < 1:
         raise ValueError("p_d needs d >= 1, got %d" % d)
-    acc = Series.zero(FAMILY_P, d, 0)
+    acc = Series(FAMILY_P, d, 0)
     for b in range(d):
         a = d - 1 - b
         acc = acc + schur_poly(hook(a, b)) * Rat((-1) ** b)

@@ -4,20 +4,22 @@ under ``python -O``."""
 
 import pytest
 
-from taulab.partitions import Partition, partitions_of, partitions_upto, hook
+from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, aut_order, zee,
+                               class_size, cut_and_join_eigenvalue)
 from taulab import series
-from taulab.series import Series, FAMILY_P, FAMILY_TQ
+from taulab.series import Series, Rat, FAMILY_P, FAMILY_TQ
 from taulab.diffops import TOp, ZOp, evaluate
-from taulab.symfunc import character, schur_poly
+from taulab.symfunc import character, dimension, schur_poly, power_to_schur
 from taulab.hierarchy import (cut_and_join, character_identity_check, corner_descent_check,
                               d_mu, hirota_form, kp_form, lkp_form, hirota_residual,
-                              kp_residual, lkp_residual)
+                              kp_residual, lkp_residual, hirota_descent_check)
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, elsv_chvar_coeff,
                           hurwitz_to_hodge, ModuliPDESolver, conjugated_equation,
                           kdv_zpart_as_moduli_poly, kdv_check, ck_report, exp_l_equals_L_check,
                           solve_l, apply_L, moduli_caps_for, transformed_stable)
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series,
-                            h_unst_onepart, hook_series, hurwitz)
+                            h_unst_onepart, hook_series, hurwitz, hurwitz_bruteforce,
+                            hurwitz_frobenius, hurwitz_closed)
 from taulab.pic import (bracket, chvar_coeff, f_series, u_in_T, genus_table,
                         u_hierarchy_residuals, string_check, dilaton_check)
 from oracles import (constant, variable, aux_shift, partial, zop_exp, hook_arm_leg,
@@ -25,7 +27,8 @@ from oracles import (constant, variable, aux_shift, partial, zop_exp, hook_arm_l
 
 P1 = variable(FAMILY_P, 1, 4, 2)
 P3 = Series(FAMILY_P, 3, 0, {(0, ((1, 3),)): 1})
-H44 = h_simple_series(4, 4)
+# beta^3 p_1 p_2 is 2/3, as in h_simple_series(4, 4), and beta^3 p_1^2 is 1
+B3 = Series(FAMILY_P, 4, 4, {(3, ((1, 1), (2, 1))): Rat(2, 3), (3, ((1, 2),)): 1})
 T0 = Series(FAMILY_TQ, 4, 0, {(0, ((0, 1),)): 1})
 T10 = Series(FAMILY_TQ, 10, 0, {(0, ((0, 1),)): 1})  # its weight cap admits d^8, as F01 at z^2 needs
 
@@ -145,9 +148,9 @@ BAD_CALLS = {
     # coeff used to look such a key up as given and answer 0, or for 2.0 the
     # value at 2: beta^3 p_1 p_2 is 2/3 but read 0 unsorted, and the constant 7
     # read 0 under p_1^0
-    "coeff(unsorted key)": (Series.coeff, H44, 3, ((2, 1), (1, 1))),
+    "coeff(unsorted key)": (Series.coeff, B3, 3, ((2, 1), (1, 1))),
     "coeff(zero exponent)": (Series.coeff, constant(FAMILY_P, 3, 3, 7), 0, ((1, 0),)),
-    "coeff(float exponent)": (Series.coeff, H44, 3, {1: 2.0}),
+    "coeff(float exponent)": (Series.coeff, B3, 3, {1: 2.0}),
     "Series(cap 2.5)": (Series, FAMILY_P, 2.5, 0),
     "Series(cap True)": (Series, FAMILY_P, True, 0),
     # partial(-1) used to give 0 with cap_weight 4, partial(0) 0 in family P
@@ -211,6 +214,22 @@ BAD_CALLS = {
     "derivative_transform_elsv(2.0)": (derivative_transform_elsv, 2.0),
     # an unknown family used to read as T_Q
     "var_weight(-1,2)": (series.var_weight, -1, 2),
+    # a tuple or a string in place of a Partition, HurwitzQuery or Series used
+    # to raise AttributeError, and hirota_descent_check("x", 2) TypeError
+    "character((2,),(2))": (character, (2,), Partition((2,))),
+    "dimension('x')": (dimension, "x"),
+    "schur_poly((2,))": (schur_poly, (2,)),
+    "power_to_schur((2,))": (power_to_schur, (2,)),
+    "aut_order((2,))": (aut_order, (2,)),
+    "zee('x')": (zee, "x"),
+    "class_size((2,))": (class_size, (2,)),
+    "cut_and_join_eigenvalue((2,))": (cut_and_join_eigenvalue, (2,)),
+    "hurwitz_frobenius((2,))": (hurwitz_frobenius, (2,)),
+    "hurwitz_closed('x')": (hurwitz_closed, "x"),
+    "hurwitz_bruteforce((2,))": (hurwitz_bruteforce, (2,)),
+    "hurwitz((2,))": (hurwitz, (2,)),
+    "cut_and_join((2,))": (cut_and_join, (2,)),
+    "hirota_descent_check('x',2)": (hirota_descent_check, "x", 2),
 }
 
 # a float or a bool argument shares the memo key of the equal int: each row is

@@ -269,7 +269,7 @@ def test_kp_routes_agree():
 
 
 def test_kp_of_zero():
-    z = Series.zero(FAMILY_P, 6, 0)
+    z = Series(FAMILY_P, 6, 0)
     assert kp_residual(2, 2, z).is_zero()
 
 

@@ -1,11 +1,11 @@
 from fractions import Fraction as F
 from functools import partial
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taulab import hurwitz, series
+from taulab import hurwitz
 from taulab.partitions import (Partition, partitions_of, partitions_upto, aut_order,
                                hook, cut_and_join_eigenvalue, _hook_poly, _hook_sum)
 from taulab.symfunc import character
@@ -14,8 +14,7 @@ from taulab.hierarchy import cut_and_join, kp_residual
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, hurwitz_bruteforce,
                             hurwitz_frobenius, hurwitz_closed,
                             h_onepart_series, h_simple_series,
-                            h_unst_onepart, hook_series, lp,
-                            _connected_simple)
+                            h_unst_onepart, hook_series, lp, _simple_numbers)
 import oracles
 from oracles import (aux_partial, aux_slice, series_log, disconnected_simple_series,
                      cut_and_join_simple_series, fit_1d, lagrange_fit_1d, tensor_fit,
@@ -262,24 +261,21 @@ def test_simple_series_matches_cut_and_join_equation():
         assert cut_and_join_simple_series(W, M) == h_simple_series(W, M)
 
 
-def test_connected_table_rows_are_immutable_and_shared():
-    # one read-only memo entry per call, shared by a repeat call
-    vm = ((1, 1), (2, 2))
-    members = ((vm, 0), (vm, 4), (((2, 1),), 6))
-    H = _connected_simple(members)
-    assert H is _connected_simple(members) and list(H) == list(members)
-    with pytest.raises(TypeError):
-        H[vm, 0] = 1
-    # for p_1 p_2^2, j = 0 is k = e(s) = 2, below every genus, so H is 0
-    # there; genus 0 sits at k = d + n - 2 = 6, j = 4, scaled by 2^k d! prod b
-    assert H[vm, 0] == 0 and hurwitz_frobenius(qs(0, 2, 2, 1)) == F(H[vm, 4], 2 ** 6 * 120 * 4)
+def test_connected_table_reads_genus_zero_and_nothing_below():
+    # for p_1 p_2^2, j = 0 is k = e(s) = 2, below every genus (J = 2g + 2n - 2
+    # at g = -2), so H is 0 there; genus 0 sits at k = d + n - 2 = 6, j = 4,
+    # scaled by 2^k d! prod b
+    assert _simple_numbers(-2, [(2, 2, 1)]) == [0]
+    assert _simple_numbers(0, [(2, 2, 1), (2,)]) == [hurwitz_frobenius(qs(0, 2, 2, 1)),
+                                                     hurwitz_frobenius(qs(0, 2))]
+    assert F(connected_simple_rows(((1, 1), (2, 2)), 4)[1][4], 2 ** 6 * 120 * 4) == \
+        hurwitz_frobenius(qs(0, 2, 2, 1))
 
 
 def test_connected_table_refuses_a_remainder(monkeypatch):
     # a member below K reads its slot times K! / k!: one unit more leaves a
-    # remainder, which raises rather than rounds; on an empty memo, so the
-    # table is built here
-    monkeypatch.setattr(series, "_memo", {})
+    # remainder, which raises rather than rounds.  Here p_1 is at J = k = 0
+    # and p_1 p_2 at J = 2, so K = 3
     rows = hurwitz._connected_rows
 
     def bumped(family, K):
@@ -288,7 +284,7 @@ def test_connected_table_refuses_a_remainder(monkeypatch):
         return out
     monkeypatch.setattr(hurwitz, "_connected_rows", bumped)
     with pytest.raises(ValueError, match="remainder"):
-        _connected_simple(((((1, 1),), 0), (((1, 1), (2, 1)), 4)))
+        _simple_numbers(0, [(1,), (2, 1)])
 
 
 @pytest.mark.parametrize("W, M", [(8, 12), (10, 19), (12, 22)])
@@ -301,13 +297,16 @@ def test_simple_series_matches_entrywise_table(W, M):
 
 
 def test_single_profile_rows_match_entrywise_table():
-    # one call per multiset reads every even j <= 12: its sub-multisets take
-    # the largest J, and each member is divided back from its own slot
-    for la in partitions_upto(10)[1:]:
-        vm = tuple(sorted(la.multiplicities().items()))
-        H = connected_simple_rows(vm, 12)[1]
-        got = _connected_simple(tuple((vm, j) for j in range(0, 13, 2)))
-        assert got == {(vm, j): H[j] for j in range(0, 13, 2)}, vm
+    # one call per genus reads every profile of size <= 8 at J = 2g + 2l - 2:
+    # a sub-multiset that is also a profile takes the largest J, and each
+    # member is divided back from its own slot
+    profiles = [la.parts for la in partitions_upto(8)[1:]]
+    for g in range(4):
+        got = _simple_numbers(g, profiles)
+        for b, h in zip(profiles, got):
+            vm, J = tuple(sorted(Partition(b).multiplicities().items())), 2 * g + 2 * len(b) - 2
+            scale = 2 ** (sum(b) + J - len(b)) * factorial(sum(b)) * prod(b)
+            assert h == F(connected_simple_rows(vm, J)[1][J], scale), (g, b)
 
 
 def test_packed_logarithm_refuses_inexact_slots():

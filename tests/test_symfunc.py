@@ -89,7 +89,7 @@ def test_power_to_schur_roundtrip():
     assert p2 == {Partition((2,)): 1, Partition((1, 1)): -1}
     for d in range(1, 7):
         for nu in partitions_of(d):
-            acc = Series.zero(FAMILY_P, d, 0)
+            acc = Series(FAMILY_P, d, 0)
             for mu, c in power_to_schur(nu).items():
                 acc = acc + schur_poly(mu) * c
             assert acc == power_monomial(nu)
@@ -126,7 +126,7 @@ def _row_entry(i, zexp, c, beta_order):
         return constant(FAMILY_P, 0, beta_order, 1)
     elif zexp == i - 1:
         return -_exp_beta(Rat(1 - i), beta_order)
-    return Series.zero(FAMILY_P, 0, beta_order)
+    return Series(FAMILY_P, 0, beta_order)
 
 
 def wedge_minor_coefficient(mu, c, beta_order):
@@ -156,7 +156,7 @@ def _det(matrix):
             return one
         got = memo.get(cols)
         if got is None:
-            got = Series.zero(FAMILY_P, 0, one.cap_aux)
+            got = Series(FAMILY_P, 0, one.cap_aux)
             for pos, j in enumerate(cols):
                 if not matrix[row][j].is_zero():
                     term = matrix[row][j] * go(row + 1, cols[:pos] + cols[pos + 1:])
