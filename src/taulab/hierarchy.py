@@ -28,7 +28,7 @@ from math import comb
 
 from .partitions import Partition, partitions_of, aut_order, _check_partition
 from .symfunc import character
-from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _make
+from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _check_series, _make
 from .diffops import _accumulate, evaluate, expand
 
 
@@ -159,8 +159,7 @@ def lkp_form(i, j):
 
 def cut_and_join(s):
     """A = 1/2 sum_{i,j} [(i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j]."""
-    if not isinstance(s, Series) or s.family != FAMILY_P:
-        raise ValueError("cut-and-join acts on family-P series, got %r" % (s,))
+    _check_series("cut_and_join", s, FAMILY_P)
     out = {}
 
     def bump(aux, vmdict, c):

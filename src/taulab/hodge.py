@@ -32,6 +32,9 @@ Conventions pinned here (each enforced by tests against displayed values):
   form ``hierarchy.kp_form(2, 2)``, their source, already has; the PDE
   route sums its affine forms with ``diffops._accumulate``.
 
+* The PDE route (``ModuliPDESolver.run``) builds its work list of sorted,
+  split t-monomials once, and buckets each conjugated equation once.
+
 * The Hodge table is fitted on the principal lattice: by ELSV the scaled
   simple numbers are a polynomial of total degree 3g-3+n
   (``hurwitz_to_hodge``).
@@ -43,7 +46,8 @@ from itertools import groupby
 from math import comb, factorial, prod
 
 from .partitions import _sub_multisets
-from .series import Rat, FAMILY_P, _cached, _check_caps, _make, vm_weight
+from .series import (Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _check_series, _make,
+                     vm_weight)
 from .diffops import _accumulate, evaluate, expand
 from .hurwitz import _simple_numbers, h_simple_series
 from .pic import _change_variables, _monomials_up_to_weight
@@ -126,10 +130,7 @@ def moduli_caps_for(W, kmax):
 
 def transformed_stable(W, M):
     _check_caps("transformed_stable", 0, W, M)
-
-    def build():
-        return chvar_elsv(h_simple_stable(W, M))
-    return _cached(("LbF", W, M), build)
+    return _cached(("LbF", W, M), lambda: chvar_elsv(h_simple_stable(W, M)))
 
 
 def f_moduli(k, W, M):
@@ -157,12 +158,11 @@ def apply_L(k, f):
     lowers the weight by k, so it is exact to cap_weight - k.  f is multiplied
     out by one ``diffops.expand`` call in integers, capped at z^k."""
     _check_caps("apply_L", 0, k)
+    _check_series("apply_L", f, FAMILY_TQ, aux=False)
     w = f.cap_weight - k
     if w < 0:
         raise ValueError("L_%d lowers the weight by %d, below the cap %d"
                          % (k, k, f.cap_weight))
-    if f.family == FAMILY_P or any(aux for aux, _ in f.num):
-        raise ValueError("L acts on series in the t variables alone")
     images = {m: [(j, (m - j,), a_coeff(m - j, j).numerator) for j in range(min(m, k) + 1)]
               for m in range(f.cap_weight)}
     got = expand(((0, [m for m, e in vm for _ in range(e)], n) for (_, vm), n in f.num.items()),
@@ -242,17 +242,12 @@ def ck_report(kmax, nmax=4):
     rows = [_log_row(n, kmax) for n in range(nmax + 1)]
     out = {}
     for k in range(1, kmax + 1):
-        ratios_a = []
-        ratios_b = []
-        for n in range(nmax + 1):
-            alpha = rows[n].get(k, Rat(0))
-            ratios_a.append(alpha / comb(n + k + 1, k + 1))
-            ratios_b.append(alpha / comb(n + 1, k + 1) if comb(n + 1, k + 1) else None)
-        const_a = ratios_a[0] if all(r == ratios_a[0] for r in ratios_a) else None
-        valid_b = [r for r in ratios_b if r is not None]
-        const_b = valid_b[0] if valid_b and all(r == valid_b[0] for r in valid_b) \
-            and len(valid_b) == len(ratios_b) else None
-        out[k] = {"lowering": const_a, "transposed": const_b}
+        alphas = [row.get(k, Rat(0)) for row in rows]
+        # each normalization as its set of ratios; None where C(n + 1, k + 1) = 0
+        ratios = ({a / comb(n + k + 1, k + 1) for n, a in enumerate(alphas)},
+                  {a / comb(n + 1, k + 1) if n >= k else None for n, a in enumerate(alphas)})
+        out[k] = {name: r.pop() if len(r) == 1 else None
+                  for name, r in zip(("lowering", "transposed"), ratios)}
     return out
 
 
@@ -545,18 +540,34 @@ def _monomial_coeff_raw(k, eta, mono):
             for p, c in _reduce(k, eta + tuple(d for d, e in mono for _ in range(e))).items()}
 
 
-def _monomial_splits(mono):
-    """Every way to share the monomial mono = ((d, e), ...) between two
-    factors, as (t, l(t), |t|, mono / t, l, |mono / t|) with l the number of
-    points and |.| the index sum, in the order of the exponent vectors of t,
-    and bucketed by (|t| - l(t)) % 3: the grading of ``_deriv_coeff`` reads
-    a factor at t only from one bucket."""
+def _work_entry(mono):
+    """(mono sorted as ((d, e), ...), l, |mono|, splits) for mono = {d: e}, with
+    l its number of points, |.| the index sum, and splits every way to share
+    it between two factors, as (t, l(t), |t|, mono / t, l - l(t), |mono / t|)
+    in the order of the exponent vectors of t, bucketed by (|t| - l(t)) % 3:
+    the grading of ``_deriv_coeff`` reads a factor at t from one bucket."""
+    mono = tuple(sorted(mono.items()))
     subs = _sub_multisets(mono)  # the last entry is t = mono
     points, total = subs[-1][3:]
     buckets = ([], [], [])
     for t, rest, _, lt, st in subs:
         buckets[(st - lt) % 3].append((t, lt, st, rest, points - lt, total - st))
-    return buckets
+    return mono, points, total, buckets
+
+
+def _equation_terms(eq):
+    """The equation's one- and two-factor terms, each bucketed by the sum
+    over its factors (k, eta) of k + |eta| - l(eta), mod 3.  By the grading
+    of ``_deriv_coeff``, a monomial with index sum |m| and l(m) points reads
+    only the bucket (l(m) - |m|) % 3: a two-factor term outside it has, for
+    each split the first factor allows, a second factor that is zero."""
+    single, pairs = ([], [], []), ([], [], [])
+    for key, c in eq.items():
+        if len(key) > 2:
+            raise NotImplementedError("equations with 3+ factors")
+        residue = sum(k + sum(eta) - len(eta) for k, eta in key) % 3
+        (single if len(key) == 1 else pairs)[residue].append((key, c))
+    return single, pairs
 
 
 class ModuliPDESolver:
@@ -569,10 +580,13 @@ class ModuliPDESolver:
     equations, each solved when it is the only unknown.  The solver holds
     only ``solved`` and substitutes it whenever it reads a reduction.
 
-    A phase sweeps a work list of monomials until a sweep solves nothing.  An
-    equation leaves it once it has no unknown (its constant is checked to be
-    zero) or has solved its one unknown (it is then zero exactly); solved
-    values never change, so re-evaluating it could only give zero again.
+    ``run`` builds the work list once, a ``_work_entry`` per monomial of
+    weight <= weight_cap, and buckets each phase's equation once
+    (``_equation_terms``).  A phase sweeps the work list until a sweep
+    solves nothing.  An equation leaves it once it has no unknown (its
+    constant is checked to be zero) or has solved its one unknown (it is
+    then zero exactly); solved values never change, so re-evaluating it
+    could only give zero again.
     """
 
     def __init__(self, kmax=1, weight_cap=10):
@@ -581,7 +595,6 @@ class ModuliPDESolver:
         self.weight_cap = weight_cap
         self.solved = {}
         self._ran = False
-        self._eq_terms = (None, None, None)
 
     def _deriv_coeff(self, k, eta, mono, points, total):
         """Coefficient of the monomial mono, with the given number of points
@@ -604,35 +617,16 @@ class ModuliPDESolver:
             out[None] = const
         return out
 
-    def _terms(self, eq):
-        """The equation's one- and two-factor terms, each bucketed by the
-        sum over its factors (k, eta) of k + |eta| - l(eta), mod 3; kept for
-        the last equation read.  By the grading of ``_deriv_coeff``, a
-        monomial with index sum |m| and l(m) points reads only the bucket
-        (l(m) - |m|) % 3: a two-factor term outside it has, for each split
-        the first factor allows, a second factor that is zero."""
-        if self._eq_terms[0] is not eq:
-            single, pairs = ([], [], []), ([], [], [])
-            for key, c in eq.items():
-                if len(key) > 2:
-                    raise NotImplementedError("equations with 3+ factors")
-                residue = sum(k + sum(eta) - len(eta) for k, eta in key) % 3
-                (single if len(key) == 1 else pairs)[residue].append((key, c))
-            self._eq_terms = (eq, single, pairs)
-        return self._eq_terms[1:]
-
-    def equation_affine(self, eq, mono):
-        """Affine form {primitive or None: coeff} of the equation's
-        coefficient at the monomial, or None when a product of two
-        unknown-bearing factors appears."""
-        mono = tuple(sorted(mono.items()))
-        points, total = sum(e for _, e in mono), sum(d * e for d, e in mono)
-        single, pairs = self._terms(eq)
+    def equation_affine(self, terms, entry):
+        """Affine form {primitive or None: coeff} of the coefficient, at the
+        work-list entry's monomial, of the equation bucketed as ``terms``,
+        or None when a product of two unknown-bearing factors appears."""
+        single, pairs = terms
+        mono, points, total, splits = entry
         bucket = (points - total) % 3
         out = {}
         for ((slice_k, eta),), c in single[bucket]:
             _accumulate(out, self._deriv_coeff(slice_k, eta, mono, points, total).items(), c)
-        splits = _monomial_splits(mono)
         for ((k1, e1), (k2, e2)), c in pairs[bucket]:
             for t, lt, st, rest, lr, sr in splits[(len(e1) - k1 - sum(e1)) % 3]:
                 a = self._deriv_coeff(k1, e1, t, lt, st)
@@ -649,17 +643,17 @@ class ModuliPDESolver:
     def run(self):
         if self._ran:
             return self
+        entries = [_work_entry(m) for m in _monomials_up_to_weight(self.weight_cap)]
         for phase in range(self.kmax + 1):
-            eq = conjugated_equation(2, 2, phase)
-            work = _monomials_up_to_weight(self.weight_cap)
+            terms, work = _equation_terms(conjugated_equation(2, 2, phase)), entries
             progress = True
             while progress:
                 progress = False
                 keep = []
-                for mono in work:
-                    aff = self.equation_affine(eq, mono)
+                for entry in work:
+                    aff = self.equation_affine(terms, entry)
                     if aff is None or len(aff) - (None in aff) > 1:
-                        keep.append(mono)
+                        keep.append(entry)
                         continue
                     const = aff.pop(None, 0)
                     if aff:
@@ -667,7 +661,7 @@ class ModuliPDESolver:
                         self.solved[prim] = -const / coeff
                         progress = True
                     elif const:
-                        raise ValueError("inconsistent equation at %r" % (mono,))
+                        raise ValueError("inconsistent equation at %r" % (entry[0],))
                 work = keep
         self._ran = True
         return self

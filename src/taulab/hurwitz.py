@@ -49,7 +49,7 @@ from .partitions import (Partition, partitions_of, partitions_upto, aut_order,
                          zee, hook, cut_and_join_eigenvalue, _hook_poly, _hook_sum,
                          _sub_multisets)
 from .symfunc import schur_poly, _column, _shape
-from .series import Series, Rat, FAMILY_P, _check_caps, _make, vm_weight
+from .series import Series, Rat, FAMILY_P, _check_caps, _check_series, _make, vm_weight
 
 ONEPART = "onepart"
 SIMPLE = "simple"
@@ -418,6 +418,7 @@ def h_unst_onepart(cap_weight, cap_aux):
 
 def lp(series):
     """L_p = sum b p_b d/dp_b: multiply each term by its p-weight."""
+    _check_series("lp", series)
     return _make(series.family, series.cap_weight, series.cap_aux,
                  {(aux, vm): n * vm_weight(series.family, vm)
                   for (aux, vm), n in series.num.items()}, series.den)

@@ -50,8 +50,8 @@ from collections import Counter
 from math import comb, factorial, lcm, prod
 
 from .partitions import partitions_of, _hook_sum
-from .series import (Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _make,
-                     _ratio, vm_weight)
+from .series import (Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _check_series,
+                     _make, _ratio, vm_weight)
 
 
 class Laurent:
@@ -101,9 +101,7 @@ def _change_variables(series, coeff, aux_exp, base):
     One integer sum per target t-monomial (module docstring).  The targets
     are walked depth first, d_1 <= d_2 <= ..., so each extends its parent's
     sums by one row of the table."""
-    if series.family != FAMILY_P:
-        raise ValueError("the change of variables needs a family-P series, "
-                         "got family %s" % series.family)
+    _check_series("the change of variables", series, FAMILY_P)
     W = series.cap_weight
     # the input as integers over den, keyed by the sorted b-tuple of each
     # p-monomial p^vm, each numerator times prod_b e_b!
@@ -278,9 +276,7 @@ def _t_terms(F, name):
     """(numerator, t-monomial, weight) of F's terms.  A family-P series has
     no t variables, and neither check reads an aux power, so a series with
     an aux term is refused too."""
-    if F.family == FAMILY_P or any(a for a, _ in F.num):
-        raise ValueError("%s needs a series in the t variables alone, got family %s "
-                         "with aux cap %d" % (name, F.family, F.cap_aux))
+    _check_series(name, F, FAMILY_TQ, aux=False)
     return [(n, vm, vm_weight(F.family, vm)) for (_, vm), n in F.num.items()]
 
 
@@ -297,9 +293,9 @@ def string_check(F, source=STRING_SOURCE_PIC):
     (e.g. the one-pointed genus-one value as a constant source); pass them
     as {monomial-key: value}.  One pass over F's integer numerators: each
     term t^vm feeds dF/dt_0 at vm / t_0 and t_{d+1} dF/dt_d at vm t_{d+1} / t_d."""
+    res, terms = {}, _t_terms(F, "string_check")
     cap = F.cap_weight - 1  # the checked monomials
-    res = {}
-    for n, vm, w in _t_terms(F, "string_check"):
+    for n, vm, w in terms:
         if vm and vm[0][0] == 0:
             e = vm[0][1]
             low = ((0, e - 1),) + vm[1:] if e > 1 else vm[1:]

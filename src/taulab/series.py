@@ -115,6 +115,16 @@ def _check_family(x, y):
         raise ValueError("mismatched families %s, %s" % (x.family, y.family))
 
 
+def _check_series(name, s, family=None, aux=True):
+    """ValueError unless s is a Series, of the family if one is named, and
+    with no aux term when aux is False."""
+    if not (isinstance(s, Series) and family in (None, s.family)
+            and (aux or not any(a for a, _ in s.num))):
+        raise ValueError("%s needs a series%s%s, got %r"
+                         % (name, " of family " + family if family else "",
+                            "" if aux else " without aux terms", s))
+
+
 def _make(family, cap_weight, cap_aux, num, den):
     """The series num/den, for den > 0 and num's terms within the caps."""
     s = object.__new__(Series)

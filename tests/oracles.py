@@ -91,12 +91,13 @@ Checks of stated identities that more than one test module runs:
 
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial, lcm, prod
 
 from taulab.diffops import TOp, ZOp, _accumulate, evaluate
 from taulab.hierarchy import cut_and_join, hirota_residual
-from taulab.hodge import a_coeff, conjugated_equation, solve_l, ModuliPDESolver, _reduce
+from taulab.hodge import (a_coeff, conjugated_equation, solve_l, ModuliPDESolver, _reduce,
+                          _equation_terms, _work_entry)
 from taulab.hurwitz import HurwitzQuery, ONEPART, SIMPLE, hurwitz_frobenius, _exp_schur_sum
 from taulab.partitions import (Partition, partitions_of, partitions_upto, hook, zee,
                                cut_and_join_eigenvalue)
@@ -662,14 +663,14 @@ def exp_l_operator_route(zmax, index_cap):
 def full_rescan(solver):
     """Run a fresh ModuliPDESolver with each sweep re-evaluating the equation
     at every monomial, until a whole sweep solves nothing."""
-    kmax, weight_cap = solver.kmax, solver.weight_cap
-    for phase in range(kmax + 1):
-        eq = conjugated_equation(2, 2, phase)
+    entries = [_work_entry(mono) for mono in _monomials_up_to_weight(solver.weight_cap)]
+    for phase in range(solver.kmax + 1):
+        terms = _equation_terms(conjugated_equation(2, 2, phase))
         progress = True
         while progress:
             progress = False
-            for mono in _monomials_up_to_weight(weight_cap):
-                aff = solver.equation_affine(eq, mono)
+            for entry in entries:
+                aff = solver.equation_affine(terms, entry)
                 if aff is None:
                     continue
                 const = aff.pop(None, 0)
@@ -678,7 +679,7 @@ def full_rescan(solver):
                     solver.solved[prim] = -const / coeff
                     progress = True
                 elif not aff and const:
-                    raise ValueError("inconsistent equation at %r" % (mono,))
+                    raise ValueError("inconsistent equation at %r" % (entry[0],))
     return solver
 
 
@@ -957,8 +958,10 @@ def monomial_splits_by_bucket(mono):
 
 class EntrywiseSolver(ModuliPDESolver):
     """``ModuliPDESolver`` reading every coefficient it meets: each one builds
-    its reduction's argument and scales by the monomial's factorials, and
-    every split of the monomial is read for both factors."""
+    its reduction's argument and scales by the monomial's factorials, every
+    term of the equation is read whatever its bucket, and every split of the
+    monomial is read for both factors.  Of the work-list entry it reads only
+    the monomial."""
 
     def _entry(self, k, eta, mono):
         form = _reduce(k, list(eta) + [d for d, e in mono.items() for _ in range(e)])
@@ -967,9 +970,10 @@ class EntrywiseSolver(ModuliPDESolver):
         return _accumulate({}, ((None, c * self.solved[p]) if p in self.solved else (p, c)
                                 for p, c in form.items()), Rat(1, _mono_factorials(mono)))
 
-    def equation_affine(self, eq, mono):
+    def equation_affine(self, terms, entry):
+        mono = dict(entry[0])
         total = {}
-        for key, c in eq.items():
+        for key, c in chain(*terms[0], *terms[1]):
             if len(key) == 1:
                 (slice_k, eta), = key
                 _accumulate(total, self._entry(slice_k, eta, mono).items(), c)

@@ -16,12 +16,14 @@ from taulab.hierarchy import (cut_and_join, character_identity_check, corner_des
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, elsv_chvar_coeff,
                           hurwitz_to_hodge, ModuliPDESolver, conjugated_equation,
                           kdv_zpart_as_moduli_poly, kdv_check, ck_report, exp_l_equals_L_check,
-                          solve_l, apply_L, moduli_caps_for, transformed_stable)
+                          solve_l, apply_L, moduli_caps_for, transformed_stable, chvar_elsv,
+                          transform_p_to_tu)
 from taulab.hurwitz import (HurwitzQuery, ONEPART, SIMPLE, h_simple_series, h_onepart_series,
                             h_unst_onepart, hook_series, hurwitz, hurwitz_bruteforce,
-                            hurwitz_frobenius, hurwitz_closed)
+                            hurwitz_frobenius, hurwitz_closed, lp)
 from taulab.pic import (bracket, chvar_coeff, f_series, u_in_T, genus_table,
-                        u_hierarchy_residuals, string_check, dilaton_check)
+                        u_hierarchy_residuals, string_check, dilaton_check, chvar_pic,
+                        transform_p_to_tq)
 from oracles import (constant, variable, aux_shift, partial, zop_exp, hook_arm_leg,
                      hook_sum_identity_check, polynomiality_check, derivative_transform_pic)
 
@@ -230,6 +232,15 @@ BAD_CALLS = {
     "hurwitz((2,))": (hurwitz, (2,)),
     "cut_and_join((2,))": (cut_and_join, (2,)),
     "hirota_descent_check('x',2)": (hirota_descent_check, "x", 2),
+    # a tuple in place of a Series used to raise AttributeError
+    "lp((2,))": (lp, (2,)),
+    "chvar_pic((2,))": (chvar_pic, (2,)),
+    "transform_p_to_tq((2,))": (transform_p_to_tq, (2,)),
+    "string_check((2,))": (string_check, (2,)),
+    "dilaton_check((2,))": (dilaton_check, (2,)),
+    "chvar_elsv((2,))": (chvar_elsv, (2,)),
+    "transform_p_to_tu((2,))": (transform_p_to_tu, (2,)),
+    "apply_L(2,(2,))": (apply_L, 2, (2,)),
 }
 
 # a float or a bool argument shares the memo key of the equal int: each row is

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, factorial
 
 import pytest
@@ -57,9 +57,9 @@ def test_build_L_grade_matches_per_tuple_sum():
 class _CountingSolver(ModuliPDESolver):
     calls = 0
 
-    def equation_affine(self, eq, mono):
+    def equation_affine(self, terms, entry):
         self.calls += 1
-        return super().equation_affine(eq, mono)
+        return super().equation_affine(terms, entry)
 
 
 @pytest.mark.parametrize("kmax, w, reverse, calls", [
@@ -84,10 +84,48 @@ def test_pde_work_list_matches_full_rescan(kmax, w, reverse, calls, monkeypatch)
 @pytest.mark.parametrize("kmax, w", [(0, 10), (1, 10), (2, 8), (2, 10), (2, 12)])
 def test_pde_solver_matches_entrywise_route(kmax, w):
     # reading only the coefficients the grading allows solves the same
-    # primitives, to the same values, in the same order
+    # primitives, to the same values, in the same order.  The oracle reads
+    # every bucket of each equation, which together hold each term once
+    for phase in range(kmax + 1):
+        eq = conjugated_equation(2, 2, phase)
+        single, pairs = hodge._equation_terms(eq)
+        assert dict(chain(*single, *pairs)) == eq
+        assert sum(map(len, single + pairs)) == len(eq)
     got = ModuliPDESolver(kmax, w).run()
     want = oracles.EntrywiseSolver(kmax, w).run()
     assert list(got.solved.items()) == list(want.solved.items())
+
+
+@pytest.mark.parametrize("kmax, w, monomials", [(1, 10, 139), (2, 12, 272)])
+def test_pde_solver_splits_each_monomial_once(kmax, w, monomials, monkeypatch):
+    # run() builds its work list once: one split of each monomial of weight
+    # <= w, however many sweeps and phases read it
+    calls = []
+    subs = hodge._sub_multisets
+    monkeypatch.setattr(hodge, "_sub_multisets", lambda vm: calls.append(vm) or subs(vm))
+    ModuliPDESolver(kmax, w).run()
+    assert len(calls) == len(set(calls)) == len(hodge._monomials_up_to_weight(w)) == monomials
+
+
+def test_bracket_refuses_an_unsolved_primitive():
+    # no z^0 equation of weight <= 6 reaches the primitive <tau_2^3>
+    with pytest.raises(ValueError, match="unsolved primitives"):
+        ModuliPDESolver(0, 6).bracket(0, (2, 2, 2))
+
+
+def test_pde_solver_refuses_an_inconsistent_equation(monkeypatch):
+    # a doubled coefficient of d^(0,1) F^(0) leaves some equation with no
+    # unknown and a nonzero constant
+    conj = hodge.conjugated_equation
+
+    def doubled(i, j, k):
+        eq = dict(conj(i, j, k))  # the memo's entry stays as it is
+        if k == 0:
+            eq[((0, (0, 1)),)] *= 2
+        return eq
+    monkeypatch.setattr(hodge, "conjugated_equation", doubled)
+    with pytest.raises(ValueError, match="inconsistent equation"):
+        ModuliPDESolver(0, 8).run()
 
 
 @pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 1)])

@@ -6,7 +6,7 @@ import pytest
 from taulab.partitions import (Partition, partitions_of, partitions_upto,
                                aut_order, zee, class_size,
                                cut_and_join_eigenvalue, hook, _sub_multisets)
-from taulab.hodge import _monomial_splits
+from taulab.hodge import _work_entry
 from oracles import (conjugate, contents_sum, is_hook, hook_arm_leg, sub_multiset_splits,
                      monomial_splits_by_bucket)
 
@@ -116,7 +116,7 @@ def test_sub_multiset_splits_match_both_written_out_enumerations():
     # every multiset of size <= 8, over indices >= 1 (p-monomials) and, one
     # lower, over indices >= 0 (t-monomials): the connected table's weighted
     # splits, as ``hurwitz._connected_rows`` forms them, and the PDE route's
-    # buckets keep their order, weights and buckets
+    # work-list entries keep their order, weights and buckets
     count = 0
     for la in partitions_upto(8):
         for shift in (0, 1):
@@ -125,6 +125,7 @@ def test_sub_multiset_splits_match_both_written_out_enumerations():
             splits = [(t, u, nt * comb(total, size) * w)
                       for t, u, w, nt, size in _sub_multisets(vm)[1:-1]]
             assert splits == sub_multiset_splits(vm), vm
-            assert _monomial_splits(vm) == monomial_splits_by_bucket(vm), vm
+            points = sum(e for _, e in vm)
+            assert _work_entry(dict(vm)) == (vm, points, total, monomial_splits_by_bucket(vm)), vm
             count += 1
     assert count == 2 * len(partitions_upto(8))
