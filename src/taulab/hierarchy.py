@@ -28,7 +28,8 @@ from math import comb
 
 from .partitions import Partition, partitions_of, aut_order, _check_partition
 from .symfunc import character
-from .series import Series, Rat, FAMILY_P, _cached, _check_caps, _check_series, _make
+from .series import (Series, Rat, FAMILY_P, _cached, _check_caps, _check_series, _make,
+                     _ratio, _trade)
 from .diffops import _accumulate, evaluate, expand
 
 
@@ -128,8 +129,16 @@ def _set_partition_classes(items):
     return out
 
 
+def _check_poly(name, dp):
+    """ValueError unless dp is a dict {tuple of ints: int or Fraction}."""
+    if not (isinstance(dp, dict) and all(type(m) is tuple and all(type(i) is int for i in m)
+                                         and _ratio(c) for m, c in dp.items())):
+        raise ValueError("%s needs a polynomial {index tuple: coefficient}, got %r" % (name, dp))
+
+
 def bell_poly(dp):
     """e^{-F} (dp applied to e^F), in the monomials m of d^m F (Faa di Bruno)."""
+    _check_poly("bell_poly", dp)
     out = {}
     for mono, c in dp.items():
         for key, (_, n) in _set_partition_classes(list(mono)).items():
@@ -158,40 +167,18 @@ def lkp_form(i, j):
 
 
 def cut_and_join(s):
-    """A = 1/2 sum_{i,j} [(i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j]."""
+    """A = 1/2 sum_{i,j} [(i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j],
+    over 2 * s.den: ``series._trade`` swaps p_k for p_i p_{k-i} (weight k) and
+    p_i p_j for p_{i+j} (weight i j), over ordered splits and pairs."""
     _check_series("cut_and_join", s, FAMILY_P)
     out = {}
-
-    def bump(aux, vmdict, c):
-        key = (aux, tuple(sorted((i, e) for i, e in vmdict.items() if e)))
-        out[key] = out.get(key, 0) + c
-        if not out[key]:
-            del out[key]
-
-    # numerators over 2 * s.den: the weight and aux of each term are kept
     for (aux, vm), n in s.num.items():
-        d = dict(vm)
-        # join piece: replace one p_k by p_i p_{k-i}, ordered splits
-        for k, e in vm:
-            for i in range(1, k):
-                nd = dict(d)
-                nd[k] -= 1
-                nd[i] = nd.get(i, 0) + 1
-                nd[k - i] = nd.get(k - i, 0) + 1
-                bump(aux, nd, k * e * n)
-        # cut piece: replace p_i p_j by p_{i+j}, ordered pairs
-        idxs = [i for i, _ in vm]
-        for i in idxs:
-            for j in idxs:
-                ei = d[i]
-                ej = d[j] - (1 if i == j else 0)
-                if ej <= 0 or ei <= 0:
-                    continue
-                nd = dict(d)
-                nd[i] -= 1
-                nd[j] -= 1
-                nd[i + j] = nd.get(i + j, 0) + 1
-                bump(aux, nd, i * j * ei * ej * n)
+        moves = [((k,), (i, k - i), k) for k, _ in vm for i in range(1, k)]
+        moves += [((i, j), (i + j,), i * j) for i, _ in vm for j, _ in vm]
+        for take, give, w in moves:
+            m, mono = _trade(vm, take, give)
+            if m:
+                _accumulate(out, [((aux, mono), w * m)], n)
     return _make(s.family, s.cap_weight, s.cap_aux, out, 2 * s.den)
 
 
@@ -200,6 +187,7 @@ def cut_and_join(s):
 
 def s_action(dp):
     """S = sum_i i d_i d/dd_{i+1}, acting on a polynomial in the d_i."""
+    _check_poly("s_action", dp)
     out = {}
     for mono, c in dp.items():
         seen = set()

@@ -46,8 +46,8 @@ from itertools import groupby
 from math import comb, factorial, prod
 
 from .partitions import _sub_multisets
-from .series import (Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _check_series, _make,
-                     vm_weight)
+from .series import (Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _check_indices,
+                     _check_series, _make, vm_weight)
 from .diffops import _accumulate, evaluate, expand
 from .hurwitz import _simple_numbers, h_simple_series
 from .pic import _change_variables, _monomials_up_to_weight
@@ -668,10 +668,10 @@ class ModuliPDESolver:
 
     def bracket(self, k, ds):
         """<tau_ds lambda_k>: the constant term of d^ds F^{(k)}."""
-        ds = tuple(ds)
-        _check_caps("bracket", 0, k, *ds)
+        _check_caps("bracket", 0, k)
+        ds = _check_indices("bracket", ds)
         self.run()
-        form = self._deriv_coeff(k, tuple(sorted(ds)), (), 0, 0)
+        form = self._deriv_coeff(k, ds, (), 0, 0)
         const = form.pop(None, Rat(0))
         if form:
             raise ValueError("unsolved primitives %r" % (sorted(form),))

@@ -17,8 +17,9 @@ labels to the cycles of pi.
 
 Routes:
   * brute force: explicit tuple counting over S_d (dynamic programming on
-    the running product, plus a sheet-partition state for the simple kind's
-    transitivity filter);
+    the running product, plus one block label per sheet, the least sheet of
+    its block, for the transitivity filter; ``_join`` merges two blocks, and
+    the cycle type is the block sizes once each x is joined with perm[x]);
   * character sums: for one-part numbers the class-algebra formula
     collapses onto hook diagrams, h = (1/(d prod b_i)) sum over hooks of
     chi(hook at the d-cycle) f^m chi(hook at profile).  With the hook
@@ -108,21 +109,18 @@ def _check_query(name, q):
 # -- brute force ---------------------------------------------------------------
 
 
+def _join(labels, i, j):
+    """The sheet labels with the blocks of sheets i and j joined: each sheet is
+    labelled by the least sheet of its block."""
+    a, b = sorted((labels[i], labels[j]))
+    return labels if a == b else tuple([a if x == b else x for x in labels])
+
+
 def _cycle_type_of(perm):
-    return Partition.from_multiset(len(cyc) for cyc in _cycles_of(perm))
-
-
-def _merge_blocks(blocks, i, j):
-    bi = bj = None
-    for b in blocks:
-        if i in b:
-            bi = b
-        if j in b:
-            bj = b
-    if bi is bj:
-        return blocks
-    rest = tuple(b for b in blocks if b is not bi and b is not bj)
-    return tuple(sorted(rest + (tuple(sorted(bi + bj)),)))
+    labels = tuple(range(len(perm)))
+    for x, y in enumerate(perm):
+        labels = _join(labels, x, y)
+    return Partition.from_multiset(labels.count(x) for x in set(labels))
 
 
 def hurwitz_bruteforce(q):
@@ -133,53 +131,31 @@ def hurwitz_bruteforce(q):
         raise ValueError("brute force limited to degree <= 5, branch points <= 7")
     target = q.cycle_type
     transpositions = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    full = (tuple(range(d)),)
-    # DP over (running product sigma tau_1 ... tau_k, partition of the sheets
-    # the factors generated so far), to filter for connectedness at the end.
-    # A one-part sigma is a d-cycle, so its sheets start in one block.
+    # DP over (running product sigma tau_1 ... tau_k, sheet labels of the
+    # blocks the factors generated so far), to filter for connectedness at
+    # the end.  A one-part sigma is a d-cycle, so its sheets start in one block.
     if q.kind == ONEPART:
-        state = {(sigma, full): 1 for sigma in permutations(range(d))
+        state = {(sigma, (0,) * d): 1 for sigma in permutations(range(d))
                  if len(_cycle_type_of(sigma)) == 1}
     else:
-        state = {(tuple(range(d)), tuple((i,) for i in range(d))): 1}
+        state = {(tuple(range(d)), tuple(range(d))): 1}
     for _ in range(m):
         nxt = {}
-        for (perm, blocks), cnt in state.items():
+        for (perm, labels), cnt in state.items():
             for i, j in transpositions:
                 np = list(perm)
                 np[i], np[j] = np[j], np[i]
-                key = (tuple(np), _merge_blocks(blocks, i, j))
+                key = (tuple(np), _join(labels, i, j))
                 nxt[key] = nxt.get(key, 0) + cnt
         state = nxt
     total = 0
-    for (perm, blocks), cnt in state.items():
+    for (perm, labels), cnt in state.items():
         # pi = perm^{-1} has the cycle type of perm and joins its own cycles
-        if _cycle_type_of(perm) != target:
-            continue
-        joined = blocks
-        for cyc in _cycles_of(perm):
-            for x in cyc[1:]:
-                joined = _merge_blocks(joined, cyc[0], x)
-        if joined == full:
+        for x, y in enumerate(perm):
+            labels = _join(labels, x, y)
+        if not any(labels) and _cycle_type_of(perm) == target:  # one block
             total += cnt
     return Rat(total * aut_order(target), factorial(d))
-
-
-def _cycles_of(perm):
-    d = len(perm)
-    seen = [False] * d
-    out = []
-    for s in range(d):
-        if seen[s]:
-            continue
-        cyc = []
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = perm[x]
-        out.append(tuple(cyc))
-    return out
 
 
 # -- character sums ------------------------------------------------------------

@@ -50,8 +50,8 @@ from collections import Counter
 from math import comb, factorial, lcm, prod
 
 from .partitions import partitions_of, _hook_sum
-from .series import (Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _check_series,
-                     _make, _ratio, vm_weight)
+from .series import (Series, Rat, FAMILY_P, FAMILY_TQ, _cached, _check_caps, _check_indices,
+                     _check_series, _make, _ratio, _trade, vm_weight)
 
 
 class Laurent:
@@ -182,8 +182,7 @@ def chvar_pic(series, q_floor=1):
 
 def bracket(indices):
     """<tau_{d_1} ... tau_{d_n}> for a multiset of nonnegative indices."""
-    _check_caps("bracket", 0, *indices)
-    key = tuple(sorted(indices))
+    key = _check_indices("bracket", indices)
     return _cached(("bracket", key), _bracket_raw, key)
 
 
@@ -292,24 +291,16 @@ def string_check(F, source=STRING_SOURCE_PIC):
     bracket series.  Lambda-class slices carry their own exceptional slots
     (e.g. the one-pointed genus-one value as a constant source); pass them
     as {monomial-key: value}.  One pass over F's integer numerators: each
-    term t^vm feeds dF/dt_0 at vm / t_0 and t_{d+1} dF/dt_d at vm t_{d+1} / t_d."""
+    term t^vm feeds dF/dt_0 at vm / t_0 and t_{d+1} dF/dt_d at vm t_{d+1} / t_d,
+    each key made by ``series._trade``."""
     res, terms = {}, _t_terms(F, "string_check")
     cap = F.cap_weight - 1  # the checked monomials
     for n, vm, w in terms:
-        if vm and vm[0][0] == 0:
-            e = vm[0][1]
-            low = ((0, e - 1),) + vm[1:] if e > 1 else vm[1:]
-            res[low] = res.get(low, 0) + e * n
-        if w + 1 > cap:
-            continue
-        for pos, (d, e) in enumerate(vm):
-            low = vm[:pos] + ((d, e - 1),) if e > 1 else vm[:pos]
-            nxt = vm[pos + 1:]
-            if nxt and nxt[0][0] == d + 1:
-                mono = low + ((d + 1, nxt[0][1] + 1),) + nxt[1:]
-            else:
-                mono = low + ((d + 1, 1),) + nxt
-            res[mono] = res.get(mono, 0) - e * n
+        moves = [((0,), (), 1)] + [((d,), (d + 1,), -1) for d, _ in vm if w < cap]
+        for take, give, sign in moves:
+            m, mono = _trade(vm, take, give)
+            if m:
+                res[mono] = res.get(mono, 0) + sign * m * n
     for mono, v in (source or {}).items():
         if vm_weight(F.family, mono) <= cap:
             p, q = _ratio(v)
@@ -320,15 +311,13 @@ def string_check(F, source=STRING_SOURCE_PIC):
 def dilaton_check(F):
     """dF/dt_1 = 1/2 sum (d+1) t_d dF/dt_d - F/2, coefficient-wise on every
     t-monomial of weight <= F.cap_weight - 2.  Twice the equation, one pass
-    over F's integer numerators: t^vm feeds 2 dF/dt_1 at vm / t_1 and
-    (weight - 1) F at vm."""
+    over F's integer numerators: t^vm feeds 2 dF/dt_1 at vm / t_1, the key
+    made by ``series._trade``, and (weight - 1) F at vm."""
     res = {}
     for n, vm, w in _t_terms(F, "dilaton_check"):
-        for pos, (d, e) in enumerate(vm):
-            if d == 1:
-                low = vm[:pos] + ((1, e - 1),) + vm[pos + 1:] if e > 1 else \
-                    vm[:pos] + vm[pos + 1:]
-                res[low] = res.get(low, 0) + 2 * e * n
+        m, low = _trade(vm, (1,), ())
+        if m:
+            res[low] = res.get(low, 0) + 2 * m * n
         if w <= F.cap_weight - 2:
             res[vm] = res.get(vm, 0) - (w - 1) * n
     return not any(res.values())

@@ -14,7 +14,8 @@ eager: a series never stores a term whose weight exceeds ``cap_weight`` or
 whose auxiliary exponent exceeds ``cap_aux``, and never stores a zero
 coefficient.  Coefficients are integer numerators over one denominator, and
 the arithmetic reduces each result once, not each term; a product of two
-series is one ``diffops.evaluate`` call, as are derivatives.
+series is one ``diffops.evaluate`` call, as are derivatives, and an operator
+that trades variables of a monomial for others edits it with ``_trade``.
 Every coefficient handed out (``terms``, ``coeff``, ``to_jsonable``) is an
 exact ``Fraction``; coefficients and scalars taken in must be ``int`` or
 ``Fraction``.  There is no floating point anywhere."""
@@ -63,6 +64,14 @@ def _check_caps(name, least, *caps):
                          % (name, least, ", ".join(map(repr, caps))))
 
 
+def _check_indices(name, indices):
+    """The sorted tuple of a tuple or list of ints >= 0; else ValueError."""
+    if not isinstance(indices, (tuple, list)):
+        raise ValueError("%s needs a tuple or list of indices, got %r" % (name, indices))
+    _check_caps(name, 0, *indices)
+    return tuple(sorted(indices))
+
+
 def _check_vm(family, vm):
     """ValueError unless vm lists variables of the family by increasing
     index, each with an integer exponent >= 1."""
@@ -76,6 +85,20 @@ def _check_vm(family, vm):
 def vm_from_dict(d):
     """Canonical variable-monomial from an {index: exponent} mapping."""
     return tuple(sorted((i, e) for i, e in d.items() if e))
+
+
+def _trade(vm, take, give):
+    """(m, vm'): vm less one variable per index in take, plus one per index in
+    give; m is the product of the exponents removed from, 0 (vm' None) if one is absent."""
+    d, m = dict(vm), 1
+    for i in take:
+        m *= d.get(i, 0)
+        if not m:
+            return 0, None
+        d[i] -= 1
+    for i in give:
+        d[i] = d.get(i, 0) + 1
+    return m, vm_from_dict(d)
 
 
 def vm_weight(family, vm):

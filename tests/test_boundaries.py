@@ -12,7 +12,8 @@ from taulab.diffops import TOp, ZOp, evaluate
 from taulab.symfunc import character, dimension, schur_poly, power_to_schur
 from taulab.hierarchy import (cut_and_join, character_identity_check, corner_descent_check,
                               d_mu, hirota_form, kp_form, lkp_form, hirota_residual,
-                              kp_residual, lkp_residual, hirota_descent_check)
+                              kp_residual, lkp_residual, hirota_descent_check, bell_poly,
+                              s_action)
 from taulab.hodge import (a_coeff, f_moduli, derivative_transform_elsv, elsv_chvar_coeff,
                           hurwitz_to_hodge, ModuliPDESolver, conjugated_equation,
                           kdv_zpart_as_moduli_poly, kdv_check, ck_report, exp_l_equals_L_check,
@@ -241,6 +242,24 @@ BAD_CALLS = {
     "chvar_elsv((2,))": (chvar_elsv, (2,)),
     "transform_p_to_tu((2,))": (transform_p_to_tu, (2,)),
     "apply_L(2,(2,))": (apply_L, 2, (2,)),
+    # used to raise AttributeError
+    "bell_poly((2,))": (bell_poly, (2,)),
+    "bell_poly('x')": (bell_poly, "x"),
+    "bell_poly(None)": (bell_poly, None),
+    "s_action((2,))": (s_action, (2,)),
+    "s_action('x')": (s_action, "x"),
+    "s_action(None)": (s_action, None),
+    # a float coefficient used to reach the result: {((1,),): 1.5} and {(1,): 1.5}
+    "bell_poly({(1,): 1.5})": (bell_poly, {(1,): 1.5}),
+    "s_action({(2,): 1.5})": (s_action, {(2,): 1.5}),
+    # an index argument that is not a sequence used to raise TypeError
+    "bracket(None)": (bracket, None),
+    "bracket(2.0)": (bracket, 2.0),
+    "bracket(True)": (bracket, True),
+    "bracket(0,None)": (ModuliPDESolver.bracket, ModuliPDESolver(0, 6), 0, None),
+    "bracket(0,2.0)": (ModuliPDESolver.bracket, ModuliPDESolver(0, 6), 0, 2.0),
+    # the index check used to consume an iterator, which then read as (): 0, not 1
+    "bracket(iter((0,0,0)))": (bracket, iter((0, 0, 0))),
 }
 
 # a float or a bool argument shares the memo key of the equal int: each row is

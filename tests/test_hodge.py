@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import chain, combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -178,6 +178,36 @@ def test_hodge_table_refuses_a_perturbed_lattice_value(bs, monkeypatch):
         h + (F(1, 7) if b == bs else 0) for b, h in zip(profiles, numbers(g, profiles))])
     with pytest.raises(ValueError, match="difference of order 6"):
         hurwitz_to_hodge(2, 2)
+
+
+@pytest.mark.parametrize("extra, message", [(lambda b: 1, "off-grading coefficient"),
+                                            (lambda b: b[0], "asymmetric solve")],
+                         ids=["constant", "b_1"])
+def test_hodge_table_refuses_a_perturbed_polynomial(extra, message, monkeypatch):
+    # (1, 2) fits degree dim = 2, so a polynomial added to the scaled values
+    # passes the difference check: a constant lands at k = dim = 2 > g, and
+    # c b_1 alone makes the coefficients at (1, 0) and (0, 1) differ
+    numbers = hodge._simple_numbers
+    monkeypatch.setattr(hodge, "_simple_numbers", lambda g, profiles: [
+        h + extra(b) * F(factorial(sum(b) + len(b) + 2 * g - 2) * prod(x ** x for x in b),
+                         prod(map(factorial, b)))
+        for b, h in zip(profiles, numbers(g, profiles))])
+    with pytest.raises(ValueError, match=message):
+        hurwitz_to_hodge(1, 2)
+
+
+def test_a_coeff_refuses_a_remainder(monkeypatch):
+    # _a_raw directly, so no memo entry is stored: the alternating sum of
+    # a(2, 1) is 12, not a multiple of the patched factorial 5
+    monkeypatch.setattr(hodge, "factorial", lambda d: 5)
+    with pytest.raises(ValueError, match="is not an integer"):
+        hodge._a_raw(2, 1)
+
+
+def test_chvar_elsv_refuses_a_series_outside_its_class():
+    # the image of a bare p_1 has only negative u powers, u^-(2d + 4) t_d
+    with pytest.raises(ValueError, match="outside the guaranteed class"):
+        chvar_elsv(Series(FAMILY_P, 2, 0, {(0, ((1, 1),)): 1}))
 
 
 # caps for F^(0..4) exact to weight 14: the second route for the genus-3 and

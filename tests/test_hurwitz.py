@@ -287,6 +287,16 @@ def test_connected_table_refuses_a_remainder(monkeypatch):
         _simple_numbers(0, [(1,), (2, 1)])
 
 
+def test_connected_table_refuses_a_negative_z(monkeypatch):
+    # Z's slots are nonnegative: with every character negated the packed sum
+    # comes out negative, which raises before the logarithm reads it
+    column = hurwitz._column
+    monkeypatch.setattr(hurwitz, "_column", lambda parts: {
+        mask: -c for mask, c in column(parts).items()})
+    with pytest.raises(ValueError, match="came out negative"):
+        _simple_numbers(0, [(2, 1)])
+
+
 @pytest.mark.parametrize("W, M", [(8, 12), (10, 19), (12, 22)])
 def test_simple_series_matches_entrywise_table(W, M):
     # the packed table against the rows summed entry by entry: the same
